@@ -9,7 +9,6 @@ from .core import (
     SetFunctionOracle,
     best_response,
     demand,
-    subset_from_index,
     supply,
     value,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "enumerate_breakpoints",
     "fptas",
     "optimal_contract",
-    "subset_from_index",
     "supply",
     "value",
 ]

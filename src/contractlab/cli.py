@@ -24,9 +24,6 @@ from .serialize import (
     save_instance,
 )
 
-CHECKS = ("structure", "equal-revenue", "gap-bounds", "sparse-demand", "cc-invariants")
-EXPERIMENTS = ("value-query", "demand-sim", "supply-sim", "cc-sweep", "protocol-bench")
-
 
 def _emit(text: str, out: str | None):
     if out:
@@ -77,14 +74,16 @@ def cmd_solve(args) -> int:
     }
     if args.fptas is not None:
         approx = fptas(inst, args.fptas)
-        with inst.ctx.workprec():
-            ratio = approx.principal_utility / sol.principal_utility
+        ratio = None  # undefined when the exact optimum pays the principal 0
+        if sol.principal_utility != 0:
+            with inst.ctx.workprec():
+                ratio = float(approx.principal_utility / sol.principal_utility)
         report["fptas"] = {
             "eps": args.fptas,
             "alpha": number_to_str(approx.alpha),
             "set_mask": approx.aset.mask,
             "principal_utility": number_to_str(approx.principal_utility),
-            "ratio": float(ratio),
+            "ratio": ratio,
             "value_queries": approx.value_queries,
             "best_response_queries": approx.best_response_queries,
         }
@@ -92,7 +91,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _check_structure(inst, report):
+def _check_structure(inst, report, seed):
     from .constructions import verify_structure
 
     ok = True
@@ -111,7 +110,7 @@ def _check_structure(inst, report):
     return ok
 
 
-def _check_equal_revenue(inst, report):
+def _check_equal_revenue(inst, report, seed):
     from .constructions import verify_equal_revenue
 
     tol = inst.ctx.maximizer_tolerance
@@ -125,7 +124,7 @@ def _check_equal_revenue(inst, report):
     return r.ok
 
 
-def _check_gap_bounds(inst, report):
+def _check_gap_bounds(inst, report, seed):
     from .constructions import check_gap_bounds
 
     r = check_gap_bounds(inst.n)
@@ -166,7 +165,7 @@ def _check_sparse_demand(inst, report, seed):
     return ok
 
 
-def _check_cc_invariants(inst, report):
+def _check_cc_invariants(inst, report, seed):
     from .commlab import SpecialSetVector, build_augmented
     from .constructions import verify_structure
 
@@ -192,6 +191,16 @@ def _check_cc_invariants(inst, report):
     return ok
 
 
+CHECKERS = {
+    "structure": _check_structure,
+    "equal-revenue": _check_equal_revenue,
+    "gap-bounds": _check_gap_bounds,
+    "sparse-demand": _check_sparse_demand,
+    "cc-invariants": _check_cc_invariants,
+}
+CHECKS = tuple(CHECKERS)
+
+
 def cmd_verify(args) -> int:
     inst = _load(args)
     checks = args.checks or ["structure"]
@@ -201,16 +210,7 @@ def cmd_verify(args) -> int:
     report = {"instance": inst.name, "n": inst.n, "checks": list(checks)}
     all_ok = True
     for chk in checks:
-        if chk == "structure":
-            ok = _check_structure(inst, report)
-        elif chk == "equal-revenue":
-            ok = _check_equal_revenue(inst, report)
-        elif chk == "gap-bounds":
-            ok = _check_gap_bounds(inst, report)
-        elif chk == "sparse-demand":
-            ok = _check_sparse_demand(inst, report, args.seed)
-        else:
-            ok = _check_cc_invariants(inst, report)
+        ok = CHECKERS[chk](inst, report, args.seed)
         all_ok = all_ok and ok
     report["ok"] = all_ok
     _emit(dump_json(report), args.out)
@@ -226,65 +226,43 @@ def _experiment_value_query(args):
     return stats.as_dict(), stats.ok
 
 
-def _experiment_demand_sim(args):
-    from .constructions import build_equal_revenue_submod_f
-    from .core import demand, demand_prices_for_contract
-    from .perturb import epsilon_bound, family_iterator
-    from .sparse import random_prices, simulate_demand_by_values, sparseness_ceiling
+def _experiment_sim(args, role):
+    """Demand (role "demand", reward-bonus family) or supply (role "supply",
+    cost-discount family) queries answered by value queries, against the
+    exact query on every hidden family member."""
+    from .constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
+    from .core import demand, demand_prices_for_contract, supply, supply_prices_for_contract
+    from .perturb import family_iterator
+    from .sparse import (
+        random_prices,
+        simulate_demand_by_values,
+        simulate_supply_by_values,
+        sparseness_ceiling,
+    )
 
-    base = build_equal_revenue_submod_f(args.n)
-    eps = epsilon_bound(base).default_epsilon
-    alphas = base.meta["alpha_table"]
+    if role == "demand":
+        base = build_equal_revenue_submod_f(args.n)
+        side, simulate, query = "f", simulate_demand_by_values, demand
+        prices_for, partner = demand_prices_for_contract, base.c
+    else:
+        base = build_equal_revenue_supmod_c(args.n)
+        side, simulate, query = "c", simulate_supply_by_values, supply
+        prices_for, partner = supply_prices_for_contract, base.f
+    public = getattr(base, side)
     rng = random.Random(args.seed)
     agree = total = 0
     max_queries = 0
     with base.ctx.workprec():
+        breakpoint_prices = [prices_for(partner, a) for a in base.meta["alpha_table"] if a > 0]
         for fam in family_iterator(base):
-            hidden = fam.instance.f
-            price_sets = [
-                demand_prices_for_contract(base.c, alphas[t]) for t in range(1, len(alphas))
-            ]
-            price_sets += [random_prices(base.n, rng) for _ in range(args.trials)]
+            hidden = getattr(fam.instance, side)
+            price_sets = breakpoint_prices + [random_prices(base.n, rng) for _ in range(args.trials)]
             for prices in price_sets:
-                got, used = simulate_demand_by_values(base.f, hidden, prices, eps, base.ctx)
-                want = demand(hidden, prices, base.ctx)
+                got, used = simulate(public, hidden, prices, fam.epsilon, base.ctx)
+                want = query(hidden, prices, base.ctx)
                 total += 1
                 agree += got == want
                 max_queries = max(max_queries, used)
-    out = {
-        "n": args.n,
-        "seed": args.seed,
-        "random_prices_per_k": args.trials,
-        "comparisons": total,
-        "agreement": agree / total,
-        "max_value_queries": max_queries,
-        "query_ceiling": sparseness_ceiling(args.n),
-    }
-    return out, agree == total and max_queries <= sparseness_ceiling(args.n)
-
-
-def _experiment_supply_sim(args):
-    from .constructions import build_equal_revenue_supmod_c
-    from .core import supply, supply_prices_for_contract
-    from .perturb import epsilon_bound, family_iterator
-    from .sparse import random_prices, simulate_supply_by_values, sparseness_ceiling
-
-    base = build_equal_revenue_supmod_c(args.n)
-    eps = epsilon_bound(base).default_epsilon
-    alphas = base.meta["alpha_table"]
-    rng = random.Random(args.seed)
-    agree = total = 0
-    max_queries = 0
-    for fam in family_iterator(base):
-        hidden = fam.instance.c
-        price_sets = [supply_prices_for_contract(base.f, a) for a in alphas if a > 0]
-        price_sets += [random_prices(base.n, rng) for _ in range(args.trials)]
-        for prices in price_sets:
-            got, used = simulate_supply_by_values(base.c, hidden, prices, eps, base.ctx)
-            want = supply(hidden, prices, base.ctx)
-            total += 1
-            agree += got == want
-            max_queries = max(max_queries, used)
     out = {
         "n": args.n,
         "seed": args.seed,
@@ -353,9 +331,7 @@ def _experiment_protocol_bench(args):
     ones = SpecialSetVector.all_ones(n)
     aug = build_augmented(args.variant, base, ones, ones)
     width = base.precision_bits
-    alphas = [b.alpha for b in aug.instance.meta.get("analytic_breakpoints", [])]
-    if not alphas:
-        alphas = base.meta["alpha_table"]
+    alphas = base.meta["alpha_table"]
     matches = 0
     max_bits = 0
     br_calls = 0
@@ -379,25 +355,25 @@ def _experiment_protocol_bench(args):
     return out, matches == len(tested)
 
 
+RUNNERS = {
+    "value-query": _experiment_value_query,
+    "demand-sim": lambda args: _experiment_sim(args, "demand"),
+    "supply-sim": lambda args: _experiment_sim(args, "supply"),
+    "cc-sweep": _experiment_cc_sweep,
+    "protocol-bench": _experiment_protocol_bench,
+}
+EXPERIMENTS = tuple(RUNNERS)
+
+
 def cmd_experiment(args) -> int:
-    runners = {
-        "value-query": _experiment_value_query,
-        "demand-sim": _experiment_demand_sim,
-        "supply-sim": _experiment_supply_sim,
-        "cc-sweep": _experiment_cc_sweep,
-        "protocol-bench": _experiment_protocol_bench,
-    }
-    if args.name not in runners:
+    if args.name not in RUNNERS:
         raise SystemExit(f"unknown experiment {args.name!r}; choose from {EXPERIMENTS}")
-    result, ok = runners[args.name](args)
-    if args.format == "csv" and isinstance(result, dict) and "rows" in result:
-        _emit(dump_csv(result["rows"]), args.out)
-    elif args.format == "csv":
-        data = result if "rows" not in result else result["summary"]
-        rows = [tuple(data.keys()), tuple(data.values())]
+    result, ok = RUNNERS[args.name](args)
+    if args.format == "csv":
+        rows = result["rows"] if "rows" in result else [tuple(result), tuple(result.values())]
         _emit(dump_csv(rows), args.out)
     else:
-        if isinstance(result, dict) and "rows" in result:
+        if "rows" in result:
             result = {"summary": result["summary"], "rows": [list(r) for r in result["rows"][1:]]}
         _emit(dump_json(result), args.out)
     return 0 if ok else 1

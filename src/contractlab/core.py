@@ -34,10 +34,6 @@ class ActionSet:
             raise ValueError(f"index {self.mask} out of range for n={self.n}")
 
     @property
-    def index(self) -> int:
-        return self.mask
-
-    @property
     def size(self) -> int:
         return self.mask.bit_count()
 
@@ -64,11 +60,6 @@ class ActionSet:
 
     def __repr__(self):
         return "{" + ",".join(map(str, self.members())) + "}"
-
-
-def subset_from_index(n: int, t: int) -> ActionSet:
-    """The subset of [n] whose characteristic vector encodes the integer t."""
-    return ActionSet(n, t)
 
 
 @dataclass
@@ -206,14 +197,27 @@ def value(oracle: SetFunctionOracle, s: ActionSet):
     return oracle.eval_mask(s.mask)
 
 
-def price_sums(prices, n: int) -> list:
-    """Sum of prices over each subset mask."""
-    if len(prices) != n:
+def _scores(kind: str, x, param):
+    """(utility, tie) vectors over all 2^n masks for one argmax query.
+
+    kind "demand": x is the reward oracle, param the prices; f - p, ties to
+    higher f.  "supply": x is the cost oracle, param the prices; p - c, ties
+    to higher c.  "best-response": x is the instance, param alpha;
+    alpha f - c, ties to higher f.  Call inside the working precision.
+    """
+    if kind == "best-response":
+        ftab = x.f.value_table()
+        return [param * fv - cv for fv, cv in zip(ftab, x.c.value_table())], ftab
+    if len(param) != x.n:
         raise ValueError("need one price per action")
-    return additive_table(list(prices))
+    psum = additive_table(list(param))
+    tab = x.value_table()
+    if kind == "demand":
+        return [v - p for v, p in zip(tab, psum)], tab
+    return [p - v for v, p in zip(tab, psum)], tab
 
 
-def _argmax_with_tie_break(objective, tie_value, size: int) -> int:
+def _argmax_with_tie_break(objective, tie_value) -> int:
     """Max objective; ties favor larger tie_value, then smaller mask.
 
     Both arguments are indexable by mask.  Scanning masks in ascending order
@@ -222,7 +226,7 @@ def _argmax_with_tie_break(objective, tie_value, size: int) -> int:
     best = 0
     best_obj = objective[0]
     best_tie = tie_value[0]
-    for mask in range(1, size):
+    for mask in range(1, len(objective)):
         obj = objective[mask]
         if obj > best_obj or (obj == best_obj and tie_value[mask] > best_tie):
             best = mask
@@ -233,26 +237,18 @@ def _argmax_with_tie_break(objective, tie_value, size: int) -> int:
 
 def demand(f: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
     """Set maximizing f(S) - p(S); ties to higher f, then lower index."""
-    n = f.n
     with (ctx or RealContext()).workprec():
-        psum = price_sums(prices, n)
-        ftab = f.value_table()
-        util = [ftab[m] - psum[m] for m in range(1 << n)]
-        best = _argmax_with_tie_break(util, ftab, 1 << n)
+        best = _argmax_with_tie_break(*_scores("demand", f, prices))
     f.ledger.count("demand_queries", tuple(prices))
-    return ActionSet(n, best)
+    return ActionSet(f.n, best)
 
 
 def supply(c: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
     """Set maximizing p(S) - c(S); ties to higher c, then lower index."""
-    n = c.n
     with (ctx or RealContext()).workprec():
-        psum = price_sums(prices, n)
-        ctab = c.value_table()
-        util = [psum[m] - ctab[m] for m in range(1 << n)]
-        best = _argmax_with_tie_break(util, ctab, 1 << n)
+        best = _argmax_with_tie_break(*_scores("supply", c, prices))
     c.ledger.count("supply_queries", tuple(prices))
-    return ActionSet(n, best)
+    return ActionSet(c.n, best)
 
 
 @dataclass
@@ -289,10 +285,7 @@ def best_response(inst: ContractInstance, alpha) -> ActionSet:
     Ties favor higher f, then lower subset index.
     """
     with inst.ctx.workprec():
-        ftab = inst.f.value_table()
-        ctab = inst.c.value_table()
-        util = [alpha * ftab[m] - ctab[m] for m in range(inst.size)]
-        best = _argmax_with_tie_break(util, ftab, inst.size)
+        best = _argmax_with_tie_break(*_scores("best-response", inst, alpha))
     inst.ledger.count("best_response_queries", alpha)
     return ActionSet(inst.n, best)
 

@@ -27,6 +27,13 @@ class BudgetError(ValueError):
     pass
 
 
+def _direction(base: ContractInstance) -> str:
+    direction = _DIRECTION_FOR_KIND.get(base.meta.get("kind"))
+    if direction is None:
+        raise ValueError("base is not a recognized equal-revenue construction")
+    return direction
+
+
 @dataclass
 class PerturbationBudget:
     """Strict upper bound on epsilon, with its three component minima:
@@ -130,12 +137,9 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
 
 
 def epsilon_bound(base: ContractInstance) -> PerturbationBudget:
-    direction = _DIRECTION_FOR_KIND.get(base.meta.get("kind"))
-    if direction == REWARD_BONUS:
+    if _direction(base) == REWARD_BONUS:
         return epsilon_bound_reward(base)
-    if direction == COST_DISCOUNT:
-        return epsilon_bound_cost(base)
-    raise ValueError("base is not a recognized equal-revenue construction")
+    return epsilon_bound_cost(base)
 
 
 @dataclass
@@ -154,17 +158,13 @@ def valid_k_range(base: ContractInstance, direction: str) -> range:
     return range(lo, base.size)
 
 
-def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance:
-    """Bonus f(S_k) += eps (submod-f base) or discount c(S_k) -= eps
-    (supmod-c base)."""
-    direction = _DIRECTION_FOR_KIND.get(base.meta.get("kind"))
-    if direction is None:
-        raise ValueError("base is not a recognized equal-revenue construction")
-    if k not in valid_k_range(base, direction):
-        raise BudgetError(f"k={k} outside valid range for {direction}")
-    budget = epsilon_bound(base)
+def _check_epsilon(budget: PerturbationBudget, epsilon) -> None:
     if not (0 < epsilon < budget.epsilon_max):
         raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
+
+
+def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
+    """The family member at k, with k and epsilon already checked."""
     with base.ctx.workprec():
         if direction == REWARD_BONUS:
             tab = list(base.f.value_table())
@@ -191,12 +191,25 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
     return PerturbedInstance(base=base, k=k, epsilon=epsilon, direction=direction, instance=inst)
 
 
+def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance:
+    """Bonus f(S_k) += eps (submod-f base) or discount c(S_k) -= eps
+    (supmod-c base)."""
+    direction = _direction(base)
+    if k not in valid_k_range(base, direction):
+        raise BudgetError(f"k={k} outside valid range for {direction}")
+    _check_epsilon(epsilon_bound(base), epsilon)
+    return _perturbed(base, direction, k, epsilon)
+
+
 def family_iterator(base: ContractInstance, epsilon=None):
-    """All single-set perturbations of the base, in increasing k."""
-    direction = _DIRECTION_FOR_KIND.get(base.meta.get("kind"))
-    if direction is None:
-        raise ValueError("base is not a recognized equal-revenue construction")
+    """All single-set perturbations of the base, in increasing k.
+
+    The budget is computed once for the whole family.
+    """
+    direction = _direction(base)
+    budget = epsilon_bound(base)
     if epsilon is None:
-        epsilon = epsilon_bound(base).default_epsilon
+        epsilon = budget.default_epsilon
+    _check_epsilon(budget, epsilon)
     for k in valid_k_range(base, direction):
-        yield make_perturbed(base, k, epsilon)
+        yield _perturbed(base, direction, k, epsilon)

@@ -95,15 +95,14 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
-def _initial_mask(ftab, ctab, size) -> int:
+def _initial_mask(ftab, ctab) -> int:
     """Best response at alpha = 0: minimal cost, ties to higher f, lower index."""
-    util = [-cv for cv in ctab]
-    return _argmax_with_tie_break(util, ftab, size)
+    return _argmax_with_tie_break([-cv for cv in ctab], ftab)
 
 
 def _enumerate_scan(inst, ftab, ctab, zero, one):
     size = inst.size
-    cur = _initial_mask(ftab, ctab, size)
+    cur = _initial_mask(ftab, ctab)
     bps = [_make_breakpoint(inst, 0, zero, cur, ftab, ctab)]
     while True:
         fc = ftab[cur]
@@ -149,7 +148,7 @@ def _enumerate_hull(inst, ftab, ctab, zero, one):
                 break
         hull.append(m)
     # start from the alpha=0 best response, drop hull vertices before it
-    start = _initial_mask(ftab, ctab, size)
+    start = _initial_mask(ftab, ctab)
     k = hull.index(start)
     chain = hull[k:]
     bps = [_make_breakpoint(inst, 0, zero, chain[0], ftab, ctab)]
@@ -171,7 +170,7 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> Break
     if method == "auto":
         analytic = inst.meta.get("analytic_breakpoints")
         if analytic is not None:
-            return analytic() if callable(analytic) else analytic
+            return analytic
         method = "scan"
     if method not in ("scan", "hull"):
         raise ParameterError(f"unknown enumeration method {method!r}")
@@ -256,7 +255,7 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
     """
     if not (0 < eps < 1):
         raise ParameterError("eps must be in (0, 1)")
-    from .core import best_response, subset_from_index, value
+    from .core import best_response, value
 
     before = (inst.ledger.value_queries, inst.ledger.best_response_queries)
     ledgers = [inst.f.ledger, inst.c.ledger]
@@ -283,7 +282,7 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
             )
             shrink = one - eps
             for j in range(1, inst.n + 1):
-                cj = val_c(subset_from_index(inst.n, 1 << (j - 1)))
+                cj = val_c(ActionSet(inst.n, 1 << (j - 1)))
                 if not cj > 0:
                     continue
                 scale = opt / (cj + opt)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from .core import ActionSet, SetFunctionOracle, price_sums
+from .core import ActionSet, SetFunctionOracle, _scores, additive_table, value
 from .reals import RealContext
 
 
@@ -42,11 +42,14 @@ class ApproxArgmaxSet:
         return [m.mask for m in self.members]
 
 
-def _approx_argmax(kind, parameter, util, n, sigma, ctx):
+def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
+    """Every mask whose utility (see core._scores) is within sigma of the max."""
     with ctx.workprec():
+        util, _ = _scores(kind, x, param)
         best = max(util)
         cut = best - sigma
-        members = [ActionSet(n, m) for m in range(1 << n) if util[m] >= cut]
+        members = [ActionSet(x.n, m) for m, u in enumerate(util) if u >= cut]
+    parameter = param if kind == "best-response" else tuple(param)
     return ApproxArgmaxSet(
         kind=kind, parameter=parameter, sigma=sigma, members=members, max_value=best
     )
@@ -54,33 +57,17 @@ def _approx_argmax(kind, parameter, util, n, sigma, ctx):
 
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
     """All S with f(S) - p(S) >= max - sigma, by full enumeration."""
-    ctx = ctx or RealContext()
-    n = f.n
-    with ctx.workprec():
-        psum = price_sums(prices, n)
-        ftab = f.value_table()
-        util = [ftab[m] - psum[m] for m in range(1 << n)]
-    return _approx_argmax("demand", tuple(prices), util, n, sigma, ctx)
+    return _approx_argmax("demand", f, prices, sigma, ctx or RealContext())
 
 
 def approx_supply(c: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
     """All S with p(S) - c(S) >= max - sigma."""
-    ctx = ctx or RealContext()
-    n = c.n
-    with ctx.workprec():
-        psum = price_sums(prices, n)
-        ctab = c.value_table()
-        util = [psum[m] - ctab[m] for m in range(1 << n)]
-    return _approx_argmax("supply", tuple(prices), util, n, sigma, ctx)
+    return _approx_argmax("supply", c, prices, sigma, ctx or RealContext())
 
 
 def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
     """All S with alpha f(S) - c(S) >= max - sigma."""
-    with inst.ctx.workprec():
-        ftab = inst.f.value_table()
-        ctab = inst.c.value_table()
-        util = [alpha * ftab[m] - ctab[m] for m in range(inst.size)]
-    return _approx_argmax("best-response", alpha, util, inst.n, sigma, inst.ctx)
+    return _approx_argmax("best-response", inst, alpha, sigma, inst.ctx)
 
 
 @dataclass
@@ -92,43 +79,39 @@ class SigmaBound:
     argmin_pair: tuple
 
 
+def _adjacent_pair_min(base, first, gap) -> SigmaBound:
+    """Half the least gap(alpha_l, alpha_(l+1)) over l >= first; a gap of None
+    skips its pair."""
+    alphas = base.meta.get("alpha_table")
+    if alphas is None:
+        raise ValueError("base must be an equal-revenue construction")
+    with base.ctx.workprec():
+        best = None
+        pair = None
+        for l in range(first, len(alphas) - 1):
+            g = gap(alphas[l], alphas[l + 1])
+            if g is None:
+                continue
+            v = g / 2
+            if best is None or v < best:
+                best = v
+                pair = (l, l + 1)
+        return SigmaBound(bound=best, sigma=best / 2, argmin_pair=pair)
+
+
 def sigma_bound_demand(base) -> SigmaBound:
     """sigma < min over l < h of (1/alpha_l - 1/alpha_h) / 2.
 
     1/alpha is strictly decreasing in the breakpoint index, so the pairwise
     minimum is realized at an adjacent pair (property-tested against the
-    full quadratic scan).
+    full quadratic scan).  Pairs from a nonpositive alpha_l are skipped.
     """
-    alphas = base.meta.get("alpha_table")
-    if alphas is None:
-        raise ValueError("base must be an equal-revenue construction")
-    with base.ctx.workprec():
-        best = None
-        pair = None
-        for l in range(1, len(alphas) - 1):
-            if not alphas[l] > 0:
-                continue
-            v = (1 / alphas[l] - 1 / alphas[l + 1]) / 2
-            if best is None or v < best:
-                best = v
-                pair = (l, l + 1)
-        return SigmaBound(bound=best, sigma=best / 2, argmin_pair=pair)
+    return _adjacent_pair_min(base, 1, lambda lo, hi: 1 / lo - 1 / hi if lo > 0 else None)
 
 
 def sigma_bound_supply(base) -> SigmaBound:
     """Mirror bound sigma < min over l < h of (alpha_h - alpha_l) / 2."""
-    alphas = base.meta.get("alpha_table")
-    if alphas is None:
-        raise ValueError("base must be an equal-revenue construction")
-    with base.ctx.workprec():
-        best = None
-        pair = None
-        for l in range(len(alphas) - 1):
-            v = (alphas[l + 1] - alphas[l]) / 2
-            if best is None or v < best:
-                best = v
-                pair = (l, l + 1)
-        return SigmaBound(bound=best, sigma=best / 2, argmin_pair=pair)
+    return _adjacent_pair_min(base, 0, lambda lo, hi: hi - lo)
 
 
 @dataclass
@@ -189,6 +172,27 @@ def minimal_ambiguous_census(approx: ApproxArgmaxSet, n: int) -> dict[int, int]:
     return census
 
 
+def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
+    """The argmax of the kind's utility on hidden, from value queries on the
+    D^eps(prices) members of base only; ties to the higher hidden value,
+    then the lower index.  Returns (chosen set, value queries used)."""
+    ctx = ctx or RealContext()
+    # module-level lookup at call time, so wrappers installed on it apply
+    approx = approx_demand if kind == "demand" else approx_supply
+    candidates = approx(base, prices, eps, ctx)
+    with ctx.workprec():
+        psum = additive_table(list(prices))
+        best = None
+        best_util = None
+        best_v = None
+        for s in candidates.members:  # increasing mask order
+            v = value(hidden, s)
+            u = v - psum[s.mask] if kind == "demand" else psum[s.mask] - v
+            if best is None or u > best_util or (u == best_util and v > best_v):
+                best, best_util, best_v = s, u, v
+    return best, len(candidates.members)
+
+
 def simulate_demand_by_values(base_f, hidden_f, prices, eps, ctx=None):
     """Answer a demand query on hidden_f using only value queries.
 
@@ -197,42 +201,12 @@ def simulate_demand_by_values(base_f, hidden_f, prices, eps, ctx=None):
     D^eps(prices) of base_f.  Queries hidden_f only on those members.
     Returns (chosen set, value queries used).
     """
-    from .core import value
-
-    ctx = ctx or RealContext()
-    candidates = approx_demand(base_f, prices, eps, ctx)
-    n = base_f.n
-    with ctx.workprec():
-        psum = price_sums(prices, n)
-        best = None
-        best_util = None
-        best_f = None
-        for s in sorted(candidates.members, key=lambda a: a.mask):
-            fv = value(hidden_f, s)
-            u = fv - psum[s.mask]
-            if best is None or u > best_util or (u == best_util and fv > best_f):
-                best, best_util, best_f = s, u, fv
-    return best, len(candidates.members)
+    return _simulate_by_values("demand", base_f, hidden_f, prices, eps, ctx)
 
 
 def simulate_supply_by_values(base_c, hidden_c, prices, eps, ctx=None):
     """Mirror of simulate_demand_by_values for p(S) - c(S) and a discount."""
-    from .core import value
-
-    ctx = ctx or RealContext()
-    candidates = approx_supply(base_c, prices, eps, ctx)
-    n = base_c.n
-    with ctx.workprec():
-        psum = price_sums(prices, n)
-        best = None
-        best_util = None
-        best_c = None
-        for s in sorted(candidates.members, key=lambda a: a.mask):
-            cv = value(hidden_c, s)
-            u = psum[s.mask] - cv
-            if best is None or u > best_util or (u == best_util and cv > best_c):
-                best, best_util, best_c = s, u, cv
-    return best, len(candidates.members)
+    return _simulate_by_values("supply", base_c, hidden_c, prices, eps, ctx)
 
 
 def random_prices(n: int, rng, snap_to=None):

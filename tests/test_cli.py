@@ -91,6 +91,21 @@ class TestConstructSolveVerify:
         rep = json.loads(capsys.readouterr().out)
         assert rep["fptas"]["ratio"] >= 0.9
 
+    def test_solve_fptas_zero_optimum(self, tmp_path, capsys):
+        # every nonempty set costs more than it returns: the exact optimum
+        # pays the principal 0, so the approximation ratio is undefined
+        tables = {"f": (0.0, 1.0, 1.0, 2.0), "c": (0.0, 5.0, 5.0, 10.0)}
+        spec = {"n": 2}
+        for key, vals in tables.items():
+            spec[key] = {"kind": "table", "values": [number_to_str(v) for v in vals]}
+        inst_path = tmp_path / "zero.json"
+        inst_path.write_text(json.dumps(spec))
+        assert run(["solve", "--instance", str(inst_path), "--fptas", "0.1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["principal_utility"] == number_to_str(0.0)
+        assert rep["fptas"]["ratio"] is None
+        assert rep["fptas"]["principal_utility"] == number_to_str(0.0)
+
     def test_verify_passes_and_fails(self, tmp_path):
         inst_path = tmp_path / "i.json"
         run(["construct", "equal_revenue_submod_f", "--n", "4", "--out", str(inst_path)])
@@ -145,6 +160,22 @@ class TestExperiments:
         rep = json.loads(out.read_text())
         assert rep["agreement"] == 1.0
         assert rep["max_value_queries"] <= rep["query_ceiling"]
+
+    def test_supply_sim(self, tmp_path):
+        out = tmp_path / "ss.csv"
+        assert run(
+            ["experiment", "supply-sim", "--n", "4", "--trials", "5",
+             "--seed", "2", "--format", "csv", "--out", str(out)]
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0] == (
+            "n,seed,random_prices_per_k,comparisons,agreement,"
+            "max_value_queries,query_ceiling"
+        )
+        rep = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(rep["agreement"]) == 1.0
+        assert int(rep["max_value_queries"]) <= int(rep["query_ceiling"])
 
     def test_cc_sweep_disjoint_only_random_seed(self, tmp_path):
         # a tiny random sweep: the reduction answers every pair, so the

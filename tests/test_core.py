@@ -16,7 +16,6 @@ from contractlab.core import (
     best_response,
     demand,
     demand_prices_for_contract,
-    subset_from_index,
     supply,
     supply_prices_for_contract,
     value,
@@ -35,7 +34,7 @@ from conftest import (
 class TestActionSet:
     def test_mask_equals_index(self):
         s = ActionSet(4, 0b1011)
-        assert s.index == 0b1011
+        assert s.mask == 0b1011
         assert s.members() == (1, 2, 4)
         assert 1 in s and 2 in s and 3 not in s and 4 in s
 
@@ -47,8 +46,8 @@ class TestActionSet:
     @given(st.integers(1, 10), st.data())
     def test_subset_index_bijection(self, n, data):
         t = data.draw(st.integers(0, (1 << n) - 1))
-        s = subset_from_index(n, t)
-        assert s.index == t
+        s = ActionSet(n, t)
+        assert s.mask == t
         assert sum(1 << (i - 1) for i in s.members()) == t
 
     def test_bounds_rejected(self):
@@ -141,6 +140,15 @@ class TestQueries:
         got = best_response(inst, alpha)
         assert got.mask == brute_best_response(ftab, ctab, alpha)
         assert inst.ledger.best_response_queries == 1
+
+    def test_wrong_length_prices_rejected(self):
+        f = SetFunctionOracle(3, table=list(range(8)))
+        for prices in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="one price per action"):
+                demand(f, prices)
+            with pytest.raises(ValueError, match="one price per action"):
+                supply(f, prices)
+        assert f.ledger.total() == 0
 
     def test_best_response_tie_prefers_higher_f(self):
         # two sets with equal utility at alpha = 1/2: {1} (f=2,c=1) and {2} (f=4,c=2)

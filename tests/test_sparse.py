@@ -76,6 +76,13 @@ class TestApproxArgmax:
         s = approx_supply(base.c, prices, sigma, base.ctx)
         assert supply(base.c, prices, base.ctx).mask in s.masks()
 
+    def test_wrong_length_prices_rejected(self):
+        oracle = SetFunctionOracle(3, table=list(range(8)))
+        for approx in (approx_demand, approx_supply):
+            for prices in ((1, 2), (1, 2, 3, 4)):
+                with pytest.raises(ValueError, match="one price per action"):
+                    approx(oracle, prices, Fraction(1, 2))
+
     def test_best_response_window(self):
         base = build_equal_revenue_supmod_c(3)
         # at alpha_3 = 2/3 the sets S_2, S_3, S_4 tie within any sigma > 0
