@@ -360,9 +360,6 @@ def _z_components(variant, base, perturbed, delta, sigma):
     return comps
 
 
-_augment_cache: dict = {}
-
-
 def build_augmented(
     variant: str,
     base: ContractInstance,
@@ -385,9 +382,9 @@ def build_augmented(
     size = 1 << n
     half = n // 2
     # everything except the marginal tables is independent of (x_f, x_c);
-    # cache it so indicator sweeps only pay for table assembly
-    cache_key = (id(base), variant, None if delta is None else repr(delta))
-    cached = _augment_cache.get(cache_key)
+    # cache it on the base so indicator sweeps only pay for table assembly
+    cache_key = (variant, None if delta is None else repr(delta))
+    cached = base.augment_cache.get(cache_key)
     if cached is None:
         if variant == "sup-sup":
             sigma = sigma_bound_supply(base).sigma
@@ -411,7 +408,7 @@ def build_augmented(
             atil = _alpha_tilde_by_mask(perturbed)
             comps = _z_components(variant, base, perturbed, delta, sigma)
             z = min(comps.values())
-        _augment_cache[cache_key] = (sigma, delta, perturbed, atil, comps, z)
+        base.augment_cache[cache_key] = (sigma, delta, perturbed, atil, comps, z)
     else:
         sigma, delta, perturbed, atil, comps, z = cached
     with base.ctx.workprec():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, SetFunctionOracle
+from .core import ActionSet, ContractInstance, SetFunctionOracle, _scaled_ints
 from .reals import DEFAULT_BITS, RealContext
 from .solver import Breakpoint, BreakpointTable
 
@@ -169,36 +169,44 @@ def verify_structure(
     v(i | S) vs v(i | S + j), which is equivalent to the full nested-pair
     quantification.  ``strict`` applies to the class inequality only;
     monotonicity is weak unless ``strict_monotone``.  Report-only:
-    violations are listed, nothing raised.
+    violations are listed, nothing raised.  Tables of ints and Fractions
+    are compared as ints over their common denominator; the recorded
+    marginals and diffs are computed from the table's own entries.
     """
     cls = declared_class or oracle.declared_class
     n = oracle.n
     if n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
     tab = oracle.value_table()
+    # an mpf tol has no exact Fraction; it keeps the table's own arithmetic
+    scaled = _scaled_ints(tab) if isinstance(tol, (int, float, Fraction)) else None
+    if scaled is None:
+        vals = tab
+    else:
+        vals, scale = scaled
+        tol = Fraction(tol) * scale
+        if tol.denominator == 1:
+            tol = tol.numerator  # keeps the loop's comparisons int-only
     report = StructureReport(declared_class=cls, strict=strict)
+    mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
     size = 1 << n
     bits = [1 << i for i in range(n)]
-
-    def record(bucket, item):
-        if len(bucket) < report.max_recorded:
-            bucket.append(item)
 
     for m in range(size):
         for i in range(n):
             bi = bits[i]
             if m & bi:
                 continue
-            marg_i = tab[m | bi] - tab[m]
-            if (marg_i <= tol) if strict_monotone else (marg_i < -tol):
-                record(report.monotonicity_violations, (m, i + 1, marg_i))
+            marg_i = vals[m | bi] - vals[m]
+            if ((marg_i <= tol) if strict_monotone else (marg_i < -tol)) and len(mono) < cap:
+                mono.append((m, i + 1, tab[m | bi] - tab[m]))
             if cls == "general-monotone":
                 continue
             for j in range(n):
                 bj = bits[j]
                 if j == i or (m & bj):
                     continue
-                marg_ij = tab[m | bj | bi] - tab[m | bj]
+                marg_ij = vals[m | bj | bi] - vals[m | bj]
                 diff = marg_i - marg_ij  # >= 0 iff diminishing marginals
                 if cls == "submodular":
                     bad = diff <= tol if strict else diff < -tol
@@ -208,8 +216,9 @@ def verify_structure(
                     bad = diff < -tol or diff > tol
                 else:
                     raise ValueError(f"unknown class {cls!r}")
-                if bad:
-                    record(report.class_violations, (m, i + 1, j + 1, diff))
+                if bad and len(klass) < cap:
+                    diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
+                    klass.append((m, i + 1, j + 1, diff))
     return report
 
 

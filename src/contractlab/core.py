@@ -7,7 +7,9 @@ bitmask with bit i-1 set.  Mask and index are therefore one and the same int.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .reals import RealContext
 
@@ -189,6 +191,25 @@ def additive_table(weights) -> list:
     return table
 
 
+def _scaled_ints(tab):
+    """(ints, scale) with ints[m] == tab[m] * scale, or None.
+
+    scale is the LCM of the denominators when every entry is an int or a
+    Fraction; any other entry (float, mpf) gives None, so those tables keep
+    their own arithmetic.  Scaling by a positive constant keeps every order,
+    equality and sign of differences and their products, and int arithmetic
+    is far cheaper than Fraction arithmetic.
+    """
+    scale = 1
+    for v in tab:
+        if isinstance(v, Fraction):
+            if scale % v.denominator:
+                scale = math.lcm(scale, v.denominator)
+        elif not isinstance(v, int):
+            return None
+    return [v.numerator * (scale // v.denominator) for v in tab], scale
+
+
 def value(oracle: SetFunctionOracle, s: ActionSet):
     """Instrumented value query."""
     if s.n != oracle.n:
@@ -263,6 +284,9 @@ class ContractInstance:
     name: str = ""
     meta: dict = field(default_factory=dict)
     ledger: QueryLedger = field(default_factory=QueryLedger)
+    # commlab.build_augmented's per-(variant, delta) parts; dies with the
+    # instance, so no other instance can ever be served them
+    augment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:

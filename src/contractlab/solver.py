@@ -9,9 +9,11 @@ principal utility (1 - alpha) * f(S).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, _argmax_with_tie_break
+from .core import ActionSet, ContractInstance, _argmax_with_tie_break, _scaled_ints
 
 
 class ParameterError(ValueError):
@@ -100,28 +102,47 @@ def _initial_mask(ftab, ctab) -> int:
     return _argmax_with_tie_break([-cv for cv in ctab], ftab)
 
 
+def _comparison_tables(ftab, ctab):
+    """f and c as comparison keys: ints over a scale each when both tables
+    are int/Fraction, else the tables themselves.
+
+    Positive scales keep every order, equality and slope comparison, so the
+    enumerations choose sets on these keys; the alphas and values they
+    report come from the tables' own entries.
+    """
+    f_ints = _scaled_ints(ftab)
+    c_ints = f_ints and _scaled_ints(ctab)
+    return (f_ints[0], c_ints[0]) if c_ints else (ftab, ctab)
+
+
 def _enumerate_scan(inst, ftab, ctab, zero, one):
     size = inst.size
-    cur = _initial_mask(ftab, ctab)
+    fs, cs = _comparison_tables(ftab, ctab)
+    # exact slopes on scaled ints; int/int "/" would round them to floats
+    slope = Fraction if fs is not ftab else operator.truediv
+    cur = _initial_mask(fs, cs)
     bps = [_make_breakpoint(inst, 0, zero, cur, ftab, ctab)]
     while True:
-        fc = ftab[cur]
-        cc = ctab[cur]
+        fc = fs[cur]
+        cc = cs[cur]
         best_alpha = None
         best_mask = -1
         best_f = None
         for m in range(size):
-            fm = ftab[m]
+            fm = fs[m]
             if fm > fc:
-                a = (ctab[m] - cc) / (fm - fc)
+                a = slope(cs[m] - cc, fm - fc)
                 if best_alpha is None or a < best_alpha or (a == best_alpha and fm > best_f):
                     best_alpha = a
                     best_mask = m
                     best_f = fm
-        if best_alpha is None or best_alpha >= one:
+        if best_alpha is None:
+            break
+        alpha = (ctab[best_mask] - ctab[cur]) / (ftab[best_mask] - ftab[cur])
+        if alpha >= one:
             break
         cur = best_mask
-        bps.append(_make_breakpoint(inst, len(bps), best_alpha, cur, ftab, ctab))
+        bps.append(_make_breakpoint(inst, len(bps), alpha, cur, ftab, ctab))
     return bps
 
 
@@ -131,24 +152,25 @@ def _enumerate_hull(inst, ftab, ctab, zero, one):
     Equivalent to the stepwise scan (property-tested), but O(n 2^n).
     """
     size = inst.size
-    order = sorted(range(size), key=lambda m: (ftab[m], ctab[m], m))
+    fs, cs = _comparison_tables(ftab, ctab)
+    order = sorted(range(size), key=lambda m: (fs[m], cs[m], m))
     hull: list[int] = []
     for m in order:
-        if hull and ftab[hull[-1]] == ftab[m]:
+        if hull and fs[hull[-1]] == fs[m]:
             continue  # same f, weakly larger c: never preferred
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop b if it is on or above segment a-m (collinear middles drop:
             # the higher-f tie-break skips them)
-            lhs = (ftab[b] - ftab[a]) * (ctab[m] - ctab[a])
-            rhs = (ftab[m] - ftab[a]) * (ctab[b] - ctab[a])
+            lhs = (fs[b] - fs[a]) * (cs[m] - cs[a])
+            rhs = (fs[m] - fs[a]) * (cs[b] - cs[a])
             if lhs <= rhs:
                 hull.pop()
             else:
                 break
         hull.append(m)
     # start from the alpha=0 best response, drop hull vertices before it
-    start = _initial_mask(ftab, ctab)
+    start = _initial_mask(fs, cs)
     k = hull.index(start)
     chain = hull[k:]
     bps = [_make_breakpoint(inst, 0, zero, chain[0], ftab, ctab)]

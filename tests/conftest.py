@@ -144,3 +144,53 @@ def monotone_instance_tables(draw, max_n=4):
 def price_vectors(draw, n):
     raw = draw(st.lists(st.integers(-64, 256), min_size=n, max_size=n))
     return tuple(Fraction(v, 16) for v in raw)
+
+
+# coprime denominators, so a table's common denominator is their product
+COPRIME_DENOMS = (1, 2, 3, 5, 7, 11)
+
+
+@st.composite
+def mixed_rationals(draw, lo, hi):
+    """An int, or a Fraction over one of COPRIME_DENOMS, in [lo, hi]."""
+    den = draw(st.sampled_from(COPRIME_DENOMS))
+    num = draw(st.integers(lo * den, hi * den))
+    return num if den == 1 else Fraction(num, den)
+
+
+@st.composite
+def mixed_pairwise_tables(draw, max_n=4):
+    """(n, table) with table[S] = sum of w_i + sum of q_ij over pairs in S.
+
+    The diff of i's marginals at S and S + j is -q_ij, so the q_ij signs
+    decide the class: all <= 0 submodular, all >= 0 supermodular, all 0
+    additive (only weakly either).  Entries mix ints and Fractions.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    w = draw(st.lists(mixed_rationals(-2, 6), min_size=n, max_size=n))
+    lo, hi = draw(st.sampled_from([(-3, 0), (0, 3), (0, 0), (-3, 3)]))
+    q = {(i, j): draw(mixed_rationals(lo, hi)) for i in range(n) for j in range(i + 1, n)}
+    table = []
+    for m in range(1 << n):
+        members = [i for i in range(n) if m >> i & 1]
+        v = sum(w[i] for i in members)
+        for k, i in enumerate(members):
+            for j in members[k + 1:]:
+                v = v + q[i, j]
+        table.append(v)
+    return n, table
+
+
+@st.composite
+def mixed_monotone_instance_tables(draw, max_n=4):
+    """Like monotone_instance_tables, with int and Fraction entries mixed."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    size = 1 << n
+    ftab = [0] * size
+    ctab = [0] * size
+    for m in range(1, size):
+        f_floor = max(ftab[m & ~(1 << i)] for i in range(n) if m >> i & 1)
+        c_floor = max(ctab[m & ~(1 << i)] for i in range(n) if m >> i & 1)
+        ftab[m] = f_floor + draw(mixed_rationals(0, 3).filter(lambda x: x > 0))
+        ctab[m] = c_floor + draw(mixed_rationals(0, 3))
+    return n, ftab, ctab

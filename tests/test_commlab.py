@@ -367,3 +367,16 @@ class TestProtocols:
             channel.send("Alice", [])
         with pytest.raises(ProtocolError):
             Channel(0)
+
+
+class TestAugmentCache:
+    def test_dropped_bases_never_share_cache_entries(self):
+        # a collected base's id is often reused by the next base built, at
+        # another precision; each base must get a perturbed base of its own
+        ones = SpecialSetVector.all_ones(4)
+        for k in range(200):
+            base = build_equal_revenue_submod_f(4, precision_bits=(192, 256)[k % 2])
+            aug = build_augmented("sub-sub", base, ones, ones)
+            assert aug.perturbed.ctx == base.ctx, k
+            base.meta.clear()  # its analytic table points back at it
+            del base, aug  # freed now, by reference count

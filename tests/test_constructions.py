@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from contractlab.constructions import (
     PrecisionError,
@@ -18,7 +20,7 @@ from contractlab.constructions import (
 from contractlab.core import SetFunctionOracle
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 
-from conftest import brute_submodular, brute_supermodular
+from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables
 
 # frozen goldens, derived once from the closed forms and pinned
 GOLDEN_N3_ALPHAS = [0.0, 0.618, 0.747, 0.807, 0.843, 0.867, 0.885, 0.898]
@@ -139,6 +141,93 @@ class TestVerifyStructure:
         inst = build_equal_revenue_submod_f(4)
         tab = inst.f.value_table()
         assert verify_structure(inst.f).ok == brute_submodular(tab, 4)
+
+
+def _marginals(tab, n):
+    """(m, i, marginal, j-diffs) in verify_structure's visiting order, from
+    the table's own entries: j-diffs lists (j, diff) for every j != i."""
+    out = []
+    for m in range(1 << n):
+        for i in range(n):
+            bi = 1 << i
+            if m & bi:
+                continue
+            marg = tab[m | bi] - tab[m]
+            diffs = [
+                (j + 1, marg - (tab[m | 1 << j | bi] - tab[m | 1 << j]))
+                for j in range(n)
+                if j != i and not m >> j & 1
+            ]
+            out.append((m, i + 1, marg, diffs))
+    return out
+
+
+class TestScaledStructureCheck:
+    """int/Fraction tables are checked as ints over one common denominator."""
+
+    @given(mixed_pairwise_tables(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_match_brute_force(self, nt, strict, strict_monotone):
+        n, tab = nt
+        f = SetFunctionOracle(n, table=tab)
+        kw = dict(strict=strict, strict_monotone=strict_monotone)
+        sub = verify_structure(f, "submodular", **kw)
+        sup = verify_structure(f, "supermodular", **kw)
+        add = verify_structure(f, "additive", **kw)
+        assert (not sub.class_violations) == brute_submodular(tab, n, strict=strict)
+        assert (not sup.class_violations) == brute_supermodular(tab, n, strict=strict)
+        assert (not add.class_violations) == (
+            brute_submodular(tab, n) and brute_supermodular(tab, n)
+        )
+        monotone = all(
+            marg > 0 if strict_monotone else marg >= 0 for _, _, marg, _ in _marginals(tab, n)
+        )
+        for rep in (sub, sup, add):
+            assert (not rep.monotonicity_violations) == monotone
+
+    @given(mixed_pairwise_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_recorded_diffs_are_the_entries_own_differences(self, nt):
+        n, tab = nt
+        f = SetFunctionOracle(n, table=tab)
+        for cls in ("submodular", "supermodular"):
+            rep = verify_structure(f, cls, strict=True, strict_monotone=True)
+            for m, i, marg in rep.monotonicity_violations:
+                bi = 1 << (i - 1)
+                assert marg == Fraction(tab[m | bi]) - Fraction(tab[m])
+            for m, i, j, diff in rep.class_violations:
+                bi, bj = 1 << (i - 1), 1 << (j - 1)
+                four = (m | bi, m, m | bj | bi, m | bj)
+                a, b, c, d = (Fraction(tab[k]) for k in four)
+                assert diff == (a - b) - (c - d)
+                # computed in the table's arithmetic: an int only from ints
+                assert isinstance(diff, int) == all(isinstance(tab[k], int) for k in four)
+
+    @given(
+        mixed_pairwise_tables(),
+        st.builds(Fraction, st.integers(1, 20), st.sampled_from([1, 4, 13, 17])),
+        st.sampled_from(["submodular", "supermodular"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fraction_tol_matches_unscaled_comparison(
+        self, nt, tol, cls, strict, strict_monotone
+    ):
+        n, tab = nt
+        rep = verify_structure(
+            SetFunctionOracle(n, table=tab), cls, strict, tol, strict_monotone
+        )
+        mono, klass = [], []
+        for m, i, marg, diffs in _marginals(tab, n):
+            if (marg <= tol) if strict_monotone else (marg < -tol):
+                mono.append((m, i, marg))
+            for j, diff in diffs:
+                d = diff if cls == "submodular" else -diff
+                if d <= tol if strict else d < -tol:
+                    klass.append((m, i, j, diff))
+        assert rep.monotonicity_violations == mono[: rep.max_recorded]
+        assert rep.class_violations == klass[: rep.max_recorded]
 
 
 class TestRounded:
