@@ -8,7 +8,6 @@ nonzero.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -166,7 +165,7 @@ def _check_sparse_demand(inst, report, seed):
 
 
 def _check_cc_invariants(inst, report, seed):
-    from .commlab import SpecialSetVector, build_augmented
+    from .commlab import CC_PRECISION_BITS, SpecialSetVector, build_augmented
     from .constructions import verify_structure
 
     n = inst.n
@@ -175,6 +174,15 @@ def _check_cc_invariants(inst, report, seed):
         return False
     kind = inst.meta.get("kind")
     variant = "sup-sup" if kind == "equal_revenue_supmod_c" else "sub-sub"
+    # the sub-sub augmentation's structure holds only at the reduction's precision
+    if variant == "sub-sub" and inst.precision_bits < CC_PRECISION_BITS:
+        report["cc_invariants"] = {
+            "ok": False,
+            "reason": "sub-sub base below the reduction's precision",
+            "precision_bits": inst.precision_bits,
+            "required_bits": CC_PRECISION_BITS,
+        }
+        return False
     ones = SpecialSetVector.all_ones(n)
     aug = build_augmented(variant, inst, ones, ones)
     ok = True
@@ -384,20 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="contractlab",
         description="Construct, verify, solve, and experiment on contract instances.",
     )
-    default_bits = int(os.environ.get("CONTRACTLAB_PRECISION_BITS", "0")) or None
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="write a named instance as JSON")
     p.add_argument("name", choices=NAMED_CONSTRUCTIONS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--precision-bits", type=int, default=default_bits)
+    p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--grid-bits", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("solve", help="breakpoints and the optimal contract")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "scan", "hull"))
+    p.add_argument("--method", default="auto", choices=("auto", "hull"))
     p.add_argument("--fptas", type=float, default=None, metavar="EPS")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--out", default=None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, floor
 
-from .core import ActionSet, ContractInstance, SetFunctionOracle
+from .core import ActionSet, ContractInstance, SetFunctionOracle, _argmax_with_tie_break
 from .constructions import ConstructionIntegrityError
 from .perturb import _adjacent_submodularity_margin
 from .reals import RealContext
@@ -657,20 +657,10 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     with aug.base.ctx.workprec():
         cand = approx_best_response(aug.perturbed, alpha, aug.sigma / 2)
         masks = sorted(s.mask for s in cand.members)
-        chat = aug.instance.c
-        payload = []
-        for m in masks:
-            payload.append(chat.eval_mask(m))
-            payload.append(chat.eval_mask(m | (1 << n)))
-        payload = channel.send("Bob", payload, tag="candidate-costs")
-        fhat = aug.instance.f
-        best = None
-        best_u = None
-        best_f = None
-        for i, m in enumerate(masks):
-            for mm, cv in ((m, payload[2 * i]), (m | (1 << n), payload[2 * i + 1])):
-                fv = fhat.eval_mask(mm)
-                u = alpha * fv - cv
-                if best is None or u > best_u or (u == best_u and fv > best_f):
-                    best, best_u, best_f = mm, u, fv
+        # increasing mask order, so the lower-index tie-break is best_response's
+        masks += [m | 1 << n for m in masks]
+        costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks), tag="candidate-costs")
+        fvals = [aug.instance.f.eval_mask(m) for m in masks]
+        utils = [alpha * fv - cv for fv, cv in zip(fvals, costs)]
+        best = masks[_argmax_with_tie_break(utils, fvals)]
     return ActionSet(n + 1, best)

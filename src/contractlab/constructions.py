@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, SetFunctionOracle, _scaled_ints
+from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .reals import DEFAULT_BITS, RealContext
-from .solver import Breakpoint, BreakpointTable
+from .solver import Breakpoint, BreakpointTable, _make_breakpoint
 
 
 class PrecisionError(ValueError):
@@ -48,21 +48,15 @@ def _alpha_recurrence(ctx: RealContext, steps: int):
     return alphas
 
 
-def _chain_breakpoint_table(inst, alphas, f_chain, c_chain, masks):
-    bps = []
+def _chain_breakpoint_table(inst, alphas, masks):
+    """Breakpoints at the closed-form alphas on the given chain of sets."""
+    ftab = inst.f.value_table()
+    ctab = inst.c.value_table()
     with inst.ctx.workprec():
-        for pos, (a, fv, cv, m) in enumerate(zip(alphas, f_chain, c_chain, masks)):
-            bps.append(
-                Breakpoint(
-                    position=pos,
-                    alpha=a,
-                    aset=ActionSet(inst.n, m),
-                    f_value=fv,
-                    c_value=cv,
-                    agent_utility=a * fv - cv,
-                    principal_utility=(1 - a) * fv,
-                )
-            )
+        bps = [
+            _make_breakpoint(inst, pos, a, m, ftab, ctab)
+            for pos, (a, m) in enumerate(zip(alphas, masks))
+        ]
     return BreakpointTable(inst, bps)
 
 
@@ -71,7 +65,7 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
 
     f(S_t) = 1/(1 - alpha_t) with f(empty) = 1; c_i = 2^(i-1) so c(S_t) = t.
     """
-    if not (1 <= n <= 24):
+    if not (1 <= n <= MAX_N):
         raise ValueError("n out of range")
     bits = default_bits_for(n) if precision_bits is None else precision_bits
     ctx = RealContext(bits)
@@ -97,9 +91,7 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"equal_revenue_submod_f(n={n})")
     inst.meta["kind"] = "equal_revenue_submod_f"
     inst.meta["alpha_table"] = alphas
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(
-        inst, alphas, ftab, list(range(size)), list(range(size))
-    )
+    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, alphas, range(size))
     return inst
 
 
@@ -118,7 +110,7 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     f_i = 2^(i-1) so f(S_t) = t; costs and critical values alpha_t = (t-1)/t
     are exact rationals end to end.
     """
-    if not (1 <= n <= 24):
+    if not (1 <= n <= MAX_N):
         raise ValueError("n out of range")
     size = 1 << n
     ctab = supmod_c_cost_fractions(n)
@@ -133,13 +125,7 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     inst.meta["kind"] = "equal_revenue_supmod_c"
     alphas = [Fraction(t - 1, t) for t in range(1, size)]
     inst.meta["alpha_table"] = alphas
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(
-        inst,
-        alphas,
-        list(range(1, size)),
-        ctab[1:],
-        list(range(1, size)),
-    )
+    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, alphas, range(1, size))
     return inst
 
 
@@ -318,9 +304,7 @@ def build_rounded(n: int, grid_bits: int | None = None) -> RoundedInstance:
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"rounded(n={n}, kappa={kappa})")
     inst.meta["kind"] = "rounded"
     inst.meta["grid_bits"] = kappa
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(
-        inst, betas, ftab, list(range(size)), list(range(size))
-    )
+    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, betas, range(size))
     return RoundedInstance(
         n=n,
         grid_bits=kappa,

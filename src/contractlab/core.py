@@ -98,18 +98,15 @@ class QueryLedger:
 
 DECLARED_CLASSES = ("additive", "submodular", "supermodular", "general-monotone")
 
-# Above this size, full 2^n tables are not materialized for additive oracles.
-_TABLE_LIMIT_N = 20
-
 
 class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
-    The evaluator is pure; query instrumentation lives in the attached ledger.
-    Exactly one of ``table``, ``weights``, ``evaluator`` must be given:
+    The oracle always holds its full 2^n table; query instrumentation lives
+    in the attached ledger.  Exactly one of ``table``, ``weights`` must be
+    given:
       table      -- list of 2^n values indexed by subset index,
-      weights    -- per-action values of an additive function (w[i-1] for i),
-      evaluator  -- arbitrary pure function mask -> scalar.
+      weights    -- per-action values of an additive function (w[i-1] for i).
     """
 
     def __init__(
@@ -118,7 +115,6 @@ class SetFunctionOracle:
         *,
         table=None,
         weights=None,
-        evaluator=None,
         declared_class: str = "general-monotone",
         name: str = "",
         ledger: QueryLedger | None = None,
@@ -127,8 +123,8 @@ class SetFunctionOracle:
             raise ValueError(f"ground-set size must be in [1, {MAX_N}], got {n}")
         if declared_class not in DECLARED_CLASSES:
             raise ValueError(f"unknown declared_class {declared_class!r}")
-        if sum(x is not None for x in (table, weights, evaluator)) != 1:
-            raise ValueError("exactly one of table, weights, evaluator required")
+        if (table is None) == (weights is None):
+            raise ValueError("exactly one of table, weights required")
         self.n = n
         self.declared_class = declared_class
         self.name = name
@@ -139,41 +135,18 @@ class SetFunctionOracle:
             if len(table) != 1 << n:
                 raise ValueError("table must list all 2^n subset values")
             self.table = table
-            self._evaluator = None
-        elif weights is not None:
+        else:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
-            if n <= _TABLE_LIMIT_N:
-                self.table = additive_table(self.weights)
-            else:
-                self.table = None
-            self._evaluator = self._additive_eval
-        else:
-            self.table = None
-            self._evaluator = evaluator
-
-    def _additive_eval(self, mask: int):
-        total = 0
-        w = self.weights
-        i = 0
-        while mask:
-            if mask & 1:
-                total = total + w[i]
-            mask >>= 1
-            i += 1
-        return total
+            self.table = additive_table(self.weights)
 
     def eval_mask(self, mask: int):
         """Uninstrumented evaluation (for solver internals)."""
-        if self.table is not None:
-            return self.table[mask]
-        return self._evaluator(mask)
+        return self.table[mask]
 
     def value_table(self):
-        """Full 2^n table (materializing it if necessary)."""
-        if self.table is not None:
-            return self.table
-        return [self._evaluator(m) for m in range(1 << self.n)]
+        """Full 2^n table."""
+        return self.table
 
     @property
     def normalized(self) -> bool:

@@ -2,8 +2,8 @@
 
 A breakpoint (critical value) is the minimal contract alpha incentivizing a
 given set.  The optimal linear contract always sits on a breakpoint, so the
-exact solver enumerates the breakpoint table and scans it for the maximal
-principal utility (1 - alpha) * f(S).
+exact solver enumerates the breakpoint table and takes the maximal
+principal utility (1 - alpha) * f(S) on it.
 """
 
 from __future__ import annotations
@@ -97,62 +97,22 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
-def _initial_mask(ftab, ctab) -> int:
-    """Best response at alpha = 0: minimal cost, ties to higher f, lower index."""
-    return _argmax_with_tie_break([-cv for cv in ctab], ftab)
-
-
-def _comparison_tables(ftab, ctab):
-    """f and c as comparison keys: ints over a scale each when both tables
-    are int/Fraction, else the tables themselves.
-
-    Positive scales keep every order, equality and slope comparison, so the
-    enumerations choose sets on these keys; the alphas and values they
-    report come from the tables' own entries.
-    """
-    f_ints = _scaled_ints(ftab)
-    c_ints = f_ints and _scaled_ints(ctab)
-    return (f_ints[0], c_ints[0]) if c_ints else (ftab, ctab)
-
-
-def _enumerate_scan(inst, ftab, ctab, zero, one):
-    size = inst.size
-    fs, cs = _comparison_tables(ftab, ctab)
-    # exact slopes on scaled ints; int/int "/" would round them to floats
-    slope = Fraction if fs is not ftab else operator.truediv
-    cur = _initial_mask(fs, cs)
-    bps = [_make_breakpoint(inst, 0, zero, cur, ftab, ctab)]
-    while True:
-        fc = fs[cur]
-        cc = cs[cur]
-        best_alpha = None
-        best_mask = -1
-        best_f = None
-        for m in range(size):
-            fm = fs[m]
-            if fm > fc:
-                a = slope(cs[m] - cc, fm - fc)
-                if best_alpha is None or a < best_alpha or (a == best_alpha and fm > best_f):
-                    best_alpha = a
-                    best_mask = m
-                    best_f = fm
-        if best_alpha is None:
-            break
-        alpha = (ctab[best_mask] - ctab[cur]) / (ftab[best_mask] - ftab[cur])
-        if alpha >= one:
-            break
-        cur = best_mask
-        bps.append(_make_breakpoint(inst, len(bps), alpha, cur, ftab, ctab))
-    return bps
-
-
-def _enumerate_hull(inst, ftab, ctab, zero, one):
+def _enumerate_hull(inst, ftab, ctab):
     """Lower convex hull of the (f, c) cloud; slopes are the critical values.
 
-    Equivalent to the stepwise scan (property-tested), but O(n 2^n).
+    When f and c are both int/Fraction tables, the hull compares them as
+    ints over a scale each (positive scales keep every order, equality and
+    slope comparison) and reports each alpha as an exact Fraction; other
+    tables keep their own arithmetic.  Alphas and values always come from
+    the tables' own entries.  O(n 2^n).
     """
     size = inst.size
-    fs, cs = _comparison_tables(ftab, ctab)
+    f_ints = _scaled_ints(ftab)
+    c_ints = f_ints and _scaled_ints(ctab)
+    if c_ints:
+        fs, cs, slope = f_ints[0], c_ints[0], Fraction
+    else:
+        fs, cs, slope = ftab, ctab, operator.truediv
     order = sorted(range(size), key=lambda m: (fs[m], cs[m], m))
     hull: list[int] = []
     for m in order:
@@ -169,14 +129,15 @@ def _enumerate_hull(inst, ftab, ctab, zero, one):
             else:
                 break
         hull.append(m)
-    # start from the alpha=0 best response, drop hull vertices before it
-    start = _initial_mask(fs, cs)
-    k = hull.index(start)
-    chain = hull[k:]
-    bps = [_make_breakpoint(inst, 0, zero, chain[0], ftab, ctab)]
+    # start from the alpha=0 best response (minimal cost, ties to higher f,
+    # lower index) and drop the hull vertices before it
+    start = _argmax_with_tie_break([-cv for cv in cs], fs)
+    chain = hull[hull.index(start):]
+    # int 0 and 1 stay exact under float, mpf, and Fraction tables alike
+    bps = [_make_breakpoint(inst, 0, 0, chain[0], ftab, ctab)]
     for prev, cur in zip(chain, chain[1:]):
-        a = (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
-        if a >= one:
+        a = slope(ctab[cur] - ctab[prev], ftab[cur] - ftab[prev])
+        if a >= 1:
             break
         bps.append(_make_breakpoint(inst, len(bps), a, cur, ftab, ctab))
     return bps
@@ -185,27 +146,18 @@ def _enumerate_hull(inst, ftab, ctab, zero, one):
 def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> BreakpointTable:
     """All critical values of the instance, in increasing order.
 
-    method: "scan" (stepwise next-breakpoint minimum over full 2^n scans),
-    "hull" (lower convex hull, same output, faster), or "auto" (analytic
-    table if the construction attached one, else "scan").
+    method: "hull" (lower convex hull of the (f, c) cloud) or "auto"
+    (analytic table if the construction attached one, else "hull").
     """
     if method == "auto":
         analytic = inst.meta.get("analytic_breakpoints")
         if analytic is not None:
             return analytic
-        method = "scan"
-    if method not in ("scan", "hull"):
+        method = "hull"
+    if method != "hull":
         raise ParameterError(f"unknown enumeration method {method!r}")
     with inst.ctx.workprec():
-        ftab = inst.f.value_table()
-        ctab = inst.c.value_table()
-        # int 0/1 stay exact under float, mpf, and Fraction tables alike
-        zero = 0
-        one = 1
-        if method == "scan":
-            bps = _enumerate_scan(inst, ftab, ctab, zero, one)
-        else:
-            bps = _enumerate_hull(inst, ftab, ctab, zero, one)
+        bps = _enumerate_hull(inst, inst.f.value_table(), inst.c.value_table())
     table = BreakpointTable(inst, bps)
     _check_table_invariants(table)
     return table
@@ -246,10 +198,9 @@ def optimal_contract(
     if table is None:
         table = enumerate_breakpoints(inst, method=method)
     with inst.ctx.workprec():
-        best = table[0]
-        for b in table:
-            if b.principal_utility > best.principal_utility:
-                best = b
+        utils = [b.principal_utility for b in table]
+        # equal ties: the lower index, i.e. the smaller alpha, wins
+        best = table[_argmax_with_tie_break(utils, [0] * len(utils))]
         tau = inst.ctx.maximizer_tolerance
         near = [b for b in table if best.principal_utility - b.principal_utility <= tau]
     return ContractSolution(
@@ -292,9 +243,9 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
     with inst.ctx.workprec():
         one = inst.ctx.make(1)
         # step 1: the f-maximal zero-cost set, via a best response at alpha=0
-        best_set = best_response(inst, inst.ctx.make(0))
-        best_alpha = inst.ctx.make(0)
-        best_util = (one - best_alpha) * val_f(best_set)
+        zero = inst.ctx.make(0)
+        s = best_response(inst, zero)
+        probes = [(zero, s, (one - zero) * val_f(s))]
         # step 2: welfare optimum via a best response at alpha=1
         s_opt = best_response(inst, one)
         opt = val_f(s_opt) - val_c(s_opt)
@@ -313,12 +264,11 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
                 for _ in range(k_max + 1):
                     alpha = one - factor * scale
                     s = best_response(inst, alpha)
-                    util = (one - alpha) * val_f(s)
-                    if util > best_util:
-                        best_util = util
-                        best_alpha = alpha
-                        best_set = s
+                    probes.append((alpha, s, (one - alpha) * val_f(s)))
                     factor = factor * shrink
+        # equal ties: the first probe wins
+        utils = [u for _, _, u in probes]
+        best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
 
     vq = (
         inst.ledger.value_queries

@@ -11,7 +11,14 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from .core import ActionSet, SetFunctionOracle, _scores, additive_table, value
+from .core import (
+    ActionSet,
+    SetFunctionOracle,
+    _argmax_with_tie_break,
+    _scores,
+    additive_table,
+    value,
+)
 from .reals import RealContext
 
 
@@ -180,17 +187,16 @@ def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
     # module-level lookup at call time, so wrappers installed on it apply
     approx = approx_demand if kind == "demand" else approx_supply
     candidates = approx(base, prices, eps, ctx)
+    members = candidates.members  # increasing mask order
     with ctx.workprec():
         psum = additive_table(list(prices))
-        best = None
-        best_util = None
-        best_v = None
-        for s in candidates.members:  # increasing mask order
-            v = value(hidden, s)
-            u = v - psum[s.mask] if kind == "demand" else psum[s.mask] - v
-            if best is None or u > best_util or (u == best_util and v > best_v):
-                best, best_util, best_v = s, u, v
-    return best, len(candidates.members)
+        vals = [value(hidden, s) for s in members]
+        utils = [
+            v - psum[s.mask] if kind == "demand" else psum[s.mask] - v
+            for s, v in zip(members, vals)
+        ]
+        best = members[_argmax_with_tie_break(utils, vals)]
+    return best, len(members)
 
 
 def simulate_demand_by_values(base_f, hidden_f, prices, eps, ctx=None):

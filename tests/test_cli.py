@@ -83,6 +83,9 @@ class TestConstructSolveVerify:
         run(["solve", "--instance", str(inst_path), "--format", "csv", "--out", str(csv_out)])
         header = csv_out.read_text().splitlines()[0]
         assert header == "t,alpha,set_mask,f,c,agent_utility,principal_utility"
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--instance", str(inst_path), "--method", "scan"])
+        assert exc.value.code == 2
 
     def test_solve_fptas_report(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
@@ -117,6 +120,31 @@ class TestConstructSolveVerify:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(data))
         assert run(["verify", "--instance", str(bad_path), "structure"]) == 1
+
+    def test_verify_cc_invariants(self, tmp_path):
+        def check(n, *bits):
+            inst_path = tmp_path / f"i{n}{bits}.json"
+            flags = ["--precision-bits", str(bits[0])] if bits else []
+            run(["construct", "equal_revenue_submod_f", "--n", str(n), *flags,
+                 "--out", str(inst_path)])
+            out = tmp_path / "rep.json"
+            code = run(["verify", "--instance", str(inst_path), "--out", str(out),
+                        "cc-invariants"])
+            return code, json.loads(out.read_text())["cc_invariants"]
+
+        code, rep = check(4, 192)
+        assert code == 0 and rep["ok"] and rep["f_hat"]["ok"] and rep["c_hat"]["ok"]
+        # the default 53-bit base is refused before any augmentation is built
+        code, rep = check(4)
+        assert code == 1
+        assert rep == {
+            "ok": False,
+            "reason": "sub-sub base below the reduction's precision",
+            "precision_bits": 53,
+            "required_bits": 192,
+        }
+        code, rep = check(3, 192)
+        assert code == 1 and rep == {"ok": False, "reason": "even n required"}
 
     def test_verify_unknown_check(self, tmp_path):
         inst_path = tmp_path / "i.json"

@@ -55,16 +55,13 @@ class TestSubmodFBase:
         assert inst.c.weights == [1, 2, 4, 8]
         assert inst.c.eval_mask(0b1010) == 10
 
-    def test_scan_hull_analytic_agree(self):
+    def test_hull_analytic_agree(self):
         inst = build_equal_revenue_submod_f(4)
-        scan = enumerate_breakpoints(inst, method="scan")
         hull = enumerate_breakpoints(inst, method="hull")
         analytic = enumerate_breakpoints(inst, method="auto")
-        assert [b.aset.mask for b in scan] == [b.aset.mask for b in hull]
-        assert [b.alpha for b in scan] == [b.alpha for b in hull]
-        assert [b.aset.mask for b in analytic] == [b.aset.mask for b in scan]
+        assert [b.aset.mask for b in analytic] == [b.aset.mask for b in hull]
         tol = inst.ctx.maximizer_tolerance
-        for x, y in zip(analytic, scan):
+        for x, y in zip(analytic, hull):
             assert abs(x.alpha - y.alpha) <= tol
 
     def test_low_precision_collides(self):

@@ -37,24 +37,22 @@ GOLDEN_C = [Fraction(0), Fraction(1), Fraction(2), Fraction(4)]
 class TestEnumeration:
     @given(st.one_of(monotone_instance_tables(), mixed_monotone_instance_tables()))
     @settings(max_examples=160, deadline=None)
-    def test_scan_equals_hull_exactly(self, tables):
-        # on int/Fraction tables the hull compares scaled ints; its alphas
-        # still come from the entries, so values and types match the scan's
+    def test_hull_equals_brute_force(self, tables):
+        # on int/Fraction tables every alpha after the first is an exact
+        # Fraction, also where both differences are plain ints
         n, ftab, ctab = tables
-        inst = instance_from_tables(ftab, ctab)
-        scan = enumerate_breakpoints(inst, method="scan")
-        hull = enumerate_breakpoints(inst, method="hull")
-        assert [b.aset.mask for b in scan] == [b.aset.mask for b in hull]
-        assert [(b.alpha, type(b.alpha)) for b in scan] == [
-            (b.alpha, type(b.alpha)) for b in hull
-        ]
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab), method="hull")
+        want = brute_breakpoints(ftab, ctab)
+        assert [b.aset.mask for b in table] == [m for _, m in want]
+        assert [b.alpha for b in table] == [a for a, _ in want]
+        assert [type(b.alpha) for b in table] == [int] + [Fraction] * (len(want) - 1)
 
     @given(monotone_instance_tables(max_n=3))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force_probe(self, tables):
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
-        table = enumerate_breakpoints(inst, method="scan")
+        table = enumerate_breakpoints(inst, method="hull")
         want = brute_breakpoints(ftab, ctab)
         assert [b.aset.mask for b in table] == [m for _, m in want]
         assert [b.alpha for b in table] == [a for a, _ in want]
@@ -77,7 +75,7 @@ class TestEnumeration:
         """Each breakpoint's set is the best response slightly above its alpha."""
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
-        table = enumerate_breakpoints(inst, method="scan")
+        table = enumerate_breakpoints(inst, method="hull")
         alphas = table.alphas() + [Fraction(1)]
         for b, nxt in zip(table, alphas[1:]):
             mid = (Fraction(b.alpha) + Fraction(nxt)) / 2
@@ -85,17 +83,27 @@ class TestEnumeration:
 
     def test_worked_example(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
-        table = enumerate_breakpoints(inst, method="scan")
+        table = enumerate_breakpoints(inst, method="hull")
         assert [(b.alpha, b.aset.mask) for b in table] == [
             (0, 0b00),
             (Fraction(1, 2), 0b10),
         ]
         # {1,2} is never incentivized: its slope vs {2} is 2 >= 1
 
+    def test_int_tables_give_exact_alphas(self):
+        inst = instance_from_tables([0, 3, 3, 7], [0, 1, 1, 4])
+        sol = optimal_contract(inst, method="hull")
+        alphas = sol.table.alphas()
+        assert alphas == [0, Fraction(1, 3), Fraction(3, 4)]
+        assert all(type(a) is Fraction for a in alphas[1:])
+        assert sol.alpha_star == Fraction(1, 3)
+        assert sol.principal_utility == 2 and type(sol.principal_utility) is Fraction
+
     def test_unknown_method(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
-        with pytest.raises(ParameterError):
-            enumerate_breakpoints(inst, method="magic")
+        for method in ("magic", "scan"):
+            with pytest.raises(ParameterError):
+                enumerate_breakpoints(inst, method=method)
 
 
 class TestOptimalContract:
