@@ -165,24 +165,18 @@ def _check_sparse_demand(inst, report, seed):
 
 
 def _check_cc_invariants(inst, report, seed):
-    from .commlab import CC_PRECISION_BITS, SpecialSetVector, build_augmented
+    from .commlab import SpecialSetVector, build_augmented
     from .constructions import verify_structure
 
     n = inst.n
     if n % 2:
         report["cc_invariants"] = {"ok": False, "reason": "even n required"}
         return False
+    if "alpha_table" not in inst.meta:
+        report["cc_invariants"] = {"ok": False, "reason": "needs an equal-revenue base"}
+        return False
     kind = inst.meta.get("kind")
     variant = "sup-sup" if kind == "equal_revenue_supmod_c" else "sub-sub"
-    # the sub-sub augmentation's structure holds only at the reduction's precision
-    if variant == "sub-sub" and inst.precision_bits < CC_PRECISION_BITS:
-        report["cc_invariants"] = {
-            "ok": False,
-            "reason": "sub-sub base below the reduction's precision",
-            "precision_bits": inst.precision_bits,
-            "required_bits": CC_PRECISION_BITS,
-        }
-        return False
     ones = SpecialSetVector.all_ones(n)
     aug = build_augmented(variant, inst, ones, ones)
     ok = True
@@ -191,9 +185,8 @@ def _check_cc_invariants(inst, report, seed):
         r = verify_structure(oracle, strict=False)
         details[label] = {"declared_class": oracle.declared_class, "ok": r.ok}
         ok = ok and r.ok
-    with inst.ctx.workprec():
-        details["z_positive"] = bool(aug.z > 0)
-        ok = ok and aug.z > 0
+    details["z_positive"] = bool(aug.z > 0)
+    ok = ok and aug.z > 0
     details["ok"] = ok
     report["cc_invariants"] = details
     return ok
@@ -333,17 +326,20 @@ def _experiment_cc_sweep(args):
 def _experiment_protocol_bench(args):
     from .commlab import SpecialSetVector, augmented_br_protocol, build_augmented, Channel
     from .core import best_response
+    from .reals import exact
 
     n = args.n
     base = _cc_base(args.variant, n)
     ones = SpecialSetVector.all_ones(n)
     aug = build_augmented(args.variant, base, ones, ones)
     width = base.precision_bits
-    alphas = base.meta["alpha_table"]
+    # exact alphas: an mpf alpha would score the exact augmented tables at
+    # mpmath's ambient precision
+    alphas = [exact(a) for a in base.meta["alpha_table"]]
     matches = 0
     max_bits = 0
     br_calls = 0
-    tested = list(alphas[: args.trials]) if args.trials else list(alphas)
+    tested = alphas[: args.trials] if args.trials else alphas
     for a in tested:
         channel = Channel(width)
         got = augmented_br_protocol(aug, a, channel)

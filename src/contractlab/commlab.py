@@ -13,26 +13,36 @@ reduces set disjointness to contract optimization.
 Three variants: sub-sub (submodular rewards and costs, c - delta|S|^2 with
 f re-solved), sub-sup (submodular rewards, supermodular costs,
 c + delta|S|^2 with f re-solved), sup-sup (both supermodular, additive-
-reward base with f + delta|S|^2 and c re-solved on a dyadic grid, exact
-rational arithmetic throughout).
+reward base with f + delta|S|^2 and c re-solved).  All three use exact
+rational arithmetic from the perturbed base on: delta, sigma, z and both
+perturbed tables lie on one dyadic grid 2^-kappa, the re-solved table is
+rounded down onto it, and the augmented tables are int/Fraction, so the
+structure checks, the hull and the protocol compare exactly, whatever the
+precision of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, floor, isqrt
 
-from .core import ActionSet, ContractInstance, SetFunctionOracle, _argmax_with_tie_break
+from .core import (
+    ActionSet,
+    ContractInstance,
+    SetFunctionOracle,
+    _argmax_with_tie_break,
+    _scaled_ints,
+)
 from .constructions import ConstructionIntegrityError
 from .perturb import _adjacent_submodularity_margin
-from .reals import RealContext
+from .reals import exact
 from .sparse import sigma_bound_demand, sigma_bound_supply
 
 VARIANTS = ("sub-sub", "sub-sup", "sup-sup")
 
-# mantissa bits for the non-exact variants; the z-scale margins sit far
-# below double precision, so the bases are built wide
+# mantissa bits of the submodular-reward bases the experiments build; the
+# protocol's payload width is the base's precision
 CC_PRECISION_BITS = 192
 
 
@@ -101,14 +111,6 @@ class SpecialSetVector:
 
     def to_int(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
-
-
-def disjointness(a, b) -> bool:
-    """True iff the two equal-length bit vectors share no 1."""
-    a, b = list(a), list(b)
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return not any(x and y for x, y in zip(a, b))
 
 
 @dataclass
@@ -191,46 +193,82 @@ def delta_bound(base: ContractInstance, variant: str) -> DeltaBudget:
 def _zeta(variant, base, delta):
     """The z component that bounds the winner bonus: delta (1 - alpha_max)
     phi_f / (16 n^2 f_max), over the base rewards (f_max + 1 and phi_f
-    capped at 1/2 for the additive-reward sup-sup base).
+    capped at 1/2 for the additive-reward sup-sup base).  Exact: float and
+    mpf entries of the base convert to Fractions without rounding.
     """
     n = base.n
-    size = 1 << n
-    ftab = base.f.value_table()
-    alpha_max = base.meta["alpha_table"][-1]
-    with base.ctx.workprec():
-        if variant == "sup-sup":
-            phi_f = min([Fraction(1, 2)] + [ftab[t] - ftab[t - 1] for t in range(1, size)])
-            return delta * (1 - alpha_max) * phi_f / (16 * n * n * (ftab[size - 1] + 1))
-        phi_f = min(ftab[t] - ftab[t - 1] for t in range(1, size))
-        return delta * (1 - alpha_max) * phi_f / (16 * n * n * ftab[size - 1])
+    ftab = [exact(v) for v in base.f.value_table()]
+    gaps = [b - a for a, b in zip(ftab, ftab[1:])]
+    factor = exact(delta) * (1 - exact(base.meta["alpha_table"][-1])) / (16 * n * n)
+    if variant == "sup-sup":
+        return factor * min([Fraction(1, 2)] + gaps) / (ftab[-1] + 1)
+    return factor * min(gaps) / ftab[-1]
+
+
+def _grid_bits(variant, base, delta, f_bound) -> int:
+    """Least kappa with 2^-kappa <= zeta (1 - alpha_max) / (64 f_bound)."""
+    alpha_max = exact(base.meta["alpha_table"][-1])
+    step = _zeta(variant, base, delta) * (1 - alpha_max) / (64 * f_bound)
+    return (ceil(1 / step) - 1).bit_length()
+
+
+def _round_down(x, kappa) -> Fraction:
+    """x rounded down onto the grid 2^-kappa."""
+    scale = 1 << kappa
+    return Fraction(floor(exact(x) * scale), scale)
 
 
 def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> ContractInstance:
     """c-tilde(S) = c(S) + sign * delta |S|^2, with f-tilde re-solved along
-    the chain so that every S_t still pays the principal exactly 1.
+    the chain so that every S_t pays the principal 1 up to a grid error.
 
-    With c-tilde gaps d_t, (1 - d_t / (F - f~_(t-1))) F = 1 makes f~_t the
-    larger root F of F^2 - (f~_(t-1) + 1 + d_t) F + f~_(t-1) = 0, starting
-    from f~_0 = f(empty) = 1; d_t = 1 gives back the base's square-root
+    Every entry lies on one grid 2^-kappa, so both tables are exact.  delta
+    is rounded down onto the grid, which makes c-tilde exact.  With c-tilde
+    gaps d_t, (1 - d_t / (F - f~_(t-1))) F = 1 makes f~_t the larger root F
+    of F^2 - (f~_(t-1) + 1 + d_t) F + f~_(t-1) = 0, solved from the already
+    rounded f~_(t-1) and f~_0 = f(empty) = 1 and rounded down onto the grid
+    (an exact floor, in integers); d_t = 1 gives back the base's square-root
     recurrence.
+
+    Rounding F down by e < 2^-kappa lowers the revenue of S_t by at most
+    e (1 + d_t f~_(t-1) / (F - f~_(t-1))^2) < 2^-kappa (1 + 2 f~_max): the
+    critical value d_t / (F - f~_(t-1)) is below 1, and d_t > 1/2 because
+    the budget's (1 - alpha_max) term keeps delta n^2 below
+    (1 - alpha_max) / alpha_max < 1/2 (n >= 2).  The error stays in its
+    own step.  kappa is the least with
+    2^-kappa <= zeta (1 - alpha_max) / (128 f_max), and f~_max <= 2 f_max is
+    checked, so every breakpoint revenue lies in
+    (1 - 3 zeta (1 - alpha_max) / 64, 1]: within three quarters of the
+    sandwich half-width while zeta sets z.
     """
-    budget = delta_bound(base, "sub-sub" if sign < 0 else "sub-sup")
+    variant = "sub-sub" if sign < 0 else "sub-sup"
+    budget = delta_bound(base, variant)
     if not (0 < delta < budget.bound):
         raise ValueError(f"delta {delta} outside (0, {budget.bound})")
-    ctx = base.ctx
-    with ctx.workprec():
-        ctab = [cv + sign * delta * _size_sq(m) for m, cv in enumerate(base.c.value_table())]
-        ftab = [base.f.value_table()[0]]
-        for t in range(1, base.size):
-            prev = ftab[-1]
-            b = prev + 1 + (ctab[t] - ctab[t - 1])
-            ftab.append((b + ctx.sqrt(b * b - 4 * prev)) / 2)
+    f_max = exact(base.f.value_table()[-1])
+    kappa = _grid_bits(variant, base, delta, 2 * f_max)
+    scale = 1 << kappa
+    d = floor(exact(delta) * scale)
+    cs = [exact(cv) * scale for cv in base.c.value_table()]
+    if any(v.denominator != 1 for v in cs):
+        raise ConstructionIntegrityError("base costs are not on the perturbation grid")
+    cs = [v.numerator + sign * d * _size_sq(m) for m, v in enumerate(cs)]
+    fs = [floor(exact(base.f.value_table()[0]) * scale)]
+    for t in range(1, base.size):
+        prev = fs[-1]
+        b = prev + scale + cs[t] - cs[t - 1]
+        fs.append((b + isqrt(b * b - 4 * scale * prev)) >> 1)
+    if fs[-1] > 2 * f_max * scale:
+        raise ConstructionIntegrityError("re-solved rewards left the grid's bound")
     cls = "submodular" if sign < 0 else "supermodular"
+    ftab = [Fraction(v, scale) for v in fs]
+    ctab = [Fraction(v, scale) for v in cs]
     f = SetFunctionOracle(base.n, table=ftab, declared_class="submodular", name="resolved_reward")
     c = SetFunctionOracle(base.n, table=ctab, declared_class=cls, name="perturbed_cost")
-    inst = ContractInstance(n=base.n, f=f, c=c, ctx=ctx, name=f"{base.name} c~")
+    inst = ContractInstance(n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} c~")
     inst.meta["kind"] = "cc_perturbed_cost"
-    inst.meta["delta"] = delta
+    inst.meta["delta"] = Fraction(d, scale)
+    inst.meta["grid_bits"] = kappa
     return inst
 
 
@@ -238,31 +276,36 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     """f-tilde(S) = f(S) + delta |S|^2, with c-tilde re-solved along the
     chain so that every S_t pays the principal 1 up to a grid error.
 
-    Revenue 1 at S_t needs c~_t = c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1)),
-    from c~_0 = 0.  Solved exactly, the denominators grow with every step,
-    so each c~_t is rounded down to the grid 2^-kappa with
-    2^-kappa <= zeta (1 - alpha_max) / (64 f~_max).  The rounding error of
-    one step does not carry into the next gap, and every f-tilde gap
-    exceeds 1/2, so every breakpoint revenue lies in
-    (1 - zeta (1 - alpha_max) / 32, 1]: within half the sandwich half-width
-    while zeta sets z.
+    Every entry lies on one grid 2^-kappa: delta is rounded down onto it, so
+    f-tilde is exact.  Revenue 1 at S_t needs
+    c~_t = c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1)), from c~_0 = 0.  Solved
+    exactly, the denominators grow with every step, so each c~_t is rounded
+    down onto the grid, with 2^-kappa <= zeta (1 - alpha_max) / (64 f~_max).
+    The rounding error of one step does not carry into the next gap, and
+    every f-tilde gap exceeds 1/2.  Rounding c~_t down raises the revenue of
+    S_t, so every breakpoint revenue lies in [1, 1 + zeta (1 - alpha_max) / 32):
+    within half the sandwich half-width while zeta sets z.
     """
     budget = delta_bound(base, "sup-sup")
     if not (0 < delta < budget.bound):
         raise ValueError(f"delta {delta} outside (0, {budget.bound})")
-    ftab = [fv + delta * _size_sq(m) for m, fv in enumerate(base.f.value_table())]
-    alpha_max = base.meta["alpha_table"][-1]
-    step = _zeta("sup-sup", base, delta) * (1 - alpha_max) / (64 * ftab[-1])
-    scale = 1 << (ceil(1 / step) - 1).bit_length()
-    ctab = [Fraction(0)]
+    n = base.n
+    kappa = _grid_bits("sup-sup", base, delta, base.f.value_table()[-1] + exact(delta) * n * n)
+    scale = 1 << kappa
+    d = floor(exact(delta) * scale)
+    fs = [fv * scale + d * _size_sq(m) for m, fv in enumerate(base.f.value_table())]
+    cs = [0]
     for t in range(1, base.size):
-        exact = ctab[-1] + (1 - 1 / ftab[t]) * (ftab[t] - ftab[t - 1])
-        ctab.append(Fraction(floor(exact * scale), scale))
-    f = SetFunctionOracle(base.n, table=ftab, declared_class="supermodular", name="perturbed_reward")
-    c = SetFunctionOracle(base.n, table=ctab, declared_class="supermodular", name="resolved_cost")
-    inst = ContractInstance(n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} f~")
+        # floor(c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1))) in grid units
+        cs.append(cs[-1] + (fs[t] - scale) * (fs[t] - fs[t - 1]) // fs[t])
+    ftab = [Fraction(v, scale) for v in fs]
+    ctab = [Fraction(v, scale) for v in cs]
+    f = SetFunctionOracle(n, table=ftab, declared_class="supermodular", name="perturbed_reward")
+    c = SetFunctionOracle(n, table=ctab, declared_class="supermodular", name="resolved_cost")
+    inst = ContractInstance(n=n, f=f, c=c, ctx=base.ctx, name=f"{base.name} f~")
     inst.meta["kind"] = "cc_perturbed_reward"
-    inst.meta["delta"] = delta
+    inst.meta["delta"] = Fraction(d, scale)
+    inst.meta["grid_bits"] = kappa
     return inst
 
 
@@ -319,41 +362,43 @@ class AugmentedCCInstance:
     def revenue_halfwidth(self):
         """z (1 - alpha_max) / 16: the sandwich half-width and winner margin.
 
-        Every breakpoint of the perturbed base pays the principal within
-        this distance of 1 (exactly 1 up to rounding at the working
-        precision for sub-sub/sub-sup, up to the c-tilde grid error, at
-        most half of it, for sup-sup), and an augmenting optimum of an
-        intersecting pair pays more than 1 plus it.
+        Exact, with alpha_max the base's top critical value.  Every
+        breakpoint of the perturbed base pays the principal within this
+        distance of 1 (up to the grid error of its re-solved table: at most
+        three quarters of it for sub-sub/sub-sup, half of it for sup-sup),
+        and an augmenting optimum of an intersecting pair pays more than 1
+        plus it.
         """
-        alphas = self.base.meta["alpha_table"]
-        with self.base.ctx.workprec():
-            return self.z * (1 - alphas[-1]) / 16
+        return self.z * (1 - exact(self.base.meta["alpha_table"][-1])) / 16
+
+
+def _margins(tab, n, sense):
+    """(phi, psi) of an int/Fraction table, on its scaled ints: the least
+    chain gap and the adjacent sub- (sense +1) or supermodularity (-1)
+    margin."""
+    ints, scale = _scaled_ints(tab)
+    phi = min(b - a for a, b in zip(ints, ints[1:]))
+    return Fraction(phi, scale), Fraction(_adjacent_submodularity_margin(ints, n, sense), scale)
 
 
 def _z_components(variant, base, perturbed, delta, sigma):
     """Margins capping z, read off the tables the augmented instance is
-    built on: both perturbed tables, plus the base reward gaps for sup-sup."""
+    built on: both perturbed tables, plus the base reward gaps for sup-sup.
+    All exact; zeta is rounded down onto the perturbed base's grid."""
     n = base.n
-    size = 1 << n
-    ftil = perturbed.f.value_table()
-    ctil = perturbed.c.value_table()
-    with base.ctx.workprec():
-        comps = {
-            "phi_f_tilde": min(ftil[t] - ftil[t - 1] for t in range(1, size)),
-            "psi_f_tilde": _adjacent_submodularity_margin(
-                ftil, n, -1 if variant == "sup-sup" else +1
-            ),
-            "phi_c_tilde": min(ctil[t] - ctil[t - 1] for t in range(1, size)),
-            "psi_c_tilde": _adjacent_submodularity_margin(
-                ctil, n, +1 if variant == "sub-sub" else -1
-            ),
-            "zeta": _zeta(variant, base, delta),
-            "sigma_half": sigma / 2,
-        }
-        if variant == "sup-sup":
-            # rewards get the extra 1/2 cap
-            ftab = base.f.value_table()
-            comps["phi_f"] = min([Fraction(1, 2)] + [ftab[t] - ftab[t - 1] for t in range(1, size)])
+    comps = {}
+    comps["phi_f_tilde"], comps["psi_f_tilde"] = _margins(
+        perturbed.f.value_table(), n, -1 if variant == "sup-sup" else +1
+    )
+    comps["phi_c_tilde"], comps["psi_c_tilde"] = _margins(
+        perturbed.c.value_table(), n, +1 if variant == "sub-sub" else -1
+    )
+    comps["zeta"] = _round_down(_zeta(variant, base, delta), perturbed.meta["grid_bits"])
+    comps["sigma_half"] = sigma / 2
+    if variant == "sup-sup":
+        # rewards get the extra 1/2 cap
+        ftab = base.f.value_table()
+        comps["phi_f"] = min([Fraction(1, 2)] + [ftab[t] - ftab[t - 1] for t in range(1, 1 << n)])
     for k, v in comps.items():
         if not v > 0:
             raise ConstructionIntegrityError(f"z component {k} = {v} not positive")
@@ -399,77 +444,77 @@ def build_augmented(
                 delta = cap / 2
             if not (0 < delta < cap):
                 raise ValueError(f"delta {delta} outside (0, {cap})")
-            if variant == "sub-sub":
-                perturbed = build_perturbed_cost(base, delta, sign=-1)
-            elif variant == "sub-sup":
-                perturbed = build_perturbed_cost(base, delta, sign=+1)
-            else:
-                perturbed = build_perturbed_reward(base, delta)
-            atil = _alpha_tilde_by_mask(perturbed)
-            comps = _z_components(variant, base, perturbed, delta, sigma)
-            z = min(comps.values())
+        if variant == "sup-sup":
+            perturbed = build_perturbed_reward(base, delta)
+        else:
+            perturbed = build_perturbed_cost(base, delta, sign=-1 if variant == "sub-sub" else +1)
+        # from here on every number is exact: delta and sigma are rounded
+        # down onto the perturbed base's grid
+        delta = perturbed.meta["delta"]
+        sigma = _round_down(sigma, perturbed.meta["grid_bits"])
+        atil = _alpha_tilde_by_mask(perturbed)
+        comps = _z_components(variant, base, perturbed, delta, sigma)
+        z = min(comps.values())
         base.augment_cache[cache_key] = (sigma, delta, perturbed, atil, comps, z)
     else:
         sigma, delta, perturbed, atil, comps, z = cached
-    with base.ctx.workprec():
-        h_map = None
-        fmarg = [None] * size
-        cmarg = [None] * size
-        if variant == "sub-sup":
-            h_map = {t: minimal_half_superset(t, n) for t in range(size)}
-        for t in range(size):
-            s = t.bit_count()
-            if variant in ("sub-sub", "sub-sup"):
-                if s < half or (s == half and t in x_f):
-                    fmarg[t] = z / 4
-                else:
-                    fmarg[t] = 0
+    h_map = None
+    fmarg = [None] * size
+    cmarg = [None] * size
+    if variant == "sub-sup":
+        h_map = {t: minimal_half_superset(t, n) for t in range(size)}
+    for t in range(size):
+        s = t.bit_count()
+        if variant in ("sub-sub", "sub-sup"):
+            if s < half or (s == half and t in x_f):
+                fmarg[t] = z / 4
             else:
-                if s > half or (s == half and t in x_f):
-                    fmarg[t] = z / 4
-                else:
-                    fmarg[t] = 0
-            if variant == "sub-sub":
-                if s < half or (s == half and t not in x_c):
-                    cmarg[t] = z / 2
-                elif s == half:
-                    cmarg[t] = atil[t] * z / 4
-                else:
-                    cmarg[t] = atil[1] * z / 8
-            elif variant == "sub-sup":
-                if s < half:
-                    cmarg[t] = atil[h_map[t]] * z / 4
-                elif s == half and t in x_c:
-                    cmarg[t] = atil[t] * z / 4
-                else:
-                    cmarg[t] = z / 2
+                fmarg[t] = 0
+        else:
+            if s > half or (s == half and t in x_f):
+                fmarg[t] = z / 4
             else:
-                if s < half:
-                    cmarg[t] = atil[1] * z / 8
-                elif s == half and t in x_c:
-                    cmarg[t] = atil[t] * z / 4
-                else:
-                    cmarg[t] = z / 2
+                fmarg[t] = 0
+        if variant == "sub-sub":
+            if s < half or (s == half and t not in x_c):
+                cmarg[t] = z / 2
+            elif s == half:
+                cmarg[t] = atil[t] * z / 4
+            else:
+                cmarg[t] = atil[1] * z / 8
+        elif variant == "sub-sup":
+            if s < half:
+                cmarg[t] = atil[h_map[t]] * z / 4
+            elif s == half and t in x_c:
+                cmarg[t] = atil[t] * z / 4
+            else:
+                cmarg[t] = z / 2
+        else:
+            if s < half:
+                cmarg[t] = atil[1] * z / 8
+            elif s == half and t in x_c:
+                cmarg[t] = atil[t] * z / 4
+            else:
+                cmarg[t] = z / 2
 
-        fbase = perturbed.f.value_table()
-        cbase = perturbed.c.value_table()
-        fhat = [None] * (2 * size)
-        chat = [None] * (2 * size)
-        for m in range(2 * size):
-            t = m & (size - 1)
-            if m < size:
-                fhat[m] = fbase[t]
-                chat[m] = cbase[t]
-            else:
-                fhat[m] = fbase[t] + fmarg[t]
-                chat[m] = cbase[t] + cmarg[t]
+    fbase = perturbed.f.value_table()
+    cbase = perturbed.c.value_table()
+    fhat = [None] * (2 * size)
+    chat = [None] * (2 * size)
+    for m in range(2 * size):
+        t = m & (size - 1)
+        if m < size:
+            fhat[m] = fbase[t]
+            chat[m] = cbase[t]
+        else:
+            fhat[m] = fbase[t] + fmarg[t]
+            chat[m] = cbase[t] + cmarg[t]
     f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
     c_cls = "submodular" if variant == "sub-sub" else "supermodular"
     fhat_o = SetFunctionOracle(n + 1, table=fhat, declared_class=f_cls, name="augmented_reward")
     chat_o = SetFunctionOracle(n + 1, table=chat, declared_class=c_cls, name="augmented_cost")
-    inst = ContractInstance(
-        n=n + 1, f=fhat_o, c=chat_o, ctx=base.ctx, name=f"augmented {variant} (n={n})"
-    )
+    # exact tables: the default context's tolerance compares with Fractions
+    inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
     inst.meta["kind"] = f"cc_augmented_{variant}"
     return AugmentedCCInstance(
         variant=variant,
@@ -654,13 +699,12 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
 
     n = aug.base.n
     channel.charge_br_call()
-    with aug.base.ctx.workprec():
-        cand = approx_best_response(aug.perturbed, alpha, aug.sigma / 2)
-        masks = sorted(s.mask for s in cand.members)
-        # increasing mask order, so the lower-index tie-break is best_response's
-        masks += [m | 1 << n for m in masks]
-        costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks), tag="candidate-costs")
-        fvals = [aug.instance.f.eval_mask(m) for m in masks]
-        utils = [alpha * fv - cv for fv, cv in zip(fvals, costs)]
-        best = masks[_argmax_with_tie_break(utils, fvals)]
+    cand = approx_best_response(aug.perturbed, alpha, aug.sigma / 2)
+    masks = sorted(s.mask for s in cand.members)
+    # increasing mask order, so the lower-index tie-break is best_response's
+    masks += [m | 1 << n for m in masks]
+    costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks), tag="candidate-costs")
+    fvals = [aug.instance.f.eval_mask(m) for m in masks]
+    utils = [alpha * fv - cv for fv, cv in zip(fvals, costs)]
+    best = masks[_argmax_with_tie_break(utils, fvals)]
     return ActionSet(n + 1, best)

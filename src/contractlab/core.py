@@ -72,28 +72,17 @@ class QueryLedger:
     demand_queries: int = 0
     supply_queries: int = 0
     best_response_queries: int = 0
-    log: list | None = None
 
     def count(self, kind: str, argument=None) -> None:
+        """One more query of the kind.  argument, the query's input, is not
+        kept; it stays in the signature so a wrapper can record it."""
         setattr(self, kind, getattr(self, kind) + 1)
-        if self.log is not None:
-            self.log.append((kind, argument))
 
     def reset(self) -> None:
         self.value_queries = 0
         self.demand_queries = 0
         self.supply_queries = 0
         self.best_response_queries = 0
-        if self.log is not None:
-            self.log.clear()
-
-    def total(self) -> int:
-        return (
-            self.value_queries
-            + self.demand_queries
-            + self.supply_queries
-            + self.best_response_queries
-        )
 
 
 DECLARED_CLASSES = ("additive", "submodular", "supermodular", "general-monotone")

@@ -20,6 +20,15 @@ DEFAULT_BITS = 53
 MIN_BITS = 24
 
 
+def exact(x) -> Fraction:
+    """The exact rational value of an int, float, Fraction or mpf (float and
+    mpf values are dyadic, so nothing is rounded)."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return Fraction(x)
+
+
 class RealContext:
     """Arithmetic context with a fixed mantissa bit count."""
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ActionSet, ContractInstance, _argmax_with_tie_break, _scaled_ints
+from .serialize import number_to_str
 
 
 class ParameterError(ValueError):
@@ -65,21 +66,14 @@ class BreakpointTable:
         return [b.alpha for b in self.breakpoints]
 
     def csv_rows(self):
-        """Rows t, alpha, set_mask, f, c, agent_utility, principal_utility."""
+        """Rows t, alpha, set_mask, f, c, agent_utility, principal_utility;
+        numbers written losslessly, as in the JSON report."""
         header = ("t", "alpha", "set_mask", "f", "c", "agent_utility", "principal_utility")
         rows = [header]
         for b in self.breakpoints:
-            rows.append(
-                (
-                    b.position,
-                    repr(b.alpha),
-                    b.aset.mask,
-                    repr(b.f_value),
-                    repr(b.c_value),
-                    repr(b.agent_utility),
-                    repr(b.principal_utility),
-                )
-            )
+            values = (b.alpha, b.f_value, b.c_value, b.agent_utility, b.principal_utility)
+            alpha, f, c, agent, principal = map(number_to_str, values)
+            rows.append((b.position, alpha, b.aset.mask, f, c, agent, principal))
         return rows
 
 

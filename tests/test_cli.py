@@ -5,6 +5,7 @@ import json
 import pytest
 
 from contractlab.cli import main
+from contractlab.core import ContractInstance, SetFunctionOracle
 from contractlab.serialize import (
     dump_json,
     instance_from_dict,
@@ -12,9 +13,10 @@ from contractlab.serialize import (
     load_instance,
     number_from_str,
     number_to_str,
+    save_instance,
 )
 from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
-from contractlab.solver import optimal_contract
+from contractlab.solver import enumerate_breakpoints, optimal_contract
 
 
 def run(args):
@@ -87,6 +89,35 @@ class TestConstructSolveVerify:
             run(["solve", "--instance", str(inst_path), "--method", "scan"])
         assert exc.value.code == 2
 
+    def test_solve_csv_round_trip(self, tmp_path):
+        """Every CSV number reads back as the breakpoint table's own value:
+        330-bit mpf rows at n=11, and exact Fraction alphas of int tables."""
+        wide = tmp_path / "wide.json"
+        run(["construct", "equal_revenue_submod_f", "--n", "11", "--precision-bits", "330",
+             "--out", str(wide)])
+        ints = tmp_path / "ints.json"
+        save_instance(
+            ContractInstance(
+                n=2, f=SetFunctionOracle(2, table=[0, 3, 3, 7]),
+                c=SetFunctionOracle(2, table=[0, 1, 1, 4]),
+            ),
+            str(ints),
+        )
+        for path, rows in ((wide, 2048), (ints, 3)):
+            out = tmp_path / "t.csv"
+            assert run(["solve", "--instance", str(path), "--format", "csv",
+                        "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()[1:]
+            table = enumerate_breakpoints(load_instance(str(path)))
+            assert len(lines) == len(table) == rows
+            for line, b in zip(lines, table):
+                t, alpha, mask, f, c, agent, principal = line.split(",")
+                assert (int(t), int(mask)) == (b.position, b.aset.mask)
+                got = [number_from_str(x) for x in (alpha, f, c, agent, principal)]
+                assert got == [b.alpha, b.f_value, b.c_value, b.agent_utility,
+                               b.principal_utility]
+        assert [ln.split(",")[1] for ln in lines] == ["0", "1/3", "3/4"]
+
     def test_solve_fptas_report(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         run(["construct", "equal_revenue_supmod_c", "--n", "3", "--out", str(inst_path)])
@@ -134,17 +165,19 @@ class TestConstructSolveVerify:
 
         code, rep = check(4, 192)
         assert code == 0 and rep["ok"] and rep["f_hat"]["ok"] and rep["c_hat"]["ok"]
-        # the default 53-bit base is refused before any augmentation is built
+        # the augmentation is exact, so the default 53-bit base passes too
         code, rep = check(4)
-        assert code == 1
-        assert rep == {
-            "ok": False,
-            "reason": "sub-sub base below the reduction's precision",
-            "precision_bits": 53,
-            "required_bits": 192,
-        }
+        assert code == 0 and rep["ok"] and rep["f_hat"]["ok"] and rep["c_hat"]["ok"]
         code, rep = check(3, 192)
         assert code == 1 and rep == {"ok": False, "reason": "even n required"}
+        # a rounded base has no critical-value table to perturb against
+        rounded = tmp_path / "r.json"
+        run(["construct", "rounded", "--n", "4", "--out", str(rounded)])
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--instance", str(rounded), "--out", str(out), "cc-invariants"]) == 1
+        assert json.loads(out.read_text())["cc_invariants"] == {
+            "ok": False, "reason": "needs an equal-revenue base",
+        }
 
     def test_verify_unknown_check(self, tmp_path):
         inst_path = tmp_path / "i.json"

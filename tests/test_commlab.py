@@ -24,7 +24,6 @@ from contractlab.commlab import (
     build_augmented,
     check_reduction,
     delta_bound,
-    disjointness,
     full_streaming_protocol,
     inapprox_table,
     make_additive_cost_protocol,
@@ -36,7 +35,7 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
     verify_structure,
 )
-from contractlab.core import best_response
+from contractlab.core import _scaled_ints, best_response
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 from contractlab.sparse import approx_best_response, sparseness_ceiling
 
@@ -75,11 +74,14 @@ class TestSpecialSetVector:
 
 class TestDisjointness:
     def test_truth_table(self):
-        assert disjointness([0, 1, 0, 1], [1, 0, 1, 0])
-        assert not disjointness([0, 1, 0, 1], [0, 1, 0, 0])
-        assert disjointness([0, 0], [1, 1])
+        def intersects(a, b):
+            return SpecialSetVector(4, a).intersects(SpecialSetVector(4, b))
+
+        assert not intersects([0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0])
+        assert intersects([0, 1, 0, 1, 0, 1], [0, 1, 0, 0, 0, 0])
+        assert not intersects([0] * 6, [1] * 6)
         with pytest.raises(ValueError):
-            disjointness([0, 1], [0, 1, 0])
+            SpecialSetVector(4, [0, 1, 0])
 
 
 class TestMinimalHalfSuperset:
@@ -235,10 +237,9 @@ class TestReduction:
 
     def test_drift_dominates_halfwidth(self):
         """The max breakpoint revenue deviation of the perturbed base stays
-        within the sandwich half-width (exactly in rationals for sup-sup, at
-        the working precision for the mpf variants), and both perturbed
-        tables keep their declared classes strictly.  (The name dates from
-        when the drift exceeded the half-width.)"""
+        within the sandwich half-width, both compared exactly as Fractions,
+        and both perturbed tables keep their declared classes strictly.
+        (The name dates from when the drift exceeded the half-width.)"""
         for n in (4, 6):
             ones = SpecialSetVector.all_ones(n)
             for variant, base in (
@@ -247,12 +248,11 @@ class TestReduction:
                 ("sub-sup", submod_base(n)),
             ):
                 aug = build_augmented(variant, base, ones, ones)
-                with base.ctx.workprec():
-                    table = enumerate_breakpoints(aug.perturbed, method="hull")
-                    drift = max(abs(b.principal_utility - 1) for b in table if b.aset.mask)
-                    assert drift <= aug.revenue_halfwidth, (variant, n)
-                if variant == "sup-sup":
-                    assert isinstance(drift, Fraction)
+                table = enumerate_breakpoints(aug.perturbed, method="hull")
+                drift = max(abs(b.principal_utility - 1) for b in table if b.aset.mask)
+                assert isinstance(drift, Fraction), (variant, n)
+                assert isinstance(aug.revenue_halfwidth, Fraction), (variant, n)
+                assert drift <= aug.revenue_halfwidth, (variant, n)
                 assert verify_structure(aug.perturbed.f, strict=True).ok, (variant, n)
                 assert verify_structure(aug.perturbed.c, strict=True).ok, (variant, n)
 
@@ -271,6 +271,52 @@ class TestReduction:
                 cand = approx_best_response(aug.perturbed, b.alpha, aug.sigma / 2)
                 assert proj in cand.masks()
                 assert len(cand) <= sparseness_ceiling(4)
+
+
+class TestExactReduction:
+    @pytest.mark.parametrize(
+        "variant,n,bits",
+        [(v, n, bits) for v in ("sub-sub", "sub-sup") for n in (4, 6) for bits in (53, 192)]
+        + [("sup-sup", 4, None), ("sup-sup", 6, None)],
+    )
+    def test_random_pairs_exact(self, variant, n, bits):
+        """Every table on the reduction path is int/Fraction, whatever the
+        base's precision; the perturbed tables hold their classes strictly
+        and pay the principal within the documented grid bound; the
+        augmented tables hold their classes (weakly: the n+1 marginal is
+        constant on the small sets) and every pair is classified right."""
+        if variant == "sup-sup":
+            base = build_equal_revenue_supmod_c(n)
+        else:
+            base = build_equal_revenue_submod_f(n, precision_bits=bits)
+        rng = random.Random(n * 1000 + (bits or 0))
+        for _ in range(8 if n == 4 else 3):
+            aug = build_augmented(
+                variant, base, SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng)
+            )
+            p, inst = aug.perturbed, aug.instance
+            for oracle in (p.f, p.c, inst.f, inst.c):
+                assert _scaled_ints(oracle.value_table()) is not None, oracle.name
+            for x in (aug.delta, aug.sigma, aug.z, aug.revenue_halfwidth):
+                assert isinstance(x, Fraction)
+            assert verify_structure(p.f, strict=True).ok
+            assert verify_structure(p.c, strict=True).ok
+            assert verify_structure(inst.f).ok and verify_structure(inst.c).ok
+            check_reduction(aug)  # strict: raises on a mismatch
+        # revenues of the re-solved chain: rounding f~ down lowers them by
+        # under 2^-kappa (1 + 2 f~_max); rounding c~ down raises them by
+        # under 2^-kappa 2 f~_max
+        step = Fraction(1, 1 << p.meta["grid_bits"])
+        f_max = p.f.value_table()[-1]
+        revenues = [b.principal_utility for b in enumerate_breakpoints(p) if b.aset.mask]
+        assert len(revenues) == p.size - 1
+        for u in revenues:
+            assert isinstance(u, Fraction)
+            if variant == "sup-sup":
+                assert 0 <= u - 1 < step * 2 * f_max
+            else:
+                assert 0 <= 1 - u < step * (1 + 2 * f_max)
+            assert abs(u - 1) <= aug.revenue_halfwidth
 
 
 class TestInapproxTables:

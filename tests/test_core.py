@@ -90,15 +90,15 @@ class TestOracle:
         value(f, ActionSet(3, 5))
         value(f, ActionSet(3, 2))
         assert f.ledger.value_queries == 2
-        assert f.ledger.total() == 2
+        assert f.ledger == QueryLedger(value_queries=2)
 
-    def test_ledger_reset_and_log(self):
-        led = QueryLedger(log=[])
+    def test_ledger_reset(self):
+        led = QueryLedger()
         f = SetFunctionOracle(2, table=[0, 1, 1, 2], ledger=led)
         value(f, ActionSet(2, 3))
-        assert led.log == [("value_queries", 3)]
+        assert led == QueryLedger(value_queries=1)
         led.reset()
-        assert led.total() == 0 and led.log == []
+        assert led == QueryLedger()
 
     def test_normalized(self):
         assert SetFunctionOracle(2, table=[0, 1, 1, 2]).normalized
@@ -147,7 +147,7 @@ class TestQueries:
                 demand(f, prices)
             with pytest.raises(ValueError, match="one price per action"):
                 supply(f, prices)
-        assert f.ledger.total() == 0
+        assert f.ledger == QueryLedger()
 
     def test_best_response_tie_prefers_higher_f(self):
         # two sets with equal utility at alpha = 1/2: {1} (f=2,c=1) and {2} (f=4,c=2)
