@@ -376,7 +376,7 @@ def _margins(tab, n, sense):
     """(phi, psi) of an int/Fraction table, on its scaled ints: the least
     chain gap and the adjacent sub- (sense +1) or supermodularity (-1)
     margin."""
-    ints, scale = _scaled_ints(tab)
+    ints, scale, _ = _scaled_ints(tab)
     phi = min(b - a for a, b in zip(ints, ints[1:]))
     return Fraction(phi, scale), Fraction(_adjacent_submodularity_margin(ints, n, sense), scale)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
-from .reals import DEFAULT_BITS, RealContext
+from .reals import DEFAULT_BITS, RealContext, exact
 from .solver import Breakpoint, BreakpointTable, _make_breakpoint
 
 
@@ -155,24 +155,22 @@ def verify_structure(
     v(i | S) vs v(i | S + j), which is equivalent to the full nested-pair
     quantification.  ``strict`` applies to the class inequality only;
     monotonicity is weak unless ``strict_monotone``.  Report-only:
-    violations are listed, nothing raised.  Tables of ints and Fractions
-    are compared as ints over their common denominator; the recorded
-    marginals and diffs are computed from the table's own entries.
+    violations are listed, nothing raised.  Every comparison is exact: the
+    table is compared as its scaled ints (core._scaled_ints) and tol as its
+    exact value (reals.exact) times the same scale, whatever the entries'
+    representation and the ambient mpmath precision.  A recorded marginal or
+    diff is the entries' own difference for int/Fraction tables and its
+    exact Fraction otherwise.
     """
     cls = declared_class or oracle.declared_class
     n = oracle.n
     if n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
     tab = oracle.value_table()
-    # an mpf tol has no exact Fraction; it keeps the table's own arithmetic
-    scaled = _scaled_ints(tab) if isinstance(tol, (int, float, Fraction)) else None
-    if scaled is None:
-        vals = tab
-    else:
-        vals, scale = scaled
-        tol = Fraction(tol) * scale
-        if tol.denominator == 1:
-            tol = tol.numerator  # keeps the loop's comparisons int-only
+    vals, scale, rational = _scaled_ints(tab)
+    tol = exact(tol) * scale
+    if tol.denominator == 1:
+        tol = tol.numerator  # keeps the loop's comparisons int-only
     report = StructureReport(declared_class=cls, strict=strict)
     mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
     size = 1 << n
@@ -185,7 +183,8 @@ def verify_structure(
                 continue
             marg_i = vals[m | bi] - vals[m]
             if ((marg_i <= tol) if strict_monotone else (marg_i < -tol)) and len(mono) < cap:
-                mono.append((m, i + 1, tab[m | bi] - tab[m]))
+                marg = tab[m | bi] - tab[m] if rational else Fraction(marg_i, scale)
+                mono.append((m, i + 1, marg))
             if cls == "general-monotone":
                 continue
             for j in range(n):
@@ -203,7 +202,10 @@ def verify_structure(
                 else:
                     raise ValueError(f"unknown class {cls!r}")
                 if bad and len(klass) < cap:
-                    diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
+                    if rational:
+                        diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
+                    else:
+                        diff = Fraction(diff, scale)
                     klass.append((m, i + 1, j + 1, diff))
     return report
 

@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .reals import RealContext
+import mpmath
+
+from .reals import RealContext, ratio
 
 MAX_N = 24
 
@@ -91,9 +93,9 @@ DECLARED_CLASSES = ("additive", "submodular", "supermodular", "general-monotone"
 class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
-    The oracle always holds its full 2^n table; query instrumentation lives
-    in the attached ledger.  Exactly one of ``table``, ``weights`` must be
-    given:
+    The oracle always holds its full 2^n table, as a tuple, so no entry can
+    change under a hull built from it; query instrumentation lives in the
+    attached ledger.  Exactly one of ``table``, ``weights`` must be given:
       table      -- list of 2^n values indexed by subset index,
       weights    -- per-action values of an additive function (w[i-1] for i).
     """
@@ -120,14 +122,14 @@ class SetFunctionOracle:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.weights = list(weights) if weights is not None else None
         if table is not None:
-            table = list(table)
+            table = tuple(table)
             if len(table) != 1 << n:
                 raise ValueError("table must list all 2^n subset values")
             self.table = table
         else:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
-            self.table = additive_table(self.weights)
+            self.table = tuple(additive_table(self.weights))
 
     def eval_mask(self, mask: int):
         """Uninstrumented evaluation (for solver internals)."""
@@ -153,23 +155,33 @@ def additive_table(weights) -> list:
     return table
 
 
-def _scaled_ints(tab):
-    """(ints, scale) with ints[m] == tab[m] * scale, or None.
+_INTS = frozenset((int, bool))
+_RATIONAL = _INTS | {Fraction}
 
-    scale is the LCM of the denominators when every entry is an int or a
-    Fraction; any other entry (float, mpf) gives None, so those tables keep
-    their own arithmetic.  Scaling by a positive constant keeps every order,
+
+def _scaled_ints(tab):
+    """(ints, scale, rational) with ints[m] == tab[m] * scale exactly.
+
+    Entries may be ints, Fractions, floats and mpfs, mixed.  Each entry's
+    exact ratio (as_integer_ratio, or an mpf's mantissa over its power of
+    two) goes over the LCM of the denominators, a power of two for float
+    and mpf tables, so no Fraction is built.  rational says every entry is
+    an int or a Fraction.  Scaling by a positive constant keeps every order,
     equality and sign of differences and their products, and int arithmetic
-    is far cheaper than Fraction arithmetic.
+    is exact where float and mpf arithmetic round, and far cheaper than
+    Fraction arithmetic.
     """
-    scale = 1
-    for v in tab:
-        if isinstance(v, Fraction):
-            if scale % v.denominator:
-                scale = math.lcm(scale, v.denominator)
-        elif not isinstance(v, int):
-            return None
-    return [v.numerator * (scale // v.denominator) for v in tab], scale
+    kinds = set(map(type, tab))
+    if kinds <= _INTS:
+        return list(tab), 1, True
+    if any(issubclass(k, mpmath.mpf) for k in kinds):
+        ratios = [ratio(v) for v in tab]
+    else:
+        ratios = [v.as_integer_ratio() for v in tab]
+    dens = {q for _, q in ratios}
+    scale = math.lcm(*dens)
+    mult = {q: scale // q for q in dens}
+    return [p * mult[q] for p, q in ratios], scale, kinds <= _RATIONAL
 
 
 def value(oracle: SetFunctionOracle, s: ActionSet):
@@ -234,6 +246,82 @@ def supply(c: SetFunctionOracle, prices, ctx: RealContext | None = None) -> Acti
     return ActionSet(c.n, best)
 
 
+@dataclass(frozen=True)
+class LowerHull:
+    """Lower convex hull of the (f, c) cloud, from its least-f to its
+    greatest-f vertex, built from two tables and compared exactly.
+
+    vertices[k] is the best response for alpha in [slope k-1, slope k)
+    (with no bound below k = 0 or above the last vertex), and slope k, of
+    the edge vertices[k] -> vertices[k+1], is nums[k] / dens[k] in lowest
+    terms, dens[k] > 0.  Slopes increase strictly, so an alpha exactly on
+    slope k goes to vertices[k+1], the edge's higher-f end.  f_table and
+    c_table are the table objects it was built from; rational says both
+    hold only ints and Fractions.
+    """
+
+    f_table: tuple
+    c_table: tuple
+    vertices: list
+    nums: list
+    dens: list
+    rational: bool
+
+    @classmethod
+    def build(cls, ftab, ctab) -> "LowerHull":
+        """Monotone chain over the tables' scaled ints (core._scaled_ints).
+
+        Among equal f only the least c, then the least mask, can be a
+        best response; collinear middles drop (the higher-f tie-break skips
+        them).  An edge with scaled-int differences dF, dC and scales s_f,
+        s_c has the exact slope dC s_f / (dF s_c).  O(n 2^n): one sort and
+        one pass.
+        """
+        fs, s_f, f_rational = _scaled_ints(ftab)
+        cs, s_c, c_rational = _scaled_ints(ctab)
+        hull: list[tuple] = []  # (f, c, mask) points
+        for p in sorted(zip(fs, cs, range(len(fs)))):
+            fm, cm, _ = p
+            if hull and hull[-1][0] == fm:
+                continue  # same f, weakly larger c
+            while len(hull) >= 2:
+                (fa, ca, _), (fb, cb, _) = hull[-2], hull[-1]
+                # pop the last vertex if it is on or above segment a-m
+                if (fb - fa) * (cm - ca) <= (fm - fa) * (cb - ca):
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        nums, dens = [], []
+        for (fa, ca, _), (fb, cb, _) in zip(hull, hull[1:]):
+            num, den = (cb - ca) * s_f, (fb - fa) * s_c
+            g = math.gcd(num, den)  # lowest terms keep the stored ints short
+            nums.append(num // g)
+            dens.append(den // g)
+        return cls(
+            f_table=ftab,
+            c_table=ctab,
+            vertices=[m for _, _, m in hull],
+            nums=nums,
+            dens=dens,
+            rational=f_rational and c_rational,
+        )
+
+    def index(self, alpha) -> int:
+        """Number of slopes <= alpha: the position of the best response at
+        alpha, by bisection with alpha = p / q cross-multiplied.  O(n)."""
+        p, q = ratio(alpha)
+        nums, dens = self.nums, self.dens
+        lo, hi = 0, len(nums)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if nums[mid] * q <= p * dens[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+
 @dataclass
 class ContractInstance:
     """A principal-agent instance (n, f, c) with tie-break and precision."""
@@ -249,6 +337,8 @@ class ContractInstance:
     # commlab.build_augmented's per-(variant, delta) parts; dies with the
     # instance, so no other instance can ever be served them
     augment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the lower hull of f and c, built on first use (see lower_hull)
+    hull: LowerHull | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:
@@ -265,13 +355,27 @@ class ContractInstance:
         return 1 << self.n
 
 
+def lower_hull(inst: ContractInstance) -> LowerHull:
+    """The instance's lower hull, built from its f and c tables on first use
+    and again whenever either table object is no longer the one it was built
+    from.  O(n 2^n) per build."""
+    ftab, ctab = inst.f.value_table(), inst.c.value_table()
+    hull = inst.hull
+    if hull is None or hull.f_table is not ftab or hull.c_table is not ctab:
+        hull = inst.hull = LowerHull.build(ftab, ctab)
+    return hull
+
+
 def best_response(inst: ContractInstance, alpha) -> ActionSet:
     """Agent's utility-maximizing set at contract alpha.
 
-    Ties favor higher f, then lower subset index.
+    Ties favor higher f, then lower subset index.  The answer is the vertex
+    of the instance's lower hull that supports slope alpha: one O(n 2^n)
+    build per instance, then O(n) exact comparisons per call, in every
+    representation.  Charges one best-response query.
     """
-    with inst.ctx.workprec():
-        best = _argmax_with_tie_break(*_scores("best-response", inst, alpha))
+    hull = lower_hull(inst)
+    best = hull.vertices[hull.index(alpha)]
     inst.ledger.count("best_response_queries", alpha)
     return ActionSet(inst.n, best)
 

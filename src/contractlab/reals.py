@@ -20,13 +20,22 @@ DEFAULT_BITS = 53
 MIN_BITS = 24
 
 
+def ratio(x) -> tuple[int, int]:
+    """(p, q) with q > 0 and p / q the exact value of an int, float, Fraction
+    or mpf: an mpf's mantissa over its power of two, else as_integer_ratio.
+    Infinities and NaNs raise."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp
+        if not man and exp:
+            raise ValueError(f"{x} has no exact value")  # mpmath codes inf/nan so
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return x.as_integer_ratio()
+
+
 def exact(x) -> Fraction:
     """The exact rational value of an int, float, Fraction or mpf (float and
     mpf values are dyadic, so nothing is rounded)."""
-    if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return Fraction(x)
+    return Fraction(*ratio(x)) if isinstance(x, mpmath.mpf) else Fraction(x)
 
 
 class RealContext:

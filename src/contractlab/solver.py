@@ -9,11 +9,10 @@ principal utility (1 - alpha) * f(S) on it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, _argmax_with_tie_break, _scaled_ints
+from .core import ActionSet, ContractInstance, _argmax_with_tie_break, lower_hull
 from .serialize import number_to_str
 
 
@@ -91,57 +90,17 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
-def _enumerate_hull(inst, ftab, ctab):
-    """Lower convex hull of the (f, c) cloud; slopes are the critical values.
-
-    When f and c are both int/Fraction tables, the hull compares them as
-    ints over a scale each (positive scales keep every order, equality and
-    slope comparison) and reports each alpha as an exact Fraction; other
-    tables keep their own arithmetic.  Alphas and values always come from
-    the tables' own entries.  O(n 2^n).
-    """
-    size = inst.size
-    f_ints = _scaled_ints(ftab)
-    c_ints = f_ints and _scaled_ints(ctab)
-    if c_ints:
-        fs, cs, slope = f_ints[0], c_ints[0], Fraction
-    else:
-        fs, cs, slope = ftab, ctab, operator.truediv
-    order = sorted(range(size), key=lambda m: (fs[m], cs[m], m))
-    hull: list[int] = []
-    for m in order:
-        if hull and fs[hull[-1]] == fs[m]:
-            continue  # same f, weakly larger c: never preferred
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # pop b if it is on or above segment a-m (collinear middles drop:
-            # the higher-f tie-break skips them)
-            lhs = (fs[b] - fs[a]) * (cs[m] - cs[a])
-            rhs = (fs[m] - fs[a]) * (cs[b] - cs[a])
-            if lhs <= rhs:
-                hull.pop()
-            else:
-                break
-        hull.append(m)
-    # start from the alpha=0 best response (minimal cost, ties to higher f,
-    # lower index) and drop the hull vertices before it
-    start = _argmax_with_tie_break([-cv for cv in cs], fs)
-    chain = hull[hull.index(start):]
-    # int 0 and 1 stay exact under float, mpf, and Fraction tables alike
-    bps = [_make_breakpoint(inst, 0, 0, chain[0], ftab, ctab)]
-    for prev, cur in zip(chain, chain[1:]):
-        a = slope(ctab[cur] - ctab[prev], ftab[cur] - ftab[prev])
-        if a >= 1:
-            break
-        bps.append(_make_breakpoint(inst, len(bps), a, cur, ftab, ctab))
-    return bps
-
-
 def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> BreakpointTable:
     """All critical values of the instance, in increasing order.
 
-    method: "hull" (lower convex hull of the (f, c) cloud) or "auto"
-    (analytic table if the construction attached one, else "hull").
+    method: "hull" (read off the instance's lower hull, core.lower_hull) or
+    "auto" (analytic table if the construction attached one, else "hull").
+    The hull table starts at the alpha = 0 best response and stops before
+    the first slope >= 1, both decided exactly; the hull is built once per
+    instance in O(n 2^n) and shared with core.best_response.  Values come
+    from the tables' own entries in their own arithmetic, and so do the
+    alphas of float and mpf tables; with two int/Fraction tables each alpha
+    is the exact slope, a Fraction.
     """
     if method == "auto":
         analytic = inst.meta.get("analytic_breakpoints")
@@ -150,8 +109,21 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> Break
         method = "hull"
     if method != "hull":
         raise ParameterError(f"unknown enumeration method {method!r}")
+    hull = lower_hull(inst)
+    ftab, ctab = hull.f_table, hull.c_table
+    k = hull.index(0)
+    chain = hull.vertices[k:]
     with inst.ctx.workprec():
-        bps = _enumerate_hull(inst, inst.f.value_table(), inst.c.value_table())
+        # int 0 stays exact under float, mpf, and Fraction tables alike
+        bps = [_make_breakpoint(inst, 0, 0, chain[0], ftab, ctab)]
+        for prev, cur, num, den in zip(chain, chain[1:], hull.nums[k:], hull.dens[k:]):
+            if num >= den:  # slope >= 1
+                break
+            if hull.rational:  # the exact slope is the alpha
+                alpha = Fraction(num, den)
+            else:
+                alpha = (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
+            bps.append(_make_breakpoint(inst, len(bps), alpha, cur, ftab, ctab))
     table = BreakpointTable(inst, bps)
     _check_table_invariants(table)
     return table
@@ -244,22 +216,13 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
         s_opt = best_response(inst, one)
         opt = val_f(s_opt) - val_c(s_opt)
         if opt > 0:
-            k_max = math.ceil(
-                math.log(inst.n * (1 << inst.n)) / -math.log(1 - float(eps))
-            )
-            shrink = one - eps
             for j in range(1, inst.n + 1):
                 cj = val_c(ActionSet(inst.n, 1 << (j - 1)))
                 if not cj > 0:
                     continue
-                scale = opt / (cj + opt)
-                # k = 0 first: the optimum can sit exactly on the bracket edge
-                factor = one
-                for _ in range(k_max + 1):
-                    alpha = one - factor * scale
+                for alpha in alpha_bracket(inst, opt, cj, eps):
                     s = best_response(inst, alpha)
                     probes.append((alpha, s, (one - alpha) * val_f(s)))
-                    factor = factor * shrink
         # equal ties: the first probe wins
         utils = [u for _, _, u in probes]
         best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
@@ -278,12 +241,24 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
     )
 
 
-def alpha_bracket(inst: ContractInstance, opt, j_star_cost):
-    """Bracket [alpha_min, alpha_max] containing the optimal contract."""
+def alpha_bracket(inst: ContractInstance, opt, j_cost, eps) -> list:
+    """The FPTAS's probe grid over the bracket of singleton cost j_cost.
+
+    alpha_k = 1 - (1 - eps)^k opt / (j_cost + opt) for k = 0..K, with
+    K = ceil(log(n 2^n) / -log(1 - eps)): from the bracket's lower edge
+    1 - opt / (j_cost + opt), where the optimum can sit exactly (k = 0), to
+    at or past its upper edge 1 - opt / (n 2^n (j_cost + opt)).
+    """
     if not opt > 0:
         raise BracketUndefinedError("bracket requires positive welfare optimum")
+    k_max = math.ceil(math.log(inst.n * (1 << inst.n)) / -math.log(1 - float(eps)))
     with inst.ctx.workprec():
-        denom = j_star_cost + opt
-        alpha_min = 1 - opt / denom
-        alpha_max = 1 - opt / (inst.n * (1 << inst.n) * denom)
-    return alpha_min, alpha_max
+        one = inst.ctx.make(1)
+        shrink = one - eps
+        scale = opt / (j_cost + opt)
+        grid = []
+        factor = one
+        for _ in range(k_max + 1):
+            grid.append(one - factor * scale)
+            factor = factor * shrink
+    return grid

@@ -2,7 +2,9 @@
 
 The brute-force functions here are written independently of the library
 internals (plain loops over masks, no tie-break helpers) so they can serve
-as ground truth for the solver and query modules.
+as ground truth for the solver and query modules.  The best-response and
+breakpoint ones score the exact values of the entries (reals.exact), so
+they are ground truth for int, Fraction, float and mpf tables alike.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from contractlab.core import ContractInstance, SetFunctionOracle
-from contractlab.reals import RealContext
+from contractlab.reals import RealContext, exact
 
 
 # --- brute-force ground truth ----------------------------------------------
@@ -27,8 +29,9 @@ def brute_argmax(util, tie, size):
 
 def brute_best_response(ftab, ctab, alpha):
     size = len(ftab)
-    util = [alpha * ftab[m] - ctab[m] for m in range(size)]
-    return brute_argmax(util, ftab, size)
+    fx, cx, ax = [exact(v) for v in ftab], [exact(v) for v in ctab], exact(alpha)
+    util = [ax * fx[m] - cx[m] for m in range(size)]
+    return brute_argmax(util, fx, size)
 
 
 def brute_demand(ftab, prices):
@@ -52,9 +55,10 @@ def brute_breakpoints(ftab, ctab):
     """Independent enumeration: evaluate the best response just above every
     candidate slope and collect the distinct responses in alpha order.
 
-    Uses exact rational midpoints, so only valid on rational tables.
+    Exact: slopes and midpoints are Fractions of the entries' exact values.
     """
     size = len(ftab)
+    ftab, ctab = [exact(v) for v in ftab], [exact(v) for v in ctab]
     slopes = {Fraction(0)}
     for a in range(size):
         for b in range(size):
@@ -137,6 +141,48 @@ def monotone_instance_tables(draw, max_n=4):
         c_floor = max(ctab[m & ~(1 << i)] for i in range(n) if m >> i & 1)
         ftab[m] = f_floor + Fraction(f_incr[m], 16)
         ctab[m] = c_floor + Fraction(c_incr[m], 16)
+    return n, ftab, ctab
+
+
+@st.composite
+def real_monotone_instance_tables(draw, bits, max_n=4):
+    """Like monotone_instance_tables, with increments in tenths summed in
+    the arithmetic of RealContext(bits): float at 53 bits, else mpf.  The
+    entries are rounded, so exact and rounded utilities can disagree."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    size = 1 << n
+    ctx = RealContext(bits)
+    f_incr = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    c_incr = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+    ftab = [ctx.make(0)] * size
+    ctab = [ctx.make(0)] * size
+    with ctx.workprec():
+        for m in range(1, size):
+            f_floor = max(ftab[m & ~(1 << i)] for i in range(n) if m >> i & 1)
+            c_floor = max(ctab[m & ~(1 << i)] for i in range(n) if m >> i & 1)
+            ftab[m] = f_floor + ctx.make(Fraction(f_incr[m], 10))
+            ctab[m] = c_floor + ctx.make(Fraction(c_incr[m], 10))
+    return n, ftab, ctab
+
+
+@st.composite
+def degenerate_hull_tables(draw, max_n=4):
+    """(n, ftab, ctab) of small ints and halves, not monotone, with planted
+    degeneracies: a mask may copy another mask's (f, c) point (a duplicate
+    at a different mask) or take the midpoint of two others (a collinear
+    triple, so several masks tie at that slope)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    size = 1 << n
+    ftab = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    ctab = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    for m in range(size):
+        how = draw(st.sampled_from(("keep", "copy", "midpoint")))
+        a, b = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if how == "copy":
+            ftab[m], ctab[m] = ftab[a], ctab[a]
+        elif how == "midpoint":
+            ftab[m] = Fraction(ftab[a] + ftab[b], 2)
+            ctab[m] = Fraction(ctab[a] + ctab[b], 2)
     return n, ftab, ctab
 
 

@@ -296,7 +296,7 @@ class TestExactReduction:
             )
             p, inst = aug.perturbed, aug.instance
             for oracle in (p.f, p.c, inst.f, inst.c):
-                assert _scaled_ints(oracle.value_table()) is not None, oracle.name
+                assert _scaled_ints(oracle.value_table())[2], oracle.name  # all int/Fraction
             for x in (aug.delta, aug.sigma, aug.z, aug.revenue_halfwidth):
                 assert isinstance(x, Fraction)
             assert verify_structure(p.f, strict=True).ok

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +19,7 @@ from contractlab.constructions import (
     verify_structure,
 )
 from contractlab.core import SetFunctionOracle
+from contractlab.reals import exact
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 
 from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables
@@ -225,6 +227,32 @@ class TestScaledStructureCheck:
                     klass.append((m, i, j, diff))
         assert rep.monotonicity_violations == mono[: rep.max_recorded]
         assert rep.class_violations == klass[: rep.max_recorded]
+
+
+class TestExactStructureCheckOnRoundedTables:
+    """Float and mpf tables are compared exactly, as their scaled ints."""
+
+    @pytest.mark.parametrize("cls", ["submodular", "supermodular"])
+    def test_mpf_report_independent_of_ambient_precision(self, cls):
+        inst = build_equal_revenue_submod_f(4, precision_bits=192)
+        tol = inst.ctx.maximizer_tolerance  # an mpf tol is converted exactly too
+        reports = []
+        for prec in (53, 400):
+            with mpmath.workprec(prec):
+                reports.append(verify_structure(inst.f, cls, strict=True, tol=tol))
+        assert reports[0] == reports[1]
+        # the same report as on the table's exact values
+        exact_f = SetFunctionOracle(4, table=[exact(v) for v in inst.f.value_table()])
+        assert reports[0] == verify_structure(exact_f, cls, strict=True, tol=exact(tol))
+        assert reports[0].ok == (cls == "submodular")
+
+    def test_float_violation_that_subtraction_rounds_away(self):
+        # the exact marginal is -1 - 2^-60, below -tol; in float arithmetic
+        # it rounds to -1.0, which is not
+        f = SetFunctionOracle(1, table=[1.0, -(2.0**-60)])
+        assert f.value_table()[1] - f.value_table()[0] == -1.0
+        rep = verify_structure(f, tol=1.0)
+        assert rep.monotonicity_violations == [(0, 1, Fraction(-(2**60) - 1, 2**60))]
 
 
 class TestRounded:

@@ -16,18 +16,23 @@ from contractlab.core import (
     best_response,
     demand,
     demand_prices_for_contract,
+    lower_hull,
     supply,
     supply_prices_for_contract,
     value,
 )
-from contractlab.reals import RealContext
+from contractlab.reals import RealContext, exact
 
 from conftest import (
     brute_best_response,
     brute_demand,
     brute_supply,
+    degenerate_hull_tables,
+    instance_from_tables,
+    mixed_monotone_instance_tables,
     monotone_instance_tables,
     price_vectors,
+    real_monotone_instance_tables,
 )
 
 
@@ -211,6 +216,85 @@ class TestQueries:
             ContractInstance(n=2, f=f, c=c3)
         with pytest.raises(ValueError):
             ContractInstance(n=2, f=f, c=f, tie_break="coin-flip")
+
+
+def _query_alphas(ftab, ctab):
+    """Every slope between two points of the cloud (so every hull slope,
+    hit exactly), a point just off each side, and alphas below 0, at 0 and
+    above the last slope."""
+    fx, cx = [exact(v) for v in ftab], [exact(v) for v in ctab]
+    slopes = {
+        (cx[b] - cx[a]) / (fx[b] - fx[a])
+        for a in range(len(fx))
+        for b in range(len(fx))
+        if fx[b] > fx[a]
+    }
+    tiny = Fraction(1, 1 << 70)
+    top = max(slopes, default=Fraction(0))
+    alphas = [Fraction(-3), Fraction(-1, 7), 0, top + 1, top + tiny]
+    for a in sorted(slopes):
+        alphas += [a, a - tiny, a + tiny]
+    return alphas
+
+
+class TestHullBestResponse:
+    """best_response reads one lower hull per instance; the brute force
+    scores every mask on the entries' exact values."""
+
+    @given(
+        st.one_of(
+            mixed_monotone_instance_tables(max_n=3),
+            real_monotone_instance_tables(53, max_n=3),
+            real_monotone_instance_tables(192, max_n=3),
+            degenerate_hull_tables(max_n=3),
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force_on_and_off_every_slope(self, tables):
+        n, ftab, ctab = tables
+        inst = instance_from_tables(ftab, ctab)
+        hull = lower_hull(inst)
+        for k, alpha in enumerate(_query_alphas(ftab, ctab), 1):
+            assert best_response(inst, alpha).mask == brute_best_response(ftab, ctab, alpha)
+            assert inst.ledger.best_response_queries == k  # one charge per call
+        assert inst.hull is hull  # built once, kept on the instance
+
+    @given(real_monotone_instance_tables(80, max_n=3), st.integers(-8, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_rounded_alphas(self, tables, num):
+        # a float or mpf alpha is located by its exact value too
+        n, ftab, ctab = tables
+        inst = instance_from_tables(ftab, ctab, bits=80)
+        for alpha in (num / 32, RealContext(80).make(Fraction(num, 31))):
+            assert best_response(inst, alpha).mask == brute_best_response(ftab, ctab, alpha)
+
+    def test_duplicate_and_collinear_points(self):
+        # masks 1 and 2 share (1, 1); mask 3 = (2, 2) is collinear with 0 and
+        # the pair, so at alpha 1 all four tie and the highest f wins
+        inst = instance_from_tables([0, 1, 1, 2], [0, 1, 1, 2])
+        assert [best_response(inst, a).mask for a in (0, 1, 2)] == [0, 3, 3]
+        assert best_response(inst, Fraction(-1)).mask == 0
+        inst = instance_from_tables([0, 1, 1, 2], [0, 1, 1, 3])
+        assert [best_response(inst, a).mask for a in (1, 2, 5)] == [1, 3, 3]
+
+    def test_hull_follows_replaced_tables(self):
+        inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])
+        assert best_response(inst, Fraction(1, 2)).mask == 0b10
+        first = inst.hull
+        inst.f = SetFunctionOracle(2, table=[0, 2, 3, 9])
+        assert best_response(inst, Fraction(1, 2)).mask == 0b11
+        assert inst.hull is not first
+        second = inst.hull
+        inst.c = SetFunctionOracle(2, table=[0, 1, 2, 9])
+        assert best_response(inst, Fraction(1, 2)).mask == 0b01
+        assert inst.hull is not second
+
+    def test_tables_are_immutable(self):
+        inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])
+        additive = SetFunctionOracle(2, weights=[1, 2])
+        for oracle in (inst.f, inst.c, additive):
+            with pytest.raises(TypeError):
+                oracle.value_table()[1] = 7
 
 
 class TestRealContext:

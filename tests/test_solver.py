@@ -7,7 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from contractlab.constructions import build_equal_revenue_submod_f
 from contractlab.core import best_response
+from contractlab.reals import exact
 from contractlab.solver import (
     ParameterError,
     agent_utility,
@@ -25,6 +27,7 @@ from conftest import (
     mixed_monotone_instance_tables,
     monotone_instance_tables,
     random_monotone_tables,
+    real_monotone_instance_tables,
 )
 
 
@@ -46,6 +49,18 @@ class TestEnumeration:
         assert [b.aset.mask for b in table] == [m for _, m in want]
         assert [b.alpha for b in table] == [a for a, _ in want]
         assert [type(b.alpha) for b in table] == [int] + [Fraction] * (len(want) - 1)
+
+    @given(st.sampled_from([53, 80, 192]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_hull_equals_brute_force_on_rounded_tables(self, bits, data):
+        # float and mpf tables: the sets are the exact ones; each alpha is
+        # the entries' own quotient, so within a few ulps of the exact slope
+        n, ftab, ctab = data.draw(real_monotone_instance_tables(bits))
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab, bits), method="hull")
+        want = brute_breakpoints(ftab, ctab)
+        assert [b.aset.mask for b in table] == [m for _, m in want]
+        for b, (a, _) in zip(table, want):
+            assert abs(exact(b.alpha) - a) <= a / (1 << (bits - 3))
 
     @given(monotone_instance_tables(max_n=3))
     @settings(max_examples=50, deadline=None)
@@ -167,6 +182,14 @@ class TestFptas:
             with pytest.raises(ParameterError):
                 fptas(inst, bad)
 
+    def test_roadmap_target_n12_360_bits(self):
+        """The roadmap's FPTAS target: its set and query counts at n=12
+        and 360 bits, answered by the hull in well under a second."""
+        res = fptas(build_equal_revenue_submod_f(12, precision_bits=360), 0.1)
+        assert res.aset.mask == 0
+        assert res.best_response_queries == 1250
+        assert res.value_queries == 1263
+
     def test_exact_on_worked_example(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
         res = fptas(inst, 0.2)
@@ -178,5 +201,8 @@ class TestAlphaBracket:
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
         sol = optimal_contract(inst)
         welfare = max(fv - cv for fv, cv in zip(GOLDEN_F, GOLDEN_C))
-        lo, hi = alpha_bracket(inst, welfare, GOLDEN_C[2])
-        assert lo <= sol.alpha_star <= hi
+        grid = alpha_bracket(inst, welfare, GOLDEN_C[2], 0.1)
+        edge = 1 - welfare / (inst.n * (1 << inst.n) * (GOLDEN_C[2] + welfare))
+        assert grid[0] == 1 - welfare / (GOLDEN_C[2] + welfare)
+        assert grid[0] <= sol.alpha_star <= edge
+        assert grid[-1] >= edge
