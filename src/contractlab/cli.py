@@ -8,6 +8,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -383,7 +384,10 @@ def cmd_experiment(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: building it is most of a small
+    command's time, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="contractlab",
         description="Construct, verify, solve, and experiment on contract instances.",
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="breakpoints and the optimal contract")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "hull"))
+    p.add_argument("--method", default="hull", choices=("hull",))
     p.add_argument("--fptas", type=float, default=None, metavar="EPS")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--out", default=None)

@@ -311,12 +311,9 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
 
 def _alpha_tilde_by_mask(perturbed: ContractInstance):
     """Critical value of each nonempty chain set in the perturbed instance."""
-    from .solver import enumerate_breakpoints
+    from .solver import critical_values
 
-    table = enumerate_breakpoints(perturbed, method="hull")
-    out = {}
-    for b in table:
-        out[b.aset.mask] = b.alpha
+    out = {mask: alpha for alpha, mask in critical_values(perturbed)}
     size = perturbed.size
     missing = [t for t in range(1, size) if t not in out]
     if missing:
@@ -552,7 +549,7 @@ def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionR
     """Solve the augmented instance; (n+1 in S*) must equal (x_f meets x_c)."""
     from .solver import optimal_contract
 
-    sol = optimal_contract(aug.instance, method="hull")
+    sol = optimal_contract(aug.instance)
     augmenting = (aug.base.n + 1) in sol.set_star
     expected = aug.x_f.intersects(aug.x_c)
     report = ReductionReport(
@@ -668,7 +665,7 @@ def full_streaming_protocol(channel: Channel, f_holder, c_holder):
     ctab = channel.send("Bob", c_holder.c.value_table(), tag="full-cost-table")
     c = SetFunctionOracle(f_holder.n, table=ctab, declared_class=c_holder.c.declared_class)
     inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
-    sol = optimal_contract(inst, method="hull")
+    sol = optimal_contract(inst)
     return sol.alpha_star, sol.set_star
 
 
@@ -680,7 +677,7 @@ def make_additive_cost_protocol():
         weights = channel.send("Bob", c_holder.c.weights, tag="cost-weights")
         c = SetFunctionOracle(f_holder.n, weights=weights, declared_class="additive")
         inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
-        sol = optimal_contract(inst, method="hull")
+        sol = optimal_contract(inst)
         return sol.alpha_star, sol.set_star
 
     return protocol

@@ -1,11 +1,18 @@
-"""Closed-form equal-revenue instances, structure checks, and rounding.
+"""Equal-revenue instances, structure checks, and rounding.
 
 Two families:
-  * submodular reward / additive cost: f(S_t) = 1/(1 - alpha_t) with the
-    square-root recurrence for alpha_t, costs c_i = 2^(i-1) so c(S_t) = t;
+  * submodular reward / additive cost: f(S_0) = 1 and
+    f_t = (f_(t-1) + 2 + sqrt(f_(t-1)^2 + 4)) / 2, the square-root
+    recurrence in f's own coordinates; costs c_i = 2^(i-1) so c(S_t) = t,
+    and the critical value of S_t is alpha_t = 1 / (f_t - f_(t-1));
   * additive reward / supermodular cost: f_i = 2^(i-1) so f(S_t) = t, costs
     c_t = c_(t-1) + (t-1)/t held as exact rationals, alpha_t = (t-1)/t.
-Every nonempty incentivizable set yields principal utility exactly 1.
+Every nonempty incentivizable set yields principal utility exactly 1.  No
+breakpoint table is stored: solvers read every critical value off the f
+and c tables (solver.critical_values).  meta["alpha_table"] lists the
+chain's critical values, the same values, of the same types, that
+critical_values reports; perturb, sparse and commlab read their bounds
+from it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .reals import DEFAULT_BITS, RealContext, exact
-from .solver import Breakpoint, BreakpointTable, _make_breakpoint
+from .solver import Breakpoint
 
 
 class PrecisionError(ValueError):
@@ -48,31 +55,26 @@ def _alpha_recurrence(ctx: RealContext, steps: int):
     return alphas
 
 
-def _chain_breakpoint_table(inst, alphas, masks):
-    """Breakpoints at the closed-form alphas on the given chain of sets."""
-    ftab = inst.f.value_table()
-    ctab = inst.c.value_table()
-    with inst.ctx.workprec():
-        bps = [
-            _make_breakpoint(inst, pos, a, m, ftab, ctab)
-            for pos, (a, m) in enumerate(zip(alphas, masks))
-        ]
-    return BreakpointTable(inst, bps)
-
-
 def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> ContractInstance:
     """Equal-revenue instance with strictly submodular reward, additive cost.
 
-    f(S_t) = 1/(1 - alpha_t) with f(empty) = 1; c_i = 2^(i-1) so c(S_t) = t.
+    f(empty) = 1 and f_t = (f_(t-1) + 2 + sqrt(f_(t-1)^2 + 4)) / 2, so that
+    (1 - alpha_t) f_t = 1 with alpha_t = 1 / (f_t - f_(t-1)); c_i = 2^(i-1)
+    so c(S_t) = t.  Running the recurrence on f itself, not on alpha near 1,
+    keeps f's rounding relative to f.  Every alpha_t is the slope the hull
+    reports for S_(t-1) -> S_t (the c gap is the int 1), bit for bit.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError("n out of range")
     bits = default_bits_for(n) if precision_bits is None else precision_bits
     ctx = RealContext(bits)
     size = 1 << n
-    alphas = _alpha_recurrence(ctx, size - 1)
     with ctx.workprec():
-        ftab = [1 / (1 - a) for a in alphas]
+        ftab = [ctx.make(1)]
+        for _ in range(size - 1):
+            f = ftab[-1]
+            ftab.append((f + 2 + ctx.sqrt(f * f + 4)) / 2)
+        alphas = [0] + [1 / (ftab[t] - ftab[t - 1]) for t in range(1, size)]
         for t in range(size - 1):
             if not alphas[t] < alphas[t + 1]:
                 raise PrecisionError(
@@ -91,7 +93,6 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"equal_revenue_submod_f(n={n})")
     inst.meta["kind"] = "equal_revenue_submod_f"
     inst.meta["alpha_table"] = alphas
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, alphas, range(size))
     return inst
 
 
@@ -123,9 +124,8 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     c = SetFunctionOracle(n, table=ctab, declared_class="supermodular", name="equal_revenue_cost")
     inst = ContractInstance(n=n, f=f, c=c, name=f"equal_revenue_supmod_c(n={n})")
     inst.meta["kind"] = "equal_revenue_supmod_c"
-    alphas = [Fraction(t - 1, t) for t in range(1, size)]
-    inst.meta["alpha_table"] = alphas
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, alphas, range(1, size))
+    # S_1's alpha is the int 0, as solver.critical_values reports it
+    inst.meta["alpha_table"] = [0] + [Fraction(t - 1, t) for t in range(2, size)]
     return inst
 
 
@@ -306,7 +306,6 @@ def build_rounded(n: int, grid_bits: int | None = None) -> RoundedInstance:
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"rounded(n={n}, kappa={kappa})")
     inst.meta["kind"] = "rounded"
     inst.meta["grid_bits"] = kappa
-    inst.meta["analytic_breakpoints"] = _chain_breakpoint_table(inst, betas, range(size))
     return RoundedInstance(
         n=n,
         grid_bits=kappa,

@@ -79,8 +79,11 @@ def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
-_META_NUMBER_LISTS = ("alpha_table",)
 _META_SCALARS = ("kind", "base_kind", "k", "epsilon", "direction", "grid_bits")
+# first set of each equal-revenue chain: the empty set at alpha = 0 on the
+# submodular-reward base; on the supermodular-cost base S_1 costs 0 as well
+# and pays more, so the chain starts there
+_CHAIN_START = {"equal_revenue_submod_f": 0, "equal_revenue_supmod_c": 1}
 
 
 def instance_to_dict(inst: ContractInstance) -> dict:
@@ -97,30 +100,10 @@ def instance_to_dict(inst: ContractInstance) -> dict:
         if key in inst.meta:
             v = inst.meta[key]
             d["meta"][key] = v if isinstance(v, (str, int)) else number_to_str(v)
-    for key in _META_NUMBER_LISTS:
-        if key in inst.meta:
-            d["meta"][key] = [number_to_str(v) for v in inst.meta[key]]
-    bps = inst.meta.get("analytic_breakpoints")
-    if bps is not None:
-        d["meta"]["analytic_breakpoints"] = [
-            {
-                "position": b.position,
-                "alpha": number_to_str(b.alpha),
-                "mask": b.aset.mask,
-                "f": number_to_str(b.f_value),
-                "c": number_to_str(b.c_value),
-                "agent_utility": number_to_str(b.agent_utility),
-                "principal_utility": number_to_str(b.principal_utility),
-            }
-            for b in bps
-        ]
     return d
 
 
 def instance_from_dict(d: dict) -> ContractInstance:
-    from .solver import Breakpoint, BreakpointTable
-    from .core import ActionSet
-
     n = d["n"]
     if d["f"].get("kind") == "named" or d["c"].get("kind") == "named":
         return _instance_from_named(d)
@@ -138,25 +121,22 @@ def instance_from_dict(d: dict) -> ContractInstance:
         if key in meta:
             v = meta[key]
             inst.meta[key] = number_from_str(v) if key == "epsilon" else v
-    for key in _META_NUMBER_LISTS:
-        if key in meta:
-            inst.meta[key] = [number_from_str(v) for v in meta[key]]
-    if "analytic_breakpoints" in meta:
-        table = BreakpointTable(instance=inst)
-        for row in meta["analytic_breakpoints"]:
-            table.breakpoints.append(
-                Breakpoint(
-                    position=row["position"],
-                    alpha=number_from_str(row["alpha"]),
-                    aset=ActionSet(n, row["mask"]),
-                    f_value=number_from_str(row["f"]),
-                    c_value=number_from_str(row["c"]),
-                    agent_utility=number_from_str(row["agent_utility"]),
-                    principal_utility=number_from_str(row["principal_utility"]),
-                )
-            )
-        inst.meta["analytic_breakpoints"] = table
+    start = _CHAIN_START.get(inst.meta.get("kind"))
+    if start is not None:
+        _derive_alpha_table(inst, start)
     return inst
+
+
+def _derive_alpha_table(inst: ContractInstance, start: int) -> None:
+    """Set meta["alpha_table"] from the loaded tables' own critical values,
+    and only if their sets are exactly the chain start..2^n - 1 of the
+    construction; otherwise leave it absent, so every consumer of the chain
+    refuses the instance."""
+    from .solver import critical_values
+
+    pairs = critical_values(inst)
+    if [m for _, m in pairs] == list(range(start, inst.size)):
+        inst.meta["alpha_table"] = [a for a, _ in pairs]
 
 
 def build_named(name: str, params: dict) -> ContractInstance:

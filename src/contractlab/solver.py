@@ -90,32 +90,22 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
-def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> BreakpointTable:
-    """All critical values of the instance, in increasing order.
+def critical_values(inst: ContractInstance) -> list[tuple]:
+    """(alpha, mask) of every critical value, in increasing order, read off
+    the instance's lower hull (core.lower_hull).
 
-    method: "hull" (read off the instance's lower hull, core.lower_hull) or
-    "auto" (analytic table if the construction attached one, else "hull").
-    The hull table starts at the alpha = 0 best response and stops before
-    the first slope >= 1, both decided exactly; the hull is built once per
-    instance in O(n 2^n) and shared with core.best_response.  Values come
-    from the tables' own entries in their own arithmetic, and so do the
-    alphas of float and mpf tables; with two int/Fraction tables each alpha
-    is the exact slope, a Fraction.
+    Starts at the alpha = 0 best response and stops before the first slope
+    >= 1, both decided exactly.  The alphas of float and mpf tables are the
+    tables' own entry differences divided in their own arithmetic; with two
+    int/Fraction tables each alpha is the exact slope, a Fraction.  The
+    first alpha is the int 0, exact in every representation.
     """
-    if method == "auto":
-        analytic = inst.meta.get("analytic_breakpoints")
-        if analytic is not None:
-            return analytic
-        method = "hull"
-    if method != "hull":
-        raise ParameterError(f"unknown enumeration method {method!r}")
     hull = lower_hull(inst)
     ftab, ctab = hull.f_table, hull.c_table
     k = hull.index(0)
     chain = hull.vertices[k:]
+    pairs = [(0, chain[0])]
     with inst.ctx.workprec():
-        # int 0 stays exact under float, mpf, and Fraction tables alike
-        bps = [_make_breakpoint(inst, 0, 0, chain[0], ftab, ctab)]
         for prev, cur, num, den in zip(chain, chain[1:], hull.nums[k:], hull.dens[k:]):
             if num >= den:  # slope >= 1
                 break
@@ -123,7 +113,26 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "auto") -> Break
                 alpha = Fraction(num, den)
             else:
                 alpha = (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
-            bps.append(_make_breakpoint(inst, len(bps), alpha, cur, ftab, ctab))
+            pairs.append((alpha, cur))
+    return pairs
+
+
+def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> BreakpointTable:
+    """All critical values of the instance, in increasing order, with their
+    sets, f and c values and both utilities, all from the tables' own entries.
+
+    The (alpha, mask) pairs are critical_values(inst): the hull is built once
+    per instance in O(n 2^n) and shared with core.best_response.  method
+    accepts only "hull", the one way there is.
+    """
+    if method != "hull":
+        raise ParameterError(f"unknown enumeration method {method!r}")
+    ftab, ctab = inst.f.value_table(), inst.c.value_table()
+    with inst.ctx.workprec():
+        bps = [
+            _make_breakpoint(inst, pos, alpha, mask, ftab, ctab)
+            for pos, (alpha, mask) in enumerate(critical_values(inst))
+        ]
     table = BreakpointTable(inst, bps)
     _check_table_invariants(table)
     return table
@@ -152,17 +161,16 @@ class ContractSolution:
 
 
 def optimal_contract(
-    inst: ContractInstance,
-    method: str = "auto",
-    table: BreakpointTable | None = None,
+    inst: ContractInstance, table: BreakpointTable | None = None
 ) -> ContractSolution:
-    """Scan the breakpoint table for max (1 - alpha) * f(S_alpha).
+    """Scan the breakpoint table (enumerate_breakpoints, unless one is given)
+    for max (1 - alpha) * f(S_alpha).
 
     Canonical answer is the smallest maximizing alpha; all_maximizers lists
     every breakpoint within tolerance tau = 2^(-precision_bits/2) of the max.
     """
     if table is None:
-        table = enumerate_breakpoints(inst, method=method)
+        table = enumerate_breakpoints(inst)
     with inst.ctx.workprec():
         utils = [b.principal_utility for b in table]
         # equal ties: the lower index, i.e. the smaller alpha, wins

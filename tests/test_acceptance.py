@@ -117,7 +117,7 @@ def test_criterion_03_structure_suites():
 def test_criterion_04_perturbed_family():
     base = build_equal_revenue_submod_f(6, precision_bits=128)
     for fam in family_iterator(base):  # every k in [1, 63] at eps = budget/2
-        sol = optimal_contract(fam.instance, method="hull")
+        sol = optimal_contract(fam.instance)
         assert sol.set_star.mask == fam.k, fam.k
         assert len(sol.all_maximizers) == 1, fam.k
     assert fam.k == 63
@@ -189,7 +189,7 @@ def test_criterion_08_fptas():
         # floats: denominators are powers of two times 16ths, exactly representable
         cases.append(instance_from_tables([float(v) for v in ftab], [float(v) for v in ctab]))
     for inst in cases:
-        exact = optimal_contract(inst, method="hull")
+        exact = optimal_contract(inst)
         for eps in eps_grid:
             inst.ledger.reset()
             res = fptas(inst, eps)
@@ -261,12 +261,12 @@ def test_criterion_10_sandwich_and_winner():
             # sandwich: every breakpoint of the perturbed base within 1 +- hw
             # (independent of the indicator vectors, so one check covers all
             # criterion-9 instances per variant)
-            table = enumerate_breakpoints(aug.perturbed, method="hull")
+            table = enumerate_breakpoints(aug.perturbed)
             worst = max(abs(b.principal_utility - 1) for b in table if b.aset.mask)
             if worst > hw:
                 violations.append((variant, "sandwich", float(worst), float(hw)))
             # winner margin: intersecting pair's augmenting optimum beats 1 + hw
-            atable = enumerate_breakpoints(aug.instance, method="hull")
+            atable = enumerate_breakpoints(aug.instance)
             augmenting = [b for b in atable if (aug.base.n + 1) in b.aset]
             top = max((b.principal_utility for b in augmenting), default=None)
             if top is None or not top > 1 + hw:
@@ -319,7 +319,7 @@ def test_criterion_13_protocol():
         cap = 2 * sparseness_ceiling(4) * width
         for x_c in (ones4, zeros4):
             aug = build_augmented(variant, base, ones4, x_c)
-            alphas = [b.alpha for b in enumerate_breakpoints(aug.instance, method="hull")]
+            alphas = [b.alpha for b in enumerate_breakpoints(aug.instance)]
             alphas += [Fraction(i, 7) for i in range(7)]
             for alpha in alphas:
                 channel = Channel(width)

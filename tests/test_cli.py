@@ -1,10 +1,15 @@
 """Command-line interface: determinism, formats, exit codes."""
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from contractlab.cli import main
+from contractlab.cli import build_parser, main
 from contractlab.core import ContractInstance, SetFunctionOracle
 from contractlab.serialize import (
     dump_json,
@@ -25,8 +30,6 @@ def run(args):
 
 class TestSerialization:
     def test_number_round_trip(self):
-        from fractions import Fraction
-
         import mpmath
 
         vals = [0, -3, Fraction(7, 6), 0.1, -2.5e-7]
@@ -79,15 +82,20 @@ class TestConstructSolveVerify:
         out = tmp_path / "sol.json"
         assert run(["solve", "--instance", str(inst_path), "--out", str(out)]) == 0
         sol = json.loads(out.read_text())
-        assert sol["set_star"] == []
-        assert len(sol["co_optimal_breakpoints"]) == 8
+        # the tables' own utilities tie with 1 only to rounding, so the
+        # report is whatever the loaded tables' optimum is
+        want = optimal_contract(load_instance(str(inst_path)))
+        assert sol["set_star"] == sorted(want.set_star.members())
+        assert sol["alpha_star"] == number_to_str(want.alpha_star)
+        assert len(sol["co_optimal_breakpoints"]) == len(want.all_maximizers) == 8
         csv_out = tmp_path / "t.csv"
         run(["solve", "--instance", str(inst_path), "--format", "csv", "--out", str(csv_out)])
         header = csv_out.read_text().splitlines()[0]
         assert header == "t,alpha,set_mask,f,c,agent_utility,principal_utility"
-        with pytest.raises(SystemExit) as exc:
-            run(["solve", "--instance", str(inst_path), "--method", "scan"])
-        assert exc.value.code == 2
+        for method in ("scan", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                run(["solve", "--instance", str(inst_path), "--method", method])
+            assert exc.value.code == 2
 
     def test_solve_csv_round_trip(self, tmp_path):
         """Every CSV number reads back as the breakpoint table's own value:
@@ -147,7 +155,6 @@ class TestConstructSolveVerify:
         # corrupt the reward table: breaks monotonicity
         data = json.loads(inst_path.read_text())
         data["f"]["values"][7] = number_to_str(0.0)
-        data["meta"].pop("analytic_breakpoints", None)
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(data))
         assert run(["verify", "--instance", str(bad_path), "structure"]) == 1
@@ -264,3 +271,79 @@ class TestExperiments:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             run(["experiment", "astrology", "--n", "4"])
+
+
+def solve_report(spec: dict) -> dict:
+    """The JSON report of `solve` on an instance given as a JSON dict."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["solve", "--instance", json.dumps(spec)]) == 0
+    return json.loads(buf.getvalue())
+
+
+def run_construct(kind: str, n: int) -> str:
+    """The JSON `construct` writes to stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["construct", kind, "--n", str(n)]) == 0
+    return buf.getvalue()
+
+
+class TestTablesAreTheTruth:
+    """Every answer comes from the f and c tables, never from meta."""
+
+    def test_zeroed_reward_solves_to_zero(self, tmp_path):
+        path = tmp_path / "i.json"
+        run(["construct", "equal_revenue_submod_f", "--n", "4", "--out", str(path)])
+        data = json.loads(path.read_text())
+        assert data["meta"] == {"kind": "equal_revenue_submod_f"}
+        data["f"]["values"] = [number_to_str(0.0)] * 16
+        path.write_text(json.dumps(data))
+        assert "alpha_table" not in load_instance(str(path)).meta
+        rep = solve_report(data)
+        assert rep["principal_utility"] == number_to_str(0.0)
+        assert rep["breakpoint_count"] == 1
+        for check in ("equal-revenue", "sparse-demand"):
+            out = tmp_path / f"{check}.json"
+            assert run(["verify", "--instance", str(path), "--out", str(out), check]) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["equal_revenue_submod_f", "equal_revenue_supmod_c"]),
+        n=st.integers(1, 4),
+        side=st.sampled_from(["f", "c"]),
+        pick=st.integers(0, 15),
+        num=st.integers(0, 40),
+        den=st.integers(1, 8),
+    )
+    def test_one_tampered_entry_solves_as_without_meta(self, kind, n, side, pick, num, den):
+        data = json.loads(run_construct(kind, n))
+        oracle = data[side]
+        entries = oracle["weights"] if oracle["kind"] == "additive" else oracle["values"]
+        old = number_from_str(entries[pick % len(entries)])
+        new = Fraction(num, den)
+        if isinstance(old, float):
+            new = float(new)
+        elif isinstance(old, int):
+            new = num
+        entries[pick % len(entries)] = number_to_str(new)
+        bare = {key: v for key, v in data.items() if key != "meta"}
+        assert solve_report(data) == solve_report(bare)
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        path = tmp_path / "i.json"
+        assert run(["construct", "equal_revenue_supmod_c", "--n", "3", "--out", str(path)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--instance", str(path), "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["solve", "--instance", str(path), "--fptas", "0.1"]) == 0
+        with_fptas = json.loads(capsys.readouterr().out)
+        assert run(["solve", "--instance", str(path)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        # no option of one call leaks into the next
+        assert "fptas" in with_fptas and "fptas" not in plain
+        assert plain == {k: v for k, v in with_fptas.items() if k != "fptas"}

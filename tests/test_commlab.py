@@ -248,7 +248,7 @@ class TestReduction:
                 ("sub-sup", submod_base(n)),
             ):
                 aug = build_augmented(variant, base, ones, ones)
-                table = enumerate_breakpoints(aug.perturbed, method="hull")
+                table = enumerate_breakpoints(aug.perturbed)
                 drift = max(abs(b.principal_utility - 1) for b in table if b.aset.mask)
                 assert isinstance(drift, Fraction), (variant, n)
                 assert isinstance(aug.revenue_halfwidth, Fraction), (variant, n)
@@ -265,7 +265,7 @@ class TestReduction:
             ("sup-sup", build_equal_revenue_supmod_c(4)),
         ):
             aug = build_augmented(variant, base, ones, ones)
-            table = enumerate_breakpoints(aug.instance, method="hull")
+            table = enumerate_breakpoints(aug.instance)
             for b in table:
                 proj = b.aset.mask & ((1 << 4) - 1)
                 cand = approx_best_response(aug.perturbed, b.alpha, aug.sigma / 2)
@@ -375,7 +375,7 @@ class TestProtocols:
             make_additive_cost_protocol(), holder, holder, width_bits=64
         )
         assert transcript.total_bits == 4 * 64
-        local = optimal_contract(holder, method="hull")
+        local = optimal_contract(holder)
         assert answer == (local.alpha_star, local.set_star)
         assert answer[1].mask == 5
 
@@ -391,7 +391,7 @@ class TestProtocols:
         aug = build_augmented("sup-sup", build_equal_revenue_supmod_c(4), ones, ones)
         width = 64
         cap = 2 * sparseness_ceiling(4) * width
-        table = enumerate_breakpoints(aug.instance, method="hull")
+        table = enumerate_breakpoints(aug.instance)
         for b in table:
             channel = Channel(width)
             got = augmented_br_protocol(aug, b.alpha, channel)
@@ -424,5 +424,4 @@ class TestAugmentCache:
             base = build_equal_revenue_submod_f(4, precision_bits=(192, 256)[k % 2])
             aug = build_augmented("sub-sub", base, ones, ones)
             assert aug.perturbed.ctx == base.ctx, k
-            base.meta.clear()  # its analytic table points back at it
             del base, aug  # freed now, by reference count

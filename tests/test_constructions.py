@@ -20,6 +20,7 @@ from contractlab.constructions import (
 )
 from contractlab.core import SetFunctionOracle
 from contractlab.reals import exact
+from contractlab.serialize import instance_to_dict, load_instance
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 
 from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables
@@ -57,14 +58,21 @@ class TestSubmodFBase:
         assert inst.c.weights == [1, 2, 4, 8]
         assert inst.c.eval_mask(0b1010) == 10
 
-    def test_hull_analytic_agree(self):
-        inst = build_equal_revenue_submod_f(4)
-        hull = enumerate_breakpoints(inst, method="hull")
-        analytic = enumerate_breakpoints(inst, method="auto")
-        assert [b.aset.mask for b in analytic] == [b.aset.mask for b in hull]
-        tol = inst.ctx.maximizer_tolerance
-        for x, y in zip(analytic, hull):
-            assert abs(x.alpha - y.alpha) <= tol
+    def test_meta_alphas_are_the_tables_critical_values(self):
+        # alpha_table is the hull's own alphas, value for value and type for
+        # type, on both kinds, and save/load derives it again from the tables
+        for inst in (
+            build_equal_revenue_submod_f(4),
+            build_equal_revenue_submod_f(4, precision_bits=192),
+            build_equal_revenue_supmod_c(4),
+        ):
+            back = load_instance(instance_to_dict(inst))
+            for x in (inst, back):
+                alphas = enumerate_breakpoints(x).alphas()
+                assert [(type(a), a) for a in x.meta["alpha_table"]] == [
+                    (type(a), a) for a in alphas
+                ]
+            assert back.meta["alpha_table"] == inst.meta["alpha_table"]
 
     def test_low_precision_collides(self):
         # 24-bit mantissas cannot separate 2^14 - 1 chain values near 1
@@ -112,7 +120,7 @@ class TestSupmodCBase:
 
     def test_first_breakpoint_alpha_zero_incentivizes_s1(self):
         inst = build_equal_revenue_supmod_c(3)
-        table = enumerate_breakpoints(inst, method="hull")
+        table = enumerate_breakpoints(inst)
         assert table[0].alpha == 0
         assert table[0].aset.mask == 1
         assert table[0].agent_utility == 0

@@ -82,7 +82,7 @@ class TestPerturbedInstances:
         eps = epsilon_bound(base).default_epsilon
         for k in (1, 7, 15):
             fam = make_perturbed(base, k, eps)
-            sol = optimal_contract(fam.instance, method="hull")
+            sol = optimal_contract(fam.instance)
             assert sol.set_star.mask == k
             assert len(sol.all_maximizers) == 1
 
@@ -91,7 +91,7 @@ class TestPerturbedInstances:
         eps = epsilon_bound(base).default_epsilon
         for k in (2, 9, 15):
             fam = make_perturbed(base, k, eps)
-            sol = optimal_contract(fam.instance, method="hull")
+            sol = optimal_contract(fam.instance)
             assert sol.set_star.mask == k
             assert len(sol.all_maximizers) == 1
 
@@ -99,8 +99,8 @@ class TestPerturbedInstances:
         base = build_equal_revenue_supmod_c(4)
         eps = epsilon_bound(base).default_epsilon
         k = 6
-        before = enumerate_breakpoints(base, method="hull")
-        after = enumerate_breakpoints(make_perturbed(base, k, eps).instance, method="hull")
+        before = enumerate_breakpoints(base)
+        after = enumerate_breakpoints(make_perturbed(base, k, eps).instance)
         assert [b.aset.mask for b in before] == [b.aset.mask for b in after]
         for x, y in zip(before, after):
             # exact rationals: the alphas of S_k and S_(k+1) shift, no others

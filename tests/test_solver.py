@@ -44,7 +44,7 @@ class TestEnumeration:
         # on int/Fraction tables every alpha after the first is an exact
         # Fraction, also where both differences are plain ints
         n, ftab, ctab = tables
-        table = enumerate_breakpoints(instance_from_tables(ftab, ctab), method="hull")
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab))
         want = brute_breakpoints(ftab, ctab)
         assert [b.aset.mask for b in table] == [m for _, m in want]
         assert [b.alpha for b in table] == [a for a, _ in want]
@@ -56,7 +56,7 @@ class TestEnumeration:
         # float and mpf tables: the sets are the exact ones; each alpha is
         # the entries' own quotient, so within a few ulps of the exact slope
         n, ftab, ctab = data.draw(real_monotone_instance_tables(bits))
-        table = enumerate_breakpoints(instance_from_tables(ftab, ctab, bits), method="hull")
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab, bits))
         want = brute_breakpoints(ftab, ctab)
         assert [b.aset.mask for b in table] == [m for _, m in want]
         for b, (a, _) in zip(table, want):
@@ -67,7 +67,7 @@ class TestEnumeration:
     def test_matches_brute_force_probe(self, tables):
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
-        table = enumerate_breakpoints(inst, method="hull")
+        table = enumerate_breakpoints(inst)
         want = brute_breakpoints(ftab, ctab)
         assert [b.aset.mask for b in table] == [m for _, m in want]
         assert [b.alpha for b in table] == [a for a, _ in want]
@@ -76,7 +76,7 @@ class TestEnumeration:
     @settings(max_examples=50, deadline=None)
     def test_table_invariants(self, tables):
         n, ftab, ctab = tables
-        table = enumerate_breakpoints(instance_from_tables(ftab, ctab), method="hull")
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab))
         assert table[0].alpha == 0
         alphas = table.alphas()
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
@@ -90,7 +90,7 @@ class TestEnumeration:
         """Each breakpoint's set is the best response slightly above its alpha."""
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
-        table = enumerate_breakpoints(inst, method="hull")
+        table = enumerate_breakpoints(inst)
         alphas = table.alphas() + [Fraction(1)]
         for b, nxt in zip(table, alphas[1:]):
             mid = (Fraction(b.alpha) + Fraction(nxt)) / 2
@@ -98,7 +98,7 @@ class TestEnumeration:
 
     def test_worked_example(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
-        table = enumerate_breakpoints(inst, method="hull")
+        table = enumerate_breakpoints(inst)
         assert [(b.alpha, b.aset.mask) for b in table] == [
             (0, 0b00),
             (Fraction(1, 2), 0b10),
@@ -107,7 +107,7 @@ class TestEnumeration:
 
     def test_int_tables_give_exact_alphas(self):
         inst = instance_from_tables([0, 3, 3, 7], [0, 1, 1, 4])
-        sol = optimal_contract(inst, method="hull")
+        sol = optimal_contract(inst)
         alphas = sol.table.alphas()
         assert alphas == [0, Fraction(1, 3), Fraction(3, 4)]
         assert all(type(a) is Fraction for a in alphas[1:])
@@ -116,7 +116,7 @@ class TestEnumeration:
 
     def test_unknown_method(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
-        for method in ("magic", "scan"):
+        for method in ("magic", "scan", "auto"):
             with pytest.raises(ParameterError):
                 enumerate_breakpoints(inst, method=method)
 
