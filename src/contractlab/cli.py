@@ -23,6 +23,7 @@ from .serialize import (
     number_to_str,
     save_instance,
 )
+from .solver import chain_alphas
 
 
 def _emit(text: str, out: str | None):
@@ -34,9 +35,22 @@ def _emit(text: str, out: str | None):
 
 
 def _load(args) -> ContractInstance:
-    if not args.instance:
-        raise SystemExit("--instance required")
-    return load_instance(args.instance)
+    """The --instance file or JSON text.  Input that does not read as an
+    instance (not JSON, a table of the wrong length, an unknown oracle kind,
+    a bad number) exits 1 with one line on stderr instead of a traceback."""
+    try:
+        return load_instance(args.instance)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise SystemExit(f"contractlab: cannot load instance: {type(exc).__name__}: {exc}")
+
+
+def _on_chain(inst) -> bool:
+    """Whether the tables form the equal-revenue chain of the instance's kind."""
+    try:
+        chain_alphas(inst)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_construct(args) -> int:
@@ -125,8 +139,13 @@ def _check_equal_revenue(inst, report, seed):
 
 
 def _check_gap_bounds(inst, report, seed):
+    """The square-root recurrence's gap bounds at the instance's n, for an
+    instance whose tables form the equal-revenue chain."""
     from .constructions import check_gap_bounds
 
+    if not _on_chain(inst):
+        report["gap_bounds"] = {"ok": False, "reason": "needs an equal-revenue base"}
+        return False
     r = check_gap_bounds(inst.n)
     report["gap_bounds"] = {"ok": r.ok, "violations": [list(v) for v in r.violations[:10]]}
     return r.ok
@@ -141,7 +160,7 @@ def _check_sparse_demand(inst, report, seed):
         sparseness_ceiling,
     )
 
-    if inst.c.weights is None or "alpha_table" not in inst.meta:
+    if inst.c.weights is None or not _on_chain(inst):
         report["sparse_demand"] = {"ok": False, "reason": "needs additive-cost equal-revenue base"}
         return False
     sigma = sigma_bound_demand(inst).sigma
@@ -173,7 +192,7 @@ def _check_cc_invariants(inst, report, seed):
     if n % 2:
         report["cc_invariants"] = {"ok": False, "reason": "even n required"}
         return False
-    if "alpha_table" not in inst.meta:
+    if not _on_chain(inst):
         report["cc_invariants"] = {"ok": False, "reason": "needs an equal-revenue base"}
         return False
     kind = inst.meta.get("kind")
@@ -255,7 +274,7 @@ def _experiment_sim(args, role):
     agree = total = 0
     max_queries = 0
     with base.ctx.workprec():
-        breakpoint_prices = [prices_for(partner, a) for a in base.meta["alpha_table"] if a > 0]
+        breakpoint_prices = [prices_for(partner, a) for a in chain_alphas(base) if a > 0]
         for fam in family_iterator(base):
             hidden = getattr(fam.instance, side)
             price_sets = breakpoint_prices + [random_prices(base.n, rng) for _ in range(args.trials)]
@@ -336,7 +355,7 @@ def _experiment_protocol_bench(args):
     width = base.precision_bits
     # exact alphas: an mpf alpha would score the exact augmented tables at
     # mpmath's ambient precision
-    alphas = [exact(a) for a in base.meta["alpha_table"]]
+    alphas = [exact(a) for a in chain_alphas(base)]
     matches = 0
     max_bits = 0
     br_calls = 0

@@ -37,6 +37,7 @@ from .core import (
 from .constructions import ConstructionIntegrityError
 from .perturb import _adjacent_submodularity_margin
 from .reals import exact
+from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
 
 VARIANTS = ("sub-sub", "sub-sup", "sup-sup")
@@ -158,9 +159,7 @@ def delta_bound(base: ContractInstance, variant: str) -> DeltaBudget:
     size = 1 << n
     ftab = base.f.value_table()
     ctab = base.c.value_table()
-    alphas = base.meta.get("alpha_table")
-    if alphas is None:
-        raise ValueError("base must be an equal-revenue construction")
+    alphas = chain_alphas(base)
     with base.ctx.workprec():
         if variant == "sup-sup":
             # alphas[t-1] is the critical value of S_t on this base
@@ -199,7 +198,7 @@ def _zeta(variant, base, delta):
     n = base.n
     ftab = [exact(v) for v in base.f.value_table()]
     gaps = [b - a for a, b in zip(ftab, ftab[1:])]
-    factor = exact(delta) * (1 - exact(base.meta["alpha_table"][-1])) / (16 * n * n)
+    factor = exact(delta) * (1 - exact(chain_alphas(base)[-1])) / (16 * n * n)
     if variant == "sup-sup":
         return factor * min([Fraction(1, 2)] + gaps) / (ftab[-1] + 1)
     return factor * min(gaps) / ftab[-1]
@@ -207,7 +206,7 @@ def _zeta(variant, base, delta):
 
 def _grid_bits(variant, base, delta, f_bound) -> int:
     """Least kappa with 2^-kappa <= zeta (1 - alpha_max) / (64 f_bound)."""
-    alpha_max = exact(base.meta["alpha_table"][-1])
+    alpha_max = exact(chain_alphas(base)[-1])
     step = _zeta(variant, base, delta) * (1 - alpha_max) / (64 * f_bound)
     return (ceil(1 / step) - 1).bit_length()
 
@@ -366,7 +365,7 @@ class AugmentedCCInstance:
         and an augmenting optimum of an intersecting pair pays more than 1
         plus it.
         """
-        return self.z * (1 - exact(self.base.meta["alpha_table"][-1])) / 16
+        return self.z * (1 - exact(chain_alphas(self.base)[-1])) / 16
 
 
 def _margins(tab, n, sense):

@@ -12,7 +12,7 @@ breakpoint table is stored: solvers read every critical value off the f
 and c tables (solver.critical_values).  meta["alpha_table"] lists the
 chain's critical values, the same values, of the same types, that
 critical_values reports; perturb, sparse and commlab read their bounds
-from it.
+from it through solver.chain_alphas, which derives it on a loaded instance.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .core import ContractInstance, SetFunctionOracle
 from .constructions import ConstructionIntegrityError
+from .solver import chain_alphas
 
 REWARD_BONUS = "reward-bonus"
 COST_DISCOUNT = "cost-discount"
@@ -92,12 +93,7 @@ def _adjacent_submodularity_margin(tab, n, sense):
 
 
 def _chain_tables(base: ContractInstance):
-    ftab = base.f.value_table()
-    ctab = base.c.value_table()
-    alphas = base.meta.get("alpha_table")
-    if alphas is None:
-        raise ValueError("base must be an equal-revenue construction")
-    return ftab, ctab, alphas
+    return base.f.value_table(), base.c.value_table(), chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:

@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .core import ContractInstance, SetFunctionOracle
 from .reals import RealContext
@@ -34,6 +35,8 @@ def number_to_str(x) -> str:
 
 
 def number_from_str(s: str):
+    if not isinstance(s, str):
+        raise TypeError(f"numbers are written as strings, got {s!r}")
     s = s.strip()
     if s.startswith(("0x", "-0x")):
         return float.fromhex(s)
@@ -42,10 +45,8 @@ def number_from_str(s: str):
         return Fraction(int(num), int(den))
     if "p" in s:
         man, exp = s.split("p")
-        man, exp = int(man), int(exp)
-        # exact: widen precision to hold the whole mantissa
-        with mpmath.workprec(max(man.bit_length(), 2) + 8):
-            return mpmath.ldexp(mpmath.mpf(man), exp)
+        # exact: the normalized tuple of man * 2^exp, rounded at no precision
+        return mpmath.mp.make_mpf(libmp.from_man_exp(int(man), int(exp)))
     return int(s)
 
 
@@ -80,10 +81,6 @@ def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
 
 
 _META_SCALARS = ("kind", "base_kind", "k", "epsilon", "direction", "grid_bits")
-# first set of each equal-revenue chain: the empty set at alpha = 0 on the
-# submodular-reward base; on the supermodular-cost base S_1 costs 0 as well
-# and pays more, so the chain starts there
-_CHAIN_START = {"equal_revenue_submod_f": 0, "equal_revenue_supmod_c": 1}
 
 
 def instance_to_dict(inst: ContractInstance) -> dict:
@@ -121,22 +118,7 @@ def instance_from_dict(d: dict) -> ContractInstance:
         if key in meta:
             v = meta[key]
             inst.meta[key] = number_from_str(v) if key == "epsilon" else v
-    start = _CHAIN_START.get(inst.meta.get("kind"))
-    if start is not None:
-        _derive_alpha_table(inst, start)
     return inst
-
-
-def _derive_alpha_table(inst: ContractInstance, start: int) -> None:
-    """Set meta["alpha_table"] from the loaded tables' own critical values,
-    and only if their sets are exactly the chain start..2^n - 1 of the
-    construction; otherwise leave it absent, so every consumer of the chain
-    refuses the instance."""
-    from .solver import critical_values
-
-    pairs = critical_values(inst)
-    if [m for _, m in pairs] == list(range(start, inst.size)):
-        inst.meta["alpha_table"] = [a for a, _ in pairs]
 
 
 def build_named(name: str, params: dict) -> ContractInstance:

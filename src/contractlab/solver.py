@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ActionSet, ContractInstance, _argmax_with_tie_break, lower_hull
+from .reals import RealContext, exact
 from .serialize import number_to_str
 
 
@@ -43,8 +44,14 @@ class Breakpoint:
     aset: ActionSet
     f_value: object
     c_value: object
-    agent_utility: object
     principal_utility: object
+    ctx: RealContext = field(repr=False, compare=False)
+
+    @property
+    def agent_utility(self):
+        """alpha * f - c, rounded as the instance's arithmetic rounds it."""
+        with self.ctx.workprec():
+            return self.alpha * self.f_value - self.c_value
 
 
 @dataclass
@@ -85,8 +92,8 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
         aset=ActionSet(inst.n, mask),
         f_value=fv,
         c_value=cv,
-        agent_utility=alpha * fv - cv,
         principal_utility=(1 - alpha) * fv,
+        ctx=inst.ctx,
     )
 
 
@@ -115,6 +122,32 @@ def critical_values(inst: ContractInstance) -> list[tuple]:
                 alpha = (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
             pairs.append((alpha, cur))
     return pairs
+
+
+# first set of each equal-revenue chain: the empty set at alpha = 0 on the
+# submodular-reward base; on the supermodular-cost base S_1 costs 0 as well
+# and pays more, so the chain starts there
+_CHAIN_START = {"equal_revenue_submod_f": 0, "equal_revenue_supmod_c": 1}
+
+
+def chain_alphas(inst: ContractInstance) -> list:
+    """meta["alpha_table"]: the critical values of the construction's chain.
+
+    The constructions set it.  On a loaded instance of an equal-revenue kind
+    it is derived here, on first use, from the tables' own critical values,
+    and kept only if their sets are exactly the chain start..2^n - 1 of the
+    construction; any other instance is refused with ValueError.
+    """
+    alphas = inst.meta.get("alpha_table")
+    if alphas is not None:
+        return alphas
+    start = _CHAIN_START.get(inst.meta.get("kind"))
+    if start is not None:
+        pairs = critical_values(inst)
+        if [m for _, m in pairs] == list(range(start, inst.size)):
+            alphas = inst.meta["alpha_table"] = [a for a, _ in pairs]
+            return alphas
+    raise ValueError("base must be an equal-revenue construction")
 
 
 def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> BreakpointTable:
@@ -167,7 +200,8 @@ def optimal_contract(
     for max (1 - alpha) * f(S_alpha).
 
     Canonical answer is the smallest maximizing alpha; all_maximizers lists
-    every breakpoint within tolerance tau = 2^(-precision_bits/2) of the max.
+    every breakpoint within tolerance tau = 2^(-precision_bits/2) of the max,
+    compared exactly (tau is a Fraction when the hull is rational).
     """
     if table is None:
         table = enumerate_breakpoints(inst)
@@ -176,6 +210,8 @@ def optimal_contract(
         # equal ties: the lower index, i.e. the smaller alpha, wins
         best = table[_argmax_with_tie_break(utils, [0] * len(utils))]
         tau = inst.ctx.maximizer_tolerance
+        if lower_hull(inst).rational:
+            tau = exact(tau)
         near = [b for b in table if best.principal_utility - b.principal_utility <= tau]
     return ContractSolution(
         alpha_star=best.alpha,

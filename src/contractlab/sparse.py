@@ -20,6 +20,7 @@ from .core import (
     value,
 )
 from .reals import RealContext
+from .solver import chain_alphas
 
 
 class InvariantError(AssertionError):
@@ -89,9 +90,7 @@ class SigmaBound:
 def _adjacent_pair_min(base, first, gap) -> SigmaBound:
     """Half the least gap(alpha_l, alpha_(l+1)) over l >= first; a gap of None
     skips its pair."""
-    alphas = base.meta.get("alpha_table")
-    if alphas is None:
-        raise ValueError("base must be an equal-revenue construction")
+    alphas = chain_alphas(base)
     with base.ctx.workprec():
         best = None
         pair = None

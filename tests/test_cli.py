@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from contractlab import solver
 from contractlab.cli import build_parser, main
 from contractlab.core import ContractInstance, SetFunctionOracle
 from contractlab.serialize import (
@@ -21,7 +26,7 @@ from contractlab.serialize import (
     save_instance,
 )
 from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
-from contractlab.solver import enumerate_breakpoints, optimal_contract
+from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
 
 def run(args):
@@ -37,6 +42,32 @@ class TestSerialization:
             vals.append(mpmath.mpf(2) ** 0.5)
         for v in vals:
             assert number_from_str(number_to_str(v)) == v
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        man=st.one_of(
+            st.integers(-(1 << 1000), 1 << 1000),
+            st.builds(lambda m, k: m << k, st.integers(-(1 << 900), 1 << 900), st.integers(1, 100)),
+        ),
+        exp=st.integers(-1200, 50),
+    )
+    @example(man=0, exp=-1200)
+    @example(man=-(1 << 999), exp=50)
+    def test_mpf_parse_is_exact(self, man, exp):
+        # the same normalized tuple as ldexp at a precision that holds the
+        # whole mantissa, zero and even mantissas included
+        with mpmath.workprec(max(man.bit_length(), 2) + 8):
+            want = mpmath.ldexp(mpmath.mpf(man), exp)._mpf_
+        assert number_from_str(f"{man}p{exp}")._mpf_ == want
+
+    def test_n14_round_trip_keeps_every_mpf(self, tmp_path):
+        inst = build_equal_revenue_submod_f(14, precision_bits=420)
+        path = tmp_path / "n14.json"
+        save_instance(inst, str(path))
+        back = load_instance(str(path))
+        assert [v._mpf_ for v in back.f.value_table()] == [
+            v._mpf_ for v in inst.f.value_table()
+        ]
 
     def test_instance_round_trip_preserves_solution(self):
         for inst in (build_equal_revenue_submod_f(3), build_equal_revenue_supmod_c(3)):
@@ -299,13 +330,15 @@ class TestTablesAreTheTruth:
         assert data["meta"] == {"kind": "equal_revenue_submod_f"}
         data["f"]["values"] = [number_to_str(0.0)] * 16
         path.write_text(json.dumps(data))
-        assert "alpha_table" not in load_instance(str(path)).meta
+        with pytest.raises(ValueError):
+            chain_alphas(load_instance(str(path)))
         rep = solve_report(data)
         assert rep["principal_utility"] == number_to_str(0.0)
         assert rep["breakpoint_count"] == 1
-        for check in ("equal-revenue", "sparse-demand"):
+        for check in ("equal-revenue", "sparse-demand", "gap-bounds"):
             out = tmp_path / f"{check}.json"
             assert run(["verify", "--instance", str(path), "--out", str(out), check]) == 1
+        assert json.loads(out.read_text())["gap_bounds"]["reason"]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -329,6 +362,72 @@ class TestTablesAreTheTruth:
         entries[pick % len(entries)] = number_to_str(new)
         bare = {key: v for key, v in data.items() if key != "meta"}
         assert solve_report(data) == solve_report(bare)
+
+
+class TestComputedOnce:
+    def test_one_critical_value_pass_per_solve(self, tmp_path, monkeypatch):
+        # load derives nothing; solve reads the critical values once, and
+        # --fptas asks the hull for best responses, not for them
+        path = tmp_path / "i.json"
+        save_instance(build_equal_revenue_submod_f(6), str(path))
+        calls = []
+        counted = solver.critical_values
+
+        def counting(inst):
+            calls.append(inst)
+            return counted(inst)
+
+        monkeypatch.setattr(solver, "critical_values", counting)
+        load_instance(str(path))
+        assert calls == []
+        for extra in ([], ["--fptas", "0.1"]):
+            calls.clear()
+            out = tmp_path / "r.json"
+            assert run(["solve", "--instance", str(path), "--out", str(out), *extra]) == 0
+            assert len(calls) == 1
+
+
+class TestMalformedInput:
+    """A file that does not read as an instance ends solve and verify with
+    one line, not a traceback."""
+
+    @staticmethod
+    def spoiled(fault) -> str:
+        data = json.loads(run_construct("equal_revenue_supmod_c", 3))
+        if fault == "not-json":
+            return json.dumps(data)[:-2]
+        if fault == "table-length":
+            data["c"]["values"].pop()
+        elif fault == "oracle-kind":
+            data["c"]["kind"] = "lookup"
+        elif fault == "number":
+            data["c"]["values"][3] = "3/x"
+        else:  # a JSON number where the format writes a string
+            data["c"]["values"][3] = 3
+        return json.dumps(data)
+
+    @pytest.mark.parametrize(
+        "fault", ["not-json", "table-length", "oracle-kind", "number", "unquoted-number"]
+    )
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "structure"]])
+    def test_one_line_and_nonzero_exit(self, tmp_path, fault, command):
+        path = tmp_path / "bad.json"
+        path.write_text(self.spoiled(fault))
+        with pytest.raises(SystemExit) as exc:
+            run([command[0], "--instance", str(path), *command[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("contractlab: cannot load instance: ")
+
+    def test_process_exit_status_and_stderr(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "contractlab.cli", "solve", "--instance", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestParser:

@@ -148,6 +148,25 @@ class TestOptimalContract:
         for b in sol.table:
             assert sol.principal_utility >= b.principal_utility
 
+    @given(mixed_monotone_instance_tables(max_n=3), st.sampled_from([24, 53, 80]))
+    @settings(max_examples=80, deadline=None)
+    def test_all_maximizers_use_exact_tolerance(self, tables, bits):
+        # every breakpoint within tau = 2^-(bits // 2) of the best, compared
+        # exactly; above 53 bits tau is an mpf, which no Fraction compares with
+        n, ftab, ctab = tables
+        sol = optimal_contract(instance_from_tables(ftab, ctab, bits))
+        tau = Fraction(1, 1 << (bits // 2))
+        utils = [(1 - a) * exact(ftab[m]) for a, m in brute_breakpoints(ftab, ctab)]
+        want = [t for t, u in enumerate(utils) if max(utils) - u <= tau]
+        assert [b.position for b in sol.all_maximizers] == want
+
+    @pytest.mark.parametrize("extra, count", [(0, 2), (Fraction(1, 1 << 40), 1)])
+    def test_tolerance_edge_is_exact(self, extra, count):
+        # at 24 bits tau = 2^-12: S_2 pays 2 - 2^-12 - 2 extra against S_1's 2
+        ctab = [0, 2, 5 + Fraction(1, 1 << 13) + extra, 9]
+        sol = optimal_contract(instance_from_tables([0, 4, 8, 9], ctab, bits=24))
+        assert [b.aset.mask for b in sol.all_maximizers] == [1, 2][:count]
+
     def test_utility_helpers(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
         s = best_response(inst, Fraction(3, 4))
