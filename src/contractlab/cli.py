@@ -71,11 +71,10 @@ def cmd_solve(args) -> int:
     from .solver import enumerate_breakpoints, fptas, optimal_contract
 
     inst = _load(args)
-    table = enumerate_breakpoints(inst, method=args.method)
-    sol = optimal_contract(inst, table=table)
     if args.format == "csv":
-        _emit(dump_csv(table.csv_rows()), args.out)
+        _emit(dump_csv(enumerate_breakpoints(inst, method=args.method).csv_rows()), args.out)
         return 0
+    sol = optimal_contract(inst)
     report = {
         "instance": inst.name,
         "n": inst.n,
@@ -83,8 +82,8 @@ def cmd_solve(args) -> int:
         "set_star_mask": sol.set_star.mask,
         "set_star": sorted(sol.set_star.members()),
         "principal_utility": number_to_str(sol.principal_utility),
-        "co_optimal_breakpoints": [b.position for b in sol.all_maximizers],
-        "breakpoint_count": len(table),
+        "co_optimal_breakpoints": sol.co_optimal,
+        "breakpoint_count": sol.breakpoint_count,
     }
     if args.fptas is not None:
         approx = fptas(inst, args.fptas)
@@ -140,11 +139,16 @@ def _check_equal_revenue(inst, report, seed):
 
 def _check_gap_bounds(inst, report, seed):
     """The square-root recurrence's gap bounds at the instance's n, for an
-    instance whose tables form the equal-revenue chain."""
+    instance whose tables form the submodular-reward equal-revenue chain,
+    the one construction the recurrence describes."""
     from .constructions import check_gap_bounds
 
     if not _on_chain(inst):
         report["gap_bounds"] = {"ok": False, "reason": "needs an equal-revenue base"}
+        return False
+    if inst.meta.get("kind") != "equal_revenue_submod_f":
+        reason = "the square-root recurrence bounds only the equal_revenue_submod_f chain"
+        report["gap_bounds"] = {"ok": False, "reason": reason}
         return False
     r = check_gap_bounds(inst.n)
     report["gap_bounds"] = {"ok": r.ok, "violations": [list(v) for v in r.violations[:10]]}

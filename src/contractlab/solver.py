@@ -2,8 +2,8 @@
 
 A breakpoint (critical value) is the minimal contract alpha incentivizing a
 given set.  The optimal linear contract always sits on a breakpoint, so the
-exact solver enumerates the breakpoint table and takes the maximal
-principal utility (1 - alpha) * f(S) on it.
+exact solver takes the maximal principal utility (1 - alpha) * f(S) over
+the breakpoints, scored exactly on the instance's lower hull.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ActionSet, ContractInstance, _argmax_with_tie_break, lower_hull
-from .reals import RealContext, exact
+from .reals import RealContext, ratio
 from .serialize import number_to_str
 
 
@@ -97,30 +97,40 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
+def _critical_alpha(hull, j):
+    """The alpha of the critical value reached over hull edge j: the exact
+    slope, a Fraction, when the hull is rational, else the tables' own
+    entry differences divided in their own arithmetic.  Call inside the
+    working precision."""
+    if hull.rational:
+        return Fraction(hull.nums[j], hull.dens[j])
+    prev, cur = hull.vertices[j], hull.vertices[j + 1]
+    ftab, ctab = hull.f_table, hull.c_table
+    return (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
+
+
+def _chain(hull) -> range:
+    """The hull edges j whose slopes are critical values, each reaching
+    vertices[j + 1]: from the alpha = 0 best response, vertices[index(0)],
+    up to the first slope >= 1, both decided exactly."""
+    end = hull.index(1)
+    if end and hull.nums[end - 1] == hull.dens[end - 1]:  # slope exactly 1
+        end -= 1
+    return range(hull.index(0), end)
+
+
 def critical_values(inst: ContractInstance) -> list[tuple]:
     """(alpha, mask) of every critical value, in increasing order, read off
-    the instance's lower hull (core.lower_hull).
+    the instance's lower hull (core.lower_hull) along _chain.
 
-    Starts at the alpha = 0 best response and stops before the first slope
-    >= 1, both decided exactly.  The alphas of float and mpf tables are the
-    tables' own entry differences divided in their own arithmetic; with two
-    int/Fraction tables each alpha is the exact slope, a Fraction.  The
-    first alpha is the int 0, exact in every representation.
+    The first alpha is the int 0, exact in every representation; each
+    later one is _critical_alpha's.
     """
     hull = lower_hull(inst)
-    ftab, ctab = hull.f_table, hull.c_table
-    k = hull.index(0)
-    chain = hull.vertices[k:]
-    pairs = [(0, chain[0])]
+    edges = _chain(hull)
+    pairs = [(0, hull.vertices[edges.start])]
     with inst.ctx.workprec():
-        for prev, cur, num, den in zip(chain, chain[1:], hull.nums[k:], hull.dens[k:]):
-            if num >= den:  # slope >= 1
-                break
-            if hull.rational:  # the exact slope is the alpha
-                alpha = Fraction(num, den)
-            else:
-                alpha = (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
-            pairs.append((alpha, cur))
+        pairs += [(_critical_alpha(hull, j), hull.vertices[j + 1]) for j in edges]
     return pairs
 
 
@@ -189,36 +199,56 @@ class ContractSolution:
     alpha_star: object
     set_star: ActionSet
     principal_utility: object
-    all_maximizers: list[Breakpoint]
-    table: BreakpointTable
+    co_optimal: list[int]  # positions t of the critical values within tau of the max
+    breakpoint_count: int
 
 
-def optimal_contract(
-    inst: ContractInstance, table: BreakpointTable | None = None
-) -> ContractSolution:
-    """Scan the breakpoint table (enumerate_breakpoints, unless one is given)
-    for max (1 - alpha) * f(S_alpha).
+def optimal_contract(inst: ContractInstance) -> ContractSolution:
+    """max (1 - alpha) * f(S_alpha) over the critical values, decided exactly
+    on the instance's lower hull.
 
-    Canonical answer is the smallest maximizing alpha; all_maximizers lists
-    every breakpoint within tolerance tau = 2^(-precision_bits/2) of the max,
-    compared exactly (tau is a Fraction when the hull is rational).
+    The walk is critical_values' (_chain).  Critical value t, reached over
+    an edge of slope num / den, pays the principal exactly
+    (den - num) p / (den q), with p / q the exact value of its f entry
+    (reals.ratio), and these int pairs are compared by cross-multiplication
+    in every representation.  Canonical answer is the smallest maximizing
+    alpha; co_optimal lists every position within
+    tau = 2^(-precision_bits/2) of the max, also compared exactly.  Only the
+    winner's row is built (_make_breakpoint), so its alpha and utility are
+    those enumerate_breakpoints reports for it, in the instance's own
+    arithmetic.
     """
-    if table is None:
-        table = enumerate_breakpoints(inst)
+    hull = lower_hull(inst)
+    verts, ftab = hull.vertices, hull.f_table
+    edges = _chain(hull)
+    k, end = edges.start, edges.stop
+    p, q = ratio(ftab[verts[k]])
+    scores = [(p, q)]  # (1 - alpha_t) f(S_t) as a numerator, denominator pair
+    best, bn, bd = 0, p, q
+    pn, pd = 0, 1  # the previous alpha, 0 at t = 0
+    for num, den, mask in zip(hull.nums[k:end], hull.dens[k:end], verts[k + 1 : end + 1]):
+        fp, fq = ratio(ftab[mask])
+        # c rises with f wherever the slope dC / dF is positive, which
+        # alpha > alpha_0 = 0 makes it
+        if not (pn * den < num * pd and p * fq < fp * q):
+            raise AssertionError("alpha, f, c must be strictly increasing along the table")
+        sn, sd = (den - num) * fp, den * fq
+        if sn * bd > bn * sd:  # equal ties: the smaller alpha wins
+            best, bn, bd = len(scores), sn, sd
+        scores.append((sn, sd))
+        p, q, pn, pd = fp, fq, num, den
+    tp, tq = ratio(inst.ctx.maximizer_tolerance)
+    ln, ld = bn * tq - tp * bd, bd * tq  # the max less tau
+    near = [t for t, (sn, sd) in enumerate(scores) if sn * ld >= ln * sd]
     with inst.ctx.workprec():
-        utils = [b.principal_utility for b in table]
-        # equal ties: the lower index, i.e. the smaller alpha, wins
-        best = table[_argmax_with_tie_break(utils, [0] * len(utils))]
-        tau = inst.ctx.maximizer_tolerance
-        if lower_hull(inst).rational:
-            tau = exact(tau)
-        near = [b for b in table if best.principal_utility - b.principal_utility <= tau]
+        alpha = _critical_alpha(hull, k + best - 1) if best else 0
+        row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, hull.c_table)
     return ContractSolution(
-        alpha_star=best.alpha,
-        set_star=best.aset,
-        principal_utility=best.principal_utility,
-        all_maximizers=near,
-        table=table,
+        alpha_star=row.alpha,
+        set_star=row.aset,
+        principal_utility=row.principal_utility,
+        co_optimal=near,
+        breakpoint_count=len(scores),
     )
 
 

@@ -119,7 +119,7 @@ def test_criterion_04_perturbed_family():
     for fam in family_iterator(base):  # every k in [1, 63] at eps = budget/2
         sol = optimal_contract(fam.instance)
         assert sol.set_star.mask == fam.k, fam.k
-        assert len(sol.all_maximizers) == 1, fam.k
+        assert len(sol.co_optimal) == 1, fam.k
     assert fam.k == 63
 
 

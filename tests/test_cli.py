@@ -118,7 +118,7 @@ class TestConstructSolveVerify:
         want = optimal_contract(load_instance(str(inst_path)))
         assert sol["set_star"] == sorted(want.set_star.members())
         assert sol["alpha_star"] == number_to_str(want.alpha_star)
-        assert len(sol["co_optimal_breakpoints"]) == len(want.all_maximizers) == 8
+        assert len(sol["co_optimal_breakpoints"]) == len(want.co_optimal) == 8
         csv_out = tmp_path / "t.csv"
         run(["solve", "--instance", str(inst_path), "--format", "csv", "--out", str(csv_out)])
         header = csv_out.read_text().splitlines()[0]
@@ -216,6 +216,19 @@ class TestConstructSolveVerify:
         assert json.loads(out.read_text())["cc_invariants"] == {
             "ok": False, "reason": "needs an equal-revenue base",
         }
+
+    def test_gap_bounds_only_on_the_submod_f_chain(self, tmp_path):
+        # the square-root recurrence is the submodular-reward chain's; the
+        # supermodular-cost chain's alphas (t-1)/t are not bounded by it
+        out = tmp_path / "rep.json"
+        for kind, n, code in (("equal_revenue_supmod_c", 3, 1), ("equal_revenue_submod_f", 4, 0)):
+            inst_path = tmp_path / f"{kind}.json"
+            run(["construct", kind, "--n", str(n), "--out", str(inst_path)])
+            assert run(["verify", "--instance", str(inst_path), "--out", str(out),
+                        "gap-bounds"]) == code
+            report = json.loads(out.read_text())["gap_bounds"]
+            assert report["ok"] is (code == 0)
+            assert ("reason" in report) is (code == 1)
 
     def test_verify_unknown_check(self, tmp_path):
         inst_path = tmp_path / "i.json"
@@ -366,25 +379,29 @@ class TestTablesAreTheTruth:
 
 class TestComputedOnce:
     def test_one_critical_value_pass_per_solve(self, tmp_path, monkeypatch):
-        # load derives nothing; solve reads the critical values once, and
-        # --fptas asks the hull for best responses, not for them
+        # load derives nothing; a JSON solve, with or without --fptas, scores
+        # the hull without the critical values and builds the winner's row
+        # only, and a CSV solve reads the critical values once
         path = tmp_path / "i.json"
         save_instance(build_equal_revenue_submod_f(6), str(path))
-        calls = []
-        counted = solver.critical_values
+        calls = dict.fromkeys(("critical_values", "_make_breakpoint"), 0)
+        for name in calls:
 
-        def counting(inst):
-            calls.append(inst)
-            return counted(inst)
+            def counted(*args, name=name, original=getattr(solver, name)):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(solver, "critical_values", counting)
+            monkeypatch.setattr(solver, name, counted)
         load_instance(str(path))
-        assert calls == []
+        assert calls == {"critical_values": 0, "_make_breakpoint": 0}
+        out = tmp_path / "r.out"
         for extra in ([], ["--fptas", "0.1"]):
-            calls.clear()
-            out = tmp_path / "r.json"
+            calls.update(dict.fromkeys(calls, 0))
             assert run(["solve", "--instance", str(path), "--out", str(out), *extra]) == 0
-            assert len(calls) == 1
+            assert calls == {"critical_values": 0, "_make_breakpoint": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(["solve", "--instance", str(path), "--format", "csv", "--out", str(out)]) == 0
+        assert calls == {"critical_values": 1, "_make_breakpoint": 64}
 
 
 class TestMalformedInput:

@@ -83,7 +83,7 @@ class TestSubmodFBase:
     def test_all_breakpoints_co_optimal(self):
         inst = build_equal_revenue_submod_f(3)
         sol = optimal_contract(inst)
-        assert len(sol.all_maximizers) == 8
+        assert len(sol.co_optimal) == 8
 
 
 class TestSupmodCBase:

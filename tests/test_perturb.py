@@ -84,7 +84,7 @@ class TestPerturbedInstances:
             fam = make_perturbed(base, k, eps)
             sol = optimal_contract(fam.instance)
             assert sol.set_star.mask == k
-            assert len(sol.all_maximizers) == 1
+            assert len(sol.co_optimal) == 1
 
     def test_cost_discount_makes_unique_optimum(self):
         base = build_equal_revenue_supmod_c(4)
@@ -93,7 +93,7 @@ class TestPerturbedInstances:
             fam = make_perturbed(base, k, eps)
             sol = optimal_contract(fam.instance)
             assert sol.set_star.mask == k
-            assert len(sol.all_maximizers) == 1
+            assert len(sol.co_optimal) == 1
 
     def test_only_adjacent_breakpoints_move(self):
         base = build_equal_revenue_supmod_c(4)

@@ -1,5 +1,6 @@
 """Breakpoint enumeration, optimal contracts, and the approximation scheme."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -108,7 +109,7 @@ class TestEnumeration:
     def test_int_tables_give_exact_alphas(self):
         inst = instance_from_tables([0, 3, 3, 7], [0, 1, 1, 4])
         sol = optimal_contract(inst)
-        alphas = sol.table.alphas()
+        alphas = enumerate_breakpoints(inst).alphas()
         assert alphas == [0, Fraction(1, 3), Fraction(3, 4)]
         assert all(type(a) is Fraction for a in alphas[1:])
         assert sol.alpha_star == Fraction(1, 3)
@@ -137,7 +138,7 @@ class TestOptimalContract:
         inst = instance_from_tables(ftab, ctab)
         sol = optimal_contract(inst)
         assert sol.alpha_star == Fraction(1, 2)
-        assert len(sol.all_maximizers) == 2
+        assert len(sol.co_optimal) == 2
 
     @given(monotone_instance_tables(max_n=3))
     @settings(max_examples=40, deadline=None)
@@ -145,7 +146,7 @@ class TestOptimalContract:
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
         sol = optimal_contract(inst)
-        for b in sol.table:
+        for b in enumerate_breakpoints(inst):
             assert sol.principal_utility >= b.principal_utility
 
     @given(mixed_monotone_instance_tables(max_n=3), st.sampled_from([24, 53, 80]))
@@ -158,14 +159,55 @@ class TestOptimalContract:
         tau = Fraction(1, 1 << (bits // 2))
         utils = [(1 - a) * exact(ftab[m]) for a, m in brute_breakpoints(ftab, ctab)]
         want = [t for t, u in enumerate(utils) if max(utils) - u <= tau]
-        assert [b.position for b in sol.all_maximizers] == want
+        assert sol.co_optimal == want
 
     @pytest.mark.parametrize("extra, count", [(0, 2), (Fraction(1, 1 << 40), 1)])
     def test_tolerance_edge_is_exact(self, extra, count):
         # at 24 bits tau = 2^-12: S_2 pays 2 - 2^-12 - 2 extra against S_1's 2
         ctab = [0, 2, 5 + Fraction(1, 1 << 13) + extra, 9]
-        sol = optimal_contract(instance_from_tables([0, 4, 8, 9], ctab, bits=24))
-        assert [b.aset.mask for b in sol.all_maximizers] == [1, 2][:count]
+        inst = instance_from_tables([0, 4, 8, 9], ctab, bits=24)
+        sol = optimal_contract(inst)
+        table = enumerate_breakpoints(inst)
+        assert [table[t].aset.mask for t in sol.co_optimal] == [1, 2][:count]
+
+    @given(st.sampled_from(["float", "mpf80", "mpf192", "rational"]), st.data())
+    @settings(max_examples=160, deadline=None)
+    def test_exact_argmax_in_every_representation(self, kind, data):
+        # the winner and the co-optimal positions are those of the exact
+        # utilities of the brute-force breakpoints, whatever the tables hold
+        bits = {"float": 53, "mpf80": 80, "mpf192": 192, "rational": 53}[kind]
+        if kind == "rational":
+            n, ftab, ctab = data.draw(mixed_monotone_instance_tables())
+        else:
+            n, ftab, ctab = data.draw(real_monotone_instance_tables(bits))
+        sol = optimal_contract(instance_from_tables(ftab, ctab, bits))
+        want = brute_breakpoints(ftab, ctab)
+        utils = [(1 - a) * exact(ftab[m]) for a, m in want]
+        best = utils.index(max(utils))  # the first, i.e. the smallest alpha
+        tau = Fraction(1, 1 << (bits // 2))
+        assert sol.set_star.mask == want[best][1]
+        assert sol.co_optimal == [t for t, u in enumerate(utils) if utils[best] - u <= tau]
+        assert sol.breakpoint_count == len(want)
+        alpha = want[best][0]
+        if kind == "rational":
+            assert sol.alpha_star == alpha
+            assert type(sol.alpha_star) is (Fraction if best else int)
+        else:
+            assert abs(exact(sol.alpha_star) - alpha) <= alpha / (1 << (bits - 3))
+
+    def test_sub_ulp_winner_is_exact(self):
+        # S_1 pays exactly 1/2; S_2 pays 1/2 plus less than an ulp of 1/2,
+        # but its float utility rounds to just below 1/2
+        ftab, ctab = [0.0, 1.0, 3.75, 4.0], [0.0, 0.5, 2.8833333333333333, 4.0]
+        (_, _), (a1, _), (a2, _) = brute_breakpoints(ftab, ctab)
+        u1, u2 = (1 - a1) * exact(ftab[1]), (1 - a2) * exact(ftab[2])
+        assert 0 < u2 - u1 < exact(math.ulp(0.5))
+        sol = optimal_contract(instance_from_tables(ftab, ctab))
+        assert sol.set_star.mask == 2 and sol.co_optimal == [1, 2]
+        # the reported numbers are the row's own, in float arithmetic
+        alpha = (ctab[2] - ctab[1]) / (ftab[2] - ftab[1])
+        assert (sol.alpha_star, sol.principal_utility) == (alpha, (1 - alpha) * ftab[2])
+        assert sol.principal_utility < 0.5
 
     def test_utility_helpers(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
