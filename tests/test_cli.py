@@ -1,6 +1,7 @@
 """Command-line interface: determinism, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -463,3 +464,64 @@ class TestParser:
         # no option of one call leaks into the next
         assert "fptas" in with_fptas and "fptas" not in plain
         assert plain == {k: v for k, v in with_fptas.items() if k != "fptas"}
+
+
+def _golden_argv(argv):
+    """argv with each "instance:KIND:N" argument replaced by the JSON text
+    `construct KIND --n N` prints."""
+    out = []
+    for arg in argv:
+        if arg.startswith("instance:"):
+            _, kind, n = arg.split(":")
+            arg = run_construct(kind, int(n))
+        out.append(arg)
+    return out
+
+
+# command -> (exit status, SHA-256 of its stdout), recorded on fixed seeds
+GOLDEN = {
+    "construct equal_revenue_submod_f --n 4": (
+        0, "21554abd72374cc9c5d09e4d5209615d6df657fc6fbaa4c61f9fdaae8a07f2e1"),
+    "construct equal_revenue_supmod_c --n 3": (
+        0, "65259a22927d52eebd51be3c042a09a7f769d9e1ad646f30cea1208cd3e9c47b"),
+    "construct rounded --n 3": (
+        0, "f07272e4b3edf22bc64cfeeccb976187a37a05f2f1e4a570918abad18ff11ab2"),
+    "solve --instance instance:equal_revenue_submod_f:4 --fptas 0.1": (
+        0, "9d9ca6efba5680f01df9f48efe4f38aa6b888fc73c58483b44c6b169a4369a03"),
+    "solve --instance instance:equal_revenue_supmod_c:3 --format csv": (
+        0, "a2265f9e16a4af55fe77f4d1cc22cff0275b5c5c56c1190ec82268865deb972f"),
+    "verify --instance instance:equal_revenue_submod_f:4 structure equal-revenue gap-bounds "
+    "sparse-demand cc-invariants": (
+        0, "3bf40bc17e4ece1ad2503a0cddc75e655b0a830dbd38b99f9f40c9031b40f789"),
+    "experiment value-query --n 6 --trials 200 --seed 1": (
+        0, "639ea1492f177ef81e0084f3174987612cf0d26283e8cf04d8b60a814c63c7fc"),
+    "experiment demand-sim --n 4 --trials 5 --seed 2": (
+        0, "c756a669be11a8a40ab1c12f00d0959fa1066a91239c9c0a197c8b4c8258f3ac"),
+    "experiment supply-sim --n 3 --trials 5 --seed 2": (
+        0, "749b6f58203280124ac8e3abfd04b91adb1755dced529a38ed12705dd90882a2"),
+    "experiment cc-sweep --n 4 --variant sub-sub --trials 5 --seed 3": (
+        0, "1431374967d2ed2eb02d490943cb2dee8978aa50acae0df3307f5a8e242f94c8"),
+    "experiment cc-sweep --n 4 --variant sub-sup --trials 5 --seed 3": (
+        0, "00542f3ebc070dd8c44ad02a699af6957d278e6769edbc754be275e60a5c28e9"),
+    "experiment cc-sweep --n 4 --variant sup-sup --trials 5 --seed 3": (
+        0, "39c0370ac8a8173718907af3347462bc66cb36da3a823ce766ec580d4e2a8d07"),
+    "experiment protocol-bench --n 4 --variant sub-sub": (
+        0, "aeff14d8507a681ccbf8aaaf075e0e926cc31652fb23659086e201e0cd3268f5"),
+    "experiment protocol-bench --n 4 --variant sub-sup": (
+        0, "4cbc21f9f49560f76127761b75fed3d64578b9a84a90c3100581b7ff66ec14cb"),
+    "experiment protocol-bench --n 4 --variant sup-sup": (
+        0, "e3cf242ce44a427909c89a707aa38efa4866e269309a49a5a275314f5f81de98"),
+}
+
+
+class TestGoldenOutputs:
+    """Every command's stdout, byte for byte, as its SHA-256 digest.  A
+    change that means to alter an output re-records its digest and says so."""
+
+    @pytest.mark.parametrize("command", list(GOLDEN))
+    def test_output_digest(self, command):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(_golden_argv(command.split()))
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert (code, digest) == GOLDEN[command]
