@@ -167,7 +167,11 @@ def _check_sparse_demand(inst, report, seed):
     if inst.c.weights is None or not _on_chain(inst):
         report["sparse_demand"] = {"ok": False, "reason": "needs additive-cost equal-revenue base"}
         return False
-    sigma = sigma_bound_demand(inst).sigma
+    try:
+        sigma = sigma_bound_demand(inst).sigma
+    except ValueError as exc:  # the n = 1 chain has no pair to bound sigma
+        report["sparse_demand"] = {"ok": False, "reason": str(exc)}
+        return False
     rng = random.Random(seed)
     cap = sparseness_ceiling(inst.n)
     max_size = 0
@@ -455,8 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A ValueError it raises, such as a parameter out of
+    the command's range, exits 1 with one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"contractlab: {args.command}: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ precision of the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, isqrt
 
@@ -52,10 +52,6 @@ class ReductionFailureError(AssertionError):
 
 
 class ProtocolError(ValueError):
-    pass
-
-
-class BudgetExceededError(ValueError):
     pass
 
 
@@ -110,9 +106,6 @@ class SpecialSetVector:
         k = comb(n, n // 2)
         return cls(n, [(packed >> i) & 1 for i in range(k)])
 
-    def to_int(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
 
 @dataclass
 class DeltaBudget:
@@ -122,10 +115,6 @@ class DeltaBudget:
     def __post_init__(self):
         if not self.bound > 0:
             raise ConstructionIntegrityError("delta bound must be positive")
-
-    @property
-    def default_delta(self):
-        return self.bound / 2
 
 
 def _size_sq(mask: int) -> int:
@@ -352,7 +341,6 @@ class AugmentedCCInstance:
     alpha_tilde: dict
     f_marginal: list
     c_marginal: list
-    h_map: dict | None = None
 
     @property
     def revenue_halfwidth(self):
@@ -454,11 +442,8 @@ def build_augmented(
         base.augment_cache[cache_key] = (sigma, delta, perturbed, atil, comps, z)
     else:
         sigma, delta, perturbed, atil, comps, z = cached
-    h_map = None
     fmarg = [None] * size
     cmarg = [None] * size
-    if variant == "sub-sup":
-        h_map = {t: minimal_half_superset(t, n) for t in range(size)}
     for t in range(size):
         s = t.bit_count()
         if variant in ("sub-sub", "sub-sup"):
@@ -480,7 +465,7 @@ def build_augmented(
                 cmarg[t] = atil[1] * z / 8
         elif variant == "sub-sup":
             if s < half:
-                cmarg[t] = atil[h_map[t]] * z / 4
+                cmarg[t] = atil[minimal_half_superset(t, n)] * z / 4
             elif s == half and t in x_c:
                 cmarg[t] = atil[t] * z / 4
             else:
@@ -526,14 +511,12 @@ def build_augmented(
         alpha_tilde=atil,
         f_marginal=fmarg,
         c_marginal=cmarg,
-        h_map=h_map,
     )
 
 
 @dataclass
 class ReductionReport:
     variant: str
-    n: int
     augmenting: bool  # n+1 in the incentivized optimum
     expected: bool  # x_f and x_c intersect
     set_star: ActionSet
@@ -553,7 +536,6 @@ def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionR
     expected = aug.x_f.intersects(aug.x_c)
     report = ReductionReport(
         variant=aug.variant,
-        n=aug.base.n,
         augmenting=augmenting,
         expected=expected,
         set_star=sol.set_star,
@@ -607,79 +589,47 @@ def inapprox_table(kind: str, n: int, x_f: SpecialSetVector, x_c: SpecialSetVect
 
 
 @dataclass
-class Message:
-    sender: str
-    tag: str
-    bit_length: int
-
-
-@dataclass
 class Transcript:
     width_bits: int
-    messages: list[Message] = field(default_factory=list)
+    total_bits: int = 0
     br_calls: int = 0
-
-    @property
-    def total_bits(self) -> int:
-        return sum(m.bit_length for m in self.messages)
 
 
 class Channel:
-    """Alternation-checked message channel with fixed-point payload width."""
+    """Bit-counting message channel with a fixed payload width per value.
 
-    def __init__(self, width_bits: int, br_budget: int | None = None):
+    send checks only that the sender is "Alice" or "Bob" and that the
+    payload is not empty, then adds width_bits per value to the transcript's
+    total_bits.  It does not check who speaks when.
+    """
+
+    def __init__(self, width_bits: int):
         if width_bits <= 0:
             raise ProtocolError("width_bits must be positive")
         self.transcript = Transcript(width_bits=width_bits)
-        self.br_budget = br_budget
 
-    def send(self, sender: str, values, tag: str = ""):
+    def send(self, sender: str, values):
         if sender not in ("Alice", "Bob"):
             raise ProtocolError(f"unknown sender {sender!r}")
         values = list(values)
         if not values:
             raise ProtocolError("empty message")
-        self.transcript.messages.append(
-            Message(sender=sender, tag=tag, bit_length=len(values) * self.transcript.width_bits)
-        )
+        self.transcript.total_bits += len(values) * self.transcript.width_bits
         return values
 
     def charge_br_call(self):
         self.transcript.br_calls += 1
-        if self.br_budget is not None and self.transcript.br_calls > self.br_budget:
-            raise BudgetExceededError(f"best-response budget {self.br_budget} exceeded")
-
-
-def run_protocol(protocol, f_holder, c_holder, width_bits: int, br_budget: int | None = None):
-    """Execute a deterministic two-party protocol; returns (answer, Transcript)."""
-    channel = Channel(width_bits, br_budget)
-    answer = protocol(channel, f_holder, c_holder)
-    return answer, channel.transcript
 
 
 def full_streaming_protocol(channel: Channel, f_holder, c_holder):
     """Bob ships his whole cost table; Alice solves locally."""
     from .solver import optimal_contract
 
-    ctab = channel.send("Bob", c_holder.c.value_table(), tag="full-cost-table")
+    ctab = channel.send("Bob", c_holder.c.value_table())
     c = SetFunctionOracle(f_holder.n, table=ctab, declared_class=c_holder.c.declared_class)
     inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
     sol = optimal_contract(inst)
     return sol.alpha_star, sol.set_star
-
-
-def make_additive_cost_protocol():
-    """Bob sends just his n per-action costs (additive c)."""
-    from .solver import optimal_contract
-
-    def protocol(channel: Channel, f_holder, c_holder):
-        weights = channel.send("Bob", c_holder.c.weights, tag="cost-weights")
-        c = SetFunctionOracle(f_holder.n, weights=weights, declared_class="additive")
-        inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
-        sol = optimal_contract(inst)
-        return sol.alpha_star, sol.set_star
-
-    return protocol
 
 
 def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> ActionSet:
@@ -699,7 +649,7 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     masks = sorted(s.mask for s in cand.members)
     # increasing mask order, so the lower-index tie-break is best_response's
     masks += [m | 1 << n for m in masks]
-    costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks), tag="candidate-costs")
+    costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks))
     fvals = [aug.instance.f.eval_mask(m) for m in masks]
     utils = [alpha * fv - cv for fv, cv in zip(fvals, costs)]
     best = masks[_argmax_with_tie_break(utils, fvals)]

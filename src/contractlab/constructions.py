@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .reals import DEFAULT_BITS, RealContext, exact
-from .solver import Breakpoint
 
 
 class PrecisionError(ValueError):
@@ -131,8 +130,6 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
 
 @dataclass
 class StructureReport:
-    declared_class: str
-    strict: bool
     monotonicity_violations: list = field(default_factory=list)
     class_violations: list = field(default_factory=list)
     max_recorded: int = 50
@@ -171,7 +168,7 @@ def verify_structure(
     tol = exact(tol) * scale
     if tol.denominator == 1:
         tol = tol.numerator  # keeps the loop's comparisons int-only
-    report = StructureReport(declared_class=cls, strict=strict)
+    report = StructureReport()
     mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
     size = 1 << n
     bits = [1 << i for i in range(n)]
@@ -215,7 +212,6 @@ class EqualRevenueReport:
     breakpoint_count: int
     expected_count: int
     max_deviation: object
-    worst: Breakpoint | None
     tol: object
 
     @property
@@ -225,14 +221,11 @@ class EqualRevenueReport:
         )
 
 
-def verify_equal_revenue(inst: ContractInstance, tol, table=None) -> EqualRevenueReport:
+def verify_equal_revenue(inst: ContractInstance, tol) -> EqualRevenueReport:
     """Check that every nonempty incentivized set yields principal utility 1."""
     from .solver import enumerate_breakpoints
 
-    if table is None:
-        table = enumerate_breakpoints(inst)
-    nonempty = [b for b in table if b.aset.mask != 0]
-    worst = None
+    nonempty = [b for b in enumerate_breakpoints(inst) if b.aset.mask != 0]
     max_dev = 0
     with inst.ctx.workprec():
         for b in nonempty:
@@ -241,12 +234,10 @@ def verify_equal_revenue(inst: ContractInstance, tol, table=None) -> EqualRevenu
                 dev = -dev
             if dev > max_dev:
                 max_dev = dev
-                worst = b
     return EqualRevenueReport(
         breakpoint_count=len(nonempty),
         expected_count=inst.size - 1,
         max_deviation=max_dev,
-        worst=worst,
         tol=tol,
     )
 
@@ -261,9 +252,7 @@ class RoundedInstance:
     n: int
     grid_bits: int
     instance: ContractInstance
-    alpha_exact: list
     alpha_rounded: list
-    f_rounded: list
     betas: list
 
     @property
@@ -310,16 +299,13 @@ def build_rounded(n: int, grid_bits: int | None = None) -> RoundedInstance:
         n=n,
         grid_bits=kappa,
         instance=inst,
-        alpha_exact=alphas,
         alpha_rounded=rounded,
-        f_rounded=ftab,
         betas=betas,
     )
 
 
 @dataclass
 class GapBoundReport:
-    n: int
     violations: list
 
     @property
@@ -327,14 +313,13 @@ class GapBoundReport:
         return not self.violations
 
 
-def check_gap_bounds(n: int, precision_bits: int | None = None) -> GapBoundReport:
+def check_gap_bounds(n: int) -> GapBoundReport:
     """Numeric bounds on the square-root recurrence, for t = 1..2^n - 1:
 
     (1 - a_t)^3 < a_(t+1) - a_t < (1 - a_t)^(3/2),
     1 - a_t >= 2^-6n, and a_(t+1) - a_t >= 2^-18n.
     """
-    bits = precision_bits or max(default_bits_for(n), 19 * n + 30)
-    ctx = RealContext(bits)
+    ctx = RealContext(max(default_bits_for(n), 19 * n + 30))
     size = 1 << n
     alphas = _alpha_recurrence(ctx, size)  # one extra step for the last gap
     violations = []
@@ -352,4 +337,4 @@ def check_gap_bounds(n: int, precision_bits: int | None = None) -> GapBoundRepor
                 violations.append((t, "distance-from-1 floor"))
             if not gap >= gap_floor:
                 violations.append((t, "gap floor"))
-    return GapBoundReport(n=n, violations=violations)
+    return GapBoundReport(violations)

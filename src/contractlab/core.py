@@ -37,30 +37,11 @@ class ActionSet:
         if not (0 <= self.mask < (1 << self.n)):
             raise ValueError(f"index {self.mask} out of range for n={self.n}")
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if (self.mask >> i) & 1)
 
     def __contains__(self, action: int) -> bool:
         return 1 <= action <= self.n and bool((self.mask >> (action - 1)) & 1)
-
-    def with_action(self, action: int) -> "ActionSet":
-        return ActionSet(self.n, self.mask | (1 << (action - 1)))
-
-    def without_action(self, action: int) -> "ActionSet":
-        return ActionSet(self.n, self.mask & ~(1 << (action - 1)))
-
-    @classmethod
-    def from_members(cls, n: int, members) -> "ActionSet":
-        mask = 0
-        for i in members:
-            if not (1 <= i <= n):
-                raise ValueError(f"action {i} outside ground set [1, {n}]")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
 
     def __repr__(self):
         return "{" + ",".join(map(str, self.members())) + "}"
@@ -138,11 +119,6 @@ class SetFunctionOracle:
     def value_table(self):
         """Full 2^n table."""
         return self.table
-
-    @property
-    def normalized(self) -> bool:
-        """Whether the empty set's value is recorded as exactly zero."""
-        return self.eval_mask(0) == 0
 
 
 def additive_table(weights) -> list:
@@ -324,12 +300,12 @@ class LowerHull:
 
 @dataclass
 class ContractInstance:
-    """A principal-agent instance (n, f, c) with tie-break and precision."""
+    """A principal-agent instance (n, f, c) with its precision.  Every
+    query breaks ties by TIE_BREAK_RULE, the one rule there is."""
 
     n: int
     f: SetFunctionOracle
     c: SetFunctionOracle
-    tie_break: str = TIE_BREAK_RULE
     ctx: RealContext = field(default_factory=RealContext)
     name: str = ""
     meta: dict = field(default_factory=dict)
@@ -343,8 +319,6 @@ class ContractInstance:
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:
             raise ValueError("oracle ground sets disagree with instance")
-        if self.tie_break != TIE_BREAK_RULE:
-            raise ValueError(f"unsupported tie_break rule {self.tie_break!r}")
 
     @property
     def precision_bits(self) -> int:

@@ -93,13 +93,15 @@ def _adjacent_submodularity_margin(tab, n, sense):
 
 
 def _chain_tables(base: ContractInstance):
+    """f, c and the chain's critical values; each budget term needs two
+    chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12."""
+    if not 2 <= base.n <= 12:
+        raise ValueError(f"exhaustive bound needs 2 <= n <= 12, got n={base.n}")
     return base.f.value_table(), base.c.value_table(), chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
     """Three-way minimum bounding the reward bonus on the submodular-f base."""
-    if base.n > 12:
-        raise ValueError("exhaustive bound limited to n <= 12")
     ftab, ctab, alphas = _chain_tables(base)
     size = base.size
     with base.ctx.workprec():
@@ -116,8 +118,6 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
     """Three-way minimum bounding the cost discount on the supermodular-c base."""
-    if base.n > 12:
-        raise ValueError("exhaustive bound limited to n <= 12")
     ftab, ctab, alphas = _chain_tables(base)
     size = base.size
     with base.ctx.workprec():
@@ -140,10 +140,8 @@ def epsilon_bound(base: ContractInstance) -> PerturbationBudget:
 
 @dataclass
 class PerturbedInstance:
-    base: ContractInstance
     k: int
     epsilon: object
-    direction: str
     instance: ContractInstance
 
 
@@ -152,11 +150,6 @@ def valid_k_range(base: ContractInstance, direction: str) -> range:
     break nonnegativity."""
     lo = 2 if direction == COST_DISCOUNT else 1
     return range(lo, base.size)
-
-
-def _check_epsilon(budget: PerturbationBudget, epsilon) -> None:
-    if not (0 < epsilon < budget.epsilon_max):
-        raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
 
 
 def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
@@ -184,7 +177,7 @@ def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> Pertu
     inst.meta["k"] = k
     inst.meta["epsilon"] = epsilon
     inst.meta["direction"] = direction
-    return PerturbedInstance(base=base, k=k, epsilon=epsilon, direction=direction, instance=inst)
+    return PerturbedInstance(k=k, epsilon=epsilon, instance=inst)
 
 
 def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance:
@@ -193,19 +186,18 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
     direction = _direction(base)
     if k not in valid_k_range(base, direction):
         raise BudgetError(f"k={k} outside valid range for {direction}")
-    _check_epsilon(epsilon_bound(base), epsilon)
+    budget = epsilon_bound(base)
+    if not (0 < epsilon < budget.epsilon_max):
+        raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
     return _perturbed(base, direction, k, epsilon)
 
 
-def family_iterator(base: ContractInstance, epsilon=None):
-    """All single-set perturbations of the base, in increasing k.
-
-    The budget is computed once for the whole family.
+def family_iterator(base: ContractInstance):
+    """All single-set perturbations of the base, in increasing k, at the
+    budget's default epsilon.  The budget is computed once for the whole
+    family.
     """
     direction = _direction(base)
-    budget = epsilon_bound(base)
-    if epsilon is None:
-        epsilon = budget.default_epsilon
-    _check_epsilon(budget, epsilon)
+    epsilon = epsilon_bound(base).default_epsilon
     for k in valid_k_range(base, direction):
         yield _perturbed(base, direction, k, epsilon)

@@ -89,11 +89,6 @@ class RealContext:
             return mpmath.floor(mpmath.mpf(x) * scale) / scale
 
     @property
-    def eps(self):
-        """Unit roundoff scale 2^(1-bits)."""
-        return self.make(Fraction(1, 1 << (self.bits - 1)))
-
-    @property
     def maximizer_tolerance(self):
         """Tolerance separating equal-revenue plateaus from rounding noise."""
         return self.make(Fraction(1, 1 << (self.bits // 2)))

@@ -1,8 +1,9 @@
 """JSON (de)serialization of instances and experiment outputs.
 
 Numbers are serialized losslessly: floats as C99 hex, multiprecision reals
-as mantissa*2^exponent, rationals as p/q.  Named instance kinds reference
-the constructors in the constructions module.
+as mantissa*2^exponent, rationals as p/q.  An instance file always carries
+its full f and c tables (or additive weights); build_named maps the CLI's
+construction names to the constructors in the constructions module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp
 
-from .core import ContractInstance, SetFunctionOracle
+from .core import TIE_BREAK_RULE, ContractInstance, SetFunctionOracle
 from .reals import RealContext
 
 NAMED_CONSTRUCTIONS = ("equal_revenue_submod_f", "equal_revenue_supmod_c", "rounded")
@@ -89,7 +90,7 @@ def instance_to_dict(inst: ContractInstance) -> dict:
         "f": _oracle_to_dict(inst.f),
         "c": _oracle_to_dict(inst.c),
         "precision_bits": inst.precision_bits,
-        "tie_break": inst.tie_break,
+        "tie_break": TIE_BREAK_RULE,
         "name": inst.name,
         "meta": {},
     }
@@ -102,14 +103,13 @@ def instance_to_dict(inst: ContractInstance) -> dict:
 
 def instance_from_dict(d: dict) -> ContractInstance:
     n = d["n"]
-    if d["f"].get("kind") == "named" or d["c"].get("kind") == "named":
-        return _instance_from_named(d)
+    if d.get("tie_break", TIE_BREAK_RULE) != TIE_BREAK_RULE:
+        raise ValueError(f"unsupported tie_break rule {d['tie_break']!r}")
     ctx = RealContext(bits=d.get("precision_bits", 53))
     inst = ContractInstance(
         n=n,
         f=_oracle_from_dict(n, d["f"]),
         c=_oracle_from_dict(n, d["c"]),
-        tie_break=d.get("tie_break", "higher_f_then_lower_index"),
         ctx=ctx,
         name=d.get("name", ""),
     )
@@ -135,26 +135,14 @@ def build_named(name: str, params: dict) -> ContractInstance:
     raise ValueError(f"unknown named construction {name!r}")
 
 
-def _instance_from_named(d: dict) -> ContractInstance:
-    spec_f, spec_c = d["f"], d["c"]
-    name = spec_f.get("construction") or spec_c.get("construction")
-    params = spec_f.get("params") or spec_c.get("params") or {"n": d["n"]}
-    inst = build_named(name, dict(params))
-    if inst.n != d["n"]:
-        raise ValueError("named construction n disagrees with instance n")
-    return inst
-
-
 def save_instance(inst: ContractInstance, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_instance(source) -> ContractInstance:
-    """Accepts a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        return instance_from_dict(source)
+def load_instance(source: str) -> ContractInstance:
+    """Accepts a JSON string or a file path."""
     text = source
     if not source.lstrip().startswith("{"):
         with open(source) as fh:
@@ -162,15 +150,11 @@ def load_instance(source) -> ContractInstance:
     return instance_from_dict(json.loads(text))
 
 
-def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def dump_csv(rows, path=None) -> str:
+def dump_csv(rows) -> str:
     import csv
     import io
 
@@ -178,8 +162,4 @@ def dump_csv(rows, path=None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         writer.writerow(row)
-    text = buf.getvalue()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Agent utility, breakpoint enumeration, exact optimum, and the FPTAS.
+"""Breakpoint enumeration, exact optimum, and the FPTAS.
 
 A breakpoint (critical value) is the minimal contract alpha incentivizing a
 given set.  The optimal linear contract always sits on a breakpoint, so the
@@ -23,18 +23,6 @@ class ParameterError(ValueError):
 
 class BracketUndefinedError(ValueError):
     pass
-
-
-def agent_utility(inst: ContractInstance, alpha, s: ActionSet):
-    """u_a(alpha, S) = alpha * f(S) - c(S)."""
-    with inst.ctx.workprec():
-        return alpha * inst.f.eval_mask(s.mask) - inst.c.eval_mask(s.mask)
-
-
-def principal_utility(inst: ContractInstance, alpha, s: ActionSet):
-    """u_p(alpha, S) = (1 - alpha) * f(S)."""
-    with inst.ctx.workprec():
-        return (1 - alpha) * inst.f.eval_mask(s.mask)
 
 
 @dataclass(frozen=True)
@@ -67,9 +55,6 @@ class BreakpointTable:
 
     def __getitem__(self, i):
         return self.breakpoints[i]
-
-    def alphas(self):
-        return [b.alpha for b in self.breakpoints]
 
     def csv_rows(self):
         """Rows t, alpha, set_mask, f, c, agent_utility, principal_utility;

@@ -9,7 +9,7 @@ what lets a handful of value queries simulate a demand query.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ActionSet,
@@ -34,11 +34,7 @@ def sparseness_ceiling(n: int) -> int:
 
 @dataclass
 class ApproxArgmaxSet:
-    kind: str  # "demand" | "supply" | "best-response"
-    parameter: object
-    sigma: object
     members: list[ActionSet]
-    max_value: object
 
     def __len__(self):
         return len(self.members)
@@ -54,13 +50,9 @@ def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
     """Every mask whose utility (see core._scores) is within sigma of the max."""
     with ctx.workprec():
         util, _ = _scores(kind, x, param)
-        best = max(util)
-        cut = best - sigma
+        cut = max(util) - sigma
         members = [ActionSet(x.n, m) for m, u in enumerate(util) if u >= cut]
-    parameter = param if kind == "best-response" else tuple(param)
-    return ApproxArgmaxSet(
-        kind=kind, parameter=parameter, sigma=sigma, members=members, max_value=best
-    )
+    return ApproxArgmaxSet(members)
 
 
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
@@ -84,25 +76,20 @@ class SigmaBound:
 
     bound: object
     sigma: object
-    argmin_pair: tuple
 
 
 def _adjacent_pair_min(base, first, gap) -> SigmaBound:
     """Half the least gap(alpha_l, alpha_(l+1)) over l >= first; a gap of None
-    skips its pair."""
+    skips its pair.  ValueError when no pair is left, as on the two-set
+    chain of n = 1."""
     alphas = chain_alphas(base)
     with base.ctx.workprec():
-        best = None
-        pair = None
-        for l in range(first, len(alphas) - 1):
-            g = gap(alphas[l], alphas[l + 1])
-            if g is None:
-                continue
-            v = g / 2
-            if best is None or v < best:
-                best = v
-                pair = (l, l + 1)
-        return SigmaBound(bound=best, sigma=best / 2, argmin_pair=pair)
+        gaps = [gap(alphas[l], alphas[l + 1]) for l in range(first, len(alphas) - 1)]
+        halves = [g / 2 for g in gaps if g is not None]
+        if not halves:
+            raise ValueError("no adjacent pair of critical values bounds sigma")
+        best = min(halves)
+        return SigmaBound(bound=best, sigma=best / 2)
 
 
 def sigma_bound_demand(base) -> SigmaBound:
@@ -214,12 +201,8 @@ def simulate_supply_by_values(base_c, hidden_c, prices, eps, ctx=None):
     return _simulate_by_values("supply", base_c, hidden_c, prices, eps, ctx)
 
 
-def random_prices(n: int, rng, snap_to=None):
-    """p_i = 2^u with u uniform on [-n, n]; or breakpoint prices c_i/alpha
-    when snap_to = (cost_weights, alpha)."""
-    if snap_to is not None:
-        weights, alpha = snap_to
-        return tuple(w / alpha for w in weights)
+def random_prices(n: int, rng):
+    """p_i = 2^u with u uniform on [-n, n]."""
     return tuple(2.0 ** rng.uniform(-n, n) for _ in range(n))
 
 
@@ -227,14 +210,12 @@ def random_prices(n: int, rng, snap_to=None):
 class ExperimentStats:
     n: int
     trials: int
-    strategy: str
     seed: int | None
     mean_queries: float
     stderr: float
     exact_expectation: float
     lower_bound: float
     identified_all: bool
-    per_trial: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -248,7 +229,7 @@ class ExperimentStats:
         return {
             "n": self.n,
             "trials": self.trials,
-            "strategy": self.strategy,
+            "strategy": "scan",
             "seed": self.seed,
             "mean_queries": self.mean_queries,
             "stderr": self.stderr,
@@ -259,32 +240,22 @@ class ExperimentStats:
         }
 
 
-def value_query_experiment(
-    base,
-    trials: int,
-    seed: int | None = 0,
-    strategy: str = "scan",
-    epsilon=None,
-    keep_trials: bool = False,
-) -> ExperimentStats:
+def value_query_experiment(base, trials: int, seed: int | None = 0) -> ExperimentStats:
     """Locate a hidden reward bonus by value queries against the public base.
 
-    The hidden index k is uniform on [1, 2^n - 1].  The "scan" strategy
-    queries sets in fixed increasing order and stops at the first deviation
-    from the base table, so its query count is k's scan position; the exact
-    expectation is 2^(n-1) and the proved floor is 2^(n-2).  The "never"
-    strategy makes no queries and cannot identify k.
+    The hidden index k is uniform on [1, 2^n - 1], its bonus the budget's
+    default epsilon.  The scan queries sets in fixed increasing order and
+    stops at the first deviation from the base table, so its query count is
+    k's scan position; the exact expectation is 2^(n-1) and the proved floor
+    is 2^(n-2).
     """
     import random
 
     from .perturb import epsilon_bound_reward
 
-    if strategy not in ("scan", "never"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     n = base.n
     size = 1 << n
-    if epsilon is None:
-        epsilon = epsilon_bound_reward(base).default_epsilon
+    epsilon = epsilon_bound_reward(base).default_epsilon
     ftab = base.f.value_table()
     rng = random.Random(seed)
     counts = []
@@ -292,10 +263,6 @@ def value_query_experiment(
     with base.ctx.workprec():
         for _ in range(trials):
             k = rng.randrange(1, size)
-            if strategy == "never":
-                counts.append(0)
-                identified_all = False
-                continue
             queries = 0
             found = None
             for t in range(1, size):
@@ -312,12 +279,10 @@ def value_query_experiment(
     return ExperimentStats(
         n=n,
         trials=trials,
-        strategy=strategy,
         seed=seed,
         mean_queries=mean,
         stderr=stderr,
         exact_expectation=float(size / 2),
         lower_bound=float(size // 4),
         identified_all=identified_all,
-        per_trial=counts if keep_trials else [],
     )

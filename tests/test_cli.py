@@ -79,15 +79,6 @@ class TestSerialization:
             b = optimal_contract(back)
             assert (a.alpha_star, a.set_star) == (b.alpha_star, b.set_star)
 
-    def test_named_kind(self):
-        spec = {
-            "n": 3,
-            "f": {"kind": "named", "construction": "equal_revenue_supmod_c", "params": {"n": 3}},
-            "c": {"kind": "named"},
-        }
-        inst = load_instance(spec)
-        assert inst.meta["kind"] == "equal_revenue_supmod_c"
-
 
 class TestConstructSolveVerify:
     def test_construct_writes_full_tables(self, tmp_path):
@@ -230,6 +221,15 @@ class TestConstructSolveVerify:
             report = json.loads(out.read_text())["gap_bounds"]
             assert report["ok"] is (code == 0)
             assert ("reason" in report) is (code == 1)
+
+    def test_sparse_demand_on_the_two_set_chain(self, tmp_path):
+        # the n = 1 chain has no adjacent pair of critical values to bound
+        # sigma: a refusal with a reason, not a traceback
+        path, out = tmp_path / "n1.json", tmp_path / "rep.json"
+        run(["construct", "equal_revenue_submod_f", "--n", "1", "--out", str(path)])
+        assert run(["verify", "--instance", str(path), "--out", str(out), "sparse-demand"]) == 1
+        report = json.loads(out.read_text())["sparse_demand"]
+        assert report["ok"] is False and report["reason"]
 
     def test_verify_unknown_check(self, tmp_path):
         inst_path = tmp_path / "i.json"
@@ -406,8 +406,8 @@ class TestComputedOnce:
 
 
 class TestMalformedInput:
-    """A file that does not read as an instance ends solve and verify with
-    one line, not a traceback."""
+    """A file that does not read as an instance, or a parameter out of a
+    command's range, ends the command with one line, not a traceback."""
 
     @staticmethod
     def spoiled(fault) -> str:
@@ -418,6 +418,10 @@ class TestMalformedInput:
             data["c"]["values"].pop()
         elif fault == "oracle-kind":
             data["c"]["kind"] = "lookup"
+        elif fault == "named-oracle":  # a construction's name in place of tables
+            data["f"] = {"kind": "named", "construction": "equal_revenue_supmod_c"}
+        elif fault == "tie-break":
+            data["tie_break"] = "coin-flip"
         elif fault == "number":
             data["c"]["values"][3] = "3/x"
         else:  # a JSON number where the format writes a string
@@ -425,7 +429,9 @@ class TestMalformedInput:
         return json.dumps(data)
 
     @pytest.mark.parametrize(
-        "fault", ["not-json", "table-length", "oracle-kind", "number", "unquoted-number"]
+        "fault",
+        ["not-json", "table-length", "oracle-kind", "named-oracle", "tie-break", "number",
+         "unquoted-number"],
     )
     @pytest.mark.parametrize("command", [["solve"], ["verify", "structure"]])
     def test_one_line_and_nonzero_exit(self, tmp_path, fault, command):
@@ -436,6 +442,24 @@ class TestMalformedInput:
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("contractlab: cannot load instance: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "experiment value-query --n 1",
+            "experiment demand-sim --n 1",
+            "experiment supply-sim --n 1",
+            "experiment value-query --n 3 --trials 0",
+            "experiment cc-sweep --n 3",
+            "solve --instance instance:equal_revenue_supmod_c:3 --fptas 1.5",
+        ],
+    )
+    def test_out_of_range_parameter(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(_golden_argv(argv.split()))
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"contractlab: {argv.split()[0]}: ")
 
     def test_process_exit_status_and_stderr(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,6 @@ import pytest
 
 from contractlab.commlab import (
     CC_PRECISION_BITS,
-    BudgetExceededError,
     Channel,
     ProtocolError,
     ReductionFailureError,
@@ -26,9 +25,7 @@ from contractlab.commlab import (
     delta_bound,
     full_streaming_protocol,
     inapprox_table,
-    make_additive_cost_protocol,
     minimal_half_superset,
-    run_protocol,
 )
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
@@ -49,7 +46,7 @@ def submod_base(n):
 class TestSpecialSetVector:
     def test_round_trip_and_membership(self):
         v = SpecialSetVector.from_int(4, 0b001011)
-        assert v.to_int() == 0b001011
+        assert v.bits == [1, 1, 0, 1, 0, 0]  # bit i is the i-th size-2 subset
         chosen = [m for m, b in zip(v.masks, v.bits) if b]
         for m in chosen:
             assert m in v
@@ -104,8 +101,7 @@ class TestDeltaAndZ:
         base = submod_base(4)
         b = delta_bound(base, variant)
         assert b.bound > 0
-        with base.ctx.workprec():
-            assert b.default_delta * 2 == b.bound
+        assert b.bound == min(b.components)
 
     def test_delta_positive_supmod_base(self):
         assert delta_bound(build_equal_revenue_supmod_c(4), "sup-sup").bound > 0
@@ -364,25 +360,11 @@ class TestInapproxTables:
 
 
 class TestProtocols:
-    def test_additive_cost_protocol_bits_and_answer(self):
-        # a perturbed base has a unique optimum, so plateau tie-breaks
-        # cannot differ between the protocol's solve and the local one
-        from contractlab.perturb import epsilon_bound, make_perturbed
-
-        base = build_equal_revenue_submod_f(4, precision_bits=128)
-        holder = make_perturbed(base, 5, epsilon_bound(base).default_epsilon).instance
-        answer, transcript = run_protocol(
-            make_additive_cost_protocol(), holder, holder, width_bits=64
-        )
-        assert transcript.total_bits == 4 * 64
-        local = optimal_contract(holder)
-        assert answer == (local.alpha_star, local.set_star)
-        assert answer[1].mask == 5
-
     def test_full_streaming_protocol(self):
         holder = build_equal_revenue_supmod_c(3)
-        answer, transcript = run_protocol(full_streaming_protocol, holder, holder, width_bits=32)
-        assert transcript.total_bits == 8 * 32
+        channel = Channel(32)
+        answer = full_streaming_protocol(channel, holder, holder)
+        assert channel.transcript.total_bits == 8 * 32
         local = optimal_contract(holder)
         assert answer == (local.alpha_star, local.set_star)
 
@@ -398,12 +380,6 @@ class TestProtocols:
             assert got == best_response(aug.instance, b.alpha)
             assert channel.transcript.total_bits <= cap
             assert channel.transcript.br_calls == 1
-
-    def test_budget_enforced(self):
-        channel = Channel(8, br_budget=1)
-        channel.charge_br_call()
-        with pytest.raises(BudgetExceededError):
-            channel.charge_br_call()
 
     def test_malformed_messages(self):
         channel = Channel(8)

@@ -20,7 +20,7 @@ from contractlab.constructions import (
 )
 from contractlab.core import SetFunctionOracle
 from contractlab.reals import exact
-from contractlab.serialize import instance_to_dict, load_instance
+from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
 from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables
@@ -67,9 +67,9 @@ class TestSubmodFBase:
             build_equal_revenue_submod_f(4, precision_bits=192),
             build_equal_revenue_supmod_c(4),
         ):
-            back = load_instance(instance_to_dict(inst))
+            back = instance_from_dict(instance_to_dict(inst))
             for x in (inst, back):
-                alphas = enumerate_breakpoints(x).alphas()
+                alphas = [b.alpha for b in enumerate_breakpoints(x)]
                 assert [(type(a), a) for a in chain_alphas(x)] == [
                     (type(a), a) for a in alphas
                 ]

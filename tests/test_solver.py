@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 
 from contractlab.constructions import build_equal_revenue_submod_f
-from contractlab.core import best_response
 from contractlab.reals import exact
 from contractlab.solver import (
     ParameterError,
-    agent_utility,
     alpha_bracket,
     enumerate_breakpoints,
     fptas,
     optimal_contract,
-    principal_utility,
 )
 
 from conftest import (
@@ -79,7 +76,7 @@ class TestEnumeration:
         n, ftab, ctab = tables
         table = enumerate_breakpoints(instance_from_tables(ftab, ctab))
         assert table[0].alpha == 0
-        alphas = table.alphas()
+        alphas = [b.alpha for b in table]
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
         fs = [b.f_value for b in table]
         assert all(a < b for a, b in zip(fs, fs[1:]))
@@ -92,7 +89,7 @@ class TestEnumeration:
         n, ftab, ctab = tables
         inst = instance_from_tables(ftab, ctab)
         table = enumerate_breakpoints(inst)
-        alphas = table.alphas() + [Fraction(1)]
+        alphas = [b.alpha for b in table] + [Fraction(1)]
         for b, nxt in zip(table, alphas[1:]):
             mid = (Fraction(b.alpha) + Fraction(nxt)) / 2
             assert brute_best_response(ftab, ctab, mid) == b.aset.mask
@@ -109,7 +106,7 @@ class TestEnumeration:
     def test_int_tables_give_exact_alphas(self):
         inst = instance_from_tables([0, 3, 3, 7], [0, 1, 1, 4])
         sol = optimal_contract(inst)
-        alphas = enumerate_breakpoints(inst).alphas()
+        alphas = [b.alpha for b in enumerate_breakpoints(inst)]
         assert alphas == [0, Fraction(1, 3), Fraction(3, 4)]
         assert all(type(a) is Fraction for a in alphas[1:])
         assert sol.alpha_star == Fraction(1, 3)
@@ -210,10 +207,11 @@ class TestOptimalContract:
         assert sol.principal_utility < 0.5
 
     def test_utility_helpers(self):
-        inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
-        s = best_response(inst, Fraction(3, 4))
-        assert agent_utility(inst, Fraction(3, 4), s) == Fraction(3, 4) * 4 - 2
-        assert principal_utility(inst, Fraction(3, 4), s) == Fraction(1, 4) * 4
+        # a row's utilities are alpha f - c and (1 - alpha) f of its entries
+        row = enumerate_breakpoints(instance_from_tables(GOLDEN_F, GOLDEN_C))[1]
+        assert (row.alpha, row.aset.mask) == (Fraction(1, 2), 0b10)
+        assert row.agent_utility == Fraction(1, 2) * 4 - 2
+        assert row.principal_utility == Fraction(1, 2) * 4
 
 
 class TestFptas:
