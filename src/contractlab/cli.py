@@ -400,6 +400,9 @@ EXPERIMENTS = tuple(RUNNERS)
 def cmd_experiment(args) -> int:
     if args.name not in RUNNERS:
         raise SystemExit(f"unknown experiment {args.name!r}; choose from {EXPERIMENTS}")
+    least = 0 if args.name == "protocol-bench" else 1  # protocol-bench's 0 tests every alpha
+    if args.trials < least:
+        raise ValueError(f"--trials must be >= {least}, got {args.trials}")
     result, ok = RUNNERS[args.name](args)
     if args.format == "csv":
         rows = result["rows"] if "rows" in result else [tuple(result), tuple(result.values())]

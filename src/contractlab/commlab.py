@@ -23,16 +23,17 @@ precision of the base.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, isqrt
+from math import ceil, comb, floor, isqrt, lcm
 
 from .core import (
     ActionSet,
     ContractInstance,
     SetFunctionOracle,
+    _alpha_scores,
     _argmax_with_tie_break,
-    _scaled_ints,
 )
 from .constructions import ConstructionIntegrityError
 from .perturb import _adjacent_submodularity_margin
@@ -55,31 +56,52 @@ class ProtocolError(ValueError):
     pass
 
 
+@functools.cache
+def _half_sets(n: int) -> tuple:
+    """(masks, position): the size-n/2 subsets of [n] in increasing subset
+    index, and each one's position among them.  Shared by every vector
+    over n."""
+    masks = tuple(m for m in range(1 << n) if m.bit_count() == n // 2)
+    return masks, {m: i for i, m in enumerate(masks)}
+
+
 class SpecialSetVector:
     """Indicator bits over the C(n, n/2) subsets of size n/2, in increasing
-    subset-index order."""
+    subset-index order, held as one int: bit i of packed is the i-th
+    subset's.  Each bit must be 0 or 1."""
+
+    __slots__ = ("n", "masks", "_position", "packed")
 
     def __init__(self, n: int, bits):
+        bits = list(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("indicator bits must be 0 or 1")
+        self._set(n, sum(int(b) << i for i, b in enumerate(bits)), len(bits))
+
+    def _set(self, n, packed, length):
         if n % 2:
             raise ValueError("n must be even")
         self.n = n
-        self.masks = [m for m in range(1 << n) if m.bit_count() == n // 2]
-        bits = list(bits)
-        if len(bits) != comb(n, n // 2):
-            raise ValueError(f"need {comb(n, n // 2)} bits, got {len(bits)}")
-        self.bits = [int(b) for b in bits]
-        self._member = {m for m, b in zip(self.masks, self.bits) if b}
+        self.masks, self._position = _half_sets(n)
+        if length != len(self.masks):
+            raise ValueError(f"need {len(self.masks)} bits, got {length}")
+        self.packed = packed
+
+    @property
+    def bits(self) -> list:
+        return [self.packed >> i & 1 for i in range(len(self.masks))]
 
     def __contains__(self, mask) -> bool:
         if isinstance(mask, ActionSet):
             mask = mask.mask
-        return mask in self._member
+        i = self._position.get(mask)
+        return i is not None and bool(self.packed >> i & 1)
 
     def __len__(self):
-        return len(self.bits)
+        return len(self.masks)
 
     def intersects(self, other: "SpecialSetVector") -> bool:
-        return bool(self._member & other._member)
+        return self.n == other.n and bool(self.packed & other.packed)
 
     @classmethod
     def all_ones(cls, n):
@@ -92,7 +114,7 @@ class SpecialSetVector:
     @classmethod
     def singleton(cls, n, mask):
         v = cls.all_zeros(n)
-        if mask not in v.masks:
+        if mask not in v._position:
             raise ValueError("mask is not a size-n/2 subset")
         return cls(n, [1 if m == mask else 0 for m in v.masks])
 
@@ -102,9 +124,14 @@ class SpecialSetVector:
 
     @classmethod
     def from_int(cls, n, packed: int):
-        """Bit i of packed indicates the i-th size-n/2 subset."""
+        """Bit i of packed indicates the i-th size-n/2 subset; packed must
+        lie in [0, 2^C(n, n/2))."""
         k = comb(n, n // 2)
-        return cls(n, [(packed >> i) & 1 for i in range(k)])
+        if not 0 <= packed < 1 << k:
+            raise ValueError(f"packed bits must lie in [0, 2^{k}), got {packed}")
+        v = cls.__new__(cls)
+        v._set(n, packed, k)
+        return v
 
 
 @dataclass
@@ -206,6 +233,14 @@ def _round_down(x, kappa) -> Fraction:
     return Fraction(floor(exact(x) * scale), scale)
 
 
+def _grid_oracle(n, ints, scale, declared_class, name) -> SetFunctionOracle:
+    """The oracle of the grid table ints / scale, handed its scaled form."""
+    table = [Fraction(v, scale) for v in ints]
+    return SetFunctionOracle(
+        n, table=table, declared_class=declared_class, name=name, scaled=(ints, scale, True)
+    )
+
+
 def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> ContractInstance:
     """c-tilde(S) = c(S) + sign * delta |S|^2, with f-tilde re-solved along
     the chain so that every S_t pays the principal 1 up to a grid error.
@@ -249,10 +284,8 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
     if fs[-1] > 2 * f_max * scale:
         raise ConstructionIntegrityError("re-solved rewards left the grid's bound")
     cls = "submodular" if sign < 0 else "supermodular"
-    ftab = [Fraction(v, scale) for v in fs]
-    ctab = [Fraction(v, scale) for v in cs]
-    f = SetFunctionOracle(base.n, table=ftab, declared_class="submodular", name="resolved_reward")
-    c = SetFunctionOracle(base.n, table=ctab, declared_class=cls, name="perturbed_cost")
+    f = _grid_oracle(base.n, fs, scale, "submodular", "resolved_reward")
+    c = _grid_oracle(base.n, cs, scale, cls, "perturbed_cost")
     inst = ContractInstance(n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} c~")
     inst.meta["kind"] = "cc_perturbed_cost"
     inst.meta["delta"] = Fraction(d, scale)
@@ -286,10 +319,8 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     for t in range(1, base.size):
         # floor(c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1))) in grid units
         cs.append(cs[-1] + (fs[t] - scale) * (fs[t] - fs[t - 1]) // fs[t])
-    ftab = [Fraction(v, scale) for v in fs]
-    ctab = [Fraction(v, scale) for v in cs]
-    f = SetFunctionOracle(n, table=ftab, declared_class="supermodular", name="perturbed_reward")
-    c = SetFunctionOracle(n, table=ctab, declared_class="supermodular", name="resolved_cost")
+    f = _grid_oracle(n, fs, scale, "supermodular", "perturbed_reward")
+    c = _grid_oracle(n, cs, scale, "supermodular", "resolved_cost")
     inst = ContractInstance(n=n, f=f, c=c, ctx=base.ctx, name=f"{base.name} f~")
     inst.meta["kind"] = "cc_perturbed_reward"
     inst.meta["delta"] = Fraction(d, scale)
@@ -356,13 +387,14 @@ class AugmentedCCInstance:
         return self.z * (1 - exact(chain_alphas(self.base)[-1])) / 16
 
 
-def _margins(tab, n, sense):
-    """(phi, psi) of an int/Fraction table, on its scaled ints: the least
-    chain gap and the adjacent sub- (sense +1) or supermodularity (-1)
+def _margins(oracle, sense):
+    """(phi, psi) of an int/Fraction table, on the oracle's scaled ints: the
+    least chain gap and the adjacent sub- (sense +1) or supermodularity (-1)
     margin."""
-    ints, scale, _ = _scaled_ints(tab)
+    ints, scale, _ = oracle.scaled()
     phi = min(b - a for a, b in zip(ints, ints[1:]))
-    return Fraction(phi, scale), Fraction(_adjacent_submodularity_margin(ints, n, sense), scale)
+    margin = _adjacent_submodularity_margin(ints, oracle.n, sense)
+    return Fraction(phi, scale), Fraction(margin, scale)
 
 
 def _z_components(variant, base, perturbed, delta, sigma):
@@ -372,10 +404,10 @@ def _z_components(variant, base, perturbed, delta, sigma):
     n = base.n
     comps = {}
     comps["phi_f_tilde"], comps["psi_f_tilde"] = _margins(
-        perturbed.f.value_table(), n, -1 if variant == "sup-sup" else +1
+        perturbed.f, -1 if variant == "sup-sup" else +1
     )
     comps["phi_c_tilde"], comps["psi_c_tilde"] = _margins(
-        perturbed.c.value_table(), n, +1 if variant == "sub-sub" else -1
+        perturbed.c, +1 if variant == "sub-sub" else -1
     )
     comps["zeta"] = _round_down(_zeta(variant, base, delta), perturbed.meta["grid_bits"])
     comps["sigma_half"] = sigma / 2
@@ -389,6 +421,96 @@ def _z_components(variant, base, perturbed, delta, sigma):
     return comps
 
 
+@dataclass
+class _AugmentParts:
+    """build_augmented's indicator-independent part for one (base, variant,
+    delta): the perturbed base, its critical values, z, and every value
+    action n+1's marginals can take, each as (Fraction, int on its table's
+    scale).  f_plus is z/4 on f_scale, the perturbed f scale combined with
+    z/4's denominator.  c_plus maps "z2" to z/2, "a1" to alpha~_1 z/8 and
+    each size-n/2 set t to alpha~_t z/4, on c_scale, the perturbed c scale
+    combined with all their denominators.  Two scales, because the alpha~
+    denominators would make the f ints as long as the c ints."""
+
+    sigma: Fraction
+    delta: Fraction
+    perturbed: ContractInstance
+    alpha_tilde: dict
+    z_components: dict
+    z: Fraction
+    f_scale: int
+    c_scale: int
+    f_plus: tuple
+    c_plus: dict
+
+
+def _augment_parts(variant, base, delta) -> _AugmentParts:
+    n = base.n
+    if variant == "sup-sup":
+        sigma = sigma_bound_supply(base).sigma
+    else:
+        sigma = sigma_bound_demand(base).sigma
+    with base.ctx.workprec():
+        budget = delta_bound(base, variant)
+        # the sparse best-response carryover additionally needs
+        # delta < sigma / (2 n^2)
+        cap = min(budget.bound, sigma / (2 * n * n))
+        if delta is None:
+            delta = cap / 2
+        if not (0 < delta < cap):
+            raise ValueError(f"delta {delta} outside (0, {cap})")
+    if variant == "sup-sup":
+        perturbed = build_perturbed_reward(base, delta)
+    else:
+        perturbed = build_perturbed_cost(base, delta, sign=-1 if variant == "sub-sub" else +1)
+    # from here on every number is exact: delta and sigma are rounded
+    # down onto the perturbed base's grid
+    delta = perturbed.meta["delta"]
+    sigma = _round_down(sigma, perturbed.meta["grid_bits"])
+    atil = _alpha_tilde_by_mask(perturbed)
+    comps = _z_components(variant, base, perturbed, delta, sigma)
+    z = min(comps.values())
+    z4 = z / 4
+    c_values = {"z2": z / 2, "a1": atil[1] * z / 8}
+    c_values.update((t, atil[t] * z / 4) for t in _half_sets(n)[0])
+    f_scale = lcm(perturbed.f.scaled()[1], z4.denominator)
+    c_scale = lcm(perturbed.c.scaled()[1], *(v.denominator for v in c_values.values()))
+    return _AugmentParts(
+        sigma=sigma,
+        delta=delta,
+        perturbed=perturbed,
+        alpha_tilde=atil,
+        z_components=comps,
+        z=z,
+        f_scale=f_scale,
+        c_scale=c_scale,
+        f_plus=(z4, (z4 * f_scale).numerator),
+        c_plus={k: (v, (v * c_scale).numerator) for k, v in c_values.items()},
+    )
+
+
+@functools.cache
+def _marginal_template(variant: str, n: int) -> tuple:
+    """(f_on, c_keys) over t < 2^n for a pair of all-zero vectors: whether
+    f's marginal at t is z/4 (else 0), and the _AugmentParts.c_plus key of
+    c's.  A pair's vectors then change only their size-n/2 sets: a member
+    of x_f gets z/4, a member t of x_c gets alpha~_t z/4."""
+    half = n // 2
+    f_on, c_keys = [], []
+    for t in range(1 << n):
+        s = t.bit_count()
+        f_on.append(s > half if variant == "sup-sup" else s < half)
+        if s == half:
+            c_keys.append("z2")
+        elif variant == "sub-sub":
+            c_keys.append("z2" if s < half else "a1")
+        elif variant == "sub-sup":
+            c_keys.append(minimal_half_superset(t, n) if s < half else "z2")
+        else:
+            c_keys.append("a1" if s < half else "z2")
+    return tuple(f_on), tuple(c_keys)
+
+
 def build_augmented(
     variant: str,
     base: ContractInstance,
@@ -400,6 +522,11 @@ def build_augmented(
 
     base: submodular-reward equal-revenue instance for sub-sub/sub-sup,
     additive-reward (supermodular-cost) instance for sup-sup; n must be even.
+    Everything but the marginals is independent of (x_f, x_c) and cached on
+    the base (_AugmentParts), so a pair only assembles its two tables: as
+    Fractions, from the perturbed base's entries plus a cached marginal,
+    and as ints on the cached scales, which the augmented oracles are
+    handed as their scaled forms.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -408,92 +535,41 @@ def build_augmented(
         raise ValueError("augmentation requires even n")
     if x_f.n != n or x_c.n != n:
         raise ValueError("indicator vectors over wrong ground set")
-    size = 1 << n
-    half = n // 2
-    # everything except the marginal tables is independent of (x_f, x_c);
-    # cache it on the base so indicator sweeps only pay for table assembly
     cache_key = (variant, None if delta is None else repr(delta))
-    cached = base.augment_cache.get(cache_key)
-    if cached is None:
-        if variant == "sup-sup":
-            sigma = sigma_bound_supply(base).sigma
-        else:
-            sigma = sigma_bound_demand(base).sigma
-        with base.ctx.workprec():
-            budget = delta_bound(base, variant)
-            # the sparse best-response carryover additionally needs
-            # delta < sigma / (2 n^2)
-            cap = min(budget.bound, sigma / (2 * n * n))
-            if delta is None:
-                delta = cap / 2
-            if not (0 < delta < cap):
-                raise ValueError(f"delta {delta} outside (0, {cap})")
-        if variant == "sup-sup":
-            perturbed = build_perturbed_reward(base, delta)
-        else:
-            perturbed = build_perturbed_cost(base, delta, sign=-1 if variant == "sub-sub" else +1)
-        # from here on every number is exact: delta and sigma are rounded
-        # down onto the perturbed base's grid
-        delta = perturbed.meta["delta"]
-        sigma = _round_down(sigma, perturbed.meta["grid_bits"])
-        atil = _alpha_tilde_by_mask(perturbed)
-        comps = _z_components(variant, base, perturbed, delta, sigma)
-        z = min(comps.values())
-        base.augment_cache[cache_key] = (sigma, delta, perturbed, atil, comps, z)
-    else:
-        sigma, delta, perturbed, atil, comps, z = cached
-    fmarg = [None] * size
-    cmarg = [None] * size
-    for t in range(size):
-        s = t.bit_count()
-        if variant in ("sub-sub", "sub-sup"):
-            if s < half or (s == half and t in x_f):
-                fmarg[t] = z / 4
-            else:
-                fmarg[t] = 0
-        else:
-            if s > half or (s == half and t in x_f):
-                fmarg[t] = z / 4
-            else:
-                fmarg[t] = 0
-        if variant == "sub-sub":
-            if s < half or (s == half and t not in x_c):
-                cmarg[t] = z / 2
-            elif s == half:
-                cmarg[t] = atil[t] * z / 4
-            else:
-                cmarg[t] = atil[1] * z / 8
-        elif variant == "sub-sup":
-            if s < half:
-                cmarg[t] = atil[minimal_half_superset(t, n)] * z / 4
-            elif s == half and t in x_c:
-                cmarg[t] = atil[t] * z / 4
-            else:
-                cmarg[t] = z / 2
-        else:
-            if s < half:
-                cmarg[t] = atil[1] * z / 8
-            elif s == half and t in x_c:
-                cmarg[t] = atil[t] * z / 4
-            else:
-                cmarg[t] = z / 2
-
-    fbase = perturbed.f.value_table()
-    cbase = perturbed.c.value_table()
-    fhat = [None] * (2 * size)
-    chat = [None] * (2 * size)
-    for m in range(2 * size):
-        t = m & (size - 1)
-        if m < size:
-            fhat[m] = fbase[t]
-            chat[m] = cbase[t]
-        else:
-            fhat[m] = fbase[t] + fmarg[t]
-            chat[m] = cbase[t] + cmarg[t]
+    parts = base.augment_cache.get(cache_key)
+    if parts is None:
+        parts = base.augment_cache[cache_key] = _augment_parts(variant, base, delta)
+    f_on, c_keys = map(list, _marginal_template(variant, n))
+    for i, t in enumerate(_half_sets(n)[0]):
+        if x_f.packed >> i & 1:
+            f_on[t] = True
+        if x_c.packed >> i & 1:
+            c_keys[t] = t
+    perturbed = parts.perturbed
+    fbase, cbase = perturbed.f.table, perturbed.c.table
+    f_ints, s_pf, _ = perturbed.f.scaled()
+    c_ints, s_pc, _ = perturbed.c.scaled()
+    f_mult, c_mult = parts.f_scale // s_pf, parts.c_scale // s_pc
+    f_lo = [v * f_mult for v in f_ints]
+    c_lo = [v * c_mult for v in c_ints]
+    z4, z4_int = parts.f_plus
+    c_plus = [parts.c_plus[k] for k in c_keys]
+    fmarg = [z4 if on else 0 for on in f_on]
+    cmarg = [v for v, _ in c_plus]
+    fhat = fbase + tuple(b + z4 if on else b for b, on in zip(fbase, f_on))
+    chat = cbase + tuple(b + v for b, v in zip(cbase, cmarg))
+    fhat_ints = f_lo + [v + z4_int if on else v for v, on in zip(f_lo, f_on)]
+    chat_ints = c_lo + [v + w for v, (_, w) in zip(c_lo, c_plus)]
     f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
     c_cls = "submodular" if variant == "sub-sub" else "supermodular"
-    fhat_o = SetFunctionOracle(n + 1, table=fhat, declared_class=f_cls, name="augmented_reward")
-    chat_o = SetFunctionOracle(n + 1, table=chat, declared_class=c_cls, name="augmented_cost")
+    fhat_o = SetFunctionOracle(
+        n + 1, table=fhat, declared_class=f_cls, name="augmented_reward",
+        scaled=(fhat_ints, parts.f_scale, True),
+    )
+    chat_o = SetFunctionOracle(
+        n + 1, table=chat, declared_class=c_cls, name="augmented_cost",
+        scaled=(chat_ints, parts.c_scale, True),
+    )
     # exact tables: the default context's tolerance compares with Fractions
     inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
     inst.meta["kind"] = f"cc_augmented_{variant}"
@@ -501,14 +577,14 @@ def build_augmented(
         variant=variant,
         base=base,
         perturbed=perturbed,
-        delta=delta,
-        z=z,
-        z_components=comps,
-        sigma=sigma,
+        delta=parts.delta,
+        z=parts.z,
+        z_components=parts.z_components,
+        sigma=parts.sigma,
         x_f=x_f,
         x_c=x_c,
         instance=inst,
-        alpha_tilde=atil,
+        alpha_tilde=parts.alpha_tilde,
         f_marginal=fmarg,
         c_marginal=cmarg,
     )
@@ -638,8 +714,10 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     Both parties know the perturbed base, so both enumerate its sigma/2
     approximate best response at alpha; the true augmented best response,
     stripped of n+1, always lies there.  Bob sends the augmented cost of
-    each candidate and of its n+1-extension (2 |candidates| values); Alice,
-    who knows every reward, picks the argmax under the standard tie-break.
+    each candidate and of its n+1-extension (2 |candidates| values), as its
+    int over the cost table's public scale; Alice, who knows every reward,
+    picks the argmax under the standard tie-break, scored exactly on the
+    scaled ints (core._alpha_scores).
     """
     from .sparse import approx_best_response
 
@@ -649,8 +727,10 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     masks = sorted(s.mask for s in cand.members)
     # increasing mask order, so the lower-index tie-break is best_response's
     masks += [m | 1 << n for m in masks]
-    costs = channel.send("Bob", map(aug.instance.c.eval_mask, masks))
-    fvals = [aug.instance.f.eval_mask(m) for m in masks]
-    utils = [alpha * fv - cv for fv, cv in zip(fvals, costs)]
+    f_ints, s_f, _ = aug.instance.f.scaled()
+    c_ints, s_c, _ = aug.instance.c.scaled()
+    costs = channel.send("Bob", [c_ints[m] for m in masks])
+    fvals = [f_ints[m] for m in masks]
+    utils, _ = _alpha_scores(alpha, fvals, s_f, costs, s_c)
     best = masks[_argmax_with_tie_break(utils, fvals)]
     return ActionSet(n + 1, best)

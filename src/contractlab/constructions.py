@@ -17,10 +17,12 @@ from it through solver.chain_alphas, which derives it on a loaded instance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, sub
 
-from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
+from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle
 from .reals import DEFAULT_BITS, RealContext, exact
 
 
@@ -153,22 +155,31 @@ def verify_structure(
     quantification.  ``strict`` applies to the class inequality only;
     monotonicity is weak unless ``strict_monotone``.  Report-only:
     violations are listed, nothing raised.  Every comparison is exact: the
-    table is compared as its scaled ints (core._scaled_ints) and tol as its
-    exact value (reals.exact) times the same scale, whatever the entries'
-    representation and the ambient mpmath precision.  A recorded marginal or
-    diff is the entries' own difference for int/Fraction tables and its
-    exact Fraction otherwise.
+    table is compared as the oracle's scaled ints (SetFunctionOracle.scaled)
+    and tol as its exact value (reals.exact) times the same scale, whatever
+    the entries' representation and the ambient mpmath precision.  A
+    recorded marginal or diff is the entries' own difference for
+    int/Fraction tables and its exact Fraction otherwise.
+
+    Fast path: per action i the marginal vector v(i | S) over every S
+    without i is taken once, its min decides monotonicity, and the min and
+    max of its differences along each other action j decide the class, all
+    over index lists cached per n.  Only when that finds a violation does
+    the per-(S, i, j) loop run, which records the violations, in its
+    order, up to max_recorded.
     """
     cls = declared_class or oracle.declared_class
     n = oracle.n
     if n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
-    tab = oracle.value_table()
-    vals, scale, rational = _scaled_ints(tab)
+    vals, scale, rational = oracle.scaled()
     tol = exact(tol) * scale
     if tol.denominator == 1:
-        tol = tol.numerator  # keeps the loop's comparisons int-only
+        tol = tol.numerator  # keeps the comparisons int-only
     report = StructureReport()
+    if cls in DECLARED_CLASSES and _holds(vals, n, cls, strict, tol, strict_monotone):
+        return report
+    tab = oracle.value_table()
     mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
     size = 1 << n
     bits = [1 << i for i in range(n)]
@@ -205,6 +216,62 @@ def verify_structure(
                         diff = Fraction(diff, scale)
                     klass.append((m, i + 1, j + 1, diff))
     return report
+
+
+def _tuple_getter(indices):
+    """itemgetter over indices that returns a tuple even for one index."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices)
+
+
+@functools.cache
+def _marginal_getters(n: int) -> tuple:
+    """Per action i: (up, down, hi, lo).  up(vals) and down(vals) give
+    v(S + i) and v(S) over every S without i, in increasing order, so that
+    their difference is i's marginal vector; hi and lo index that vector at
+    S + j and S over every S without i and j, for every other j in turn.
+    None for hi and lo when n = 1."""
+    out = []
+    for i in range(n):
+        bi = 1 << i
+        rest = [m for m in range(1 << n) if not m & bi]
+        pos = {m: p for p, m in enumerate(rest)}
+        pairs = [(pos[m], pos[m | 1 << j]) for j in range(n) if j != i
+                 for m in rest if not m >> j & 1]
+        up = _tuple_getter([m | bi for m in rest])
+        down = _tuple_getter(rest)
+        if not pairs:
+            out.append((up, down, None, None))
+            continue
+        out.append((up, down, _tuple_getter([h for _, h in pairs]),
+                    _tuple_getter([lo for lo, _ in pairs])))
+    return tuple(out)
+
+
+def _holds(vals, n, cls, strict, tol, strict_monotone) -> bool:
+    """True when the recording loop would find no violation, decided on
+    whole marginal vectors (see verify_structure)."""
+    for up, down, hi, lo in _marginal_getters(n):
+        marg = list(map(sub, up(vals), down(vals)))
+        least = min(marg)
+        if (least <= tol) if strict_monotone else (least < -tol):
+            return False
+        if cls == "general-monotone" or hi is None:
+            continue
+        diffs = list(map(sub, lo(marg), hi(marg)))  # v(i | S) - v(i | S + j)
+        if cls == "submodular":
+            least = min(diffs)
+            bad = least <= tol if strict else least < -tol
+        elif cls == "supermodular":
+            most = max(diffs)
+            bad = -most <= tol if strict else -most < -tol
+        else:
+            bad = min(diffs) < -tol or max(diffs) > tol
+        if bad:
+            return False
+    return True
 
 
 @dataclass

@@ -75,10 +75,14 @@ class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
     The oracle always holds its full 2^n table, as a tuple, so no entry can
-    change under a hull built from it; query instrumentation lives in the
-    attached ledger.  Exactly one of ``table``, ``weights`` must be given:
+    change under a hull or a scaled form built from it; query
+    instrumentation lives in the attached ledger.  Exactly one of
+    ``table``, ``weights`` must be given:
       table      -- list of 2^n values indexed by subset index,
       weights    -- per-action values of an additive function (w[i-1] for i).
+    ``scaled`` is the table's (ints, scale, rational) when the caller
+    assembled it alongside the table (see scaled), with
+    ints[m] == table[m] * scale exactly.
     """
 
     def __init__(
@@ -90,6 +94,7 @@ class SetFunctionOracle:
         declared_class: str = "general-monotone",
         name: str = "",
         ledger: QueryLedger | None = None,
+        scaled: tuple | None = None,
     ):
         if not (1 <= n <= MAX_N):
             raise ValueError(f"ground-set size must be in [1, {MAX_N}], got {n}")
@@ -111,6 +116,9 @@ class SetFunctionOracle:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
             self.table = tuple(additive_table(self.weights))
+        if scaled is not None and len(scaled[0]) != len(self.table):
+            raise ValueError("scaled ints must list all 2^n subset values")
+        self._scaled = (self.table, scaled)
 
     def eval_mask(self, mask: int):
         """Uninstrumented evaluation (for solver internals)."""
@@ -119,6 +127,22 @@ class SetFunctionOracle:
     def value_table(self):
         """Full 2^n table."""
         return self.table
+
+    def scaled(self):
+        """(ints, scale, rational): the table as ints over one positive
+        scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
+
+        An oracle handed its scaled form with its table returns that form,
+        as long as its table attribute is still that tuple, so a table that
+        was assembled in ints is never converted.  Any other oracle converts
+        its table on each call and keeps nothing: a second copy of a wide
+        table would outlive the hull built from it (an n=14 table at 420
+        bits holds 1.5 MiB of ints).
+        """
+        table, scaled = self._scaled
+        if scaled is None or table is not self.table:
+            return _scaled_ints(self.table)
+        return scaled
 
 
 def additive_table(weights) -> list:
@@ -160,6 +184,15 @@ def _scaled_ints(tab):
     return [p * mult[q] for p, q in ratios], scale, kinds <= _RATIONAL
 
 
+def _alpha_scores(alpha, f_ints, f_scale, c_ints, c_scale):
+    """(scores, factor): scores[k] = p s_c F_k - q s_f C_k for alpha = p / q
+    and scaled ints F, C of f and c over scales s_f, s_c, which is
+    factor = q s_f s_c times the utility alpha f - c, exactly."""
+    p, q = ratio(alpha)
+    pf, qc = p * c_scale, q * f_scale
+    return [pf * fv - qc * cv for fv, cv in zip(f_ints, c_ints)], qc * c_scale
+
+
 def value(oracle: SetFunctionOracle, s: ActionSet):
     """Instrumented value query."""
     if s.n != oracle.n:
@@ -173,12 +206,8 @@ def _scores(kind: str, x, param):
 
     kind "demand": x is the reward oracle, param the prices; f - p, ties to
     higher f.  "supply": x is the cost oracle, param the prices; p - c, ties
-    to higher c.  "best-response": x is the instance, param alpha;
-    alpha f - c, ties to higher f.  Call inside the working precision.
+    to higher c.  Call inside the working precision.
     """
-    if kind == "best-response":
-        ftab = x.f.value_table()
-        return [param * fv - cv for fv, cv in zip(ftab, x.c.value_table())], ftab
     if len(param) != x.n:
         raise ValueError("need one price per action")
     psum = additive_table(list(param))
@@ -244,8 +273,8 @@ class LowerHull:
     rational: bool
 
     @classmethod
-    def build(cls, ftab, ctab) -> "LowerHull":
-        """Monotone chain over the tables' scaled ints (core._scaled_ints).
+    def build(cls, f: SetFunctionOracle, c: SetFunctionOracle) -> "LowerHull":
+        """Monotone chain over the oracles' scaled ints (SetFunctionOracle.scaled).
 
         Among equal f only the least c, then the least mask, can be a
         best response; collinear middles drop (the higher-f tie-break skips
@@ -253,8 +282,8 @@ class LowerHull:
         s_c has the exact slope dC s_f / (dF s_c).  O(n 2^n): one sort and
         one pass.
         """
-        fs, s_f, f_rational = _scaled_ints(ftab)
-        cs, s_c, c_rational = _scaled_ints(ctab)
+        fs, s_f, f_rational = f.scaled()
+        cs, s_c, c_rational = c.scaled()
         hull: list[tuple] = []  # (f, c, mask) points
         for p in sorted(zip(fs, cs, range(len(fs)))):
             fm, cm, _ = p
@@ -275,8 +304,8 @@ class LowerHull:
             nums.append(num // g)
             dens.append(den // g)
         return cls(
-            f_table=ftab,
-            c_table=ctab,
+            f_table=f.value_table(),
+            c_table=c.value_table(),
             vertices=[m for _, _, m in hull],
             nums=nums,
             dens=dens,
@@ -333,10 +362,9 @@ def lower_hull(inst: ContractInstance) -> LowerHull:
     """The instance's lower hull, built from its f and c tables on first use
     and again whenever either table object is no longer the one it was built
     from.  O(n 2^n) per build."""
-    ftab, ctab = inst.f.value_table(), inst.c.value_table()
     hull = inst.hull
-    if hull is None or hull.f_table is not ftab or hull.c_table is not ctab:
-        hull = inst.hull = LowerHull.build(ftab, ctab)
+    if hull is None or hull.f_table is not inst.f.table or hull.c_table is not inst.c.table:
+        hull = inst.hull = LowerHull.build(inst.f, inst.c)
     return hull
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from .core import (
     ActionSet,
     SetFunctionOracle,
+    _alpha_scores,
     _argmax_with_tie_break,
     _scores,
     additive_table,
     value,
 )
-from .reals import RealContext
+from .reals import RealContext, ratio
 from .solver import chain_alphas
 
 
@@ -66,8 +67,19 @@ def approx_supply(c: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmax
 
 
 def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
-    """All S with alpha f(S) - c(S) >= max - sigma."""
-    return _approx_argmax("best-response", inst, alpha, sigma, inst.ctx)
+    """All S with alpha f(S) - c(S) >= max - sigma, decided exactly.
+
+    Every set is scored on the oracles' scaled ints (core._alpha_scores),
+    factor times its utility, and with sigma = a / b the cut is compared
+    as b score >= b max - a factor, in ints, whatever the representation
+    of the tables, alpha and sigma.
+    """
+    fs, s_f, _ = inst.f.scaled()
+    cs, s_c, _ = inst.c.scaled()
+    scores, factor = _alpha_scores(alpha, fs, s_f, cs, s_c)
+    a, b = ratio(sigma)
+    cut = b * max(scores) - a * factor
+    return ApproxArgmaxSet([ActionSet(inst.n, m) for m, u in enumerate(scores) if b * u >= cut])
 
 
 @dataclass

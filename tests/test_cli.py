@@ -461,6 +461,24 @@ class TestMalformedInput:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"contractlab: {argv.split()[0]}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "experiment cc-sweep --n 4 --trials 0",
+            "experiment cc-sweep --n 4 --trials -1",
+            "experiment demand-sim --n 3 --trials -1",
+            "experiment supply-sim --n 3 --trials 0",
+            "experiment value-query --n 3 --trials -2",
+            "experiment protocol-bench --n 4 --variant sup-sup --trials -1",
+        ],
+    )
+    def test_trials_below_range(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("contractlab: experiment: ValueError: --trials must be >= ")
+
     def test_process_exit_status_and_stderr(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import pytest
 
+from contractlab import core
 from contractlab.commlab import (
     CC_PRECISION_BITS,
+    VARIANTS,
     Channel,
     ProtocolError,
     ReductionFailureError,
@@ -32,7 +34,7 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
     verify_structure,
 )
-from contractlab.core import _scaled_ints, best_response
+from contractlab.core import SetFunctionOracle, best_response
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 from contractlab.sparse import approx_best_response, sparseness_ceiling
 
@@ -67,6 +69,22 @@ class TestSpecialSetVector:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             SpecialSetVector.all_ones(3)
+
+    @pytest.mark.parametrize("bits", [[0, 1, 2, 0, 0, 0], [0, -1, 0, 0, 0, 0], [0.5] * 6])
+    def test_bits_other_than_0_1_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            SpecialSetVector(4, bits)
+
+    def test_from_int_range(self):
+        assert SpecialSetVector.from_int(4, (1 << 6) - 1).bits == [1] * 6
+        for packed in (1 << 6, -1):
+            with pytest.raises(ValueError, match="packed bits"):
+                SpecialSetVector.from_int(4, packed)
+
+    def test_vectors_share_their_index(self):
+        a, b = SpecialSetVector.all_ones(6), SpecialSetVector.from_int(6, 5)
+        assert a.masks is b.masks and len(a) == 20
+        assert not a.intersects(SpecialSetVector.all_ones(4))  # other ground set
 
 
 class TestDisjointness:
@@ -292,7 +310,8 @@ class TestExactReduction:
             )
             p, inst = aug.perturbed, aug.instance
             for oracle in (p.f, p.c, inst.f, inst.c):
-                assert _scaled_ints(oracle.value_table())[2], oracle.name  # all int/Fraction
+                rational = oracle.scaled()[2]
+                assert rational and {type(v) for v in oracle.value_table()} <= {int, Fraction}
             for x in (aug.delta, aug.sigma, aug.z, aug.revenue_halfwidth):
                 assert isinstance(x, Fraction)
             assert verify_structure(p.f, strict=True).ok
@@ -389,6 +408,64 @@ class TestProtocols:
             channel.send("Alice", [])
         with pytest.raises(ProtocolError):
             Channel(0)
+
+
+class TestScaledForms:
+    """The augmented tables are assembled as ints beside their Fractions, and
+    every consumer reads those ints: no table is converted per pair."""
+
+    @staticmethod
+    def base(variant, n):
+        return build_equal_revenue_supmod_c(n) if variant == "sup-sup" else submod_base(n)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_ints_are_the_tables(self, variant, n):
+        base = self.base(variant, n)
+        rng = random.Random(n)
+        ones, zeros = SpecialSetVector.all_ones(n), SpecialSetVector.all_zeros(n)
+        pairs = [(ones, zeros), (zeros, ones)]
+        pairs += [(SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng))
+                  for _ in range(2)]
+        for x_f, x_c in pairs:
+            aug = build_augmented(variant, base, x_f, x_c)
+            p = aug.perturbed
+            for oracle, lower, marginals in (
+                (aug.instance.f, p.f, aug.f_marginal),
+                (aug.instance.c, p.c, aug.c_marginal),
+            ):
+                for o in (oracle, lower):
+                    ints, scale, rational = o.scaled()
+                    assert rational and len(ints) == len(o.value_table())
+                    assert all(Fraction(v, scale) == t for v, t in zip(ints, o.value_table()))
+                low = lower.value_table()
+                assert oracle.value_table() == low + tuple(v + m for v, m in zip(low, marginals))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_table_converted_on_a_warm_cache(self, variant, monkeypatch):
+        base = self.base(variant, 4)
+        rng = random.Random(7)
+        ones = SpecialSetVector.all_ones(4)
+        build_augmented(variant, base, ones, ones)  # fills the cache
+        calls = []
+        original = core._scaled_ints
+
+        def counted(tab):
+            calls.append(len(tab))
+            return original(tab)
+
+        monkeypatch.setattr(core, "_scaled_ints", counted)
+        for _ in range(3):
+            x_f, x_c = SpecialSetVector.random(4, rng), SpecialSetVector.random(4, rng)
+            aug = build_augmented(variant, base, x_f, x_c)
+            assert verify_structure(aug.instance.f).ok
+            assert verify_structure(aug.instance.c).ok
+            rep = check_reduction(aug)
+            got = augmented_br_protocol(aug, rep.alpha_star, Channel(64))
+            assert got == best_response(aug.instance, rep.alpha_star)
+        assert calls == []
+        SetFunctionOracle(2, table=[0, 1, 1, 2]).scaled()  # a table-built oracle converts
+        assert calls == [4]
 
 
 class TestAugmentCache:

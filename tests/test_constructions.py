@@ -1,12 +1,16 @@
 """Equal-revenue constructions, structure verification, rounding, gap bounds."""
 
+import itertools
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import hypothesis.strategies as st
 import mpmath
 import pytest
 from hypothesis import given, settings
 
+from contractlab import constructions
 from contractlab.constructions import (
     PrecisionError,
     build_equal_revenue_submod_f,
@@ -18,12 +22,12 @@ from contractlab.constructions import (
     verify_equal_revenue,
     verify_structure,
 )
-from contractlab.core import SetFunctionOracle
-from contractlab.reals import exact
+from contractlab.core import DECLARED_CLASSES, SetFunctionOracle
+from contractlab.reals import RealContext, exact
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
-from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables
+from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables, mixed_rationals
 
 # frozen goldens, derived once from the closed forms and pinned
 GOLDEN_N3_ALPHAS = [0.0, 0.618, 0.747, 0.807, 0.843, 0.867, 0.885, 0.898]
@@ -236,6 +240,93 @@ class TestScaledStructureCheck:
                     klass.append((m, i, j, diff))
         assert rep.monotonicity_violations == mono[: rep.max_recorded]
         assert rep.class_violations == klass[: rep.max_recorded]
+
+
+@st.composite
+def class_tables(draw):
+    """(n, table, cls, c): sum of w_i over S plus +-c C(|S|, 2), weakly of
+    class cls (every class diff is +-c, so ties where c is 0) and monotone,
+    in ints, Fractions, floats or 80-bit mpfs (the last two rounded), with
+    at most one entry moved off it."""
+    n = draw(st.integers(1, 7))
+    cls = draw(st.sampled_from(DECLARED_CLASSES))
+    sign = {"submodular": -1, "supermodular": 1, "additive": 0}.get(cls)
+    if sign is None:
+        sign = draw(st.sampled_from([-1, 0, 1]))
+    c = draw(mixed_rationals(0, 2))
+    w = [draw(mixed_rationals(0, 4)) + (c * (n - 1) if sign < 0 else 0) for _ in range(n)]
+    table = [
+        sum(w[i] for i in range(n) if m >> i & 1) + sign * c * (k * (k - 1) // 2)
+        for m, k in ((m, m.bit_count()) for m in range(1 << n))
+    ]
+    if draw(st.booleans()):
+        m = draw(st.integers(0, (1 << n) - 1))
+        table[m] += draw(st.sampled_from([-2, -1, Fraction(-1, 3), Fraction(1, 7), 1]))
+    kind = draw(st.sampled_from(["int", "fraction", "float", "mpf"]))
+    if kind == "int":
+        scale = lcm(*(Fraction(v).denominator for v in table))
+        table = [int(v * scale) for v in table]
+    elif kind == "float":
+        table = [float(v) for v in table]
+    elif kind == "mpf":
+        table = [RealContext(80).make(Fraction(v)) for v in table]
+    return n, table, cls, c
+
+
+class TestStructureFastPath:
+    """The whole-vector check decides alone only when the recording loop
+    would find nothing, so every report is the loop's own."""
+
+    @staticmethod
+    def assert_loop_report(oracle, cls, strict, tol, strict_monotone):
+        verdicts = []
+        holds = constructions._holds
+
+        def recorded(*args):
+            verdicts.append(holds(*args))
+            return verdicts[-1]
+
+        with mock.patch.object(constructions, "_holds", recorded):
+            got = verify_structure(oracle, cls, strict, tol, strict_monotone)
+        with mock.patch.object(constructions, "_holds", lambda *args: False):
+            want = verify_structure(oracle, cls, strict, tol, strict_monotone)
+        assert got == want
+        # the loop runs exactly when there is a violation to record
+        assert verdicts == [want.ok]
+
+    @given(
+        class_tables(),
+        st.sampled_from([None, *DECLARED_CLASSES]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([0, 1, Fraction(1, 3), 0.5, mpmath.mpf(0.25), "c"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_report_equals_recording_loop(self, ntc, cls, strict, strict_monotone, tol):
+        n, table, built, c = ntc
+        if tol == "c":  # every class diff sits exactly on the tolerance
+            tol = c
+        oracle = SetFunctionOracle(n, table=table)
+        self.assert_loop_report(oracle, cls or built, strict, tol, strict_monotone)
+
+    def test_every_edge_equals_recording_loop(self):
+        # marginals w or w - c, class diffs all +-c: each comparison of the
+        # fast path meets its tolerance exactly somewhere in this sweep
+        for sign, c, w in itertools.product((-1, 0, 1), (0, 1, 2), (0, 1, 2)):
+            table = [w * k + sign * c * (k * (k - 1) // 2)
+                     for k in (m.bit_count() for m in range(8))]
+            oracle = SetFunctionOracle(3, table=table)
+            for args in itertools.product(DECLARED_CLASSES, (False, True), (0, 1, 2, Fraction(1, 2)),
+                                          (False, True)):
+                self.assert_loop_report(oracle, *args)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_index_getters(self, n):
+        # itemgetter with one index returns a scalar; the getters must not
+        f = SetFunctionOracle(n, table=[0, 1, 1, 3][: 1 << n])
+        assert verify_structure(f, "supermodular", strict=True, strict_monotone=True).ok
+        violations = [(0, 1, 2, -1), (0, 2, 1, -1)] if n == 2 else []
+        assert verify_structure(f, "additive").class_violations == violations
 
 
 class TestExactStructureCheckOnRoundedTables:

@@ -19,6 +19,7 @@ from contractlab.core import (
     supply_prices_for_contract,
 )
 from contractlab.perturb import epsilon_bound, family_iterator
+from contractlab.reals import exact
 from contractlab.sparse import (
     ambiguity_intervals,
     approx_best_response,
@@ -34,7 +35,12 @@ from contractlab.sparse import (
     value_query_experiment,
 )
 
-from conftest import monotone_instance_tables, price_vectors
+from conftest import (
+    instance_from_tables,
+    monotone_instance_tables,
+    price_vectors,
+    real_monotone_instance_tables,
+)
 
 
 class TestApproxArgmax:
@@ -82,6 +88,27 @@ class TestApproxArgmax:
             for prices in ((1, 2), (1, 2, 3, 4)):
                 with pytest.raises(ValueError, match="one price per action"):
                     approx(oracle, prices, Fraction(1, 2))
+
+    @given(
+        st.one_of(monotone_instance_tables(max_n=4), real_monotone_instance_tables(53),
+                  real_monotone_instance_tables(80)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_best_response_members_match_fraction_filter(self, tables, data):
+        n, ftab, ctab = tables
+        inst = instance_from_tables(ftab, ctab)
+        alpha = data.draw(st.sampled_from([Fraction, float]))(
+            Fraction(data.draw(st.integers(0, 64)), 64)
+        )
+        fx, cx = [exact(v) for v in ftab], [exact(v) for v in ctab]
+        util = [exact(alpha) * f - c for f, c in zip(fx, cx)]
+        if data.draw(st.booleans()):  # sigma exactly at some set's distance
+            sigma = max(util) - util[data.draw(st.integers(0, (1 << n) - 1))]
+        else:
+            sigma = data.draw(st.sampled_from([0, Fraction(1, 7), 0.25, 1]))
+        want = [m for m in range(1 << n) if util[m] >= max(util) - exact(sigma)]
+        assert approx_best_response(inst, alpha, sigma).masks() == want
 
     def test_best_response_window(self):
         base = build_equal_revenue_supmod_c(3)
