@@ -138,10 +138,11 @@ def _check_equal_revenue(inst, report, seed):
 
 
 def _check_gap_bounds(inst, report, seed):
-    """The square-root recurrence's gap bounds at the instance's n, for an
+    """The square-root recurrence's gap bounds (constructions.chain_gap_bounds)
+    on the exact critical values of the instance's own tables, for an
     instance whose tables form the submodular-reward equal-revenue chain,
     the one construction the recurrence describes."""
-    from .constructions import check_gap_bounds
+    from .constructions import chain_gap_bounds
 
     if not _on_chain(inst):
         report["gap_bounds"] = {"ok": False, "reason": "needs an equal-revenue base"}
@@ -150,7 +151,7 @@ def _check_gap_bounds(inst, report, seed):
         reason = "the square-root recurrence bounds only the equal_revenue_submod_f chain"
         report["gap_bounds"] = {"ok": False, "reason": reason}
         return False
-    r = check_gap_bounds(inst.n)
+    r = chain_gap_bounds(chain_alphas(inst), inst.n)
     report["gap_bounds"] = {"ok": r.ok, "violations": [list(v) for v in r.violations[:10]]}
     return r.ok
 

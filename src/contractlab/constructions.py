@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, sub
 
-from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle
+from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .reals import DEFAULT_BITS, RealContext, exact
 
 
@@ -381,27 +381,34 @@ class GapBoundReport:
 
 
 def check_gap_bounds(n: int) -> GapBoundReport:
-    """Numeric bounds on the square-root recurrence, for t = 1..2^n - 1:
-
-    (1 - a_t)^3 < a_(t+1) - a_t < (1 - a_t)^(3/2),
-    1 - a_t >= 2^-6n, and a_(t+1) - a_t >= 2^-18n.
-    """
+    """The bounds of chain_gap_bounds on the square-root recurrence's
+    a_0..a_(2^n), so every gap for t = 1..2^n - 1 is checked."""
     ctx = RealContext(max(default_bits_for(n), 19 * n + 30))
-    size = 1 << n
-    alphas = _alpha_recurrence(ctx, size)  # one extra step for the last gap
+    return chain_gap_bounds(_alpha_recurrence(ctx, 1 << n), n)
+
+
+def chain_gap_bounds(alphas, n: int) -> GapBoundReport:
+    """Bounds on critical values a_0 = 0 < a_1 < ..., for every t >= 1 that
+    has a next value:
+
+    (1 - a_t)^3 < a_(t+1) - a_t < (1 - a_t)^(3/2) and a_(t+1) - a_t >= 2^-18n,
+
+    and for every t >= 1, 1 - a_t >= 2^-6n.  All compared exactly, as ints
+    over one scale (core._scaled_ints), the 3/2 power as
+    gap^2 < (1 - a_t)^3 (a chain's gaps are positive).
+    """
+    ints, scale, _ = _scaled_ints(alphas)
     violations = []
-    with ctx.workprec():
-        dist_floor = ctx.make(Fraction(1, 1 << (6 * n)))
-        gap_floor = ctx.make(Fraction(1, 1 << (18 * n)))
-        for t in range(1, size):
-            rem = 1 - alphas[t]
-            gap = alphas[t + 1] - alphas[t]
-            if not rem * rem * rem < gap:
-                violations.append((t, "cube lower bound"))
-            if not gap < rem * ctx.sqrt(rem):
-                violations.append((t, "3/2-power upper bound"))
-            if not rem >= dist_floor:
-                violations.append((t, "distance-from-1 floor"))
-            if not gap >= gap_floor:
-                violations.append((t, "gap floor"))
+    for t in range(1, len(ints)):
+        rem = scale - ints[t]  # (1 - a_t) * scale
+        bounds = [("distance-from-1 floor", rem << 6 * n >= scale)]
+        if t + 1 < len(ints):
+            gap, rem3 = ints[t + 1] - ints[t], rem**3
+            bounds = [
+                ("cube lower bound", rem3 < gap * scale * scale),
+                ("3/2-power upper bound", gap * gap * scale < rem3),
+                *bounds,
+                ("gap floor", gap << 18 * n >= scale),
+            ]
+        violations += [(t, name) for name, holds in bounds if not holds]
     return GapBoundReport(violations)

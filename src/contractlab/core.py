@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 import mpmath
 
@@ -254,15 +255,19 @@ def supply(c: SetFunctionOracle, prices, ctx: RealContext | None = None) -> Acti
 @dataclass(frozen=True)
 class LowerHull:
     """Lower convex hull of the (f, c) cloud, from its least-f to its
-    greatest-f vertex, built from two tables and compared exactly.
+    greatest-f vertex, built from two tables and compared exactly, in the
+    frame of their scaled ints (SetFunctionOracle.scaled).
 
     vertices[k] is the best response for alpha in [slope k-1, slope k)
-    (with no bound below k = 0 or above the last vertex), and slope k, of
-    the edge vertices[k] -> vertices[k+1], is nums[k] / dens[k] in lowest
-    terms, dens[k] > 0.  Slopes increase strictly, so an alpha exactly on
-    slope k goes to vertices[k+1], the edge's higher-f end.  f_table and
-    c_table are the table objects it was built from; rational says both
-    hold only ints and Fractions.
+    (with no bound below k = 0 or above the last vertex).  Edge k,
+    vertices[k] -> vertices[k+1], keeps its raw scaled-int differences
+    nums[k] = dC and dens[k] = dF > 0, so its slope is
+    dC s_f / (dF s_c) with s_f = f_scale and s_c = c_scale; f0 is the
+    scaled f of vertices[0], so the scaled f of vertices[k] is f0 plus
+    dens[:k].  Slopes increase strictly, so an alpha exactly on slope k
+    goes to vertices[k+1], the edge's higher-f end.  f_table and c_table
+    are the table objects it was built from; rational says both hold only
+    ints and Fractions.
     """
 
     f_table: tuple
@@ -270,17 +275,18 @@ class LowerHull:
     vertices: list
     nums: list
     dens: list
+    f_scale: int
+    c_scale: int
+    f0: int
     rational: bool
 
     @classmethod
     def build(cls, f: SetFunctionOracle, c: SetFunctionOracle) -> "LowerHull":
-        """Monotone chain over the oracles' scaled ints (SetFunctionOracle.scaled).
+        """Monotone chain over the oracles' scaled ints.
 
         Among equal f only the least c, then the least mask, can be a
         best response; collinear middles drop (the higher-f tie-break skips
-        them).  An edge with scaled-int differences dF, dC and scales s_f,
-        s_c has the exact slope dC s_f / (dF s_c).  O(n 2^n): one sort and
-        one pass.
+        them).  O(n 2^n): one sort and one pass.
         """
         fs, s_f, f_rational = f.scaled()
         cs, s_c, c_rational = c.scaled()
@@ -297,30 +303,30 @@ class LowerHull:
                 else:
                     break
             hull.append(p)
-        nums, dens = [], []
-        for (fa, ca, _), (fb, cb, _) in zip(hull, hull[1:]):
-            num, den = (cb - ca) * s_f, (fb - fa) * s_c
-            g = math.gcd(num, den)  # lowest terms keep the stored ints short
-            nums.append(num // g)
-            dens.append(den // g)
+        fv, cv, masks = zip(*hull)
         return cls(
             f_table=f.value_table(),
             c_table=c.value_table(),
-            vertices=[m for _, _, m in hull],
-            nums=nums,
-            dens=dens,
+            vertices=list(masks),
+            nums=list(map(sub, cv[1:], cv)),
+            dens=list(map(sub, fv[1:], fv)),
+            f_scale=s_f,
+            c_scale=s_c,
+            f0=fv[0],
             rational=f_rational and c_rational,
         )
 
     def index(self, alpha) -> int:
         """Number of slopes <= alpha: the position of the best response at
-        alpha, by bisection with alpha = p / q cross-multiplied.  O(n)."""
+        alpha, by bisection with alpha = p / q cross-multiplied in the
+        scaled frame, dC (q s_f) <= (p s_c) dF.  O(n)."""
         p, q = ratio(alpha)
+        qs, ps = q * self.f_scale, p * self.c_scale
         nums, dens = self.nums, self.dens
         lo, hi = 0, len(nums)
         while lo < hi:
             mid = (lo + hi) // 2
-            if nums[mid] * q <= p * dens[mid]:
+            if nums[mid] * qs <= ps * dens[mid]:
                 lo = mid + 1
             else:
                 hi = mid

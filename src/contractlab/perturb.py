@@ -10,9 +10,10 @@ structural margins of the base instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .core import ContractInstance, SetFunctionOracle
-from .constructions import ConstructionIntegrityError
+from .constructions import ConstructionIntegrityError, _marginal_getters
 from .solver import chain_alphas
 
 REWARD_BONUS = "reward-bonus"
@@ -62,34 +63,21 @@ class PerturbationBudget:
 
 
 def _adjacent_submodularity_margin(tab, n, sense):
-    """min over (S, i, j disjoint) of +-(v(i|S) - v(i|S+j)).
+    """min over (S, i, j disjoint) of +-(v(i|S) - v(i|S+j)), in the table's
+    own arithmetic, on whole marginal vectors (constructions._marginal_getters).
 
     sense +1 measures strict submodularity, -1 strict supermodularity.
     Equals the minimum over all nested pairs S < T: any nested marginal
-    difference telescopes into nonnegative adjacent steps.
+    difference telescopes into nonnegative adjacent steps.  None when n = 1.
     """
-    best = None
-    bits = [1 << i for i in range(n)]
-    for m in range(1 << n):
-        for i in range(n):
-            bi = bits[i]
-            if m & bi:
-                continue
-            marg_i = tab[m | bi] - tab[m]
-            for j in range(i + 1, n):
-                bj = bits[j]
-                if m & bj:
-                    continue
-                marg_j = tab[m | bj] - tab[m]
-                # both orientations of the (i, j) pair
-                for d in (
-                    marg_i - (tab[m | bj | bi] - tab[m | bj]),
-                    marg_j - (tab[m | bi | bj] - tab[m | bi]),
-                ):
-                    d = sense * d
-                    if best is None or d < best:
-                        best = d
-    return best
+    margins = []
+    for up, down, hi, lo in _marginal_getters(n):
+        if hi is None:
+            continue
+        marg = list(map(sub, up(tab), down(tab)))
+        diffs = list(map(sub, lo(marg), hi(marg)))  # v(i | S) - v(i | S + j)
+        margins.append(min(diffs) if sense > 0 else -max(diffs))
+    return min(margins, default=None)
 
 
 def _chain_tables(base: ContractInstance):

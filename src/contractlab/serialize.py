@@ -45,9 +45,15 @@ def number_from_str(s: str):
         num, den = s.split("/")
         return Fraction(int(num), int(den))
     if "p" in s:
-        man, exp = s.split("p")
-        # exact: the normalized tuple of man * 2^exp, rounded at no precision
-        return mpmath.mp.make_mpf(libmp.from_man_exp(int(man), int(exp)))
+        man, exp = map(int, s.split("p"))
+        if not man:
+            return mpmath.mp.make_mpf(libmp.fzero)
+        # exact: the normalized tuple of man * 2^exp (odd mantissa, its bit
+        # count), rounded at no precision
+        sign, man = man < 0, abs(man)
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        return mpmath.mp.make_mpf((int(sign), man, exp + zeros, man.bit_length()))
     return int(s)
 
 
@@ -65,9 +71,12 @@ def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
 def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
     kind = d["kind"]
     if kind == "additive":
+        weights = [number_from_str(w) for w in d["weights"]]
+        if any(w < 0 for w in weights):
+            raise ValueError("an additive oracle with a negative weight is not monotone")
         return SetFunctionOracle(
             n,
-            weights=[number_from_str(w) for w in d["weights"]],
+            weights=weights,
             declared_class=d.get("declared_class", "additive"),
             name=d.get("name", ""),
         )
@@ -102,6 +111,10 @@ def instance_to_dict(inst: ContractInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> ContractInstance:
+    """The instance a dict of instance_to_dict's form describes.  Refuses,
+    with ValueError, an additive oracle with a negative weight and a cost
+    with c(empty set) != 0; f(empty set) may be anything (the submodular
+    equal-revenue chain starts at 1)."""
     n = d["n"]
     if d.get("tie_break", TIE_BREAK_RULE) != TIE_BREAK_RULE:
         raise ValueError(f"unsupported tie_break rule {d['tie_break']!r}")
@@ -113,6 +126,8 @@ def instance_from_dict(d: dict) -> ContractInstance:
         ctx=ctx,
         name=d.get("name", ""),
     )
+    if inst.c.table[0] != 0:
+        raise ValueError(f"the cost of the empty set must be 0, not {inst.c.table[0]}")
     meta = d.get("meta", {})
     for key in _META_SCALARS:
         if key in meta:

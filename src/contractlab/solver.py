@@ -84,11 +84,11 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
 
 def _critical_alpha(hull, j):
     """The alpha of the critical value reached over hull edge j: the exact
-    slope, a Fraction, when the hull is rational, else the tables' own
-    entry differences divided in their own arithmetic.  Call inside the
-    working precision."""
+    slope dC s_f / (dF s_c), a Fraction, when the hull is rational, else
+    the tables' own entry differences divided in their own arithmetic.
+    Call inside the working precision."""
     if hull.rational:
-        return Fraction(hull.nums[j], hull.dens[j])
+        return Fraction(hull.nums[j] * hull.f_scale, hull.dens[j] * hull.c_scale)
     prev, cur = hull.vertices[j], hull.vertices[j + 1]
     ftab, ctab = hull.f_table, hull.c_table
     return (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
@@ -99,8 +99,8 @@ def _chain(hull) -> range:
     vertices[j + 1]: from the alpha = 0 best response, vertices[index(0)],
     up to the first slope >= 1, both decided exactly."""
     end = hull.index(1)
-    if end and hull.nums[end - 1] == hull.dens[end - 1]:  # slope exactly 1
-        end -= 1
+    if end and hull.nums[end - 1] * hull.f_scale == hull.dens[end - 1] * hull.c_scale:
+        end -= 1  # slope exactly 1
     return range(hull.index(0), end)
 
 
@@ -190,40 +190,43 @@ class ContractSolution:
 
 def optimal_contract(inst: ContractInstance) -> ContractSolution:
     """max (1 - alpha) * f(S_alpha) over the critical values, decided exactly
-    on the instance's lower hull.
+    on the instance's lower hull, in its scaled frame (core.LowerHull).
 
     The walk is critical_values' (_chain).  Critical value t, reached over
-    an edge of slope num / den, pays the principal exactly
-    (den - num) p / (den q), with p / q the exact value of its f entry
-    (reals.ratio), and these int pairs are compared by cross-multiplication
-    in every representation.  Canonical answer is the smallest maximizing
-    alpha; co_optimal lists every position within
-    tau = 2^(-precision_bits/2) of the max, also compared exactly.  Only the
+    an edge with scaled-int differences dC, dF, has alpha_t =
+    dC s_f / (dF s_c), and its set's scaled f is F_t = f0 plus the dF of
+    every edge before it.  So s_f s_c times its principal utility is
+    exactly (dF s_c - dC s_f) F_t / dF, an int pair over one edge's f
+    width, and these pairs are compared by cross-multiplication in every
+    representation.  Canonical answer is the smallest maximizing alpha;
+    co_optimal lists every position within tau = 2^(-precision_bits/2) of
+    the max, tau scaled by s_f s_c and also compared exactly.  Only the
     winner's row is built (_make_breakpoint), so its alpha and utility are
     those enumerate_breakpoints reports for it, in the instance's own
     arithmetic.
     """
     hull = lower_hull(inst)
     verts, ftab = hull.vertices, hull.f_table
+    s_f, s_c = hull.f_scale, hull.c_scale
     edges = _chain(hull)
     k, end = edges.start, edges.stop
-    p, q = ratio(ftab[verts[k]])
-    scores = [(p, q)]  # (1 - alpha_t) f(S_t) as a numerator, denominator pair
-    best, bn, bd = 0, p, q
-    pn, pd = 0, 1  # the previous alpha, 0 at t = 0
-    for num, den, mask in zip(hull.nums[k:end], hull.dens[k:end], verts[k + 1 : end + 1]):
-        fp, fq = ratio(ftab[mask])
+    big_f = hull.f0 + sum(hull.dens[:k])
+    best, bn, bd = 0, big_f * s_c, 1
+    scores = [(bn, bd)]  # s_f s_c (1 - alpha_t) f(S_t) as a numerator, denominator pair
+    pn, pd = 0, 1  # the previous edge's dC, dF: alpha 0 at t = 0
+    for num, den in zip(hull.nums[k:end], hull.dens[k:end]):
         # c rises with f wherever the slope dC / dF is positive, which
         # alpha > alpha_0 = 0 makes it
-        if not (pn * den < num * pd and p * fq < fp * q):
+        if not (pn * den < num * pd and den > 0):
             raise AssertionError("alpha, f, c must be strictly increasing along the table")
-        sn, sd = (den - num) * fp, den * fq
-        if sn * bd > bn * sd:  # equal ties: the smaller alpha wins
-            best, bn, bd = len(scores), sn, sd
-        scores.append((sn, sd))
-        p, q, pn, pd = fp, fq, num, den
+        big_f += den
+        sn = (den * s_c - num * s_f) * big_f
+        if sn * bd > bn * den:  # equal ties: the smaller alpha wins
+            best, bn, bd = len(scores), sn, den
+        scores.append((sn, den))
+        pn, pd = num, den
     tp, tq = ratio(inst.ctx.maximizer_tolerance)
-    ln, ld = bn * tq - tp * bd, bd * tq  # the max less tau
+    ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq  # the max less s_f s_c tau
     near = [t for t, (sn, sd) in enumerate(scores) if sn * ld >= ln * sd]
     with inst.ctx.workprec():
         alpha = _critical_alpha(hull, k + best - 1) if best else 0

@@ -222,6 +222,20 @@ class TestConstructSolveVerify:
             assert report["ok"] is (code == 0)
             assert ("reason" in report) is (code == 1)
 
+    def test_gap_bounds_read_the_tables_own_chain(self, tmp_path):
+        # f = 1, 3, 5 - 2^-30, 6.5 - 2^-30 over c = 0, 1, 2, 3 is still the
+        # chain S_0..S_3, with alphas 1/2, about 1/2 + 2^-32 and about 2/3;
+        # but alpha_2 - alpha_1 is below (1 - alpha_1)^3 = 1/8
+        data = json.loads(run_construct("equal_revenue_submod_f", 2))
+        f = (1.0, 3.0, 5 - 2.0**-30, 6.5 - 2.0**-30)
+        data["f"]["values"] = [number_to_str(v) for v in f]
+        path, out = tmp_path / "tampered.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(data))
+        assert [m for _, m in solver.critical_values(load_instance(str(path)))] == [0, 1, 2, 3]
+        assert run(["verify", "--instance", str(path), "--out", str(out), "gap-bounds"]) == 1
+        report = json.loads(out.read_text())["gap_bounds"]
+        assert report == {"ok": False, "violations": [[1, "cube lower bound"]]}
+
     def test_sparse_demand_on_the_two_set_chain(self, tmp_path):
         # the n = 1 chain has no adjacent pair of critical values to bound
         # sigma: a refusal with a reason, not a traceback
@@ -375,6 +389,12 @@ class TestTablesAreTheTruth:
             new = num
         entries[pick % len(entries)] = number_to_str(new)
         bare = {key: v for key, v in data.items() if key != "meta"}
+        if side == "c" and oracle["kind"] == "table" and pick % len(entries) == 0 and new:
+            # a cost of the empty set other than 0 is refused at load, meta or not
+            for spec in (data, bare):
+                with pytest.raises(SystemExit, match="cost of the empty set must be 0"):
+                    run(["solve", "--instance", json.dumps(spec)])
+            return
         assert solve_report(data) == solve_report(bare)
 
 
@@ -442,6 +462,30 @@ class TestMalformedInput:
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("contractlab: cannot load instance: ")
+
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ("negative-cost-weight", "negative weight is not monotone"),
+            ("cost-of-empty-set", "cost of the empty set must be 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "structure"]])
+    def test_inconsistent_instance_refused(self, tmp_path, fault, reason, command):
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        if fault == "negative-cost-weight":
+            data["c"]["weights"][1] = number_to_str(-5)
+        else:  # the additive cost as its table, with c(empty set) = 1
+            values = [number_to_str(m) for m in range(8)]
+            values[0] = number_to_str(1)
+            data["c"] = {"kind": "table", "values": values, "declared_class": "additive"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            run([command[0], "--instance", str(path), *command[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("contractlab: cannot load instance: ") and reason in message
 
     @pytest.mark.parametrize(
         "argv",

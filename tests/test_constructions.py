@@ -16,6 +16,7 @@ from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
     build_rounded,
+    chain_gap_bounds,
     check_gap_bounds,
     default_grid_bits,
     supmod_c_cost_fractions,
@@ -388,3 +389,23 @@ class TestGapBounds:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bounds_hold(self, n):
         assert check_gap_bounds(n).ok
+
+    @pytest.mark.parametrize("n, bits", [(2, None), (5, None), (8, None), (4, 192)])
+    def test_bounds_hold_on_the_constructions_own_alphas(self, n, bits):
+        inst = build_equal_revenue_submod_f(n, precision_bits=bits)
+        assert chain_gap_bounds(chain_alphas(inst), n).ok
+
+    def test_bounds_are_exact(self):
+        # a_1 = 1/2 and (1 - a_1)^3 = 1/8: a gap of exactly 1/8 breaks the
+        # strict cube bound, one of 1/8 + 2^-80 does not; 1 - a = 2^-12
+        # meets the n = 2 distance floor exactly, 1 - a = 2^-12 - 2^-80 not
+        tiny = Fraction(1, 1 << 80)
+        half, floor = Fraction(1, 2), Fraction(1, 1 << 12)
+        assert chain_gap_bounds([0, half, half + Fraction(1, 8)], 2).violations == [
+            (1, "cube lower bound")
+        ]
+        assert chain_gap_bounds([0, half, half + Fraction(1, 8) + tiny], 2).ok
+        assert chain_gap_bounds([0, 1 - floor], 2).ok
+        assert chain_gap_bounds([0, 1 - floor + tiny], 2).violations == [
+            (1, "distance-from-1 floor")
+        ]

@@ -1,5 +1,6 @@
 """Ground-set primitives, oracles, and query semantics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from contractlab.core import (
     ActionSet,
     ContractInstance,
     DegenerateContractError,
+    LowerHull,
     QueryLedger,
     SetFunctionOracle,
     additive_table,
@@ -21,6 +23,7 @@ from contractlab.core import (
     supply_prices_for_contract,
     value,
 )
+from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
 from contractlab.reals import RealContext, exact
 
 from conftest import (
@@ -282,6 +285,53 @@ class TestHullBestResponse:
         for oracle in (inst.f, inst.c, additive):
             with pytest.raises(TypeError):
                 oracle.value_table()[1] = 7
+
+
+class TestHullFrame:
+    """The hull keeps the oracles' scaled frame: raw int differences per
+    edge, the two scales, and the scaled f of its first vertex."""
+
+    @given(
+        st.one_of(
+            real_monotone_instance_tables(53),
+            real_monotone_instance_tables(192),
+            mixed_monotone_instance_tables(),
+            degenerate_hull_tables(),
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_edges_are_the_exact_slopes(self, tables):
+        n, ftab, ctab = tables
+        hull = lower_hull(instance_from_tables(ftab, ctab))
+        fx, cx = [exact(v) for v in ftab], [exact(v) for v in ctab]
+        verts, s_f, s_c = hull.vertices, hull.f_scale, hull.c_scale
+        assert hull.f0 == fx[verts[0]] * s_f
+        big_f = hull.f0
+        for k, (a, b) in enumerate(zip(verts, verts[1:])):
+            assert hull.dens[k] > 0
+            assert Fraction(hull.nums[k] * s_f, hull.dens[k] * s_c) == (cx[b] - cx[a]) / (
+                fx[b] - fx[a]
+            )
+            big_f += hull.dens[k]
+            assert big_f == fx[b] * s_f  # the cumulative f the solver scores
+
+    def test_build_takes_no_gcd(self, monkeypatch):
+        instances = (
+            build_equal_revenue_submod_f(8),
+            build_equal_revenue_submod_f(6, precision_bits=192),
+            build_equal_revenue_supmod_c(6),
+        )
+        calls = []
+        gcd = math.gcd
+
+        def counted(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        for inst in instances:
+            LowerHull.build(inst.f, inst.c)
+        assert calls == []
 
 
 class TestRealContext:

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
@@ -13,6 +15,7 @@ from contractlab.perturb import (
     COST_DISCOUNT,
     REWARD_BONUS,
     BudgetError,
+    _adjacent_submodularity_margin,
     epsilon_bound,
     epsilon_bound_cost,
     epsilon_bound_reward,
@@ -20,7 +23,10 @@ from contractlab.perturb import (
     make_perturbed,
     valid_k_range,
 )
+from contractlab.reals import RealContext
 from contractlab.solver import enumerate_breakpoints, optimal_contract
+
+from conftest import mixed_pairwise_tables
 
 
 def brute_nested_margin(tab, n, sense):
@@ -39,6 +45,71 @@ def brute_nested_margin(tab, n, sense):
                 if best is None or d < best:
                     best = d
     return best
+
+
+def loop_margin(tab, n, sense):
+    """The per-(S, i, j) loop the whole-vector margin replaced: the same
+    subtractions, taken one at a time, so the minimum must be bit-identical."""
+    best = None
+    bits = [1 << i for i in range(n)]
+    for m in range(1 << n):
+        for i in range(n):
+            bi = bits[i]
+            if m & bi:
+                continue
+            marg_i = tab[m | bi] - tab[m]
+            for j in range(i + 1, n):
+                bj = bits[j]
+                if m & bj:
+                    continue
+                marg_j = tab[m | bj] - tab[m]
+                for d in (
+                    marg_i - (tab[m | bj | bi] - tab[m | bj]),
+                    marg_j - (tab[m | bi | bj] - tab[m | bi]),
+                ):
+                    d = sense * d
+                    if best is None or d < best:
+                        best = d
+    return best
+
+
+@st.composite
+def real_tables(draw, bits):
+    """(n, table) of tenths summed in RealContext(bits) arithmetic: float at
+    53 bits, else mpf; no structure, so both signs of every margin occur."""
+    n = draw(st.integers(1, 5))
+    ctx = RealContext(bits)
+    steps = draw(st.lists(st.integers(-40, 40), min_size=1 << n, max_size=1 << n))
+    with ctx.workprec():
+        table = [ctx.make(0)]
+        for m in range(1, 1 << n):
+            table.append(table[m & (m - 1)] + ctx.make(Fraction(steps[m], 10)))
+    return n, table, ctx
+
+
+class TestWholeVectorMargin:
+    @given(
+        st.one_of(
+            real_tables(53),
+            real_tables(80),
+            mixed_pairwise_tables(max_n=5).map(lambda t: (*t, RealContext())),
+            # every denominator of those tables divides 2310: the same as ints
+            mixed_pairwise_tables(max_n=5).map(
+                lambda t: (t[0], [int(v * 2310) for v in t[1]], RealContext())
+            ),
+        ),
+        st.sampled_from([+1, -1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_loop(self, tables, sense):
+        n, table, ctx = tables
+        with ctx.workprec():
+            got = _adjacent_submodularity_margin(table, n, sense)
+            want = loop_margin(table, n, sense)
+        assert got == want
+        if len(set(map(type, table))) == 1:
+            # on a mixed table an int and an equal Fraction may swap places
+            assert repr(got) == repr(want)
 
 
 class TestBudgets:

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from contractlab import core, reals, solver
 from contractlab.constructions import build_equal_revenue_submod_f
 from contractlab.reals import exact
 from contractlab.solver import (
@@ -205,6 +206,27 @@ class TestOptimalContract:
         alpha = (ctab[2] - ctab[1]) / (ftab[2] - ftab[1])
         assert (sol.alpha_star, sol.principal_utility) == (alpha, (1 - alpha) * ftab[2])
         assert sol.principal_utility < 0.5
+
+    def test_ratio_calls_do_not_grow_with_n(self, monkeypatch):
+        # the chain's f is carried as ints along the hull: no entry of the
+        # table is converted, so a fixed number of reals.ratio calls (the
+        # two index bisections and tau) serves every n
+        counts = {}
+        for n in (4, 10):
+            inst = build_equal_revenue_submod_f(n)
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return reals.ratio(x)
+
+            monkeypatch.setattr(core, "ratio", counted)
+            monkeypatch.setattr(solver, "ratio", counted)
+            sol = optimal_contract(inst)
+            monkeypatch.undo()
+            assert sol.breakpoint_count == 1 << n
+            counts[n] = len(calls)
+        assert counts[4] == counts[10] <= 3
 
     def test_utility_helpers(self):
         # a row's utilities are alpha f - c and (1 - alpha) f of its entries
