@@ -174,8 +174,17 @@ def _check_table_invariants(table: BreakpointTable) -> None:
         raise AssertionError("first breakpoint must have alpha = 0")
     if len(bps) > table.instance.size:
         raise AssertionError("more breakpoints than subsets")
+    # a float or mpf table's alphas are rounded quotients, so two critical
+    # values whose exact slopes differ may round to one alpha: the strict
+    # rise of alpha is checked on the hull edges' exact ints instead
+    hull = lower_hull(table.instance)
+    edges = _chain(hull)
+    nums, dens = hull.nums[edges.start : edges.stop], hull.dens[edges.start : edges.stop]
+    rising = all(pn * den < num * pd for pn, pd, num, den in zip(nums, dens, nums[1:], dens[1:]))
+    if not rising or len(nums) + 1 != len(bps):
+        raise AssertionError("alpha, f, c must be strictly increasing along the table")
     for a, b in zip(bps, bps[1:]):
-        if not (a.alpha < b.alpha and a.f_value < b.f_value and a.c_value < b.c_value):
+        if not (a.f_value < b.f_value and a.c_value < b.c_value):
             raise AssertionError("alpha, f, c must be strictly increasing along the table")
 
 

@@ -61,6 +61,27 @@ class TestEnumeration:
         for b, (a, _) in zip(table, want):
             assert abs(exact(b.alpha) - a) <= a / (1 << (bits - 3))
 
+    def test_rounded_alphas_may_tie(self):
+        # tenths summed at 80 bits: edges 8 -> 12 -> 11 have slope 1 in
+        # decimal, just below 1 in the rounded entries, so both are critical
+        # values, and both alphas round to the one mpf below 1; the exact
+        # slopes still rise
+        tenths_f = [0, 1, 1, 2, 1, 2, 2, 3, 39, 78, 40, 102, 56, 79, 57, 103]
+        tenths_c = [0, 0, 0, 0, 0, 0, 0, 0, 32, 71, 33, 95, 49, 72, 50, 96]
+        ctx = reals.RealContext(80)
+        ftab, ctab = [ctx.make(0)] * 16, [ctx.make(0)] * 16
+        with ctx.workprec():
+            for tab, tenths in ((ftab, tenths_f), (ctab, tenths_c)):
+                for m in range(1, 16):
+                    below = [m & ~(1 << i) for i in range(4) if m >> i & 1]
+                    incr = tenths[m] - max(tenths[s] for s in below)
+                    tab[m] = max(tab[s] for s in below) + ctx.make(Fraction(incr, 10))
+        table = enumerate_breakpoints(instance_from_tables(ftab, ctab, 80))
+        want = brute_breakpoints(ftab, ctab)
+        assert [b.aset.mask for b in table] == [m for _, m in want] == [7, 8, 12, 11]
+        assert want[2][0] < want[3][0] < 1
+        assert table[2].alpha == table[3].alpha < 1
+
     @given(monotone_instance_tables(max_n=3))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force_probe(self, tables):
