@@ -263,11 +263,11 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
     checked, so every breakpoint revenue lies in
     (1 - 3 zeta (1 - alpha_max) / 64, 1]: within three quarters of the
     sandwich half-width while zeta sets z.
+
+    delta must lie in (0, delta_bound(base, variant).bound); the caller,
+    _augment_parts, checks it.
     """
     variant = "sub-sub" if sign < 0 else "sub-sup"
-    budget = delta_bound(base, variant)
-    if not (0 < delta < budget.bound):
-        raise ValueError(f"delta {delta} outside (0, {budget.bound})")
     f_max = exact(base.f.value_table()[-1])
     kappa = _grid_bits(variant, base, delta, 2 * f_max)
     scale = 1 << kappa
@@ -306,10 +306,10 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     every f-tilde gap exceeds 1/2.  Rounding c~_t down raises the revenue of
     S_t, so every breakpoint revenue lies in [1, 1 + zeta (1 - alpha_max) / 32):
     within half the sandwich half-width while zeta sets z.
+
+    delta must lie in (0, delta_bound(base, "sup-sup").bound); the caller,
+    _augment_parts, checks it.
     """
-    budget = delta_bound(base, "sup-sup")
-    if not (0 < delta < budget.bound):
-        raise ValueError(f"delta {delta} outside (0, {budget.bound})")
     n = base.n
     kappa = _grid_bits("sup-sup", base, delta, base.f.value_table()[-1] + exact(delta) * n * n)
     scale = 1 << kappa
@@ -424,13 +424,19 @@ def _z_components(variant, base, perturbed, delta, sigma):
 @dataclass
 class _AugmentParts:
     """build_augmented's indicator-independent part for one (base, variant,
-    delta): the perturbed base, its critical values, z, and every value
-    action n+1's marginals can take, each as (Fraction, int on its table's
-    scale).  f_plus is z/4 on f_scale, the perturbed f scale combined with
-    z/4's denominator.  c_plus maps "z2" to z/2, "a1" to alpha~_1 z/8 and
-    each size-n/2 set t to alpha~_t z/4, on c_scale, the perturbed c scale
-    combined with all their denominators.  Two scales, because the alpha~
-    denominators would make the f ints as long as the c ints."""
+    delta): the perturbed base, its critical values, z, and the all-zero
+    pair's augmented tables, which a pair copies and changes at its
+    size-n/2 sets only.
+
+    f_table and c_table are that pair's f-hat and c-hat, f_ints and c_ints
+    the same tables as ints on f_scale and c_scale, f_marginal and
+    c_marginal its marginals of action n+1.  f_scale is the perturbed f
+    scale combined with z/4's denominator; c_scale also takes in the
+    denominators of z/2, alpha~_1 z/8 and every alpha~_t z/4 (one shared
+    scale would make the f ints as long as the c ints).  f_half[i] is
+    (f-hat at t + 2^n, its int, marginal z/4) for the i-th size-n/2 set t,
+    taken when x_f holds t; c_half[i] is the same for c-hat, with marginal
+    alpha~_t z/4, taken when x_c holds t."""
 
     sigma: Fraction
     delta: Fraction
@@ -440,8 +446,35 @@ class _AugmentParts:
     z: Fraction
     f_scale: int
     c_scale: int
-    f_plus: tuple
-    c_plus: dict
+    f_table: tuple
+    c_table: tuple
+    f_ints: tuple
+    c_ints: tuple
+    f_marginal: tuple
+    c_marginal: tuple
+    f_half: tuple
+    c_half: tuple
+
+
+def _lifted(oracle, scale, marginals, half):
+    """The oracle's table lifted to n+1 actions by marginals[m] = (v, v's
+    int on scale) at m + 2^n, as (table, ints on scale, the marginals' v,
+    picks), with picks[i] = (entry, int, v) at t + 2^n for half[i] =
+    (t, (v, w)).  A 0 marginal reuses the lower entry and int themselves."""
+    low = oracle.table
+    ints, s, _ = oracle.scaled()
+    low_ints = tuple(v * (scale // s) for v in ints)
+
+    def entry(m, v, w):
+        return (low[m] + v, low_ints[m] + w, v) if v else (low[m], low_ints[m], v)
+
+    upper = [entry(m, *vw) for m, vw in enumerate(marginals)]
+    return (
+        low + tuple(u[0] for u in upper),
+        low_ints + tuple(u[1] for u in upper),
+        tuple(u[2] for u in upper),
+        tuple(entry(t, *vw) for t, vw in half),
+    )
 
 
 def _augment_parts(variant, base, delta) -> _AugmentParts:
@@ -471,10 +504,20 @@ def _augment_parts(variant, base, delta) -> _AugmentParts:
     comps = _z_components(variant, base, perturbed, delta, sigma)
     z = min(comps.values())
     z4 = z / 4
+    half = _half_sets(n)[0]
     c_values = {"z2": z / 2, "a1": atil[1] * z / 8}
-    c_values.update((t, atil[t] * z / 4) for t in _half_sets(n)[0])
+    c_values.update((t, atil[t] * z / 4) for t in half)
     f_scale = lcm(perturbed.f.scaled()[1], z4.denominator)
     c_scale = lcm(perturbed.c.scaled()[1], *(v.denominator for v in c_values.values()))
+    f_plus = (z4, (z4 * f_scale).numerator)
+    c_plus = {k: (v, (v * c_scale).numerator) for k, v in c_values.items()}
+    f_on, c_keys = _marginal_template(variant, n)
+    f_table, f_ints, f_marginal, f_half = _lifted(
+        perturbed.f, f_scale, [f_plus if on else (0, 0) for on in f_on], [(t, f_plus) for t in half]
+    )
+    c_table, c_ints, c_marginal, c_half = _lifted(
+        perturbed.c, c_scale, [c_plus[k] for k in c_keys], [(t, c_plus[t]) for t in half]
+    )
     return _AugmentParts(
         sigma=sigma,
         delta=delta,
@@ -484,17 +527,25 @@ def _augment_parts(variant, base, delta) -> _AugmentParts:
         z=z,
         f_scale=f_scale,
         c_scale=c_scale,
-        f_plus=(z4, (z4 * f_scale).numerator),
-        c_plus={k: (v, (v * c_scale).numerator) for k, v in c_values.items()},
+        f_table=f_table,
+        c_table=c_table,
+        f_ints=f_ints,
+        c_ints=c_ints,
+        f_marginal=f_marginal,
+        c_marginal=c_marginal,
+        f_half=f_half,
+        c_half=c_half,
     )
 
 
 @functools.cache
 def _marginal_template(variant: str, n: int) -> tuple:
     """(f_on, c_keys) over t < 2^n for a pair of all-zero vectors: whether
-    f's marginal at t is z/4 (else 0), and the _AugmentParts.c_plus key of
-    c's.  A pair's vectors then change only their size-n/2 sets: a member
-    of x_f gets z/4, a member t of x_c gets alpha~_t z/4."""
+    f's marginal at t is z/4 (else 0), and the key of c's in
+    _augment_parts' marginal values: "z2" for z/2, "a1" for alpha~_1 z/8,
+    a size-n/2 set t for alpha~_t z/4.  A pair's vectors then change only
+    their size-n/2 sets: a member of x_f gets z/4, a member t of x_c gets
+    alpha~_t z/4."""
     half = n // 2
     f_on, c_keys = [], []
     for t in range(1 << n):
@@ -522,11 +573,14 @@ def build_augmented(
 
     base: submodular-reward equal-revenue instance for sub-sub/sub-sup,
     additive-reward (supermodular-cost) instance for sup-sup; n must be even.
-    Everything but the marginals is independent of (x_f, x_c) and cached on
-    the base (_AugmentParts), so a pair only assembles its two tables: as
-    Fractions, from the perturbed base's entries plus a cached marginal,
-    and as ints on the cached scales, which the augmented oracles are
-    handed as their scaled forms.
+    delta must lie below the variant's delta_bound and sigma / (2 n^2);
+    None takes half that cap.  Everything but the marginals is independent
+    of (x_f, x_c) and cached on the base (_AugmentParts), both augmented
+    tables of the all-zero pair included, as entries and as ints on the
+    cached scales.  A pair copies them and overwrites the upper-half entry
+    of each size-n/2 set its indicator bits hold with a prebuilt one, so it
+    does no arithmetic; the augmented oracles are handed the ints as their
+    scaled forms.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -539,27 +593,14 @@ def build_augmented(
     parts = base.augment_cache.get(cache_key)
     if parts is None:
         parts = base.augment_cache[cache_key] = _augment_parts(variant, base, delta)
-    f_on, c_keys = map(list, _marginal_template(variant, n))
+    fhat, fhat_ints, fmarg = list(parts.f_table), list(parts.f_ints), list(parts.f_marginal)
+    chat, chat_ints, cmarg = list(parts.c_table), list(parts.c_ints), list(parts.c_marginal)
+    size = 1 << n
     for i, t in enumerate(_half_sets(n)[0]):
         if x_f.packed >> i & 1:
-            f_on[t] = True
+            fhat[size + t], fhat_ints[size + t], fmarg[t] = parts.f_half[i]
         if x_c.packed >> i & 1:
-            c_keys[t] = t
-    perturbed = parts.perturbed
-    fbase, cbase = perturbed.f.table, perturbed.c.table
-    f_ints, s_pf, _ = perturbed.f.scaled()
-    c_ints, s_pc, _ = perturbed.c.scaled()
-    f_mult, c_mult = parts.f_scale // s_pf, parts.c_scale // s_pc
-    f_lo = [v * f_mult for v in f_ints]
-    c_lo = [v * c_mult for v in c_ints]
-    z4, z4_int = parts.f_plus
-    c_plus = [parts.c_plus[k] for k in c_keys]
-    fmarg = [z4 if on else 0 for on in f_on]
-    cmarg = [v for v, _ in c_plus]
-    fhat = fbase + tuple(b + z4 if on else b for b, on in zip(fbase, f_on))
-    chat = cbase + tuple(b + v for b, v in zip(cbase, cmarg))
-    fhat_ints = f_lo + [v + z4_int if on else v for v, on in zip(f_lo, f_on)]
-    chat_ints = c_lo + [v + w for v, (_, w) in zip(c_lo, c_plus)]
+            chat[size + t], chat_ints[size + t], cmarg[t] = parts.c_half[i]
     f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
     c_cls = "submodular" if variant == "sub-sub" else "supermodular"
     fhat_o = SetFunctionOracle(
@@ -576,7 +617,7 @@ def build_augmented(
     return AugmentedCCInstance(
         variant=variant,
         base=base,
-        perturbed=perturbed,
+        perturbed=parts.perturbed,
         delta=parts.delta,
         z=parts.z,
         z_components=parts.z_components,

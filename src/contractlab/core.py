@@ -147,12 +147,19 @@ class SetFunctionOracle:
 
 
 def additive_table(weights) -> list:
-    """Subset-sum table over all masks, via one addition per entry."""
-    n = len(weights)
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    """Subset-sum table over all masks, via one addition per entry.
+
+    Doubling from the last weight to the first: the even slots keep the
+    table so far, the odd slots add the weight.  Each entry so adds its
+    weights from the highest action down to the lowest, starting from int
+    0; that order fixes how float and mpf entries round.
+    """
+    table = [0]
+    for w in reversed(weights):
+        doubled = table * 2
+        doubled[::2] = table
+        doubled[1::2] = [v + w for v in table]
+        table = doubled
     return table
 
 

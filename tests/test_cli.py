@@ -487,6 +487,42 @@ class TestMalformedInput:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("contractlab: cannot load instance: ") and reason in message
 
+    @staticmethod
+    def assert_refused(data: dict, reason: str):
+        """solve and verify both end with one line naming the reason (a
+        SystemExit with a message: exit status 1, the message on stderr)."""
+        for command in (["solve"], ["verify", "structure"]):
+            with pytest.raises(SystemExit) as exc:
+                run([command[0], "--instance", json.dumps(data), *command[1:]])
+            message = exc.value.code
+            assert isinstance(message, str) and "\n" not in message
+            assert message.startswith("contractlab: cannot load instance: ") and reason in message
+
+    # a nonzero number in every representation the format writes
+    NONZERO = st.one_of(
+        st.integers(1, 10**30),
+        st.fractions(min_value=Fraction(1, 10**12), max_value=10**6),
+        st.floats(min_value=5e-324, max_value=1e300),
+        st.builds(lambda m, e: mpmath.mpf((0, m, e, m.bit_length())),
+                  st.integers(1, 1 << 200).filter(lambda m: m % 2), st.integers(-300, 300)),
+    )
+
+    @settings(max_examples=15, deadline=None)
+    @given(position=st.integers(0, 2), magnitude=NONZERO)
+    def test_any_negative_weight_refused(self, position, magnitude):
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        data["c"]["weights"][position] = number_to_str(-magnitude)
+        self.assert_refused(data, "negative weight is not monotone")
+
+    @settings(max_examples=15, deadline=None)
+    @given(cost=NONZERO, negative=st.booleans())
+    def test_any_nonzero_cost_of_the_empty_set_refused(self, cost, negative):
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        values = [number_to_str(m) for m in range(8)]  # the additive cost as its table
+        values[0] = number_to_str(-cost if negative else cost)
+        data["c"] = {"kind": "table", "values": values, "declared_class": "additive"}
+        self.assert_refused(data, "cost of the empty set must be 0")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -137,6 +137,16 @@ class TestDeltaAndZ:
             assert aug.z <= aug.sigma / 2
             assert aug.delta < aug.sigma  # carryover cap delta < sigma/(2 n^2)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_delta_out_of_range_rejected(self, variant):
+        # the builders of the perturbed base trust their caller's check
+        base = build_equal_revenue_supmod_c(4) if variant == "sup-sup" else submod_base(4)
+        ones = SpecialSetVector.all_ones(4)
+        for delta in (0, -Fraction(1, 10**6), delta_bound(base, variant).bound, 1):
+            with pytest.raises(ValueError, match="outside"):
+                build_augmented(variant, base, ones, ones, delta=delta)
+        assert base.augment_cache == {}
+
     def test_odd_n_rejected(self):
         base = build_equal_revenue_submod_f(3, precision_bits=CC_PRECISION_BITS)
         ones = SpecialSetVector.all_ones(4)
@@ -466,6 +476,46 @@ class TestScaledForms:
         assert calls == []
         SetFunctionOracle(2, table=[0, 1, 1, 2]).scaled()  # a table-built oracle converts
         assert calls == [4]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pairs_share_every_entry_but_the_half_sets(self, variant, n):
+        base = self.base(variant, n)
+        rng = random.Random(n + 1)
+        ones = SpecialSetVector.all_ones(n)
+        first = build_augmented(variant, base, ones, ones)
+        second = build_augmented(
+            variant, base, SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng)
+        )
+        size = 1 << n
+        half = {m for m in range(size) if m.bit_count() == n // 2}
+        for a, b in ((first.instance.f, second.instance.f), (first.instance.c, second.instance.c)):
+            for x, y in ((a.value_table(), b.value_table()), (a.scaled()[0], b.scaled()[0])):
+                assert x is not y
+                for m in range(2 * size):
+                    if m - size not in half:
+                        assert x[m] is y[m], m
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_fraction_arithmetic_on_a_warm_cache(self, variant, monkeypatch):
+        base = self.base(variant, 4)
+        rng = random.Random(8)
+        ones = SpecialSetVector.all_ones(4)
+        build_augmented(variant, base, ones, ones)  # fills the cache
+        calls = []
+        for name in ("__add__", "__radd__"):
+
+            def counted(*args, original=getattr(Fraction, name)):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert Fraction(1, 2) + 1 == Fraction(3, 2) and len(calls) == 1  # counting works
+        calls.clear()
+        for _ in range(3):
+            x_f, x_c = SpecialSetVector.random(4, rng), SpecialSetVector.random(4, rng)
+            build_augmented(variant, base, x_f, x_c)
+        assert calls == []
 
 
 class TestAugmentCache:

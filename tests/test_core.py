@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -78,6 +79,47 @@ class TestOracle:
         tab = additive_table(w)
         for m in range(1 << len(w)):
             assert tab[m] == sum(w[i] for i in range(len(w)) if m >> i & 1)
+
+    @staticmethod
+    def _lowest_bit_recurrence(weights):
+        """The table by one addition per mask onto the mask less its lowest
+        action, the recurrence additive_table's doubling replaced."""
+        table = [0] * (1 << len(weights))
+        for mask in range(1, len(table)):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+        return table
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["float", "mpf80", "int", "Fraction"]),
+        draws=st.lists(
+            st.tuples(st.integers(-(1 << 90), 1 << 90), st.integers(-60, 60)),
+            min_size=1, max_size=10,
+        ),
+    )
+    def test_additive_table_adds_in_the_recurrence_order(self, kind, draws):
+        # weights of mixed magnitudes, so float and mpf sums round
+        with mpmath.workprec(80):
+            if kind == "float":
+                weights = [math.ldexp(float(m >> 40), e) for m, e in draws]
+            elif kind == "mpf80":
+                weights = [mpmath.ldexp(mpmath.mpf(m), e) for m, e in draws]
+            elif kind == "int":
+                weights = [m for m, _ in draws]
+            else:
+                weights = [Fraction(m, 1 << (e + 60)) for m, e in draws]
+            got = additive_table(weights)
+            want = self._lowest_bit_recurrence(weights)
+
+        def key(v):
+            if isinstance(v, mpmath.mpf):
+                return v._mpf_
+            return v.hex() if isinstance(v, float) else v
+
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b) and key(a) == key(b)
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
