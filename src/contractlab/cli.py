@@ -54,12 +54,8 @@ def _on_chain(inst) -> bool:
 
 
 def cmd_construct(args) -> int:
-    params = {"n": args.n}
-    if args.precision_bits:
-        params["precision_bits"] = args.precision_bits
-    if args.grid_bits:
-        params["grid_bits"] = args.grid_bits
-    inst = build_named(args.name, params)
+    params = {"n": args.n, "precision_bits": args.precision_bits, "grid_bits": args.grid_bits}
+    inst = build_named(args.name, {k: v for k, v in params.items() if v is not None})
     if args.out:
         save_instance(inst, args.out)
     else:

@@ -7,23 +7,38 @@ Two families:
     and the critical value of S_t is alpha_t = 1 / (f_t - f_(t-1));
   * additive reward / supermodular cost: f_i = 2^(i-1) so f(S_t) = t, costs
     c_t = c_(t-1) + (t-1)/t held as exact rationals, alpha_t = (t-1)/t.
-Every nonempty incentivizable set yields principal utility exactly 1.  No
-breakpoint table is stored: solvers read every critical value off the f
-and c tables (solver.critical_values).  meta["alpha_table"] lists the
-chain's critical values, the same values, of the same types, that
-critical_values reports; perturb, sparse and commlab read their bounds
-from it through solver.chain_alphas, which derives it on a loaded instance.
+Every nonempty incentivizable set yields principal utility exactly 1.  At
+extended precision the square-root recurrences (f's here, and the critical
+values' own for build_rounded and check_gap_bounds) run on ints with
+mpmath's rounding (reals.round_nearest and its operations), so each entry
+is the mpf that mpmath arithmetic at that precision gives, bit for bit;
+native floats run on floats.  No breakpoint table is stored: solvers read
+every critical value off the f and c tables (solver.critical_values).
+meta["alpha_table"] lists the chain's critical values, the same values, of
+the same types, that critical_values reports; perturb, sparse and commlab
+read their bounds from it through solver.chain_alphas, which derives it on
+a loaded instance.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, sub
 
 from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
-from .reals import DEFAULT_BITS, RealContext, exact
+from .reals import (
+    DEFAULT_BITS,
+    RealContext,
+    add_nearest,
+    exact,
+    mpf_exact,
+    reciprocal_nearest,
+    round_nearest,
+    sqrt_nearest,
+)
 
 
 class PrecisionError(ValueError):
@@ -46,14 +61,56 @@ def default_bits_for(n: int) -> int:
 
 
 def _alpha_recurrence(ctx: RealContext, steps: int):
-    """alpha_0 = 0; alpha_(t+1) = alpha_t + (sqrt(4 a^2 - 8 a + 5) - 1) / 2."""
-    alphas = [ctx.make(0)]
-    a = alphas[0]
-    with ctx.workprec():
+    """alpha_0 = 0; alpha_(t+1) = alpha_t + (sqrt(4 a^2 - 8 a + 5) - 1) / 2,
+    each operation rounded at ctx's precision: native floats, or the ints of
+    reals.round_nearest, the mpf mpmath would give bit for bit."""
+    if ctx.native:
+        a, alphas = 0.0, [0.0]
         for _ in range(steps):
-            a = a + (ctx.sqrt(4 * a * a - 8 * a + 5) - 1) / 2
+            a = a + (math.sqrt(4 * a * a - 8 * a + 5) - 1) / 2
             alphas.append(a)
+        return alphas
+    prec = ctx.bits
+    am, ae = 0, 0
+    alphas = [mpf_exact(0, 0)]
+    for _ in range(steps):
+        m, e = round_nearest(am * am, 2 * ae + 2, prec)  # 4 a a
+        m, e = add_nearest(m, e, -am, ae + 3, prec)  # - 8 a
+        m, e = add_nearest(m, e, 5, 0, prec)
+        m, e = sqrt_nearest(m, e, prec)
+        m, e = add_nearest(m, e, -1, 0, prec)
+        am, ae = add_nearest(am, ae, m, e - 1, prec)  # the halving is exact
+        alphas.append(mpf_exact(am, ae))
     return alphas
+
+
+def _submod_f_chain(size: int, ctx: RealContext):
+    """(f_t, alpha_t, alpha_(t-1) < alpha_t) for t = 1..size-1, from f_0 = 1
+    and alpha_0 = 0, the comparison exact.  Native floats, or the ints of
+    reals.round_nearest turned into mpf one entry at a time, only the
+    previous entry kept as ints."""
+    if ctx.native:
+        f, alpha = 1.0, 0
+        for _ in range(size - 1):
+            g = (f + 2 + math.sqrt(f * f + 4)) / 2
+            a = 1 / (g - f)
+            yield g, a, alpha < a
+            f, alpha = g, a
+        return
+    prec = ctx.bits
+    fm, fe, am, ae = 1, 0, 0, 0
+    for _ in range(size - 1):
+        m, e = round_nearest(fm * fm, 2 * fe, prec)
+        m, e = add_nearest(m, e, 4, 0, prec)
+        m, e = sqrt_nearest(m, e, prec)
+        gm, ge = add_nearest(fm, fe, 2, 0, prec)
+        gm, ge = add_nearest(gm, ge, m, e, prec)
+        ge -= 1  # the halving is exact
+        bm, be = reciprocal_nearest(*add_nearest(gm, ge, -fm, fe, prec), prec)
+        # alpha_(t-1) < alpha_t, both positive (or alpha_0 = 0)
+        lo = min(ae, be)
+        yield mpf_exact(gm, ge), mpf_exact(bm, be), am << (ae - lo) < bm << (be - lo)
+        fm, fe, am, ae = gm, ge, bm, be
 
 
 def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> ContractInstance:
@@ -69,21 +126,17 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
         raise ValueError("n out of range")
     bits = default_bits_for(n) if precision_bits is None else precision_bits
     ctx = RealContext(bits)
-    size = 1 << n
-    with ctx.workprec():
-        ftab = [ctx.make(1)]
-        for _ in range(size - 1):
-            f = ftab[-1]
-            ftab.append((f + 2 + ctx.sqrt(f * f + 4)) / 2)
-        alphas = [0] + [1 / (ftab[t] - ftab[t - 1]) for t in range(1, size)]
-        for t in range(size - 1):
-            if not alphas[t] < alphas[t + 1]:
-                raise PrecisionError(
-                    f"adjacent critical values collide at t={t}; "
-                    f"need roughly {18 * n + 20} mantissa bits, have {bits}"
-                )
-        if not alphas[size - 1] < 1:
-            raise PrecisionError("critical values exceed 1; increase precision")
+    ftab, alphas = [ctx.make(1)], [0]
+    for t, (f, alpha, ordered) in enumerate(_submod_f_chain(1 << n, ctx)):
+        if not ordered:
+            raise PrecisionError(
+                f"adjacent critical values collide at t={t}; "
+                f"need roughly {18 * n + 20} mantissa bits, have {bits}"
+            )
+        ftab.append(f)
+        alphas.append(alpha)
+    if not alphas[-1] < 1:  # exact in either representation
+        raise PrecisionError("critical values exceed 1; increase precision")
     f = SetFunctionOracle(n, table=ftab, declared_class="submodular", name="equal_revenue_reward")
     c = SetFunctionOracle(
         n,

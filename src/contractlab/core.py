@@ -357,6 +357,8 @@ class ContractInstance:
     augment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the lower hull of f and c, built on first use (see lower_hull)
     hull: LowerHull | None = field(default=None, init=False, repr=False, compare=False)
+    # perturb.perturbation_budget's budget, computed on first use
+    budget: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:

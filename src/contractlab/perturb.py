@@ -9,7 +9,7 @@ structural margins of the base instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import sub
 
 from .core import ContractInstance, SetFunctionOracle
@@ -36,7 +36,7 @@ def _direction(base: ContractInstance) -> str:
     return direction
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationBudget:
     """Strict upper bound on epsilon, with its three component minima:
 
@@ -45,11 +45,15 @@ class PerturbationBudget:
                    min_t f gap);
     cost-discount: (strict-supermodularity margin of c,
                     min_t c gap, min_t (alpha gap) * (f gap)).
+    Frozen: one budget is shared by every caller of perturbation_budget.
     """
 
     epsilon_max: object
     components: tuple
     direction: str
+    # the f and c tables it was computed from (see perturbation_budget)
+    f_table: tuple = field(repr=False, compare=False)
+    c_table: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not self.epsilon_max > 0:
@@ -101,7 +105,7 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
         )
         c3 = min(ftab[t] - ftab[t - 1] for t in range(1, size))
         bound = min(c1, c2, c3)
-    return PerturbationBudget(epsilon_max=bound, components=(c1, c2, c3), direction=REWARD_BONUS)
+    return PerturbationBudget(bound, (c1, c2, c3), REWARD_BONUS, ftab, ctab)
 
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
@@ -117,13 +121,23 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
             for t in range(2, size)
         )
         bound = min(c1, c2, c3)
-    return PerturbationBudget(epsilon_max=bound, components=(c1, c2, c3), direction=COST_DISCOUNT)
+    return PerturbationBudget(bound, (c1, c2, c3), COST_DISCOUNT, ftab, ctab)
 
 
 def epsilon_bound(base: ContractInstance) -> PerturbationBudget:
     if _direction(base) == REWARD_BONUS:
         return epsilon_bound_reward(base)
     return epsilon_bound_cost(base)
+
+
+def perturbation_budget(base: ContractInstance) -> PerturbationBudget:
+    """epsilon_bound(base), kept on the base: computed on first use and again
+    whenever f.table or c.table is no longer the object it was computed
+    from, as core.lower_hull keeps the hull."""
+    budget = base.budget
+    if budget is None or budget.f_table is not base.f.table or budget.c_table is not base.c.table:
+        budget = base.budget = epsilon_bound(base)
+    return budget
 
 
 @dataclass
@@ -174,7 +188,7 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
     direction = _direction(base)
     if k not in valid_k_range(base, direction):
         raise BudgetError(f"k={k} outside valid range for {direction}")
-    budget = epsilon_bound(base)
+    budget = perturbation_budget(base)
     if not (0 < epsilon < budget.epsilon_max):
         raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
     return _perturbed(base, direction, k, epsilon)
@@ -182,10 +196,9 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
 
 def family_iterator(base: ContractInstance):
     """All single-set perturbations of the base, in increasing k, at the
-    budget's default epsilon.  The budget is computed once for the whole
-    family.
+    budget's default epsilon (perturbation_budget).
     """
     direction = _direction(base)
-    epsilon = epsilon_bound(base).default_epsilon
+    epsilon = perturbation_budget(base).default_epsilon
     for k in valid_k_range(base, direction):
         yield _perturbed(base, direction, k, epsilon)

@@ -6,6 +6,13 @@ precision (any mantissa size above 53 bits) is backed by mpmath.  A
 enters ``ctx.workprec()`` once so that intermediate results round at the
 context's precision.  Comparisons are exact on the representation; no hidden
 tolerances.
+
+The square-root recurrences of the constructions run on plain ints instead:
+a value is a pair (man, exp) standing for man * 2^exp, and each operation
+below returns its exact result rounded to prec bits, to nearest with ties
+to even, as mpmath's round_nearest rounds.  So every step gives the mpf
+that mpmath would give at that precision, bit for bit, without mpmath's
+per-operation overhead; mpf_exact turns a pair into that mpf.
 """
 
 from __future__ import annotations
@@ -70,12 +77,6 @@ class RealContext:
                 return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
             return mpmath.mpf(x)
 
-    def sqrt(self, x):
-        if self.native:
-            return math.sqrt(x)
-        with mpmath.workprec(self.bits):
-            return mpmath.sqrt(x)
-
     def floor_to_grid(self, x, grid_bits: int):
         """Largest multiple of 2^-grid_bits that is <= x.
 
@@ -101,3 +102,68 @@ class RealContext:
 
     def __hash__(self):
         return hash(("RealContext", self.bits))
+
+
+def round_nearest(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2^exp rounded to prec bits, to nearest with ties to even.  The
+    mantissa keeps its sign and is not stripped of trailing zeros; zero
+    gives (0, 0)."""
+    if not man:
+        return 0, 0
+    mag = -man if man < 0 else man
+    shift = mag.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    half = 1 << (shift - 1)
+    low = mag & ((half << 1) - 1)
+    mag >>= shift
+    if low > half or (low == half and mag & 1):
+        mag += 1
+    return (-mag if man < 0 else mag), exp + shift
+
+
+def add_nearest(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
+    """m1 * 2^e1 + m2 * 2^e2, rounded as round_nearest rounds."""
+    if e1 > e2:
+        return round_nearest((m1 << (e1 - e2)) + m2, e2, prec)
+    return round_nearest(m1 + (m2 << (e2 - e1)), e1, prec)
+
+
+def sqrt_nearest(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """sqrt(man * 2^exp) for man >= 0, rounded as round_nearest rounds: the
+    root is taken to at least prec + 2 bits and its low bit set when the
+    remainder is nonzero (mpmath's mpf_sqrt does the same), so the one
+    rounding that follows is the rounding of the exact root."""
+    if exp & 1:
+        man <<= 1
+        exp -= 1
+    shift = max(0, 2 * prec + 4 - man.bit_length())
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root = (root << 1) | 1
+        shift += 2
+    return round_nearest(root, (exp - shift) // 2, prec)
+
+
+def reciprocal_nearest(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """1 / (man * 2^exp) for man > 0, rounded as round_nearest rounds, with
+    the same sticky low bit as sqrt_nearest."""
+    shift = prec + 2 + man.bit_length()
+    quot, rem = divmod(1 << shift, man)
+    if rem:
+        quot = (quot << 1) | 1
+        shift += 1
+    return round_nearest(quot, -exp - shift, prec)
+
+
+def mpf_exact(man: int, exp: int) -> mpmath.mpf:
+    """The mpf of man * 2^exp exactly, as its normalized tuple (sign, odd
+    mantissa, exponent, bit count)."""
+    if not man:
+        return mpmath.mp.make_mpf(mpmath.libmp.fzero)
+    sign, man = man < 0, abs(man)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return mpmath.mp.make_mpf((int(sign), man, exp + zeros, man.bit_length()))

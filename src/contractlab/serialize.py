@@ -12,12 +12,16 @@ import json
 from fractions import Fraction
 
 import mpmath
-from mpmath import libmp
 
 from .core import TIE_BREAK_RULE, ContractInstance, SetFunctionOracle
-from .reals import RealContext
+from .reals import RealContext, mpf_exact
 
-NAMED_CONSTRUCTIONS = ("equal_revenue_submod_f", "equal_revenue_supmod_c", "rounded")
+# each named construction and the parameters it takes besides n
+NAMED_CONSTRUCTIONS = {
+    "equal_revenue_submod_f": ("precision_bits",),
+    "equal_revenue_supmod_c": (),
+    "rounded": ("grid_bits",),
+}
 
 
 def number_to_str(x) -> str:
@@ -46,14 +50,7 @@ def number_from_str(s: str):
         return Fraction(int(num), int(den))
     if "p" in s:
         man, exp = map(int, s.split("p"))
-        if not man:
-            return mpmath.mp.make_mpf(libmp.fzero)
-        # exact: the normalized tuple of man * 2^exp (odd mantissa, its bit
-        # count), rounded at no precision
-        sign, man = man < 0, abs(man)
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        return mpmath.mp.make_mpf((int(sign), man, exp + zeros, man.bit_length()))
+        return mpf_exact(man, exp)  # exact, rounded at no precision
     return int(s)
 
 
@@ -137,17 +134,22 @@ def instance_from_dict(d: dict) -> ContractInstance:
 
 
 def build_named(name: str, params: dict) -> ContractInstance:
+    """The named construction at params["n"] and the other parameters it
+    takes; a parameter it does not take raises ValueError."""
     from . import constructions
 
+    if name not in NAMED_CONSTRUCTIONS:
+        raise ValueError(f"unknown named construction {name!r}")
+    extra = sorted(set(params) - {"n", *NAMED_CONSTRUCTIONS[name]})
+    if extra:
+        raise ValueError(f"{name} does not take {', '.join(extra)}")
     if name == "equal_revenue_submod_f":
         return constructions.build_equal_revenue_submod_f(
             params["n"], precision_bits=params.get("precision_bits")
         )
     if name == "equal_revenue_supmod_c":
         return constructions.build_equal_revenue_supmod_c(params["n"])
-    if name == "rounded":
-        return constructions.build_rounded(params["n"], grid_bits=params.get("grid_bits")).instance
-    raise ValueError(f"unknown named construction {name!r}")
+    return constructions.build_rounded(params["n"], grid_bits=params.get("grid_bits")).instance
 
 
 def save_instance(inst: ContractInstance, path: str) -> None:

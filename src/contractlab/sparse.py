@@ -263,11 +263,14 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
     """
     import random
 
-    from .perturb import epsilon_bound_reward
+    from .perturb import REWARD_BONUS, perturbation_budget
 
     n = base.n
     size = 1 << n
-    epsilon = epsilon_bound_reward(base).default_epsilon
+    budget = perturbation_budget(base)
+    if budget.direction != REWARD_BONUS:
+        raise ValueError("value-query experiment needs a reward-bonus base")
+    epsilon = budget.default_epsilon
     ftab = base.f.value_table()
     rng = random.Random(seed)
     counts = []

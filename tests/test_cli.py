@@ -559,6 +559,27 @@ class TestMalformedInput:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("contractlab: experiment: ValueError: --trials must be >= ")
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ("equal_revenue_submod_f --n 3 --precision-bits 0", "precision_bits must be >= 24, got 0"),
+            ("equal_revenue_submod_f --n 3 --precision-bits 10", "precision_bits must be >= 24, got 10"),
+            ("rounded --n 2 --grid-bits 0", "grid exponent must be >= 56"),
+            ("equal_revenue_supmod_c --n 3 --precision-bits 300",
+             "equal_revenue_supmod_c does not take precision_bits"),
+            ("rounded --n 2 --precision-bits 300", "rounded does not take precision_bits"),
+            ("equal_revenue_submod_f --n 3 --grid-bits 80",
+             "equal_revenue_submod_f does not take grid_bits"),
+        ],
+    )
+    def test_construct_refuses_a_flag_it_cannot_honour(self, argv, reason, capsys):
+        # a zero is a value, not an absent flag, and a flag the kind does
+        # not take is refused, not dropped; nothing reaches stdout
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", *argv.split()])
+        assert exc.value.code == f"contractlab: construct: ValueError: {reason}"
+        assert capsys.readouterr().out == ""
+
     def test_process_exit_status_and_stderr(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from contractlab import constructions
 from contractlab.constructions import (
     PrecisionError,
+    _alpha_recurrence,
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
     build_rounded,
     chain_gap_bounds,
     check_gap_bounds,
+    default_bits_for,
     default_grid_bits,
     supmod_c_cost_fractions,
     verify_equal_revenue,
@@ -89,6 +91,84 @@ class TestSubmodFBase:
         inst = build_equal_revenue_submod_f(3)
         sol = optimal_contract(inst)
         assert len(sol.co_optimal) == 8
+
+
+def mpf_submod_f(n: int, bits: int):
+    """The reference: the f recurrence and its critical values in mpmath
+    arithmetic at bits, every operation an mpf one."""
+    with mpmath.workprec(bits):
+        ftab = [mpmath.mpf(1)]
+        for _ in range((1 << n) - 1):
+            f = ftab[-1]
+            ftab.append((f + 2 + mpmath.sqrt(f * f + 4)) / 2)
+        return ftab, [0] + [1 / (ftab[t] - ftab[t - 1]) for t in range(1, len(ftab))]
+
+
+def mpf_alphas(bits: int, steps: int):
+    """The reference alpha recurrence in mpmath arithmetic at bits."""
+    with mpmath.workprec(bits):
+        a = mpmath.mpf(0)
+        alphas = [a]
+        for _ in range(steps):
+            a = a + (mpmath.sqrt(4 * a * a - 8 * a + 5) - 1) / 2
+            alphas.append(a)
+    return alphas
+
+
+def raw(values):
+    """Each entry's (type, mpf tuple), or the entry itself if not an mpf."""
+    return [(type(x), x._mpf_) if isinstance(x, mpmath.mpf) else (type(x), x) for x in values]
+
+
+class TestIntRecurrences:
+    """The recurrences run on rounded ints; every entry must be the mpf the
+    reference computes, tuple for tuple, and fail where the reference fails."""
+
+    @pytest.mark.parametrize(
+        "n, bits",
+        [(4, 192), (6, 192), (8, 64), (9, 100), (10, 256), (11, 330), (12, 360), (14, 420)],
+    )
+    def test_submod_f_tables_equal_the_mpf_recurrence(self, n, bits):
+        inst = build_equal_revenue_submod_f(n, precision_bits=bits)
+        ftab, alphas = mpf_submod_f(n, bits)
+        assert raw(inst.f.value_table()) == raw(ftab)
+        assert raw(inst.meta["alpha_table"]) == raw(alphas)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+    def test_gap_bound_alphas_equal_the_mpf_recurrence(self, n):
+        bits = max(default_bits_for(n), 19 * n + 30)  # n = 1 runs in floats
+        ctx = RealContext(bits)
+        alphas = _alpha_recurrence(ctx, 1 << n)
+        if ctx.native:
+            assert all(type(a) is float for a in alphas)
+            assert alphas == [float(a) for a in mpf_alphas(bits, 1 << n)]
+        else:
+            assert raw(alphas) == raw(mpf_alphas(bits, 1 << n))
+        assert check_gap_bounds(n).violations == chain_gap_bounds(alphas, n).violations
+
+    @pytest.mark.parametrize("n, kappa", [(2, None), (3, None), (5, None), (4, 100)])
+    def test_rounded_equals_the_mpf_recurrence(self, n, kappa):
+        r = build_rounded(n, grid_bits=kappa)
+        bits, scale = r.instance.precision_bits, 1 << r.grid_bits
+        with mpmath.workprec(bits):
+            rounded = [mpmath.floor(a * scale) / scale for a in mpf_alphas(bits, (1 << n) - 1)]
+            ftab = [1 / (1 - a) for a in rounded]
+        assert raw(r.alpha_rounded) == raw(rounded)
+        assert raw(r.instance.f.value_table()) == raw(ftab)
+
+    @pytest.mark.parametrize("n, bits, t", [(12, 30, 819), (14, 40, 8183)])
+    def test_collision_at_the_reference_t(self, n, bits, t):
+        _, alphas = mpf_submod_f(n, bits)
+        with mpmath.workprec(bits):
+            first = next(s for s in range(len(alphas) - 1) if not alphas[s] < alphas[s + 1])
+        assert first == t
+        message = (
+            f"adjacent critical values collide at t={t}; "
+            f"need roughly {18 * n + 20} mantissa bits, have {bits}"
+        )
+        with pytest.raises(PrecisionError) as exc:
+            build_equal_revenue_submod_f(n, precision_bits=bits)
+        assert str(exc.value) == message
 
 
 class TestSupmodCBase:

@@ -25,7 +25,9 @@ from contractlab.core import (
     value,
 )
 from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
+from contractlab import reals
 from contractlab.reals import RealContext, exact
+from mpmath import libmp
 
 from conftest import (
     brute_best_response,
@@ -396,3 +398,70 @@ class TestRealContext:
         with ctx2.workprec():
             g = ctx2.floor_to_grid(ctx2.make(Fraction(1, 3)), 60)
             assert g * (1 << 60) == int(g * (1 << 60))
+
+
+PRECS = st.integers(2, 300)
+EXPS = st.integers(-700, 700)
+
+
+def mantissa(prec):
+    """Nonzero signed ints of at most prec bits, as the recurrences' operands."""
+    return st.integers(1, (1 << prec) - 1).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+class TestRoundingKernel:
+    """The int kernel against mpmath's own rounded operations at the same
+    precision, nearest with ties to even, normalized tuple for tuple."""
+
+    @staticmethod
+    def rounded(pair):
+        return reals.mpf_exact(*pair)._mpf_
+
+    @settings(max_examples=200, deadline=None)
+    @given(man=st.integers(-(1 << 700), 1 << 700), exp=EXPS, prec=PRECS)
+    def test_round_matches_from_man_exp(self, man, exp, prec):
+        want = libmp.from_man_exp(man, exp, prec, libmp.round_nearest)
+        assert self.rounded(reals.round_nearest(man, exp, prec)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), prec=PRECS, drop=st.integers(1, 200), exp=EXPS)
+    def test_exact_ties_go_to_even(self, data, prec, drop, exp):
+        # man sits exactly halfway between two prec-bit neighbours
+        top = data.draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        man = (top << drop) | (1 << (drop - 1))
+        man = data.draw(st.sampled_from([man, -man]))
+        got_man, got_exp = reals.round_nearest(man, exp, prec)
+        assert abs(got_man) == top + (top & 1) and got_exp == exp + drop
+        want = libmp.from_man_exp(man, exp, prec, libmp.round_nearest)
+        assert self.rounded((got_man, got_exp)) == want
+
+    @given(exp=EXPS, prec=PRECS)
+    def test_zero(self, exp, prec):
+        assert reals.round_nearest(0, exp, prec) == (0, 0)
+        assert reals.add_nearest(0, exp, 0, -exp, prec) == (0, 0)
+        assert self.rounded((0, exp)) == libmp.fzero
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), prec=PRECS, e1=EXPS, e2=EXPS)
+    def test_add_matches_mpf_add(self, data, prec, e1, e2):
+        m1, m2 = data.draw(mantissa(prec)), data.draw(mantissa(prec))
+        want = libmp.mpf_add(
+            libmp.from_man_exp(m1, e1), libmp.from_man_exp(m2, e2), prec, libmp.round_nearest
+        )
+        assert self.rounded(reals.add_nearest(m1, e1, m2, e2, prec)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(man=st.integers(0, 1 << 700), square=st.booleans(), exp=EXPS, prec=PRECS)
+    def test_sqrt_matches_mpf_sqrt(self, man, square, exp, prec):
+        if square:  # an exact root, no sticky bit
+            man *= man
+        want = libmp.mpf_sqrt(libmp.from_man_exp(man, exp), prec, libmp.round_nearest)
+        assert self.rounded(reals.sqrt_nearest(man, exp, prec)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(man=st.integers(1, 1 << 700), power=st.booleans(), exp=EXPS, prec=PRECS)
+    def test_reciprocal_matches_mpf_div(self, man, power, exp, prec):
+        if power:  # an exact reciprocal
+            man = 1 << man.bit_length()
+        want = libmp.mpf_div(libmp.fone, libmp.from_man_exp(man, exp), prec, libmp.round_nearest)
+        assert self.rounded(reals.reciprocal_nearest(man, exp, prec)) == want

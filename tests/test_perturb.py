@@ -1,5 +1,6 @@
 """Hidden-optimum perturbation families."""
 
+import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -11,6 +12,8 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
     verify_structure,
 )
+from contractlab import perturb
+from contractlab.core import SetFunctionOracle
 from contractlab.perturb import (
     COST_DISCOUNT,
     REWARD_BONUS,
@@ -21,6 +24,7 @@ from contractlab.perturb import (
     epsilon_bound_reward,
     family_iterator,
     make_perturbed,
+    perturbation_budget,
     valid_k_range,
 )
 from contractlab.reals import RealContext
@@ -145,6 +149,49 @@ class TestBudgets:
         inst.meta["kind"] = "mystery"
         with pytest.raises(ValueError):
             epsilon_bound(inst)
+
+
+class TestKeptBudget:
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(base):
+            calls.append(base)
+            return epsilon_bound(base)
+
+        monkeypatch.setattr(perturb, "epsilon_bound", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [build_equal_revenue_submod_f, build_equal_revenue_supmod_c])
+    def test_computed_once_per_base(self, build, monkeypatch):
+        calls = self.counted(monkeypatch)
+        base = build(4)
+        budget = perturbation_budget(base)
+        assert budget == epsilon_bound(base)
+        eps = budget.default_epsilon
+        for k in (2, 5, 9):
+            make_perturbed(base, k, eps)
+        assert {fam.epsilon for fam in family_iterator(base)} == {eps}
+        assert perturbation_budget(base) is budget and calls == [base]
+
+    def test_reassigned_table_recomputes(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        base = build_equal_revenue_submod_f(3, precision_bits=128)
+        first = perturbation_budget(base)
+        # an equal table in a new object still recomputes: identity decides
+        base.f = SetFunctionOracle(3, table=list(base.f.table), declared_class="submodular")
+        assert perturbation_budget(base) is not first and len(calls) == 2
+        doubled = [2 * v for v in base.c.table]
+        base.c = SetFunctionOracle(3, table=doubled, declared_class="additive")
+        second = perturbation_budget(base)
+        assert len(calls) == 3 and second.components != first.components
+        assert second.f_table is base.f.table and second.c_table is base.c.table
+
+    def test_budget_is_frozen(self):
+        budget = perturbation_budget(build_equal_revenue_supmod_c(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.epsilon_max = 1
 
 
 class TestPerturbedInstances:

@@ -18,7 +18,7 @@ from contractlab.core import (
     supply,
     supply_prices_for_contract,
 )
-from contractlab.perturb import epsilon_bound, family_iterator
+from contractlab.perturb import REWARD_BONUS, epsilon_bound, family_iterator
 from contractlab.reals import exact
 from contractlab.sparse import (
     ambiguity_intervals,
@@ -247,3 +247,10 @@ class TestValueQueryExperiment:
         a = value_query_experiment(base, trials=100, seed=5)
         b = value_query_experiment(base, trials=100, seed=5)
         assert a == b and a.as_dict()["strategy"] == "scan"
+
+    def test_reads_the_kept_reward_budget(self):
+        base = build_equal_revenue_submod_f(4)
+        value_query_experiment(base, trials=10, seed=0)
+        assert base.budget is not None and base.budget.direction == REWARD_BONUS
+        with pytest.raises(ValueError, match="reward-bonus base"):
+            value_query_experiment(build_equal_revenue_supmod_c(3), trials=10)
