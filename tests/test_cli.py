@@ -654,6 +654,15 @@ GOLDEN = {
         0, "4cbc21f9f49560f76127761b75fed3d64578b9a84a90c3100581b7ff66ec14cb"),
     "experiment protocol-bench --n 4 --variant sup-sup": (
         0, "e3cf242ce44a427909c89a707aa38efa4866e269309a49a5a275314f5f81de98"),
+    # extended precision: n = 11 runs at 330 bits, as "m p e" strings
+    "construct equal_revenue_submod_f --n 11": (
+        0, "8008b5821c3e9e67fb99f540301d00b151c8354443bf52cd33a34a808a036b87"),
+    "solve --instance instance:equal_revenue_submod_f:11": (
+        0, "f30d04e053a4f9c3b2c2c9bbb43cecf2320c37c600bbc9f8e65ecc3ff7d19aff"),
+    "solve --instance instance:equal_revenue_submod_f:11 --format csv": (
+        0, "9c9a2735122f53cfff9cd890bfde9fcddf68de2438700f64f1c91c0656c1e405"),
+    "solve --instance instance:equal_revenue_submod_f:11 --fptas 0.1": (
+        0, "9c0a462515c68c8aadb8114425a65563c0610c0e3f2ac363551c40040f617ed0"),
 }
 
 
