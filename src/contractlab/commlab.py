@@ -173,8 +173,8 @@ def delta_bound(base: ContractInstance, variant: str) -> DeltaBudget:
         raise ValueError(f"unknown variant {variant!r}")
     n = base.n
     size = 1 << n
-    ftab = base.f.value_table()
-    ctab = base.c.value_table()
+    ftab = tuple(base.f.value_table())  # an MpfTable's entries built once
+    ctab = tuple(base.c.value_table())
     alphas = chain_alphas(base)
     with base.ctx.workprec():
         if variant == "sup-sup":

@@ -33,6 +33,7 @@ from .reals import (
     DEFAULT_BITS,
     RealContext,
     add_nearest,
+    dyadic_ints,
     exact,
     mpf_exact,
     reciprocal_nearest,
@@ -86,9 +87,9 @@ def _alpha_recurrence(ctx: RealContext, steps: int):
 
 def _submod_f_chain(size: int, ctx: RealContext):
     """(f_t, alpha_t, alpha_(t-1) < alpha_t) for t = 1..size-1, from f_0 = 1
-    and alpha_0 = 0, the comparison exact.  Native floats, or the ints of
-    reals.round_nearest turned into mpf one entry at a time, only the
-    previous entry kept as ints."""
+    and alpha_0 = 0, the comparison exact.  Native floats, or at extended
+    precision the ints of reals.round_nearest: f_t as its (man, exp) pair
+    and alpha_t turned into its mpf."""
     if ctx.native:
         f, alpha = 1.0, 0
         for _ in range(size - 1):
@@ -109,7 +110,7 @@ def _submod_f_chain(size: int, ctx: RealContext):
         bm, be = reciprocal_nearest(*add_nearest(gm, ge, -fm, fe, prec), prec)
         # alpha_(t-1) < alpha_t, both positive (or alpha_0 = 0)
         lo = min(ae, be)
-        yield mpf_exact(gm, ge), mpf_exact(bm, be), am << (ae - lo) < bm << (be - lo)
+        yield (gm, ge), mpf_exact(bm, be), am << (ae - lo) < bm << (be - lo)
         fm, fe, am, ae = gm, ge, bm, be
 
 
@@ -120,13 +121,15 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
     (1 - alpha_t) f_t = 1 with alpha_t = 1 / (f_t - f_(t-1)); c_i = 2^(i-1)
     so c(S_t) = t.  Running the recurrence on f itself, not on alpha near 1,
     keeps f's rounding relative to f.  Every alpha_t is the slope the hull
-    reports for S_(t-1) -> S_t (the c gap is the int 1), bit for bit.
+    reports for S_(t-1) -> S_t (the c gap is the int 1), bit for bit.  At
+    extended precision f is handed to its oracle as ints over one power of
+    two (reals.dyadic_ints), its table their reals.MpfTable.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError("n out of range")
     bits = default_bits_for(n) if precision_bits is None else precision_bits
     ctx = RealContext(bits)
-    ftab, alphas = [ctx.make(1)], [0]
+    ftab, alphas = [1.0 if ctx.native else (1, 0)], [0]
     for t, (f, alpha, ordered) in enumerate(_submod_f_chain(1 << n, ctx)):
         if not ordered:
             raise PrecisionError(
@@ -137,7 +140,13 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
         alphas.append(alpha)
     if not alphas[-1] < 1:  # exact in either representation
         raise PrecisionError("critical values exceed 1; increase precision")
-    f = SetFunctionOracle(n, table=ftab, declared_class="submodular", name="equal_revenue_reward")
+    table, scaled = ftab, None
+    if not ctx.native:
+        ints, k = dyadic_ints(*zip(*ftab))
+        table, scaled = None, (ints, 1 << k, False)
+    f = SetFunctionOracle(
+        n, table=table, scaled=scaled, declared_class="submodular", name="equal_revenue_reward"
+    )
     c = SetFunctionOracle(
         n,
         weights=[1 << (i - 1) for i in range(1, n + 1)],

@@ -14,7 +14,7 @@ from operator import sub
 
 import mpmath
 
-from .reals import RealContext, ratio
+from .reals import MpfTable, RealContext, ratio
 
 MAX_N = 24
 
@@ -75,14 +75,17 @@ DECLARED_CLASSES = ("additive", "submodular", "supermodular", "general-monotone"
 class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
-    The oracle always holds its full 2^n table, as a tuple, so no entry can
-    change under a hull or a scaled form built from it; query
+    The oracle always holds its full 2^n table, read-only, so no entry can
+    change under a hull or a scaled form built from it: a tuple, or for an
+    mpf table handed over as ints alone, a reals.MpfTable over them.  Query
     instrumentation lives in the attached ledger.  Exactly one of
-    ``table``, ``weights`` must be given:
+    ``table``, ``weights`` and ``scaled`` alone must be given:
       table      -- list of 2^n values indexed by subset index,
-      weights    -- per-action values of an additive function (w[i-1] for i).
-    ``scaled`` is the table's (ints, scale, rational) when the caller
-    assembled it alongside the table (see scaled), with
+      weights    -- per-action values of an additive function (w[i-1] for i),
+      scaled     -- (ints, 2^k, False): an mpf table as ints over a power of
+                    two, kept as they are; the table is their MpfTable.
+    ``scaled`` given with ``table`` is the table's (ints, scale, rational)
+    when the caller assembled it alongside the table (see scaled), with
     ints[m] == table[m] * scale exactly.
     """
 
@@ -101,6 +104,12 @@ class SetFunctionOracle:
             raise ValueError(f"ground-set size must be in [1, {MAX_N}], got {n}")
         if declared_class not in DECLARED_CLASSES:
             raise ValueError(f"unknown declared_class {declared_class!r}")
+        if table is None and weights is None and scaled is not None:
+            ints, scale, rational = scaled
+            if rational or scale < 1 or scale & (scale - 1):
+                raise ValueError("ints alone must be an mpf table over a power of two")
+            table = MpfTable(ints, scale.bit_length() - 1)
+            scaled = (table.ints, scale, False)
         if (table is None) == (weights is None):
             raise ValueError("exactly one of table, weights required")
         self.n = n
@@ -109,7 +118,8 @@ class SetFunctionOracle:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.weights = list(weights) if weights is not None else None
         if table is not None:
-            table = tuple(table)
+            if not isinstance(table, MpfTable):
+                table = tuple(table)
             if len(table) != 1 << n:
                 raise ValueError("table must list all 2^n subset values")
             self.table = table
@@ -117,6 +127,8 @@ class SetFunctionOracle:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
             self.table = tuple(additive_table(self.weights))
+            if scaled is None and all(type(w) is int for w in self.weights):
+                scaled = (self.table, 1, True)  # int sums are their own scaled form
         if scaled is not None and len(scaled[0]) != len(self.table):
             raise ValueError("scaled ints must list all 2^n subset values")
         self._scaled = (self.table, scaled)
@@ -126,16 +138,16 @@ class SetFunctionOracle:
         return self.table[mask]
 
     def value_table(self):
-        """Full 2^n table."""
+        """Full 2^n table: a tuple, or an MpfTable (see the class docstring)."""
         return self.table
 
     def scaled(self):
         """(ints, scale, rational): the table as ints over one positive
         scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
 
-        An oracle handed its scaled form with its table returns that form,
-        as long as its table attribute is still that tuple, so a table that
-        was assembled in ints is never converted.  Any other oracle converts
+        An oracle handed its scaled form returns that form, as long as its
+        table attribute is still the table it was handed with, so a table
+        that was assembled or loaded in ints is never converted.  Any other oracle converts
         its table on each call and keeps nothing: a second copy of a wide
         table would outlive the hull built from it (an n=14 table at 420
         bits holds 1.5 MiB of ints).

@@ -51,9 +51,9 @@ class PerturbationBudget:
     epsilon_max: object
     components: tuple
     direction: str
-    # the f and c tables it was computed from (see perturbation_budget)
-    f_table: tuple = field(repr=False, compare=False)
-    c_table: tuple = field(repr=False, compare=False)
+    # the f and c table objects it was computed from (see perturbation_budget)
+    f_table: object = field(repr=False, compare=False)
+    c_table: object = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not self.epsilon_max > 0:
@@ -86,10 +86,12 @@ def _adjacent_submodularity_margin(tab, n, sense):
 
 def _chain_tables(base: ContractInstance):
     """f, c and the chain's critical values; each budget term needs two
-    chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12."""
+    chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12.
+    The tables come as tuples, an MpfTable's entries built once, since the
+    terms read every entry more than once."""
     if not 2 <= base.n <= 12:
         raise ValueError(f"exhaustive bound needs 2 <= n <= 12, got n={base.n}")
-    return base.f.value_table(), base.c.value_table(), chain_alphas(base)
+    return tuple(base.f.value_table()), tuple(base.c.value_table()), chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
@@ -105,7 +107,7 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
         )
         c3 = min(ftab[t] - ftab[t - 1] for t in range(1, size))
         bound = min(c1, c2, c3)
-    return PerturbationBudget(bound, (c1, c2, c3), REWARD_BONUS, ftab, ctab)
+    return PerturbationBudget(bound, (c1, c2, c3), REWARD_BONUS, base.f.table, base.c.table)
 
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
@@ -121,7 +123,7 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
             for t in range(2, size)
         )
         bound = min(c1, c2, c3)
-    return PerturbationBudget(bound, (c1, c2, c3), COST_DISCOUNT, ftab, ctab)
+    return PerturbationBudget(bound, (c1, c2, c3), COST_DISCOUNT, base.f.table, base.c.table)
 
 
 def epsilon_bound(base: ContractInstance) -> PerturbationBudget:

@@ -13,13 +13,21 @@ below returns its exact result rounded to prec bits, to nearest with ties
 to even, as mpmath's round_nearest rounds.  So every step gives the mpf
 that mpmath would give at that precision, bit for bit, without mpmath's
 per-operation overhead; mpf_exact turns a pair into that mpf.
+
+An extended-precision table is held the same way: dyadic_ints puts its
+pairs on one power of two, and an MpfTable reads them back as mpfs, one
+entry at a time, so the ints are the only copy kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import eq, or_
 
 import mpmath
 
@@ -32,9 +40,11 @@ def ratio(x) -> tuple[int, int]:
     or mpf: an mpf's mantissa over its power of two, else as_integer_ratio.
     Infinities and NaNs raise."""
     if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp
+        sign, man, exp, _ = x._mpf_  # man_exp would drop the sign
         if not man and exp:
             raise ValueError(f"{x} has no exact value")  # mpmath codes inf/nan so
+        if sign:
+            man = -man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     return x.as_integer_ratio()
 
@@ -167,3 +177,54 @@ def mpf_exact(man: int, exp: int) -> mpmath.mpf:
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return mpmath.mp.make_mpf((int(sign), man, exp + zeros, man.bit_length()))
+
+
+def dyadic_ints(mans, exps) -> tuple[list, int]:
+    """(ints, k) with ints[i] == mans[i] * 2^(exps[i] + k) exactly, for the
+    least k >= 0 that makes every one an int; a zero mantissa reads as 0
+    whatever its exponent.  So ints over 2^k are the ints over the scale
+    that core._scaled_ints gives the same values."""
+    k = max(0, -min(compress(exps, mans), default=0))
+    ints = [m << e + k if m else 0 for m, e in zip(mans, exps)]
+    low = reduce(or_, ints, 0)
+    shift = min(k, (low & -low).bit_length() - 1) if low else 0
+    if shift:
+        k -= shift
+        ints = [v >> shift for v in ints]
+    return ints, k
+
+
+class MpfTable(Sequence):
+    """A read-only table of mpfs held as ints over one power of two: entry
+    m is ints[m] * 2^-k.  Reading an entry builds its mpf (mpf_exact, the
+    normalized tuple) and iterating builds each in turn; only the ints are
+    kept.  It compares == to a tuple of the same values, in either order,
+    as a tuple of its mpfs would."""
+
+    __slots__ = ("ints", "k")
+
+    def __init__(self, ints, k: int):
+        self.ints = tuple(ints)
+        self.k = k
+
+    def __len__(self):
+        return len(self.ints)
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            return tuple(mpf_exact(v, -self.k) for v in self.ints[m])
+        return mpf_exact(self.ints[m], -self.k)
+
+    def __iter__(self):
+        exp = -self.k
+        return (mpf_exact(v, exp) for v in self.ints)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, MpfTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"MpfTable({len(self.ints)} entries over 2^{self.k})"

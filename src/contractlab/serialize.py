@@ -1,9 +1,13 @@
 """JSON (de)serialization of instances and experiment outputs.
 
 Numbers are serialized losslessly: floats as C99 hex, multiprecision reals
-as mantissa*2^exponent, rationals as p/q.  An instance file always carries
-its full f and c tables (or additive weights); build_named maps the CLI's
-construction names to the constructors in the constructions module.
+as mantissa*2^exponent ("m p e", odd m), rationals as p/q.  An instance file
+always carries its full f and c tables (or additive weights); build_named
+maps the CLI's construction names to the constructors in the constructions
+module.  A table whose every entry is an "m p e" string is loaded as ints
+over one power of two and handed to its oracle in that form (a
+reals.MpfTable), and an MpfTable is written from its ints, so no mpf is
+built for either.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .core import TIE_BREAK_RULE, ContractInstance, SetFunctionOracle
-from .reals import RealContext, mpf_exact
+from .reals import MpfTable, RealContext, dyadic_ints, mpf_exact
 
 # each named construction and the parameters it takes besides n
 NAMED_CONSTRUCTIONS = {
@@ -54,14 +58,48 @@ def number_from_str(s: str):
     return int(s)
 
 
+def _mpf_strings(tab: MpfTable) -> list[str]:
+    """number_to_str of each entry of tab, from its ints: odd mantissa p
+    exponent, and 0p0 for zero."""
+    out = []
+    for v in tab.ints:
+        if not v:
+            out.append("0p0")
+            continue
+        zeros = (v & -v).bit_length() - 1
+        out.append(f"{v >> zeros}p{zeros - tab.k}")
+    return out
+
+
+def _mpf_ints(values):
+    """(ints, scale) of a table whose every entry is an "m p e" string, read
+    as number_from_str reads it, the ints on one power of two (see
+    reals.dyadic_ints); None when some entry does not parse so, which leaves
+    the table to number_from_str, entry by entry, to parse or refuse."""
+    mans, exps = [], []
+    try:
+        for s in values:
+            man, exp = map(int, s.split("p"))
+            mans.append(man)
+            exps.append(exp)
+    except (AttributeError, ValueError):
+        return None
+    ints, k = dyadic_ints(mans, exps)
+    return ints, 1 << k
+
+
 def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
     d = {"declared_class": oracle.declared_class, "name": oracle.name}
     if oracle.weights is not None:
         d["kind"] = "additive"
         d["weights"] = [number_to_str(w) for w in oracle.weights]
     else:
+        tab = oracle.value_table()
         d["kind"] = "table"
-        d["values"] = [number_to_str(v) for v in oracle.value_table()]
+        if isinstance(tab, MpfTable):
+            d["values"] = _mpf_strings(tab)
+        else:
+            d["values"] = [number_to_str(v) for v in tab]
     return d
 
 
@@ -78,9 +116,16 @@ def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
             name=d.get("name", ""),
         )
     if kind == "table":
+        values = d["values"]
+        scaled = _mpf_ints(values)
+        if scaled is None:
+            table = [number_from_str(v) for v in values]
+        else:
+            table, scaled = None, (*scaled, False)
         return SetFunctionOracle(
             n,
-            table=[number_from_str(v) for v in d["values"]],
+            table=table,
+            scaled=scaled,
             declared_class=d.get("declared_class", "general-monotone"),
             name=d.get("name", ""),
         )

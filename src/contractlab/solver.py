@@ -209,7 +209,10 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
     width, and these pairs are compared by cross-multiplication in every
     representation.  Canonical answer is the smallest maximizing alpha;
     co_optimal lists every position within tau = 2^(-precision_bits/2) of
-    the max, tau scaled by s_f s_c and also compared exactly.  Only the
+    the max, tau scaled by s_f s_c and also compared exactly: against the
+    floor q of the scaled max less tau, a score of q + 1 or more is within
+    and one below q is not, so only a score between the two is
+    cross-multiplied with the threshold's full fraction.  Only the
     winner's row is built (_make_breakpoint), so its alpha and utility are
     those enumerate_breakpoints reports for it, in the instance's own
     arithmetic.
@@ -236,7 +239,14 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         pn, pd = num, den
     tp, tq = ratio(inst.ctx.maximizer_tolerance)
     ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq  # the max less s_f s_c tau
-    near = [t for t, (sn, sd) in enumerate(scores) if sn * ld >= ln * sd]
+    # sn / sd >= ln / ld, decided on q = floor(ln / ld) by one narrow
+    # product: near from q + 1 up, not near below q, cross-multiplied between
+    q1 = ln // ld + 1
+    near = [
+        t
+        for t, (sn, sd) in enumerate(scores)
+        if sn >= (hi := q1 * sd) or (sn >= hi - sd and sn * ld >= ln * sd)
+    ]
     with inst.ctx.workprec():
         alpha = _critical_alpha(hull, k + best - 1) if best else 0
         row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, hull.c_table)

@@ -271,7 +271,7 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
     if budget.direction != REWARD_BONUS:
         raise ValueError("value-query experiment needs a reward-bonus base")
     epsilon = budget.default_epsilon
-    ftab = base.f.value_table()
+    ftab = tuple(base.f.value_table())  # an MpfTable's entries built once
     rng = random.Random(seed)
     counts = []
     identified_all = True

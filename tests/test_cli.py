@@ -17,7 +17,11 @@ from hypothesis import example, given, settings
 from contractlab import solver
 from contractlab.cli import build_parser, main
 from contractlab.core import ContractInstance, SetFunctionOracle
+from contractlab.core import _scaled_ints
+from contractlab.reals import MpfTable
 from contractlab.serialize import (
+    _oracle_from_dict,
+    _oracle_to_dict,
     dump_json,
     instance_from_dict,
     instance_to_dict,
@@ -60,6 +64,54 @@ class TestSerialization:
         with mpmath.workprec(max(man.bit_length(), 2) + 8):
             want = mpmath.ldexp(mpmath.mpf(man), exp)._mpf_
         assert number_from_str(f"{man}p{exp}")._mpf_ == want
+
+    # "m p e" strings as save_instance never writes them too: even and zero
+    # mantissas, negative ones, padding, exponents far apart
+    MANTISSA = st.one_of(
+        st.integers(-(1 << 400), 1 << 400),
+        st.builds(lambda m, k: m << k, st.integers(-(1 << 300), 1 << 300), st.integers(1, 60)),
+        st.just(0),
+    )
+    PAD = st.sampled_from(["", " ", "\t", "\n  ", "\u2003", "\xa0"])
+    MPE = st.builds(lambda a, m, e, b: f"{a}{m}p{e}{b}", PAD, MANTISSA, st.integers(-3000, 3000), PAD)
+    BAD = st.sampled_from(["1p", "p3", "1p2p3", "nan", "inf", "p", "1.5p3", "1e3p2", "--1p3", "", " "])
+    OTHER = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(float.hex),
+        st.fractions(max_denominator=10**6).map(lambda x: f"{x.numerator}/{x.denominator}"),
+        st.integers(-(10**30), 10**30).map(str),
+        st.just(7),  # a JSON number where the format writes a string
+    )
+
+    @staticmethod
+    def key(v):
+        return v._mpf_ if isinstance(v, mpmath.mpf) else (type(v), v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 3), kind=st.sampled_from(["mpe", "mpe", "bad", "mixed"]), data=st.data())
+    def test_int_path_parity_with_number_from_str(self, n, kind, data):
+        # a table of "m p e" strings is read as ints over one power of two,
+        # entry for entry the mpfs number_from_str gives, or it fails as
+        # number_from_str fails; any other table takes number_from_str itself
+        values = data.draw(st.lists(self.MPE, min_size=1 << n, max_size=1 << n))
+        if kind != "mpe":
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+                self.BAD if kind == "bad" else self.OTHER
+            )
+        d = {"kind": "table", "values": values}
+        try:
+            want = [number_from_str(v) for v in values]
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)):
+                _oracle_from_dict(n, d)
+            return
+        oracle = _oracle_from_dict(n, d)
+        tab = oracle.value_table()
+        all_mpf = all(isinstance(w, mpmath.mpf) for w in want)
+        assert isinstance(tab, MpfTable if all_mpf else tuple) and kind in ("mpe", "mixed")
+        assert [self.key(v) for v in tab] == [self.key(w) for w in want]
+        assert _oracle_to_dict(oracle)["values"] == [number_to_str(w) for w in want]
+        if all_mpf:
+            assert (list(tab.ints), *oracle.scaled()[1:]) == _scaled_ints(want)
 
     def test_n14_round_trip_keeps_every_mpf(self, tmp_path):
         inst = build_equal_revenue_submod_f(14, precision_bits=420)
@@ -522,6 +574,40 @@ class TestMalformedInput:
         values[0] = number_to_str(-cost if negative else cost)
         data["c"] = {"kind": "table", "values": values, "declared_class": "additive"}
         self.assert_refused(data, "cost of the empty set must be 0")
+
+    @staticmethod
+    def extended_precision_data() -> dict:
+        """The n=3 submodular chain at 192 bits, f as "m p e" strings, and
+        the additive cost as its table of "m p e" strings too."""
+        data = instance_to_dict(build_equal_revenue_submod_f(3, precision_bits=192))
+        values = [number_to_str(mpmath.mpf(m)) for m in range(8)]
+        data["c"] = {"kind": "table", "values": values, "declared_class": "additive"}
+        return data
+
+    @pytest.mark.parametrize("bad", ["1p", "p3", "1p2p3", "nan", "1p3.5"])
+    def test_bad_number_in_an_extended_precision_table(self, bad):
+        data = self.extended_precision_data()
+        data["f"]["values"][5] = bad
+        self.assert_refused(data, "ValueError")
+
+    @settings(max_examples=15, deadline=None)
+    @given(man=st.integers(-(1 << 200), 1 << 200).filter(bool), exp=st.integers(-300, 300))
+    def test_nonzero_cost_of_the_empty_set_in_an_extended_precision_table(self, man, exp):
+        data = self.extended_precision_data()
+        data["c"]["values"][0] = f"{man}p{exp}"
+        self.assert_refused(data, "cost of the empty set must be 0")
+
+    def test_extended_precision_refusal_exit_status_and_stderr(self, tmp_path):
+        data = self.extended_precision_data()
+        data["f"]["values"][5] = "1p2p3"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "contractlab.cli", "solve", "--instance", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,8 @@
 """Ground-set primitives, oracles, and query semantics."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -24,8 +27,11 @@ from contractlab.core import (
     supply_prices_for_contract,
     value,
 )
+from contractlab.cli import main
 from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
-from contractlab import reals
+from contractlab import core, reals, solver
+from contractlab.perturb import perturbation_budget
+from contractlab.serialize import load_instance, save_instance
 from contractlab.reals import RealContext, exact
 from mpmath import libmp
 
@@ -144,6 +150,90 @@ class TestOracle:
         assert led == QueryLedger(value_queries=1)
         led.reset()
         assert led == QueryLedger()
+
+
+class TestMpfTable:
+    """An extended-precision table as the loader and the constructions hand
+    it over: ints over one power of two, read through reals.MpfTable."""
+
+    @staticmethod
+    def constructed_and_loaded(tmp_path, n=6, bits=192):
+        inst = build_equal_revenue_submod_f(n, precision_bits=bits)
+        path = tmp_path / "chain.json"
+        save_instance(inst, str(path))
+        return inst, load_instance(str(path))
+
+    def test_view_equals_its_materialized_mpfs(self, tmp_path):
+        for inst in self.constructed_and_loaded(tmp_path):
+            tab = inst.f.value_table()
+            assert isinstance(tab, reals.MpfTable) and tab is inst.f.table
+            mpfs = tuple(tab)
+            assert tab == mpfs and mpfs == tab
+            assert not tab != mpfs and not mpfs != tab
+            assert tab != list(mpfs)  # as a tuple of them is not a list
+            changed = mpfs[:-1] + (mpfs[-1] * 2,)
+            assert tab != changed and changed != tab and tab != mpfs[:-1]
+
+    def test_len_iteration_and_indexing_agree(self, tmp_path):
+        for inst in self.constructed_and_loaded(tmp_path):
+            tab = inst.f.value_table()
+            ints, scale, rational = inst.f.scaled()
+            assert ints is tab.ints and scale == 1 << tab.k and not rational
+            # the ints are the only copy: no mpf is kept
+            assert not hasattr(tab, "__dict__") and all(type(v) is int for v in ints)
+            assert len(tab) == len(list(tab)) == 64
+            keys = [v._mpf_ for v in tab]
+            assert keys == [tab[m]._mpf_ for m in range(64)] == [tab[m - 64]._mpf_ for m in range(64)]
+            assert keys == [reals.mpf_exact(v, -tab.k)._mpf_ for v in ints]
+            assert [v._mpf_ for v in tab[3:9]] == keys[3:9]
+            # on the scale core._scaled_ints gives the same mpfs
+            assert (list(ints), scale, False) == core._scaled_ints(tuple(tab))
+
+    def test_scaled_alone_must_be_an_mpf_table_over_a_power_of_two(self):
+        for scaled in (([1, 2], 3, False), ([1, 2], 0, False), ([1, 2], 4, True)):
+            with pytest.raises(ValueError):
+                SetFunctionOracle(1, scaled=scaled)
+        oracle = SetFunctionOracle(1, scaled=([0, 12], 8, False))
+        assert [v._mpf_ for v in oracle.value_table()] == [libmp.fzero, (0, 3, -1, 2)]
+
+    def test_loaded_solve_converts_no_entry(self, tmp_path, monkeypatch):
+        inst = build_equal_revenue_submod_f(12, precision_bits=360)
+        path = tmp_path / "n12.json"
+        save_instance(inst, str(path))
+        tau, real_ratio = inst.ctx.maximizer_tolerance, reals.ratio
+
+        def no_entry(x):
+            # tau is no entry, nor are the ints 0 and 1 the chain bisects at
+            if isinstance(x, mpmath.mpf) and x != tau:
+                raise AssertionError(f"table entry {x} converted")
+            return real_ratio(x)
+
+        def no_table(tab):
+            raise AssertionError("table converted")
+
+        for module in (reals, core, solver):
+            monkeypatch.setattr(module, "ratio", no_entry)
+        monkeypatch.setattr(core, "_scaled_ints", no_table)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["solve", "--instance", str(path)]) == 0
+        report = json.loads(buf.getvalue())
+        assert report["co_optimal_breakpoints"] == list(range(4096))
+
+    def test_replaced_table_rebuilds_hull_and_budget(self):
+        inst = build_equal_revenue_submod_f(4, precision_bits=192)
+        hull, budget = lower_hull(inst), perturbation_budget(inst)
+        assert lower_hull(inst) is hull and perturbation_budget(inst) is budget
+        inst.f.table = tuple(inst.f.table)  # the same values, as a tuple
+        rebuilt, again = lower_hull(inst), perturbation_budget(inst)
+        assert rebuilt is not hull and rebuilt.f_table is inst.f.table
+        assert again is not budget and again.f_table is inst.f.table
+        assert (rebuilt.vertices, rebuilt.nums, rebuilt.dens) == (hull.vertices, hull.nums, hull.dens)
+        assert again.components == budget.components
+        # changed entries are read: c doubled widens every c gap
+        inst.c.table = tuple(2 * v for v in inst.c.table)
+        assert lower_hull(inst).nums == [2 * d for d in rebuilt.nums]
+        assert perturbation_budget(inst).components[1] > again.components[1]
 
 
 class TestQueries:
@@ -376,6 +466,21 @@ class TestHullFrame:
         for inst in instances:
             LowerHull.build(inst.f, inst.c)
         assert calls == []
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("value, want", [(-1.5, (-3, 2)), (-12, (-12, 1)), (0.25, (1, 4))])
+    def test_negative_mpf_keeps_its_sign(self, value, want):
+        x = mpmath.mpf(value)
+        assert reals.ratio(x) == want and exact(x) == Fraction(*want)
+
+    def test_decreasing_mpf_table_is_not_monotone(self):
+        from contractlab.constructions import verify_structure
+
+        with mpmath.workprec(80):
+            f = SetFunctionOracle(1, table=[mpmath.mpf(0), mpmath.mpf(-3)])
+        assert core._scaled_ints(f.table) == ([0, -3], 1, False)
+        assert verify_structure(f).monotonicity_violations == [(0, 1, Fraction(-3))]
 
 
 class TestRealContext:

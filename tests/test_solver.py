@@ -308,3 +308,93 @@ class TestAlphaBracket:
         assert grid[0] == 1 - welfare / (GOLDEN_C[2] + welfare)
         assert grid[0] <= sol.alpha_star <= edge
         assert grid[-1] >= edge
+
+
+def reference_co_optimal(inst):
+    """(co_optimal, band): optimal_contract's co_optimal as decided before
+    its floor fast path, each position's scaled score cross-multiplied with
+    the scaled max less tau, and the positions the fast path leaves to that
+    cross product (scores between floor(threshold) and one above it)."""
+    hull = core.lower_hull(inst)
+    s_f, s_c = hull.f_scale, hull.c_scale
+    edges = solver._chain(hull)
+    big_f = hull.f0 + sum(hull.dens[: edges.start])
+    scores = [(big_f * s_c, 1)]
+    for num, den in zip(hull.nums[edges.start : edges.stop], hull.dens[edges.start : edges.stop]):
+        big_f += den
+        scores.append(((den * s_c - num * s_f) * big_f, den))
+    bn, bd = scores[0]
+    for sn, sd in scores:
+        if sn * bd > bn * sd:
+            bn, bd = sn, sd
+    tp, tq = reals.ratio(inst.ctx.maximizer_tolerance)
+    ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq
+    q = ln // ld
+    near = [t for t, (sn, sd) in enumerate(scores) if sn * ld >= ln * sd]
+    band = [t for t, (sn, sd) in enumerate(scores) if q * sd <= sn < (q + 1) * sd]
+    return near, band
+
+
+def planted_chain(utils, bits=53):
+    """(ftab, ctab) of the chain S_t = mask t, f = 2^t past f(empty) = 0,
+    with c solved so that S_t pays the principal utils[t - 1] (each in
+    (1/2, 1], so the critical values rise), exactly in Fractions, or each
+    entry rounded into RealContext(bits) when bits is given."""
+    ftab, ctab = [Fraction(0)], [Fraction(0)]
+    for t, u in enumerate(utils, 1):
+        f = Fraction(1 << t)
+        ctab.append(ctab[-1] + (1 - u / f) * (f - ftab[-1]))
+        ftab.append(f)
+    if bits is None:
+        return ftab, ctab
+    ctx = reals.RealContext(bits)
+    return [ctx.make(v) for v in ftab], [ctx.make(v) for v in ctab]
+
+
+class TestCoOptimalFastPath:
+    """co_optimal decided on floor(threshold) with the per-position cross
+    product as fallback equals the per-position filter everywhere."""
+
+    def test_planted_at_above_and_below_the_threshold(self):
+        tau, unit = Fraction(1, 1 << 26), Fraction(1, 1 << 90)  # tau at 53 bits
+        utils = [1, 1 - tau, 1 - tau + unit, 1 - tau - unit, Fraction(3, 4), 1 - 2 * tau, 1 - tau / 2]
+        inst = instance_from_tables(*planted_chain(utils, bits=None))
+        near, band = reference_co_optimal(inst)
+        # exactly at max - tau counts as near; it sits on the floor itself,
+        # so the fallback decides it
+        assert optimal_contract(inst).co_optimal == near == [1, 2, 3, 7]
+        assert 2 in band
+
+    @given(
+        kind=st.sampled_from(["rational", 24, 53, 80, 192]),
+        steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 140)), min_size=3, max_size=7),
+        n=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_planted_near_the_threshold(self, kind, steps, n):
+        bits = 53 if kind == "rational" else kind
+        tau = Fraction(1, 1 << (bits // 2))
+        utils = [1] + [1 - tau + Fraction(j, 1 << (bits // 2 + e)) for j, e in steps]
+        utils = (utils * (1 << n))[: (1 << n) - 1]
+        inst = instance_from_tables(
+            *planted_chain(utils, None if kind == "rational" else bits), bits=bits
+        )
+        assert optimal_contract(inst).co_optimal == reference_co_optimal(inst)[0]
+
+    @given(st.sampled_from(["rational", "float", "mpf80", "mpf192"]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_random_monotone_tables(self, kind, data):
+        bits = {"rational": 53, "float": 53, "mpf80": 80, "mpf192": 192}[kind]
+        if kind == "rational":
+            n, ftab, ctab = data.draw(mixed_monotone_instance_tables())
+        else:
+            n, ftab, ctab = data.draw(real_monotone_instance_tables(bits))
+        inst = instance_from_tables(ftab, ctab, bits)
+        assert optimal_contract(inst).co_optimal == reference_co_optimal(inst)[0]
+
+    def test_full_n14_chain(self):
+        inst = build_equal_revenue_submod_f(14, precision_bits=420)
+        sol = optimal_contract(inst)
+        near, band = reference_co_optimal(inst)
+        assert sol.co_optimal == near == list(range(1 << 14))
+        assert band == []  # every position is cleared by one narrow product
