@@ -208,16 +208,17 @@ def delta_bound(base: ContractInstance, variant: str) -> DeltaBudget:
 def _zeta(variant, base, delta):
     """The z component that bounds the winner bonus: delta (1 - alpha_max)
     phi_f / (16 n^2 f_max), over the base rewards (f_max + 1 and phi_f
-    capped at 1/2 for the additive-reward sup-sup base).  Exact: float and
-    mpf entries of the base convert to Fractions without rounding.
+    capped at 1/2 for the additive-reward sup-sup base).  Exact: read off
+    the base's scaled ints (SetFunctionOracle.scaled).
     """
     n = base.n
-    ftab = [exact(v) for v in base.f.value_table()]
-    gaps = [b - a for a, b in zip(ftab, ftab[1:])]
+    ints, scale, _ = base.f.scaled()
+    phi_f = Fraction(min(b - a for a, b in zip(ints, ints[1:])), scale)
+    f_max = Fraction(ints[-1], scale)
     factor = exact(delta) * (1 - exact(chain_alphas(base)[-1])) / (16 * n * n)
     if variant == "sup-sup":
-        return factor * min([Fraction(1, 2)] + gaps) / (ftab[-1] + 1)
-    return factor * min(gaps) / ftab[-1]
+        return factor * min(Fraction(1, 2), phi_f) / (f_max + 1)
+    return factor * phi_f / f_max
 
 
 def _grid_bits(variant, base, delta, f_bound) -> int:

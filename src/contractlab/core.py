@@ -147,10 +147,10 @@ class SetFunctionOracle:
 
         An oracle handed its scaled form returns that form, as long as its
         table attribute is still the table it was handed with, so a table
-        that was assembled or loaded in ints is never converted.  Any other oracle converts
-        its table on each call and keeps nothing: a second copy of a wide
-        table would outlive the hull built from it (an n=14 table at 420
-        bits holds 1.5 MiB of ints).
+        that was assembled or loaded in ints is never converted.  Any other
+        oracle converts its table on each call and keeps nothing: a second
+        copy of a wide table would outlive the hull built from it (an n=14
+        table at 420 bits holds 1.5 MiB of ints).
         """
         table, scaled = self._scaled
         if scaled is None or table is not self.table:

@@ -211,8 +211,6 @@ class MpfTable(Sequence):
         return len(self.ints)
 
     def __getitem__(self, m):
-        if isinstance(m, slice):
-            return tuple(mpf_exact(v, -self.k) for v in self.ints[m])
         return mpf_exact(self.ints[m], -self.k)
 
     def __iter__(self):
@@ -223,8 +221,3 @@ class MpfTable(Sequence):
         if not isinstance(other, (tuple, MpfTable)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"MpfTable({len(self.ints)} entries over 2^{self.k})"

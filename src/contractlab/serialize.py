@@ -71,11 +71,12 @@ def _mpf_strings(tab: MpfTable) -> list[str]:
     return out
 
 
-def _mpf_ints(values):
-    """(ints, scale) of a table whose every entry is an "m p e" string, read
-    as number_from_str reads it, the ints on one power of two (see
-    reals.dyadic_ints); None when some entry does not parse so, which leaves
-    the table to number_from_str, entry by entry, to parse or refuse."""
+def _mpf_scaled(values):
+    """(ints, 2^k, False), SetFunctionOracle's scaled form, of a table whose
+    every entry is an "m p e" string, read as number_from_str reads it, the
+    ints on one power of two (reals.dyadic_ints); None when some entry does
+    not parse so, which leaves the table to number_from_str, entry by
+    entry, to parse or refuse."""
     mans, exps = [], []
     try:
         for s in values:
@@ -85,7 +86,7 @@ def _mpf_ints(values):
     except (AttributeError, ValueError):
         return None
     ints, k = dyadic_ints(mans, exps)
-    return ints, 1 << k
+    return ints, 1 << k, False
 
 
 def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
@@ -117,11 +118,8 @@ def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
         )
     if kind == "table":
         values = d["values"]
-        scaled = _mpf_ints(values)
-        if scaled is None:
-            table = [number_from_str(v) for v in values]
-        else:
-            table, scaled = None, (*scaled, False)
+        scaled = _mpf_scaled(values)
+        table = [number_from_str(v) for v in values] if scaled is None else None
         return SetFunctionOracle(
             n,
             table=table,
