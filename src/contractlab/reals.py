@@ -22,7 +22,6 @@ entry at a time, so the ints are the only copy kept.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import reduce
@@ -194,12 +193,13 @@ def dyadic_ints(mans, exps) -> tuple[list, int]:
     return ints, k
 
 
-class MpfTable(Sequence):
+class MpfTable:
     """A read-only table of mpfs held as ints over one power of two: entry
     m is ints[m] * 2^-k.  Reading an entry builds its mpf (mpf_exact, the
     normalized tuple) and iterating builds each in turn; only the ints are
     kept.  It compares == to a tuple of the same values, in either order,
-    as a tuple of its mpfs would."""
+    as a tuple of its mpfs would.  Not a collections.abc.Sequence, whose
+    isinstance checks would slow every oracle built from a table."""
 
     __slots__ = ("ints", "k")
 
