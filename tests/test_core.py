@@ -28,7 +28,11 @@ from contractlab.core import (
     value,
 )
 from contractlab.cli import main
-from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
+from contractlab.constructions import (
+    build_equal_revenue_submod_f,
+    build_equal_revenue_supmod_c,
+    verify_structure,
+)
 from contractlab import core, reals, solver
 from contractlab.perturb import perturbation_budget
 from contractlab.serialize import load_instance, save_instance
@@ -474,8 +478,6 @@ class TestExactValues:
         assert reals.ratio(x) == want and exact(x) == Fraction(*want)
 
     def test_decreasing_mpf_table_is_not_monotone(self):
-        from contractlab.constructions import verify_structure
-
         with mpmath.workprec(80):
             f = SetFunctionOracle(1, table=[mpmath.mpf(0), mpmath.mpf(-3)])
         assert core._scaled_ints(f.table) == ([0, -3], 1, False)
