@@ -239,9 +239,7 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         pn, pd = num, den
     tp, tq = ratio(inst.ctx.maximizer_tolerance)
     ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq  # the max less s_f s_c tau
-    # sn / sd >= ln / ld, decided on q = floor(ln / ld) by one narrow
-    # product: near from q + 1 up, not near below q, cross-multiplied between
-    q1 = ln // ld + 1
+    q1 = ln // ld + 1  # sn / sd >= ln / ld on q = floor(ln / ld), see above
     near = [
         t
         for t, (sn, sd) in enumerate(scores)
