@@ -16,9 +16,11 @@ c + delta|S|^2 with f re-solved), sup-sup (both supermodular, additive-
 reward base with f + delta|S|^2 and c re-solved).  All three use exact
 rational arithmetic from the perturbed base on: delta, sigma, z and both
 perturbed tables lie on one dyadic grid 2^-kappa, the re-solved table is
-rounded down onto it, and the augmented tables are int/Fraction, so the
+rounded down onto it, and the augmented tables are rational, so the
 structure checks, the hull and the protocol compare exactly, whatever the
-precision of the base.
+precision of the base.  Every table from the perturbed base on is built as
+ints over one scale and held as those ints alone (a reals.MpfTable whose
+entries read as Fractions).
 """
 
 from __future__ import annotations
@@ -234,14 +236,6 @@ def _round_down(x, kappa) -> Fraction:
     return Fraction(floor(exact(x) * scale), scale)
 
 
-def _grid_oracle(n, ints, scale, declared_class, name) -> SetFunctionOracle:
-    """The oracle of the grid table ints / scale, handed its scaled form."""
-    table = [Fraction(v, scale) for v in ints]
-    return SetFunctionOracle(
-        n, table=table, declared_class=declared_class, name=name, scaled=(ints, scale, True)
-    )
-
-
 def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> ContractInstance:
     """c-tilde(S) = c(S) + sign * delta |S|^2, with f-tilde re-solved along
     the chain so that every S_t pays the principal 1 up to a grid error.
@@ -285,8 +279,10 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
     if fs[-1] > 2 * f_max * scale:
         raise ConstructionIntegrityError("re-solved rewards left the grid's bound")
     cls = "submodular" if sign < 0 else "supermodular"
-    f = _grid_oracle(base.n, fs, scale, "submodular", "resolved_reward")
-    c = _grid_oracle(base.n, cs, scale, cls, "perturbed_cost")
+    f = SetFunctionOracle(
+        base.n, scaled=(fs, scale, True), declared_class="submodular", name="resolved_reward"
+    )
+    c = SetFunctionOracle(base.n, scaled=(cs, scale, True), declared_class=cls, name="perturbed_cost")
     inst = ContractInstance(n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} c~")
     inst.meta["kind"] = "cc_perturbed_cost"
     inst.meta["delta"] = Fraction(d, scale)
@@ -320,8 +316,12 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     for t in range(1, base.size):
         # floor(c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1))) in grid units
         cs.append(cs[-1] + (fs[t] - scale) * (fs[t] - fs[t - 1]) // fs[t])
-    f = _grid_oracle(n, fs, scale, "supermodular", "perturbed_reward")
-    c = _grid_oracle(n, cs, scale, "supermodular", "resolved_cost")
+    f = SetFunctionOracle(
+        n, scaled=(fs, scale, True), declared_class="supermodular", name="perturbed_reward"
+    )
+    c = SetFunctionOracle(
+        n, scaled=(cs, scale, True), declared_class="supermodular", name="resolved_cost"
+    )
     inst = ContractInstance(n=n, f=f, c=c, ctx=base.ctx, name=f"{base.name} f~")
     inst.meta["kind"] = "cc_perturbed_reward"
     inst.meta["delta"] = Fraction(d, scale)
@@ -371,8 +371,6 @@ class AugmentedCCInstance:
     x_c: SpecialSetVector
     instance: ContractInstance
     alpha_tilde: dict
-    f_marginal: list
-    c_marginal: list
 
     @property
     def revenue_halfwidth(self):
@@ -429,13 +427,12 @@ class _AugmentParts:
     pair's augmented tables, which a pair copies and changes at its
     size-n/2 sets only.
 
-    f_table and c_table are that pair's f-hat and c-hat, f_ints and c_ints
-    the same tables as ints on f_scale and c_scale, f_marginal and
-    c_marginal its marginals of action n+1.  f_scale is the perturbed f
-    scale combined with z/4's denominator; c_scale also takes in the
+    f_ints and c_ints are that pair's f-hat and c-hat as ints on f_scale
+    and c_scale, the only form they are held in.  f_scale is the perturbed
+    f scale combined with z/4's denominator; c_scale also takes in the
     denominators of z/2, alpha~_1 z/8 and every alpha~_t z/4 (one shared
-    scale would make the f ints as long as the c ints).  f_half[i] is
-    (f-hat at t + 2^n, its int, marginal z/4) for the i-th size-n/2 set t,
+    scale would make the f ints as long as the c ints).  f_half[i] is the
+    int of f-hat at t + 2^n with marginal z/4 for the i-th size-n/2 set t,
     taken when x_f holds t; c_half[i] is the same for c-hat, with marginal
     alpha~_t z/4, taken when x_c holds t."""
 
@@ -447,35 +444,21 @@ class _AugmentParts:
     z: Fraction
     f_scale: int
     c_scale: int
-    f_table: tuple
-    c_table: tuple
     f_ints: tuple
     c_ints: tuple
-    f_marginal: tuple
-    c_marginal: tuple
     f_half: tuple
     c_half: tuple
 
 
 def _lifted(oracle, scale, marginals, half):
-    """The oracle's table lifted to n+1 actions by marginals[m] = (v, v's
-    int on scale) at m + 2^n, as (table, ints on scale, the marginals' v,
-    picks), with picks[i] = (entry, int, v) at t + 2^n for half[i] =
-    (t, (v, w)).  A 0 marginal reuses the lower entry and int themselves."""
-    low = oracle.table
+    """The oracle's scaled ints brought onto scale and lifted to n+1
+    actions, entry m + 2^n being entry m plus the int marginals[m], as
+    (ints, picks) with picks[i] = entry t plus w, the int at t + 2^n, for
+    half[i] = (t, w).  A 0 marginal reuses the lower int itself."""
     ints, s, _ = oracle.scaled()
-    low_ints = tuple(v * (scale // s) for v in ints)
-
-    def entry(m, v, w):
-        return (low[m] + v, low_ints[m] + w, v) if v else (low[m], low_ints[m], v)
-
-    upper = [entry(m, *vw) for m, vw in enumerate(marginals)]
-    return (
-        low + tuple(u[0] for u in upper),
-        low_ints + tuple(u[1] for u in upper),
-        tuple(u[2] for u in upper),
-        tuple(entry(t, *vw) for t, vw in half),
-    )
+    low = tuple(v * (scale // s) for v in ints)
+    upper = tuple(v + w if w else v for v, w in zip(low, marginals))
+    return low + upper, tuple(low[t] + w for t, w in half)
 
 
 def _augment_parts(variant, base, delta) -> _AugmentParts:
@@ -510,13 +493,13 @@ def _augment_parts(variant, base, delta) -> _AugmentParts:
     c_values.update((t, atil[t] * z / 4) for t in half)
     f_scale = lcm(perturbed.f.scaled()[1], z4.denominator)
     c_scale = lcm(perturbed.c.scaled()[1], *(v.denominator for v in c_values.values()))
-    f_plus = (z4, (z4 * f_scale).numerator)
-    c_plus = {k: (v, (v * c_scale).numerator) for k, v in c_values.items()}
+    f_plus = (z4 * f_scale).numerator
+    c_plus = {k: (v * c_scale).numerator for k, v in c_values.items()}
     f_on, c_keys = _marginal_template(variant, n)
-    f_table, f_ints, f_marginal, f_half = _lifted(
-        perturbed.f, f_scale, [f_plus if on else (0, 0) for on in f_on], [(t, f_plus) for t in half]
+    f_ints, f_half = _lifted(
+        perturbed.f, f_scale, [f_plus if on else 0 for on in f_on], [(t, f_plus) for t in half]
     )
-    c_table, c_ints, c_marginal, c_half = _lifted(
+    c_ints, c_half = _lifted(
         perturbed.c, c_scale, [c_plus[k] for k in c_keys], [(t, c_plus[t]) for t in half]
     )
     return _AugmentParts(
@@ -528,12 +511,8 @@ def _augment_parts(variant, base, delta) -> _AugmentParts:
         z=z,
         f_scale=f_scale,
         c_scale=c_scale,
-        f_table=f_table,
-        c_table=c_table,
         f_ints=f_ints,
         c_ints=c_ints,
-        f_marginal=f_marginal,
-        c_marginal=c_marginal,
         f_half=f_half,
         c_half=c_half,
     )
@@ -577,11 +556,11 @@ def build_augmented(
     delta must lie below the variant's delta_bound and sigma / (2 n^2);
     None takes half that cap.  Everything but the marginals is independent
     of (x_f, x_c) and cached on the base (_AugmentParts), both augmented
-    tables of the all-zero pair included, as entries and as ints on the
-    cached scales.  A pair copies them and overwrites the upper-half entry
-    of each size-n/2 set its indicator bits hold with a prebuilt one, so it
-    does no arithmetic; the augmented oracles are handed the ints as their
-    scaled forms.
+    tables of the all-zero pair included, as ints on the cached scales.  A
+    pair copies those two int lists and overwrites the upper-half int of
+    each size-n/2 set its indicator bits hold with a prebuilt one, at most
+    2 C(n, n/2) ints, so it does no arithmetic; the augmented oracles are
+    handed the ints alone, and their entries read as Fractions.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -594,23 +573,20 @@ def build_augmented(
     parts = base.augment_cache.get(cache_key)
     if parts is None:
         parts = base.augment_cache[cache_key] = _augment_parts(variant, base, delta)
-    fhat, fhat_ints, fmarg = list(parts.f_table), list(parts.f_ints), list(parts.f_marginal)
-    chat, chat_ints, cmarg = list(parts.c_table), list(parts.c_ints), list(parts.c_marginal)
+    fhat, chat = list(parts.f_ints), list(parts.c_ints)
     size = 1 << n
     for i, t in enumerate(_half_sets(n)[0]):
         if x_f.packed >> i & 1:
-            fhat[size + t], fhat_ints[size + t], fmarg[t] = parts.f_half[i]
+            fhat[size + t] = parts.f_half[i]
         if x_c.packed >> i & 1:
-            chat[size + t], chat_ints[size + t], cmarg[t] = parts.c_half[i]
+            chat[size + t] = parts.c_half[i]
     f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
     c_cls = "submodular" if variant == "sub-sub" else "supermodular"
     fhat_o = SetFunctionOracle(
-        n + 1, table=fhat, declared_class=f_cls, name="augmented_reward",
-        scaled=(fhat_ints, parts.f_scale, True),
+        n + 1, scaled=(fhat, parts.f_scale, True), declared_class=f_cls, name="augmented_reward"
     )
     chat_o = SetFunctionOracle(
-        n + 1, table=chat, declared_class=c_cls, name="augmented_cost",
-        scaled=(chat_ints, parts.c_scale, True),
+        n + 1, scaled=(chat, parts.c_scale, True), declared_class=c_cls, name="augmented_cost"
     )
     # exact tables: the default context's tolerance compares with Fractions
     inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
@@ -627,8 +603,6 @@ def build_augmented(
         x_c=x_c,
         instance=inst,
         alpha_tilde=parts.alpha_tilde,
-        f_marginal=fmarg,
-        c_marginal=cmarg,
     )
 
 

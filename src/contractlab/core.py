@@ -76,17 +76,16 @@ class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
     The oracle always holds its full 2^n table, read-only, so no entry can
-    change under a hull or a scaled form built from it: a tuple, or for an
-    mpf table handed over as ints alone, a reals.MpfTable over them.  Query
+    change under a hull or a scaled form built from it.  Query
     instrumentation lives in the attached ledger.  Exactly one of
-    ``table``, ``weights`` and ``scaled`` alone must be given:
-      table      -- list of 2^n values indexed by subset index,
+    ``table``, ``weights`` and ``scaled`` must be given:
+      table      -- list of 2^n values indexed by subset index, kept as a
+                    tuple,
       weights    -- per-action values of an additive function (w[i-1] for i),
-      scaled     -- (ints, 2^k, False): an mpf table as ints over a power of
-                    two, kept as they are; the table is their MpfTable.
-    ``scaled`` given with ``table`` is the table's (ints, scale, rational)
-    when the caller assembled it alongside the table (see scaled), with
-    ints[m] == table[m] * scale exactly.
+      scaled     -- (ints, scale, rational): a table built as ints over one
+                    scale, kept as they are; the table is their
+                    reals.MpfTable, of Fractions over any positive scale
+                    when rational, else of mpfs over a power of two.
     """
 
     def __init__(
@@ -104,58 +103,55 @@ class SetFunctionOracle:
             raise ValueError(f"ground-set size must be in [1, {MAX_N}], got {n}")
         if declared_class not in DECLARED_CLASSES:
             raise ValueError(f"unknown declared_class {declared_class!r}")
-        if table is None and weights is None and scaled is not None:
-            ints, scale, rational = scaled
-            if rational or scale < 1 or scale & (scale - 1):
-                raise ValueError("ints alone must be an mpf table over a power of two")
-            table = MpfTable(ints, scale.bit_length() - 1)
-            scaled = (table.ints, scale, False)
-        if (table is None) == (weights is None):
-            raise ValueError("exactly one of table, weights required")
+        if (table is None) + (weights is None) + (scaled is None) != 2:
+            raise ValueError("exactly one of table, weights, scaled required")
         self.n = n
         self.declared_class = declared_class
         self.name = name
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.weights = list(weights) if weights is not None else None
-        if table is not None:
-            if not isinstance(table, MpfTable):
-                table = tuple(table)
-            if len(table) != 1 << n:
-                raise ValueError("table must list all 2^n subset values")
-            self.table = table
-        else:
+        self._int_sums = None
+        if weights is not None:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
-            self.table = tuple(additive_table(self.weights))
-            if scaled is None and all(type(w) is int for w in self.weights):
-                scaled = (self.table, 1, True)  # int sums are their own scaled form
-        if scaled is not None and len(scaled[0]) != len(self.table):
-            raise ValueError("scaled ints must list all 2^n subset values")
-        self._scaled = (self.table, scaled)
-
-    def eval_mask(self, mask: int):
-        """Uninstrumented evaluation (for solver internals)."""
-        return self.table[mask]
+            table = additive_table(self.weights)
+            if all(type(w) is int for w in self.weights):
+                table = self._int_sums = tuple(table)  # int sums are their own scaled form
+        elif scaled is not None:
+            ints, scale, rational = scaled
+            if scale < 1 or not rational and scale & (scale - 1):
+                raise ValueError("scaled ints need a positive scale, a power of two for mpfs")
+            table = MpfTable(ints, scale, rational)
+        if not isinstance(table, MpfTable):
+            table = tuple(table)
+        if len(table) != 1 << n:
+            raise ValueError("table must list all 2^n subset values")
+        self.table = table
 
     def value_table(self):
-        """Full 2^n table: a tuple, or an MpfTable (see the class docstring)."""
+        """Full 2^n table: a tuple, or an MpfTable (see the class docstring).
+        The same object as the table attribute, kept as a method because
+        the benchmark (bench/) reads tables through it."""
         return self.table
 
     def scaled(self):
         """(ints, scale, rational): the table as ints over one positive
         scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
 
-        An oracle handed its scaled form returns that form, as long as its
-        table attribute is still the table it was handed with, so a table
-        that was assembled or loaded in ints is never converted.  Any other
-        oracle converts its table on each call and keeps nothing: a second
-        copy of a wide table would outlive the hull built from it (an n=14
-        table at 420 bits holds 1.5 MiB of ints).
+        An MpfTable is its own scaled form, and so is the table of int sums
+        an additive oracle with int weights builds, as long as the table
+        attribute is still that table: a table assembled or loaded in ints
+        is never converted.  Any other table is converted on each call and
+        nothing is kept: a second copy of a wide table would outlive the
+        hull built from it (an n=14 table at 420 bits holds 1.5 MiB of
+        ints).
         """
-        table, scaled = self._scaled
-        if scaled is None or table is not self.table:
-            return _scaled_ints(self.table)
-        return scaled
+        table = self.table
+        if isinstance(table, MpfTable):
+            return table.ints, table.scale, table.rational
+        if table is self._int_sums:
+            return table, 1, True
+        return _scaled_ints(table)
 
 
 def additive_table(weights) -> list:
@@ -218,7 +214,7 @@ def value(oracle: SetFunctionOracle, s: ActionSet):
     if s.n != oracle.n:
         raise ValueError("action set over a different ground set")
     oracle.ledger.count("value_queries", s.mask)
-    return oracle.eval_mask(s.mask)
+    return oracle.table[s.mask]
 
 
 def _scores(kind: str, x, param):

@@ -16,7 +16,9 @@ per-operation overhead; mpf_exact turns a pair into that mpf.
 
 An extended-precision table is held the same way: dyadic_ints puts its
 pairs on one power of two, and an MpfTable reads them back as mpfs, one
-entry at a time, so the ints are the only copy kept.
+entry at a time, so the ints are the only copy kept.  A rational table
+built as ints over any scale is held so too, its entries read back as
+Fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import eq, or_
 
 import mpmath
@@ -194,28 +196,36 @@ def dyadic_ints(mans, exps) -> tuple[list, int]:
 
 
 class MpfTable:
-    """A read-only table of mpfs held as ints over one power of two: entry
-    m is ints[m] * 2^-k.  Reading an entry builds its mpf (mpf_exact, the
-    normalized tuple) and iterating builds each in turn; only the ints are
-    kept.  It compares == to a tuple of the same values, in either order,
-    as a tuple of its mpfs would.  Not a collections.abc.Sequence, whose
-    isinstance checks would slow every oracle built from a table."""
+    """A read-only table held as ints over one positive scale: entry m is
+    ints[m] / scale.  Over a power of two with rational False, reading an
+    entry builds its mpf (mpf_exact, the normalized tuple); with rational
+    True it reads as Fraction(ints[m], scale).  Iterating builds each entry
+    in turn; only the ints are kept, so the table is its own scaled form
+    (ints, scale, rational).  It compares == to a tuple of the same values,
+    in either order, as a tuple of its entries would.  Not a
+    collections.abc.Sequence, whose isinstance checks would slow every
+    oracle built from a table."""
 
-    __slots__ = ("ints", "k")
+    __slots__ = ("ints", "scale", "rational", "_entry", "_arg")
 
-    def __init__(self, ints, k: int):
+    def __init__(self, ints, scale: int, rational: bool):
         self.ints = tuple(ints)
-        self.k = k
+        self.scale = scale
+        self.rational = rational
+        # entry m is _entry(ints[m], _arg), the builder chosen once here
+        if rational:
+            self._entry, self._arg = Fraction, scale
+        else:
+            self._entry, self._arg = mpf_exact, 1 - scale.bit_length()
 
     def __len__(self):
         return len(self.ints)
 
     def __getitem__(self, m):
-        return mpf_exact(self.ints[m], -self.k)
+        return self._entry(self.ints[m], self._arg)
 
     def __iter__(self):
-        exp = -self.k
-        return (mpf_exact(v, exp) for v in self.ints)
+        return map(self._entry, self.ints, repeat(self._arg))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, MpfTable)):

@@ -61,13 +61,14 @@ def number_from_str(s: str):
 def _mpf_strings(tab: MpfTable) -> list[str]:
     """number_to_str of each entry of tab, from its ints: odd mantissa p
     exponent, and 0p0 for zero."""
+    k = tab.scale.bit_length() - 1
     out = []
     for v in tab.ints:
         if not v:
             out.append("0p0")
             continue
         zeros = (v & -v).bit_length() - 1
-        out.append(f"{v >> zeros}p{zeros - tab.k}")
+        out.append(f"{v >> zeros}p{zeros - k}")
     return out
 
 
@@ -97,7 +98,7 @@ def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
     else:
         tab = oracle.value_table()
         d["kind"] = "table"
-        if isinstance(tab, MpfTable):
+        if isinstance(tab, MpfTable) and not tab.rational:
             d["values"] = _mpf_strings(tab)
         else:
             d["values"] = [number_to_str(v) for v in tab]

@@ -82,15 +82,16 @@ def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
     )
 
 
-def _critical_alpha(hull, j):
+def _critical_alpha(hull, j, ftab, ctab):
     """The alpha of the critical value reached over hull edge j: the exact
     slope dC s_f / (dF s_c), a Fraction, when the hull is rational, else
-    the tables' own entry differences divided in their own arithmetic.
-    Call inside the working precision."""
+    the differences of the f and c entries of its two vertices, as ftab
+    and ctab give them by mask (the tables, or entries read from them),
+    divided in the tables' own arithmetic.  Call inside the working
+    precision."""
     if hull.rational:
         return Fraction(hull.nums[j] * hull.f_scale, hull.dens[j] * hull.c_scale)
     prev, cur = hull.vertices[j], hull.vertices[j + 1]
-    ftab, ctab = hull.f_table, hull.c_table
     return (ctab[cur] - ctab[prev]) / (ftab[cur] - ftab[prev])
 
 
@@ -104,18 +105,21 @@ def _chain(hull) -> range:
     return range(hull.index(0), end)
 
 
-def critical_values(inst: ContractInstance) -> list[tuple]:
+def critical_values(inst: ContractInstance, ftab=None, ctab=None) -> list[tuple]:
     """(alpha, mask) of every critical value, in increasing order, read off
     the instance's lower hull (core.lower_hull) along _chain.
 
     The first alpha is the int 0, exact in every representation; each
-    later one is _critical_alpha's.
+    later one is _critical_alpha's, from the tables, or from ftab and ctab
+    when given: the f and c entries by mask, read from them beforehand.
     """
     hull = lower_hull(inst)
+    if ftab is None:
+        ftab, ctab = hull.f_table, hull.c_table
     edges = _chain(hull)
     pairs = [(0, hull.vertices[edges.start])]
     with inst.ctx.workprec():
-        pairs += [(_critical_alpha(hull, j), hull.vertices[j + 1]) for j in edges]
+        pairs += [(_critical_alpha(hull, j, ftab, ctab), hull.vertices[j + 1]) for j in edges]
     return pairs
 
 
@@ -150,16 +154,22 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> Break
     sets, f and c values and both utilities, all from the tables' own entries.
 
     The (alpha, mask) pairs are critical_values(inst): the hull is built once
-    per instance in O(n 2^n) and shared with core.best_response.  method
-    accepts only "hull", the one way there is.
+    per instance in O(n 2^n) and shared with core.best_response.  Each
+    vertex's f and c entry is read once, for its alpha and its row (an
+    MpfTable builds an entry on each read).  method accepts only "hull",
+    the one way there is.
     """
     if method != "hull":
         raise ParameterError(f"unknown enumeration method {method!r}")
-    ftab, ctab = inst.f.value_table(), inst.c.value_table()
+    hull = lower_hull(inst)
+    edges = _chain(hull)
+    masks = hull.vertices[edges.start : edges.stop + 1]
+    fs = {m: hull.f_table[m] for m in masks}
+    cs = {m: hull.c_table[m] for m in masks}
     with inst.ctx.workprec():
         bps = [
-            _make_breakpoint(inst, pos, alpha, mask, ftab, ctab)
-            for pos, (alpha, mask) in enumerate(critical_values(inst))
+            _make_breakpoint(inst, pos, alpha, mask, fs, cs)
+            for pos, (alpha, mask) in enumerate(critical_values(inst, fs, cs))
         ]
     table = BreakpointTable(inst, bps)
     _check_table_invariants(table)
@@ -246,7 +256,7 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         if sn >= (hi := q1 * sd) or (sn >= hi - sd and sn * ld >= ln * sd)
     ]
     with inst.ctx.workprec():
-        alpha = _critical_alpha(hull, k + best - 1) if best else 0
+        alpha = _critical_alpha(hull, k + best - 1, ftab, hull.c_table) if best else 0
         row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, hull.c_table)
     return ContractSolution(
         alpha_star=row.alpha,
@@ -275,9 +285,10 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
         raise ParameterError("eps must be in (0, 1)")
     from .core import best_response, value
 
-    before = (inst.ledger.value_queries, inst.ledger.best_response_queries)
-    ledgers = [inst.f.ledger, inst.c.ledger]
-    before_oracles = [(l.value_queries) for l in ledgers]
+    # each distinct ledger once: the instance and its oracles may share one
+    ledgers = list({id(l): l for l in (inst.ledger, inst.f.ledger, inst.c.ledger)}.values())
+    before = [l.value_queries for l in ledgers]
+    br_before = inst.ledger.best_response_queries
 
     def val_f(s):
         return value(inst.f, s)
@@ -306,17 +317,12 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
         utils = [u for _, _, u in probes]
         best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
 
-    vq = (
-        inst.ledger.value_queries
-        - before[0]
-        + sum(l.value_queries - b for l, b in zip(ledgers, before_oracles))
-    )
     return FptasResult(
         alpha=best_alpha,
         aset=best_set,
         principal_utility=best_util,
-        value_queries=vq,
-        best_response_queries=inst.ledger.best_response_queries - before[1],
+        value_queries=sum(l.value_queries - b for l, b in zip(ledgers, before)),
+        best_response_queries=inst.ledger.best_response_queries - br_before,
     )
 
 

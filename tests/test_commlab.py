@@ -8,6 +8,7 @@ disjoint pairs leave n+1 out, intersecting pairs bring it in.
 """
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from contractlab.constructions import (
     verify_structure,
 )
 from contractlab.core import SetFunctionOracle, best_response
+from contractlab.serialize import number_to_str
 from contractlab.solver import enumerate_breakpoints, optimal_contract
 from contractlab.sparse import approx_best_response, sparseness_ceiling
 
@@ -200,9 +202,12 @@ class TestAugmentedStructure:
     @staticmethod
     def _check_marginals(aug, n):
         z = aug.z
-        for t in range(1 << n):
+        size = 1 << n
+        ftab, ctab = aug.instance.f.value_table(), aug.instance.c.value_table()
+        for t in range(size):
             s = t.bit_count()
-            fm, cm = aug.f_marginal[t], aug.c_marginal[t]
+            # action n+1's marginals, read off the tables
+            fm, cm = ftab[t + size] - ftab[t], ctab[t + size] - ctab[t]
             if s < 2:
                 assert fm == z / 4 and cm == z / 2
             elif s == 2:
@@ -373,12 +378,12 @@ class TestInapproxTables:
         ones = SpecialSetVector.all_ones(6)
         f, c = inapprox_table("sub-sub", 6, ones, ones)
         m3 = 0b000111
-        assert f.eval_mask(m3) - c.eval_mask(m3) == 1  # (4n-3) - (4n-4)
+        assert f.table[m3] - c.table[m3] == 1  # (4n-3) - (4n-4)
         m2 = 0b000011
-        assert f.eval_mask(m2) == c.eval_mask(m2) == 16
+        assert f.table[m2] == c.table[m2] == 16
         f2, c2 = inapprox_table("sup-sup", 6, ones, ones)
         m4 = 0b001111
-        assert f2.eval_mask(m4) - c2.eval_mask(m4) == -1
+        assert f2.table[m4] - c2.table[m4] == -1
 
     def test_invalid_params(self):
         ones = SpecialSetVector.all_ones(4)
@@ -420,9 +425,33 @@ class TestProtocols:
             Channel(0)
 
 
+def expected_marginals(aug, n):
+    """Action n+1's marginals over t < 2^n, as the reduction defines them:
+    f gets z/4 on the small sets (the large ones for sup-sup) and on the
+    members of x_f; c gets z/2, alpha~_1 z/8 or, for sub-sup below size
+    n/2, alpha~ z/4 of the set's minimal size-n/2 superset, and alpha~_t z/4
+    on each member t of x_c."""
+    z, atil, half = aug.z, aug.alpha_tilde, n // 2
+    fm, cm = [], []
+    for t in range(1 << n):
+        s = t.bit_count()
+        on = s > half if aug.variant == "sup-sup" else s < half
+        fm.append(z / 4 if on or t in aug.x_f else 0)
+        if s == half:
+            cm.append(atil[t] * z / 4 if t in aug.x_c else z / 2)
+        elif aug.variant == "sub-sup":
+            cm.append(atil[minimal_half_superset(t, n)] * z / 4 if s < half else z / 2)
+        elif (s < half) == (aug.variant == "sub-sub"):
+            cm.append(z / 2)
+        else:
+            cm.append(atil[1] * z / 8)
+    return fm, cm
+
+
 class TestScaledForms:
-    """The augmented tables are assembled as ints beside their Fractions, and
-    every consumer reads those ints: no table is converted per pair."""
+    """The augmented and perturbed tables are assembled as ints and held as
+    those ints alone, and every consumer reads them: no table is converted
+    per pair."""
 
     @staticmethod
     def base(variant, n):
@@ -437,19 +466,20 @@ class TestScaledForms:
         pairs = [(ones, zeros), (zeros, ones)]
         pairs += [(SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng))
                   for _ in range(2)]
+        size = 1 << n
         for x_f, x_c in pairs:
             aug = build_augmented(variant, base, x_f, x_c)
             p = aug.perturbed
-            for oracle, lower, marginals in (
-                (aug.instance.f, p.f, aug.f_marginal),
-                (aug.instance.c, p.c, aug.c_marginal),
+            for oracle, lower, marginals in zip(
+                (aug.instance.f, aug.instance.c), (p.f, p.c), expected_marginals(aug, n)
             ):
                 for o in (oracle, lower):
                     ints, scale, rational = o.scaled()
                     assert rational and len(ints) == len(o.value_table())
                     assert all(Fraction(v, scale) == t for v, t in zip(ints, o.value_table()))
-                low = lower.value_table()
-                assert oracle.value_table() == low + tuple(v + m for v, m in zip(low, marginals))
+                low, table = tuple(lower.value_table()), tuple(oracle.value_table())
+                assert table[:size] == low
+                assert [u - v for u, v in zip(table[size:], low)] == marginals
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_table_converted_on_a_warm_cache(self, variant, monkeypatch):
@@ -490,11 +520,11 @@ class TestScaledForms:
         size = 1 << n
         half = {m for m in range(size) if m.bit_count() == n // 2}
         for a, b in ((first.instance.f, second.instance.f), (first.instance.c, second.instance.c)):
-            for x, y in ((a.value_table(), b.value_table()), (a.scaled()[0], b.scaled()[0])):
-                assert x is not y
-                for m in range(2 * size):
-                    if m - size not in half:
-                        assert x[m] is y[m], m
+            x, y = a.scaled()[0], b.scaled()[0]
+            assert x is not y and x is a.table.ints
+            for m in range(2 * size):
+                if m - size not in half:
+                    assert x[m] is y[m], m
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_fraction_arithmetic_on_a_warm_cache(self, variant, monkeypatch):
@@ -528,3 +558,48 @@ class TestAugmentCache:
             aug = build_augmented("sub-sub", base, ones, ones)
             assert aug.perturbed.ctx == base.ctx, k
             del base, aug  # freed now, by reference count
+
+
+class TestReductionDigest:
+    """Every table entry, scale and verdict of the reduction, pinned as one
+    SHA-256 digest per shape (the cc-reduction benchmark's five shapes):
+    each entry of f-hat, c-hat and both perturbed tables as its type name
+    and number_to_str, each of those oracles' scales, and each
+    check_reduction report.  A change that means to alter any of them
+    re-records its digest and says so."""
+
+    GOLDEN = {
+        ("sub-sub", 4): "8f9eedc071eb6726d2cd28a9b23a23927c75b78c8eaf92d0dacfb43e3feee896",
+        ("sub-sup", 4): "7713ad470b41d8e09639bd4321d49f95d88ac8180c8d932e7e67ab83f2e637ce",
+        ("sup-sup", 4): "3402320008055980df4828a6f51bec6ab93c361e650bde08a10ec9b66388061b",
+        ("sub-sup", 6): "e52baa90a18ddaf3344a5d606dbec5db46deeb1d7d32a374e5fc1ebb6c873302",
+        ("sup-sup", 6): "72a53219047b7e35dea5dac7d6d4f048bfcee10b4ebb1b2f4f3ab1d2c997119e",
+    }
+
+    @staticmethod
+    def lines(variant, n):
+        if variant == "sup-sup":
+            base = build_equal_revenue_supmod_c(n)
+        else:
+            base = submod_base(n)
+        rng = random.Random(n * 10 + VARIANTS.index(variant))
+        k = len(SpecialSetVector.all_ones(n))
+        ones = (1 << k) - 1
+        pairs = [(ones, 0), (0, ones), (ones, ones)]
+        pairs += [(rng.getrandbits(k), rng.getrandbits(k)) for _ in range(5)]
+        for a, b in pairs:
+            aug = build_augmented(
+                variant, base, SpecialSetVector.from_int(n, a), SpecialSetVector.from_int(n, b)
+            )
+            for o in (aug.instance.f, aug.instance.c, aug.perturbed.f, aug.perturbed.c):
+                yield f"{o.name} scale {o.scaled()[1]}"
+                yield " ".join(f"{type(v).__name__}:{number_to_str(v)}" for v in o.value_table())
+            rep = check_reduction(aug, strict=False)
+            alpha = rep.alpha_star
+            yield (f"set {rep.set_star.mask} alpha {type(alpha).__name__}:"
+                   f"{number_to_str(alpha)} augmenting {rep.augmenting}")
+
+    @pytest.mark.parametrize("variant,n", list(GOLDEN))
+    def test_reduction_digest(self, variant, n):
+        text = "\n".join(self.lines(variant, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[variant, n]

@@ -63,7 +63,7 @@ class TestSubmodFBase:
     def test_costs_are_binary_weights(self):
         inst = build_equal_revenue_submod_f(4)
         assert inst.c.weights == [1, 2, 4, 8]
-        assert inst.c.eval_mask(0b1010) == 10
+        assert inst.c.table[0b1010] == 10
 
     def test_meta_alphas_are_the_tables_critical_values(self):
         # alpha_table is the hull's own alphas, value for value and type for
@@ -202,7 +202,7 @@ class TestSupmodCBase:
     def test_rewards_additive_binary(self):
         inst = build_equal_revenue_supmod_c(3)
         assert inst.f.weights == [1, 2, 4]
-        assert inst.f.eval_mask(0b111) == 7
+        assert inst.f.table[0b111] == 7
 
     def test_first_breakpoint_alpha_zero_incentivizes_s1(self):
         inst = build_equal_revenue_supmod_c(3)

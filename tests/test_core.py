@@ -84,7 +84,7 @@ class TestOracle:
         by_weights = SetFunctionOracle(3, weights=w, declared_class="additive")
         by_table = SetFunctionOracle(3, table=list(range(8)))
         for m in range(8):
-            assert by_weights.eval_mask(m) == by_table.eval_mask(m)
+            assert by_weights.table[m] == by_table.table[m]
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
     def test_additive_table_is_subset_sum(self, w):
@@ -157,8 +157,10 @@ class TestOracle:
 
 
 class TestMpfTable:
-    """An extended-precision table as the loader and the constructions hand
-    it over: ints over one power of two, read through reals.MpfTable."""
+    """A table held as ints over one scale, read through reals.MpfTable: an
+    extended-precision table as the loader and the constructions hand it
+    over, ints over one power of two, and a rational one, ints over any
+    positive scale."""
 
     @staticmethod
     def constructed_and_loaded(tmp_path, n=6, bits=192):
@@ -182,22 +184,50 @@ class TestMpfTable:
         for inst in self.constructed_and_loaded(tmp_path):
             tab = inst.f.value_table()
             ints, scale, rational = inst.f.scaled()
-            assert ints is tab.ints and scale == 1 << tab.k and not rational
+            assert ints is tab.ints and scale == tab.scale and not rational
             # the ints are the only copy: no mpf is kept
             assert not hasattr(tab, "__dict__") and all(type(v) is int for v in ints)
             assert len(tab) == len(list(tab)) == 64
             keys = [v._mpf_ for v in tab]
             assert keys == [tab[m]._mpf_ for m in range(64)] == [tab[m - 64]._mpf_ for m in range(64)]
-            assert keys == [reals.mpf_exact(v, -tab.k)._mpf_ for v in ints]
+            assert keys == [reals.mpf_exact(v, 1 - scale.bit_length())._mpf_ for v in ints]
             # on the scale core._scaled_ints gives the same mpfs
             assert (list(ints), scale, False) == core._scaled_ints(tuple(tab))
 
-    def test_scaled_alone_must_be_an_mpf_table_over_a_power_of_two(self):
-        for scaled in (([1, 2], 3, False), ([1, 2], 0, False), ([1, 2], 4, True)):
+    def test_scaled_needs_a_positive_scale_a_power_of_two_for_mpfs(self):
+        for scaled in (([1, 2], 3, False), ([1, 2], 0, False), ([1, 2], 0, True), ([1, 2], -3, True)):
             with pytest.raises(ValueError):
                 SetFunctionOracle(1, scaled=scaled)
         oracle = SetFunctionOracle(1, scaled=([0, 12], 8, False))
         assert [v._mpf_ for v in oracle.value_table()] == [libmp.fzero, (0, 3, -1, 2)]
+        oracle = SetFunctionOracle(1, scaled=([0, 12], 9, True))
+        assert list(oracle.value_table()) == [0, Fraction(4, 3)]
+
+    def test_exactly_one_of_table_weights_scaled(self):
+        for kwargs in (
+            {"table": [0, 1], "scaled": ([0, 1], 1, True)},
+            {"weights": [1], "scaled": ([0, 1], 1, True)},
+            {"table": [0, 1], "weights": [1]},
+            {},
+        ):
+            with pytest.raises(ValueError, match="exactly one"):
+                SetFunctionOracle(1, **kwargs)
+
+    def test_rational_view_equals_its_fractions(self):
+        ints, scale = [0, 3, 5, 12], 6
+        oracle = SetFunctionOracle(2, scaled=(ints, scale, True))
+        tab = oracle.value_table()
+        fracs = tuple(Fraction(v, scale) for v in ints)
+        assert isinstance(tab, reals.MpfTable) and tab is oracle.table
+        assert oracle.scaled() == (tab.ints, scale, True) and tab.ints == tuple(ints)
+        assert tab == fracs and fracs == tab and not tab != fracs and not fracs != tab
+        assert tab != list(fracs)  # as a tuple of them is not a list
+        changed = fracs[:-1] + (fracs[-1] * 2,)
+        assert tab != changed and changed != tab and tab != fracs[:-1]
+        # the same value and type as Fraction(ints[m], scale), however read
+        for got in (list(tab), [tab[m] for m in range(4)], [tab[m - 4] for m in range(4)]):
+            assert got == list(fracs) and all(type(v) is Fraction for v in got)
+        assert len(tab) == len(list(tab)) == 4
 
     def test_loaded_solve_converts_no_entry(self, tmp_path, monkeypatch):
         inst = build_equal_revenue_submod_f(12, precision_bits=360)
@@ -334,8 +364,8 @@ class TestQueries:
         got = supply(inst.c, prices)
         want = best_response(inst, alpha)
         # tie rules differ (higher c vs higher f); utilities must agree exactly
-        assert alpha * f.eval_mask(got.mask) - ctab[got.mask] == (
-            alpha * f.eval_mask(want.mask) - ctab[want.mask]
+        assert alpha * f.table[got.mask] - ctab[got.mask] == (
+            alpha * f.table[want.mask] - ctab[want.mask]
         )
 
     def test_instance_validation(self):

@@ -278,6 +278,21 @@ class TestFptas:
         assert res.best_response_queries == inst.ledger.best_response_queries
         assert res.value_queries > 0
 
+    def test_value_queries_count_each_ledger_once(self):
+        """The instance and its oracles may share one ledger (ledger=): each
+        value query is then counted once, as with a ledger per oracle."""
+        ftab, ctab = random_monotone_tables(random.Random(3), 3)
+        shared = core.QueryLedger()
+        f = core.SetFunctionOracle(3, table=ftab, ledger=shared)
+        c = core.SetFunctionOracle(3, table=ctab, ledger=shared)
+        res = fptas(core.ContractInstance(n=3, f=f, c=c, ledger=shared), 0.2)
+        assert res.value_queries == shared.value_queries == 54
+        assert res.best_response_queries == shared.best_response_queries
+        inst = instance_from_tables(ftab, ctab)
+        res = fptas(inst, 0.2)
+        assert res.value_queries == inst.f.ledger.value_queries + inst.c.ledger.value_queries == 54
+        assert inst.ledger.value_queries == 0
+
     def test_eps_validation(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
         for bad in (0, 1, -0.1, 1.5):
