@@ -316,7 +316,7 @@ def _experiment_cc_sweep(args):
 
     from .commlab import SpecialSetVector, build_augmented, check_reduction
 
-    variant = args.variant
+    variant = args.variant or "sub-sub"
     n = args.n
     base = _cc_base(variant, n)
     rng = random.Random(args.seed)
@@ -354,9 +354,10 @@ def _experiment_protocol_bench(args):
     from .reals import exact
 
     n = args.n
-    base = _cc_base(args.variant, n)
+    variant = args.variant or "sub-sub"
+    base = _cc_base(variant, n)
     ones = SpecialSetVector.all_ones(n)
-    aug = build_augmented(args.variant, base, ones, ones)
+    aug = build_augmented(variant, base, ones, ones)
     width = base.precision_bits
     # exact alphas: an mpf alpha would score the exact augmented tables at
     # mpmath's ambient precision
@@ -373,7 +374,7 @@ def _experiment_protocol_bench(args):
         max_bits = max(max_bits, channel.transcript.total_bits)
         br_calls += channel.transcript.br_calls
     out = {
-        "variant": args.variant,
+        "variant": variant,
         "n": n,
         "width_bits": width,
         "alphas_tested": len(tested),
@@ -392,11 +393,16 @@ RUNNERS = {
     "protocol-bench": _experiment_protocol_bench,
 }
 EXPERIMENTS = tuple(RUNNERS)
+# the experiments that read --variant and --exhaustive; any other refuses them
+READERS = {"variant": ("cc-sweep", "protocol-bench"), "exhaustive": ("cc-sweep",)}
 
 
 def cmd_experiment(args) -> int:
     if args.name not in RUNNERS:
         raise SystemExit(f"unknown experiment {args.name!r}; choose from {EXPERIMENTS}")
+    for flag, readers in READERS.items():
+        if getattr(args, flag) not in (None, False) and args.name not in readers:
+            raise ValueError(f"{args.name} does not take --{flag}")
     least = 0 if args.name == "protocol-bench" else 1  # protocol-bench's 0 tests every alpha
     if args.trials < least:
         raise ValueError(f"--trials must be >= {least}, got {args.trials}")
@@ -447,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", metavar="NAME", help=f"one of {EXPERIMENTS}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", default="sub-sub", choices=("sub-sub", "sub-sup", "sup-sup"))
+    p.add_argument("--variant", default=None, choices=("sub-sub", "sub-sup", "sup-sup"))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--seed", type=int, default=0)

@@ -36,6 +36,7 @@ from .core import (
     SetFunctionOracle,
     _alpha_scores,
     _argmax_with_tie_break,
+    derived,
 )
 from .constructions import ConstructionIntegrityError
 from .perturb import _adjacent_submodularity_margin
@@ -555,9 +556,9 @@ def build_augmented(
     additive-reward (supermodular-cost) instance for sup-sup; n must be even.
     delta must lie below the variant's delta_bound and sigma / (2 n^2);
     None takes half that cap.  Everything but the marginals is independent
-    of (x_f, x_c) and cached on the base (_AugmentParts), both augmented
-    tables of the all-zero pair included, as ints on the cached scales.  A
-    pair copies those two int lists and overwrites the upper-half int of
+    of (x_f, x_c) and kept on the base (core.derived; _AugmentParts), both
+    augmented tables of the all-zero pair included, as ints on kept scales.
+    A pair copies those two int lists and overwrites the upper-half int of
     each size-n/2 set its indicator bits hold with a prebuilt one, at most
     2 C(n, n/2) ints, so it does no arithmetic; the augmented oracles are
     handed the ints alone, and their entries read as Fractions.
@@ -569,10 +570,8 @@ def build_augmented(
         raise ValueError("augmentation requires even n")
     if x_f.n != n or x_c.n != n:
         raise ValueError("indicator vectors over wrong ground set")
-    cache_key = (variant, None if delta is None else repr(delta))
-    parts = base.augment_cache.get(cache_key)
-    if parts is None:
-        parts = base.augment_cache[cache_key] = _augment_parts(variant, base, delta)
+    key = ("augment", variant, None if delta is None else repr(delta))
+    parts = derived(base, key, lambda b: _augment_parts(variant, b, delta))
     fhat, chat = list(parts.f_ints), list(parts.c_ints)
     size = 1 << n
     for i, t in enumerate(_half_sets(n)[0]):

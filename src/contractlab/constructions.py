@@ -14,10 +14,11 @@ mpmath's rounding (reals.round_nearest and its operations), so each entry
 is the mpf that mpmath arithmetic at that precision gives, bit for bit;
 native floats run on floats.  No breakpoint table is stored: solvers read
 every critical value off the f and c tables (solver.critical_values).
-meta["alpha_table"] lists the chain's critical values, the same values, of
-the same types, that critical_values reports; perturb, sparse and commlab
-read their bounds from it through solver.chain_alphas, which derives it on
-a loaded instance.
+Each construction seeds the kept chain (core.derived, solver.chain_alphas)
+with the closed-form list of its critical values, the values, of the types,
+that critical_values reports, also put in meta["alpha_table"].  A replaced
+table drops both; the chain is then derived from the tables, as on a loaded
+instance.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from operator import itemgetter, sub
 
 from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
+from .core import derived
 from .reals import (
     DEFAULT_BITS,
     RealContext,
@@ -155,7 +157,7 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
     )
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"equal_revenue_submod_f(n={n})")
     inst.meta["kind"] = "equal_revenue_submod_f"
-    inst.meta["alpha_table"] = alphas
+    inst.meta["alpha_table"] = derived(inst, "chain", lambda _: alphas)
     return inst
 
 
@@ -188,7 +190,8 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     inst = ContractInstance(n=n, f=f, c=c, name=f"equal_revenue_supmod_c(n={n})")
     inst.meta["kind"] = "equal_revenue_supmod_c"
     # S_1's alpha is the int 0, as solver.critical_values reports it
-    inst.meta["alpha_table"] = [0] + [Fraction(t - 1, t) for t in range(2, size)]
+    alphas = [0] + [Fraction(t - 1, t) for t in range(2, size)]
+    inst.meta["alpha_table"] = derived(inst, "chain", lambda _: alphas)
     return inst
 
 

@@ -25,7 +25,7 @@ class DegenerateContractError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSet:
     """A subset of [n], carried as a bitmask (== its subset index)."""
 
@@ -280,13 +280,10 @@ class LowerHull:
     dC s_f / (dF s_c) with s_f = f_scale and s_c = c_scale; f0 is the
     scaled f of vertices[0], so the scaled f of vertices[k] is f0 plus
     dens[:k].  Slopes increase strictly, so an alpha exactly on slope k
-    goes to vertices[k+1], the edge's higher-f end.  f_table and c_table
-    are the table objects it was built from; rational says both hold only
-    ints and Fractions.
+    goes to vertices[k+1], the edge's higher-f end.  rational says both
+    tables hold only ints and Fractions.
     """
 
-    f_table: tuple
-    c_table: tuple
     vertices: list
     nums: list
     dens: list
@@ -320,8 +317,6 @@ class LowerHull:
             hull.append(p)
         fv, cv, masks = zip(*hull)
         return cls(
-            f_table=f.value_table(),
-            c_table=c.value_table(),
             vertices=list(masks),
             nums=list(map(sub, cv[1:], cv)),
             dens=list(map(sub, fv[1:], fv)),
@@ -351,7 +346,8 @@ class LowerHull:
 @dataclass
 class ContractInstance:
     """A principal-agent instance (n, f, c) with its precision.  Every
-    query breaks ties by TIE_BREAK_RULE, the one rule there is."""
+    query breaks ties by TIE_BREAK_RULE, the one rule there is.  kept is
+    the one store of what is derived from the f and c tables (derived)."""
 
     n: int
     f: SetFunctionOracle
@@ -360,13 +356,7 @@ class ContractInstance:
     name: str = ""
     meta: dict = field(default_factory=dict)
     ledger: QueryLedger = field(default_factory=QueryLedger)
-    # commlab.build_augmented's per-(variant, delta) parts; dies with the
-    # instance, so no other instance can ever be served them
-    augment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the lower hull of f and c, built on first use (see lower_hull)
-    hull: LowerHull | None = field(default=None, init=False, repr=False, compare=False)
-    # perturb.perturbation_budget's budget, computed on first use
-    budget: object = field(default=None, init=False, repr=False, compare=False)
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:
@@ -381,14 +371,30 @@ class ContractInstance:
         return 1 << self.n
 
 
+def derived(inst: ContractInstance, key, build):
+    """inst.kept[key], built as build(inst) on first use; a build that raises
+    keeps nothing.  The store (hull, chain, budget, reduction parts) and
+    meta["alpha_table"] are dropped first when inst.f.table or inst.c.table
+    is not the object the store was filled from (kept under the key None)."""
+    kept = inst.kept
+    f, c = kept.get(None, (None, None))
+    if f is not inst.f.table or c is not inst.c.table:
+        kept.clear()
+        inst.meta.pop("alpha_table", None)
+        kept[None] = (inst.f.table, inst.c.table)
+    value = kept.get(key)
+    if value is None:
+        value = kept[key] = build(inst)
+    return value
+
+
+def _build_hull(inst: ContractInstance) -> LowerHull:
+    return LowerHull.build(inst.f, inst.c)
+
+
 def lower_hull(inst: ContractInstance) -> LowerHull:
-    """The instance's lower hull, built from its f and c tables on first use
-    and again whenever either table object is no longer the one it was built
-    from.  O(n 2^n) per build."""
-    hull = inst.hull
-    if hull is None or hull.f_table is not inst.f.table or hull.c_table is not inst.c.table:
-        hull = inst.hull = LowerHull.build(inst.f, inst.c)
-    return hull
+    """The instance's lower hull, kept by derived.  O(n 2^n) per build."""
+    return derived(inst, "hull", _build_hull)
 
 
 def best_response(inst: ContractInstance, alpha) -> ActionSet:
@@ -399,7 +405,7 @@ def best_response(inst: ContractInstance, alpha) -> ActionSet:
     build per instance, then O(n) exact comparisons per call, in every
     representation.  Charges one best-response query.
     """
-    hull = lower_hull(inst)
+    hull = derived(inst, "hull", _build_hull)  # lower_hull's, one call less per query
     best = hull.vertices[hull.index(alpha)]
     inst.ledger.count("best_response_queries", alpha)
     return ActionSet(inst.n, best)

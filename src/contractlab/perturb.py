@@ -4,15 +4,16 @@ Starting from an equal-revenue base, adding a bonus epsilon to f(S_k) (or
 discounting c(S_k)) breaks the revenue tie so the breakpoint incentivizing
 S_k becomes the unique optimal contract, while every other breakpoint stays
 exactly where it was.  The admissible epsilon is the minimum of three
-structural margins of the base instance.
+structural margins of the base instance: epsilon_bound, kept on the base by
+core.derived and so computed again only after a table is replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import sub
+from dataclasses import dataclass
+from operator import add, sub
 
-from .core import ContractInstance, SetFunctionOracle
+from .core import ContractInstance, SetFunctionOracle, derived
 from .constructions import ConstructionIntegrityError, _marginal_getters
 from .solver import chain_alphas
 
@@ -45,15 +46,12 @@ class PerturbationBudget:
                    min_t f gap);
     cost-discount: (strict-supermodularity margin of c,
                     min_t c gap, min_t (alpha gap) * (f gap)).
-    Frozen: one budget is shared by every caller of perturbation_budget.
+    Frozen: one budget is shared by every caller of epsilon_bound.
     """
 
     epsilon_max: object
     components: tuple
     direction: str
-    # the f and c table objects it was computed from (see perturbation_budget)
-    f_table: object = field(repr=False, compare=False)
-    c_table: object = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not self.epsilon_max > 0:
@@ -106,8 +104,7 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
             for t in range(2, size)
         )
         c3 = min(ftab[t] - ftab[t - 1] for t in range(1, size))
-        bound = min(c1, c2, c3)
-    return PerturbationBudget(bound, (c1, c2, c3), REWARD_BONUS, base.f.table, base.c.table)
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), REWARD_BONUS)
 
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
@@ -122,24 +119,18 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
             (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
             for t in range(2, size)
         )
-        bound = min(c1, c2, c3)
-    return PerturbationBudget(bound, (c1, c2, c3), COST_DISCOUNT, base.f.table, base.c.table)
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), COST_DISCOUNT)
+
+
+def _budget(base: ContractInstance) -> PerturbationBudget:
+    reward = _direction(base) == REWARD_BONUS
+    return epsilon_bound_reward(base) if reward else epsilon_bound_cost(base)
 
 
 def epsilon_bound(base: ContractInstance) -> PerturbationBudget:
-    if _direction(base) == REWARD_BONUS:
-        return epsilon_bound_reward(base)
-    return epsilon_bound_cost(base)
-
-
-def perturbation_budget(base: ContractInstance) -> PerturbationBudget:
-    """epsilon_bound(base), kept on the base: computed on first use and again
-    whenever f.table or c.table is no longer the object it was computed
-    from, as core.lower_hull keeps the hull."""
-    budget = base.budget
-    if budget is None or budget.f_table is not base.f.table or budget.c_table is not base.c.table:
-        budget = base.budget = epsilon_bound(base)
-    return budget
+    """The base's budget in its direction, kept by core.derived under
+    "budget"."""
+    return derived(base, "budget", _budget)
 
 
 @dataclass
@@ -156,31 +147,27 @@ def valid_k_range(base: ContractInstance, direction: str) -> range:
     return range(lo, base.size)
 
 
+# per direction: the perturbed side, how epsilon enters its entry at k, the
+# declared class and the name suffix of the perturbed oracle
+_MEMBER = {
+    REWARD_BONUS: ("f", add, "submodular", "+bonus"),
+    COST_DISCOUNT: ("c", sub, "supermodular", "-discount"),
+}
+
+
 def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
     """The family member at k, with k and epsilon already checked."""
+    side, shift, cls, suffix = _MEMBER[direction]
+    old = getattr(base, side)
     with base.ctx.workprec():
-        if direction == REWARD_BONUS:
-            tab = list(base.f.value_table())
-            tab[k] = tab[k] + epsilon
-            f = SetFunctionOracle(
-                base.n, table=tab, declared_class="submodular", name=f"{base.f.name}+bonus"
-            )
-            c = base.c
-        else:
-            tab = list(base.c.value_table())
-            tab[k] = tab[k] - epsilon
-            c = SetFunctionOracle(
-                base.n, table=tab, declared_class="supermodular", name=f"{base.c.name}-discount"
-            )
-            f = base.f
-    inst = ContractInstance(
-        n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} perturbed(k={k})"
+        tab = list(old.value_table())
+        tab[k] = shift(tab[k], epsilon)
+    new = SetFunctionOracle(base.n, table=tab, declared_class=cls, name=f"{old.name}{suffix}")
+    oracles = {"f": base.f, "c": base.c, side: new}
+    inst = ContractInstance(n=base.n, **oracles, ctx=base.ctx, name=f"{base.name} perturbed(k={k})")
+    inst.meta.update(
+        kind="perturbed", base_kind=base.meta.get("kind"), k=k, epsilon=epsilon, direction=direction
     )
-    inst.meta["kind"] = "perturbed"
-    inst.meta["base_kind"] = base.meta.get("kind")
-    inst.meta["k"] = k
-    inst.meta["epsilon"] = epsilon
-    inst.meta["direction"] = direction
     return PerturbedInstance(k=k, epsilon=epsilon, instance=inst)
 
 
@@ -190,7 +177,7 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
     direction = _direction(base)
     if k not in valid_k_range(base, direction):
         raise BudgetError(f"k={k} outside valid range for {direction}")
-    budget = perturbation_budget(base)
+    budget = epsilon_bound(base)
     if not (0 < epsilon < budget.epsilon_max):
         raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
     return _perturbed(base, direction, k, epsilon)
@@ -198,9 +185,9 @@ def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance
 
 def family_iterator(base: ContractInstance):
     """All single-set perturbations of the base, in increasing k, at the
-    budget's default epsilon (perturbation_budget).
+    budget's default epsilon (epsilon_bound).
     """
     direction = _direction(base)
-    epsilon = perturbation_budget(base).default_epsilon
+    epsilon = epsilon_bound(base).default_epsilon
     for k in valid_k_range(base, direction):
         yield _perturbed(base, direction, k, epsilon)

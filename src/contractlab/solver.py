@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, _argmax_with_tie_break, lower_hull
+from .core import ActionSet, ContractInstance, _argmax_with_tie_break, derived, lower_hull
 from .reals import RealContext, ratio
 from .serialize import number_to_str
 
@@ -115,7 +115,7 @@ def critical_values(inst: ContractInstance, ftab=None, ctab=None) -> list[tuple]
     """
     hull = lower_hull(inst)
     if ftab is None:
-        ftab, ctab = hull.f_table, hull.c_table
+        ftab, ctab = inst.f.table, inst.c.table
     edges = _chain(hull)
     pairs = [(0, hull.vertices[edges.start])]
     with inst.ctx.workprec():
@@ -129,24 +129,22 @@ def critical_values(inst: ContractInstance, ftab=None, ctab=None) -> list[tuple]
 _CHAIN_START = {"equal_revenue_submod_f": 0, "equal_revenue_supmod_c": 1}
 
 
-def chain_alphas(inst: ContractInstance) -> list:
-    """meta["alpha_table"]: the critical values of the construction's chain.
-
-    The constructions set it.  On a loaded instance of an equal-revenue kind
-    it is derived here, on first use, from the tables' own critical values,
-    and kept only if their sets are exactly the chain start..2^n - 1 of the
-    construction; any other instance is refused with ValueError.
-    """
-    alphas = inst.meta.get("alpha_table")
-    if alphas is not None:
-        return alphas
+def _derive_chain(inst: ContractInstance) -> list:
+    """The tables' critical values if their sets are exactly the chain
+    start..2^n - 1 of the instance's equal-revenue kind, else ValueError."""
     start = _CHAIN_START.get(inst.meta.get("kind"))
     if start is not None:
         pairs = critical_values(inst)
         if [m for _, m in pairs] == list(range(start, inst.size)):
-            alphas = inst.meta["alpha_table"] = [a for a, _ in pairs]
-            return alphas
+            return [a for a, _ in pairs]
     raise ValueError("base must be an equal-revenue construction")
+
+
+def chain_alphas(inst: ContractInstance) -> list:
+    """The critical values of the construction's chain, kept by core.derived:
+    the constructions seed it with their closed-form list; otherwise, and
+    again after a table is replaced, it is _derive_chain's."""
+    return derived(inst, "chain", _derive_chain)
 
 
 def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> BreakpointTable:
@@ -164,8 +162,7 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> Break
     hull = lower_hull(inst)
     edges = _chain(hull)
     masks = hull.vertices[edges.start : edges.stop + 1]
-    fs = {m: hull.f_table[m] for m in masks}
-    cs = {m: hull.c_table[m] for m in masks}
+    fs, cs = ({m: tab[m] for m in masks} for tab in (inst.f.table, inst.c.table))
     with inst.ctx.workprec():
         bps = [
             _make_breakpoint(inst, pos, alpha, mask, fs, cs)
@@ -228,7 +225,7 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
     arithmetic.
     """
     hull = lower_hull(inst)
-    verts, ftab = hull.vertices, hull.f_table
+    verts, ftab, ctab = hull.vertices, inst.f.table, inst.c.table
     s_f, s_c = hull.f_scale, hull.c_scale
     edges = _chain(hull)
     k, end = edges.start, edges.stop
@@ -256,8 +253,8 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         if sn >= (hi := q1 * sd) or (sn >= hi - sd and sn * ld >= ln * sd)
     ]
     with inst.ctx.workprec():
-        alpha = _critical_alpha(hull, k + best - 1, ftab, hull.c_table) if best else 0
-        row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, hull.c_table)
+        alpha = _critical_alpha(hull, k + best - 1, ftab, ctab) if best else 0
+        row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, ctab)
     return ContractSolution(
         alpha_star=row.alpha,
         set_star=row.aset,

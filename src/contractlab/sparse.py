@@ -263,11 +263,11 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
     """
     import random
 
-    from .perturb import REWARD_BONUS, perturbation_budget
+    from .perturb import REWARD_BONUS, epsilon_bound
 
     n = base.n
     size = 1 << n
-    budget = perturbation_budget(base)
+    budget = epsilon_bound(base)
     if budget.direction != REWARD_BONUS:
         raise ValueError("value-query experiment needs a reward-bonus base")
     epsilon = budget.default_epsilon

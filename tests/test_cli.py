@@ -666,6 +666,26 @@ class TestMalformedInput:
         assert exc.value.code == f"contractlab: construct: ValueError: {reason}"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("value-query --n 4 --variant sub-sub", "variant"),
+            ("demand-sim --n 3 --variant sub-sup", "variant"),
+            ("supply-sim --n 3 --variant sup-sup", "variant"),
+            ("value-query --n 4 --exhaustive", "exhaustive"),
+            ("demand-sim --n 3 --exhaustive", "exhaustive"),
+            ("supply-sim --n 3 --exhaustive", "exhaustive"),
+            ("protocol-bench --n 4 --exhaustive", "exhaustive"),
+        ],
+    )
+    def test_experiment_refuses_a_flag_it_does_not_read(self, argv, flag, capsys):
+        # the flag is refused even at the value the readers default to
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", *argv.split()])
+        name = argv.split()[0]
+        assert exc.value.code == f"contractlab: experiment: ValueError: {name} does not take --{flag}"
+        assert capsys.readouterr().out == ""
+
     def test_process_exit_status_and_stderr(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -35,9 +35,10 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
     verify_structure,
 )
-from contractlab.core import SetFunctionOracle, best_response
+from contractlab.core import ContractInstance, SetFunctionOracle, best_response, lower_hull
+from contractlab.perturb import epsilon_bound
 from contractlab.serialize import number_to_str
-from contractlab.solver import enumerate_breakpoints, optimal_contract
+from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 from contractlab.sparse import approx_best_response, sparseness_ceiling
 
 from conftest import brute_submodular, brute_supermodular
@@ -147,7 +148,7 @@ class TestDeltaAndZ:
         for delta in (0, -Fraction(1, 10**6), delta_bound(base, variant).bound, 1):
             with pytest.raises(ValueError, match="outside"):
                 build_augmented(variant, base, ones, ones, delta=delta)
-        assert base.augment_cache == {}
+        assert not [key for key in base.kept if isinstance(key, tuple)]
 
     def test_odd_n_rejected(self):
         base = build_equal_revenue_submod_f(3, precision_bits=CC_PRECISION_BITS)
@@ -548,7 +549,66 @@ class TestScaledForms:
         assert calls == []
 
 
+def times(oracle, factor, ctx):
+    """A new oracle of the same class whose every value is factor times
+    oracle's, exact (factor 1 gives the same values in a new table)."""
+    if oracle.weights is not None:
+        weights = [factor * w for w in oracle.weights]
+        return SetFunctionOracle(oracle.n, weights=weights, declared_class=oracle.declared_class)
+    with ctx.workprec():
+        table = [factor * v for v in oracle.table]
+    return SetFunctionOracle(oracle.n, table=table, declared_class=oracle.declared_class)
+
+
+def kept_values(inst, variant):
+    """Each value inst keeps (hull, chain, budget, the all-ones pair's
+    reduction parts), as data, or the ValueError that refuses it."""
+    ones = SpecialSetVector.all_ones(inst.n)
+
+    def augmented():
+        aug = build_augmented(variant, inst, ones, ones)
+        oracles = (aug.perturbed.f, aug.perturbed.c, aug.instance.f, aug.instance.c)
+        return (aug.delta, aug.sigma, aug.z, aug.z_components, aug.alpha_tilde,
+                [o.scaled() for o in oracles])
+
+    def chain():
+        return [(type(a), a) for a in chain_alphas(inst)]
+
+    out = {}
+    for name, get in (("hull", lambda: lower_hull(inst)), ("chain", chain),
+                      ("budget", lambda: epsilon_bound(inst)), ("augment", augmented)):
+        try:
+            out[name] = get()
+        except ValueError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
 class TestAugmentCache:
+    def test_replaced_reward_rebuilds_the_parts(self):
+        base = submod_base(4)
+        ones = SpecialSetVector.all_ones(4)
+        a1 = build_augmented("sub-sub", base, ones, ones)
+        base.f = times(base.f, 2, base.ctx)
+        a2 = build_augmented("sub-sub", base, ones, ones)
+        assert a2.perturbed is not a1.perturbed
+        assert a2.perturbed.f.scaled() != a1.perturbed.f.scaled()
+
+    @pytest.mark.parametrize("side,factor", [("f", 1), ("c", 1), ("f", 2), ("c", 2)])
+    @pytest.mark.parametrize("variant", ["sub-sub", "sup-sup"])
+    def test_kept_values_follow_a_replaced_table(self, variant, side, factor):
+        # factor 1 is a new table object of the same values; f doubled keeps
+        # the chain; c doubled leaves no chain, so all but the hull refuse
+        base = build_equal_revenue_supmod_c(4) if variant == "sup-sup" else submod_base(4)
+        kept_values(base, variant)
+        setattr(base, side, times(getattr(base, side), factor, base.ctx))
+        got = kept_values(base, variant)
+        fresh = ContractInstance(
+            n=base.n, f=base.f, c=base.c, ctx=base.ctx, meta={"kind": base.meta["kind"]}
+        )
+        assert got == kept_values(fresh, variant)
+        assert "alpha_table" not in base.meta
+
     def test_dropped_bases_never_share_cache_entries(self):
         # a collected base's id is often reused by the next base built, at
         # another precision; each base must get a perturbed base of its own

@@ -34,7 +34,7 @@ from contractlab.constructions import (
     verify_structure,
 )
 from contractlab import core, reals, solver
-from contractlab.perturb import perturbation_budget
+from contractlab.perturb import epsilon_bound
 from contractlab.serialize import load_instance, save_instance
 from contractlab.reals import RealContext, exact
 from mpmath import libmp
@@ -255,18 +255,19 @@ class TestMpfTable:
 
     def test_replaced_table_rebuilds_hull_and_budget(self):
         inst = build_equal_revenue_submod_f(4, precision_bits=192)
-        hull, budget = lower_hull(inst), perturbation_budget(inst)
-        assert lower_hull(inst) is hull and perturbation_budget(inst) is budget
+        hull, budget = lower_hull(inst), epsilon_bound(inst)
+        assert lower_hull(inst) is hull and epsilon_bound(inst) is budget
         inst.f.table = tuple(inst.f.table)  # the same values, as a tuple
-        rebuilt, again = lower_hull(inst), perturbation_budget(inst)
-        assert rebuilt is not hull and rebuilt.f_table is inst.f.table
-        assert again is not budget and again.f_table is inst.f.table
+        rebuilt, again = lower_hull(inst), epsilon_bound(inst)
+        assert rebuilt is not hull and again is not budget
         assert (rebuilt.vertices, rebuilt.nums, rebuilt.dens) == (hull.vertices, hull.nums, hull.dens)
         assert again.components == budget.components
-        # changed entries are read: c doubled widens every c gap
+        # changed entries are read: c doubled widens every c gap, and takes
+        # every critical value past 1, so the chain and its budget are refused
         inst.c.table = tuple(2 * v for v in inst.c.table)
         assert lower_hull(inst).nums == [2 * d for d in rebuilt.nums]
-        assert perturbation_budget(inst).components[1] > again.components[1]
+        with pytest.raises(ValueError, match="equal-revenue construction"):
+            epsilon_bound(inst)
 
 
 class TestQueries:
@@ -414,7 +415,7 @@ class TestHullBestResponse:
         for k, alpha in enumerate(_query_alphas(ftab, ctab), 1):
             assert best_response(inst, alpha).mask == brute_best_response(ftab, ctab, alpha)
             assert inst.ledger.best_response_queries == k  # one charge per call
-        assert inst.hull is hull  # built once, kept on the instance
+        assert inst.kept["hull"] is hull  # built once, kept on the instance
 
     @given(real_monotone_instance_tables(80, max_n=3), st.integers(-8, 40))
     @settings(max_examples=60, deadline=None)
@@ -437,14 +438,14 @@ class TestHullBestResponse:
     def test_hull_follows_replaced_tables(self):
         inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])
         assert best_response(inst, Fraction(1, 2)).mask == 0b10
-        first = inst.hull
+        first = inst.kept["hull"]
         inst.f = SetFunctionOracle(2, table=[0, 2, 3, 9])
         assert best_response(inst, Fraction(1, 2)).mask == 0b11
-        assert inst.hull is not first
-        second = inst.hull
+        assert inst.kept["hull"] is not first
+        second = inst.kept["hull"]
         inst.c = SetFunctionOracle(2, table=[0, 1, 2, 9])
         assert best_response(inst, Fraction(1, 2)).mask == 0b01
-        assert inst.hull is not second
+        assert inst.kept["hull"] is not second
 
     def test_tables_are_immutable(self):
         inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])

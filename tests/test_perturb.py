@@ -24,11 +24,11 @@ from contractlab.perturb import (
     epsilon_bound_reward,
     family_iterator,
     make_perturbed,
-    perturbation_budget,
     valid_k_range,
 )
 from contractlab.reals import RealContext
-from contractlab.solver import enumerate_breakpoints, optimal_contract
+from contractlab.serialize import instance_from_dict, instance_to_dict
+from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
 from conftest import mixed_pairwise_tables
 
@@ -154,42 +154,64 @@ class TestBudgets:
 class TestKeptBudget:
     @staticmethod
     def counted(monkeypatch):
+        """The bases each budget is computed for, counted at the two
+        uncached bounds epsilon_bound builds from."""
         calls = []
+        for name in ("epsilon_bound_reward", "epsilon_bound_cost"):
 
-        def counting(base):
-            calls.append(base)
-            return epsilon_bound(base)
+            def counting(base, bound=getattr(perturb, name)):
+                calls.append(base)
+                return bound(base)
 
-        monkeypatch.setattr(perturb, "epsilon_bound", counting)
+            monkeypatch.setattr(perturb, name, counting)
         return calls
 
     @pytest.mark.parametrize("build", [build_equal_revenue_submod_f, build_equal_revenue_supmod_c])
     def test_computed_once_per_base(self, build, monkeypatch):
-        calls = self.counted(monkeypatch)
         base = build(4)
-        budget = perturbation_budget(base)
-        assert budget == epsilon_bound(base)
+        fresh = perturb._budget(base)
+        calls = self.counted(monkeypatch)
+        budget = epsilon_bound(base)
+        assert budget == fresh
         eps = budget.default_epsilon
         for k in (2, 5, 9):
             make_perturbed(base, k, eps)
         assert {fam.epsilon for fam in family_iterator(base)} == {eps}
-        assert perturbation_budget(base) is budget and calls == [base]
+        assert epsilon_bound(base) is budget and calls == [base]
 
     def test_reassigned_table_recomputes(self, monkeypatch):
         calls = self.counted(monkeypatch)
         base = build_equal_revenue_submod_f(3, precision_bits=128)
-        first = perturbation_budget(base)
+        first = epsilon_bound(base)
         # an equal table in a new object still recomputes: identity decides
         base.f = SetFunctionOracle(3, table=list(base.f.table), declared_class="submodular")
-        assert perturbation_budget(base) is not first and len(calls) == 2
-        doubled = [2 * v for v in base.c.table]
-        base.c = SetFunctionOracle(3, table=doubled, declared_class="additive")
-        second = perturbation_budget(base)
-        assert len(calls) == 3 and second.components != first.components
-        assert second.f_table is base.f.table and second.c_table is base.c.table
+        assert epsilon_bound(base) is not first and len(calls) == 2
+        # f doubled keeps the chain, each critical value halved, and
+        # doubles every margin
+        with base.ctx.workprec():
+            doubled = [2 * v for v in base.f.table]
+        base.f = SetFunctionOracle(3, table=doubled, declared_class="submodular")
+        second = epsilon_bound(base)
+        assert len(calls) == 3
+        with base.ctx.workprec():
+            assert second.components == tuple(2 * v for v in first.components)
+
+    def test_doubled_cost_refused_as_on_a_loaded_copy(self):
+        # c doubled takes every critical value past 1: the tables' only one
+        # is 0 at the empty set, so the closed-form chain kept at
+        # construction, and the budget read from it, must not be served
+        base = build_equal_revenue_submod_f(3, precision_bits=128)
+        assert len(chain_alphas(base)) == 8 and epsilon_bound(base).epsilon_max > 0
+        base.c = SetFunctionOracle(3, weights=[2 * w for w in base.c.weights])
+        loaded = instance_from_dict(instance_to_dict(base))
+        for inst in (loaded, base):
+            for accessor in (chain_alphas, epsilon_bound):
+                with pytest.raises(ValueError, match="^base must be an equal-revenue construction$"):
+                    accessor(inst)
+        assert "alpha_table" not in base.meta
 
     def test_budget_is_frozen(self):
-        budget = perturbation_budget(build_equal_revenue_supmod_c(3))
+        budget = epsilon_bound(build_equal_revenue_supmod_c(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget.epsilon_max = 1
 

@@ -251,6 +251,6 @@ class TestValueQueryExperiment:
     def test_reads_the_kept_reward_budget(self):
         base = build_equal_revenue_submod_f(4)
         value_query_experiment(base, trials=10, seed=0)
-        assert base.budget is not None and base.budget.direction == REWARD_BONUS
+        assert base.kept["budget"].direction == REWARD_BONUS
         with pytest.raises(ValueError, match="reward-bonus base"):
             value_query_experiment(build_equal_revenue_supmod_c(3), trials=10)
