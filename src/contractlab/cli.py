@@ -393,16 +393,28 @@ RUNNERS = {
     "protocol-bench": _experiment_protocol_bench,
 }
 EXPERIMENTS = tuple(RUNNERS)
-# the experiments that read --variant and --exhaustive; any other refuses them
-READERS = {"variant": ("cc-sweep", "protocol-bench"), "exhaustive": ("cc-sweep",)}
+# the runs that read each optional flag; any other refuses it, even at its
+# default.  cc-sweep --exhaustive runs every pair: it reads no --trials or --seed
+SAMPLERS = ("value-query", "demand-sim", "supply-sim", "cc-sweep")
+READERS = {
+    "exhaustive": ("cc-sweep",),
+    "variant": ("cc-sweep", "cc-sweep --exhaustive", "protocol-bench"),
+    "trials": (*SAMPLERS, "protocol-bench"),
+    "seed": SAMPLERS,
+}
 
 
 def cmd_experiment(args) -> int:
     if args.name not in RUNNERS:
         raise SystemExit(f"unknown experiment {args.name!r}; choose from {EXPERIMENTS}")
+    run = args.name
     for flag, readers in READERS.items():
-        if getattr(args, flag) not in (None, False) and args.name not in readers:
-            raise ValueError(f"{args.name} does not take --{flag}")
+        if getattr(args, flag) is not None and run not in readers:
+            raise ValueError(f"{run} does not take --{flag}")
+        if flag == "exhaustive" and args.exhaustive:
+            run += " --exhaustive"
+    args.trials = 100 if args.trials is None else args.trials
+    args.seed = 0 if args.seed is None else args.seed
     least = 0 if args.name == "protocol-bench" else 1  # protocol-bench's 0 tests every alpha
     if args.trials < least:
         raise ValueError(f"--trials must be >= {least}, got {args.trials}")
@@ -454,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", metavar="NAME", help=f"one of {EXPERIMENTS}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--variant", default=None, choices=("sub-sub", "sub-sup", "sup-sup"))
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--exhaustive", action="store_true", default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)

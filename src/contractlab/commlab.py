@@ -38,8 +38,7 @@ from .core import (
     _argmax_with_tie_break,
     derived,
 )
-from .constructions import ConstructionIntegrityError
-from .perturb import _adjacent_submodularity_margin
+from .constructions import ConstructionIntegrityError, marginal_margins
 from .reals import exact
 from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
@@ -260,8 +259,8 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
     (1 - 3 zeta (1 - alpha_max) / 64, 1]: within three quarters of the
     sandwich half-width while zeta sets z.
 
-    delta must lie in (0, delta_bound(base, variant).bound); the caller,
-    _augment_parts, checks it.
+    delta must lie in (0, delta_bound(base, variant).bound); the one
+    caller, _augment_parts, takes half of a cap below that bound.
     """
     variant = "sub-sub" if sign < 0 else "sub-sup"
     f_max = exact(base.f.value_table()[-1])
@@ -305,8 +304,8 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     S_t, so every breakpoint revenue lies in [1, 1 + zeta (1 - alpha_max) / 32):
     within half the sandwich half-width while zeta sets z.
 
-    delta must lie in (0, delta_bound(base, "sup-sup").bound); the caller,
-    _augment_parts, checks it.
+    delta must lie in (0, delta_bound(base, "sup-sup").bound); the one
+    caller, _augment_parts, takes half of a cap below that bound.
     """
     n = base.n
     kappa = _grid_bits("sup-sup", base, delta, base.f.value_table()[-1] + exact(delta) * n * n)
@@ -393,7 +392,7 @@ def _margins(oracle, sense):
     margin."""
     ints, scale, _ = oracle.scaled()
     phi = min(b - a for a, b in zip(ints, ints[1:]))
-    margin = _adjacent_submodularity_margin(ints, oracle.n, sense)
+    margin = marginal_margins(ints, oracle.n, sense)[1]
     return Fraction(phi, scale), Fraction(margin, scale)
 
 
@@ -423,8 +422,8 @@ def _z_components(variant, base, perturbed, delta, sigma):
 
 @dataclass
 class _AugmentParts:
-    """build_augmented's indicator-independent part for one (base, variant,
-    delta): the perturbed base, its critical values, z, and the all-zero
+    """build_augmented's indicator-independent part for one (base,
+    variant): the perturbed base, its critical values, z, and the all-zero
     pair's augmented tables, which a pair copies and changes at its
     size-n/2 sets only.
 
@@ -462,21 +461,16 @@ def _lifted(oracle, scale, marginals, half):
     return low + upper, tuple(low[t] + w for t, w in half)
 
 
-def _augment_parts(variant, base, delta) -> _AugmentParts:
+def _augment_parts(variant, base) -> _AugmentParts:
     n = base.n
     if variant == "sup-sup":
         sigma = sigma_bound_supply(base).sigma
     else:
         sigma = sigma_bound_demand(base).sigma
     with base.ctx.workprec():
-        budget = delta_bound(base, variant)
-        # the sparse best-response carryover additionally needs
-        # delta < sigma / (2 n^2)
-        cap = min(budget.bound, sigma / (2 * n * n))
-        if delta is None:
-            delta = cap / 2
-        if not (0 < delta < cap):
-            raise ValueError(f"delta {delta} outside (0, {cap})")
+        # delta is half the cap: the variant's delta_bound and, for the
+        # sparse best-response carryover, sigma / (2 n^2)
+        delta = min(delta_bound(base, variant).bound, sigma / (2 * n * n)) / 2
     if variant == "sup-sup":
         perturbed = build_perturbed_reward(base, delta)
     else:
@@ -548,14 +542,13 @@ def build_augmented(
     base: ContractInstance,
     x_f: SpecialSetVector,
     x_c: SpecialSetVector,
-    delta=None,
 ) -> AugmentedCCInstance:
     """Attach action n+1 with indicator-encoded marginals to the perturbed base.
 
     base: submodular-reward equal-revenue instance for sub-sub/sub-sup,
     additive-reward (supermodular-cost) instance for sup-sup; n must be even.
-    delta must lie below the variant's delta_bound and sigma / (2 n^2);
-    None takes half that cap.  Everything but the marginals is independent
+    delta is half the least of the variant's delta_bound and
+    sigma / (2 n^2).  Everything but the marginals is independent
     of (x_f, x_c) and kept on the base (core.derived; _AugmentParts), both
     augmented tables of the all-zero pair included, as ints on kept scales.
     A pair copies those two int lists and overwrites the upper-half int of
@@ -570,8 +563,7 @@ def build_augmented(
         raise ValueError("augmentation requires even n")
     if x_f.n != n or x_c.n != n:
         raise ValueError("indicator vectors over wrong ground set")
-    key = ("augment", variant, None if delta is None else repr(delta))
-    parts = derived(base, key, lambda b: _augment_parts(variant, b, delta))
+    parts = derived(base, ("augment", variant), lambda b: _augment_parts(variant, b))
     fhat, chat = list(parts.f_ints), list(parts.c_ints)
     size = 1 << n
     for i, t in enumerate(_half_sets(n)[0]):

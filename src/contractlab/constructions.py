@@ -36,7 +36,6 @@ from .reals import (
     RealContext,
     add_nearest,
     dyadic_ints,
-    exact,
     mpf_exact,
     reciprocal_nearest,
     round_nearest,
@@ -207,73 +206,59 @@ class StructureReport:
 
 
 def verify_structure(
-    oracle: SetFunctionOracle,
-    declared_class: str | None = None,
-    strict: bool = False,
-    tol=0,
-    strict_monotone: bool = False,
+    oracle: SetFunctionOracle, declared_class: str | None = None, strict: bool = False
 ) -> StructureReport:
     """Exhaustive monotonicity and structure-class check.
 
     Sub/supermodularity is checked on all adjacent marginal pairs
     v(i | S) vs v(i | S + j), which is equivalent to the full nested-pair
-    quantification.  ``strict`` applies to the class inequality only;
-    monotonicity is weak unless ``strict_monotone``.  Report-only:
-    violations are listed, nothing raised.  Every comparison is exact: the
-    table is compared as the oracle's scaled ints (SetFunctionOracle.scaled)
-    and tol as its exact value (reals.exact) times the same scale, whatever
-    the entries' representation and the ambient mpmath precision.  A
-    recorded marginal or diff is the entries' own difference for
-    int/Fraction tables and its exact Fraction otherwise.
+    quantification.  ``strict`` applies to sub- and supermodularity only:
+    monotonicity is weak, and additivity asks every diff to be 0.
+    Report-only: violations are listed, nothing raised, but an unknown
+    class is refused.  Every comparison is exact, with no tolerance, on the
+    oracle's scaled ints (SetFunctionOracle.scaled), whatever the entries'
+    representation and the ambient mpmath precision.  A recorded marginal
+    or diff is the entries' own difference for int/Fraction tables and its
+    exact Fraction otherwise.
 
-    Fast path: per action i the marginal vector v(i | S) over every S
-    without i is taken once, its min decides monotonicity, and the min and
-    max of its differences along each other action j decide the class, all
-    over index lists cached per n.  Only when that finds a violation does
-    the per-(S, i, j) loop run, which records the violations, in its
-    order, up to max_recorded.
+    Fast path: _holds decides on the least marginal and the class margin
+    (marginal_margins).  Only when it finds a violation does the
+    per-(S, i, j) loop run, which records the violations, in its order, up
+    to max_recorded.
     """
     cls = declared_class or oracle.declared_class
+    if cls not in DECLARED_CLASSES:
+        raise ValueError(f"unknown class {cls!r}")
     n = oracle.n
     if n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
     vals, scale, rational = oracle.scaled()
-    tol = exact(tol) * scale
-    if tol.denominator == 1:
-        tol = tol.numerator  # keeps the comparisons int-only
     report = StructureReport()
-    if cls in DECLARED_CLASSES and _holds(vals, n, cls, strict, tol, strict_monotone):
+    if _holds(vals, n, cls, strict):
         return report
     tab = oracle.value_table()
     mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
-    size = 1 << n
+    sense = _SENSE[cls]
     bits = [1 << i for i in range(n)]
 
-    for m in range(size):
+    for m in range(1 << n):
         for i in range(n):
             bi = bits[i]
             if m & bi:
                 continue
             marg_i = vals[m | bi] - vals[m]
-            if ((marg_i <= tol) if strict_monotone else (marg_i < -tol)) and len(mono) < cap:
+            if marg_i < 0 and len(mono) < cap:
                 marg = tab[m | bi] - tab[m] if rational else Fraction(marg_i, scale)
                 mono.append((m, i + 1, marg))
-            if cls == "general-monotone":
+            if sense is None:
                 continue
             for j in range(n):
                 bj = bits[j]
                 if j == i or (m & bj):
                     continue
-                marg_ij = vals[m | bj | bi] - vals[m | bj]
-                diff = marg_i - marg_ij  # >= 0 iff diminishing marginals
-                if cls == "submodular":
-                    bad = diff <= tol if strict else diff < -tol
-                elif cls == "supermodular":
-                    bad = -diff <= tol if strict else -diff < -tol
-                elif cls == "additive":
-                    bad = diff < -tol or diff > tol
-                else:
-                    raise ValueError(f"unknown class {cls!r}")
+                diff = marg_i - (vals[m | bj | bi] - vals[m | bj])  # v(i | S) - v(i | S + j)
+                d = sense * diff
+                bad = (d <= 0 if strict else d < 0) if sense else diff != 0
                 if bad and len(klass) < cap:
                     if rational:
                         diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
@@ -315,28 +300,41 @@ def _marginal_getters(n: int) -> tuple:
     return tuple(out)
 
 
-def _holds(vals, n, cls, strict, tol, strict_monotone) -> bool:
-    """True when the recording loop would find no violation, decided on
-    whole marginal vectors (see verify_structure)."""
+def marginal_margins(vals, n, sense):
+    """(least, margin) of the set function vals over n actions, in the
+    arithmetic of vals, on whole marginal vectors (_marginal_getters).
+
+    least is the least marginal v(i | S) over every S without i: vals is
+    monotone iff it is >= 0.  margin is the least sense * (v(i | S) -
+    v(i | S + j)) over every S and distinct i, j outside it: sense +1 gives
+    the submodularity margin, -1 the supermodularity margin, 0 the least
+    of both, -max |diff|, which is 0 iff vals is additive.  Adjacent pairs
+    suffice: any nested marginal difference telescopes into adjacent steps.
+    margin is None when sense is None (monotonicity only) or n = 1.
+    """
+    leasts, margins = [], []
     for up, down, hi, lo in _marginal_getters(n):
         marg = list(map(sub, up(vals), down(vals)))
-        least = min(marg)
-        if (least <= tol) if strict_monotone else (least < -tol):
-            return False
-        if cls == "general-monotone" or hi is None:
+        leasts.append(min(marg))
+        if sense is None or hi is None:
             continue
         diffs = list(map(sub, lo(marg), hi(marg)))  # v(i | S) - v(i | S + j)
-        if cls == "submodular":
-            least = min(diffs)
-            bad = least <= tol if strict else least < -tol
-        elif cls == "supermodular":
-            most = max(diffs)
-            bad = -most <= tol if strict else -most < -tol
-        else:
-            bad = min(diffs) < -tol or max(diffs) > tol
-        if bad:
-            return False
-    return True
+        if sense >= 0:
+            margins.append(min(diffs))
+        if sense <= 0:
+            margins.append(-max(diffs))
+    return min(leasts), min(margins, default=None)
+
+
+# the sense of marginal_margins that decides each declared class
+_SENSE = {"submodular": +1, "supermodular": -1, "additive": 0, "general-monotone": None}
+
+
+def _holds(vals, n, cls, strict) -> bool:
+    """True when verify_structure's recording loop would find no violation."""
+    sense = _SENSE[cls]
+    least, margin = marginal_margins(vals, n, sense)
+    return least >= 0 and (margin is None or (margin > 0 if strict and sense else margin >= 0))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .core import ContractInstance, SetFunctionOracle, derived
-from .constructions import ConstructionIntegrityError, _marginal_getters
+from .constructions import ConstructionIntegrityError, marginal_margins
 from .solver import chain_alphas
 
 REWARD_BONUS = "reward-bonus"
@@ -64,24 +64,6 @@ class PerturbationBudget:
         return self.epsilon_max / 2
 
 
-def _adjacent_submodularity_margin(tab, n, sense):
-    """min over (S, i, j disjoint) of +-(v(i|S) - v(i|S+j)), in the table's
-    own arithmetic, on whole marginal vectors (constructions._marginal_getters).
-
-    sense +1 measures strict submodularity, -1 strict supermodularity.
-    Equals the minimum over all nested pairs S < T: any nested marginal
-    difference telescopes into nonnegative adjacent steps.  None when n = 1.
-    """
-    margins = []
-    for up, down, hi, lo in _marginal_getters(n):
-        if hi is None:
-            continue
-        marg = list(map(sub, up(tab), down(tab)))
-        diffs = list(map(sub, lo(marg), hi(marg)))  # v(i | S) - v(i | S + j)
-        margins.append(min(diffs) if sense > 0 else -max(diffs))
-    return min(margins, default=None)
-
-
 def _chain_tables(base: ContractInstance):
     """f, c and the chain's critical values; each budget term needs two
     chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12.
@@ -97,7 +79,7 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
     ftab, ctab, alphas = _chain_tables(base)
     size = base.size
     with base.ctx.workprec():
-        c1 = _adjacent_submodularity_margin(ftab, base.n, +1)
+        c1 = marginal_margins(ftab, base.n, +1)[1]
         # alpha_table entry t is the critical value of S_t (alpha_0 = 0)
         c2 = min(
             (ctab[t] - ctab[t - 1]) / alphas[t - 1] - (ftab[t] - ftab[t - 1])
@@ -112,7 +94,7 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
     ftab, ctab, alphas = _chain_tables(base)
     size = base.size
     with base.ctx.workprec():
-        c1 = _adjacent_submodularity_margin(ctab, base.n, -1)
+        c1 = marginal_margins(ctab, base.n, -1)[1]
         c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
         # alpha_table entry t-1 is the critical value of S_t here
         c3 = min(

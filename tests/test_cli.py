@@ -609,6 +609,32 @@ class TestMalformedInput:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    MIXED = 'the tables mix "m p e" (mpf) and "p/q" (Fraction) entries'
+
+    def test_mpf_reward_with_fraction_weights_refused(self, tmp_path):
+        # the n=3 chain at 128 bits with its c weights as "p/q": solve ended
+        # in a TypeError traceback (Fraction / mpf) before this refusal
+        data = instance_to_dict(build_equal_revenue_submod_f(3, precision_bits=128))
+        data["c"]["weights"] = ["1/2", "1", "2"]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "contractlab.cli", "solve", "--instance", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"contractlab: cannot load instance: ValueError: {self.MIXED}\n"
+        self.assert_refused(data, self.MIXED)
+
+    def test_one_table_mixing_mpf_and_fraction_refused(self):
+        data = self.extended_precision_data()
+        data["c"]["values"][5] = "5/1"
+        self.assert_refused(data, self.MIXED)
+        data["c"]["values"][5] = "5"  # an int beside mpfs compares
+        for command in (["solve"], ["verify", "structure"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run([command[0], "--instance", json.dumps(data), *command[1:]]) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -667,24 +693,40 @@ class TestMalformedInput:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, name, flag",
         [
-            ("value-query --n 4 --variant sub-sub", "variant"),
-            ("demand-sim --n 3 --variant sub-sup", "variant"),
-            ("supply-sim --n 3 --variant sup-sup", "variant"),
-            ("value-query --n 4 --exhaustive", "exhaustive"),
-            ("demand-sim --n 3 --exhaustive", "exhaustive"),
-            ("supply-sim --n 3 --exhaustive", "exhaustive"),
-            ("protocol-bench --n 4 --exhaustive", "exhaustive"),
+            ("value-query --n 4 --variant sub-sub", "value-query", "variant"),
+            ("demand-sim --n 3 --variant sub-sup", "demand-sim", "variant"),
+            ("supply-sim --n 3 --variant sup-sup", "supply-sim", "variant"),
+            ("value-query --n 4 --exhaustive", "value-query", "exhaustive"),
+            ("demand-sim --n 3 --exhaustive", "demand-sim", "exhaustive"),
+            ("supply-sim --n 3 --exhaustive", "supply-sim", "exhaustive"),
+            ("protocol-bench --n 4 --exhaustive", "protocol-bench", "exhaustive"),
+            ("protocol-bench --n 4 --seed 0", "protocol-bench", "seed"),
+            ("protocol-bench --n 4 --variant sup-sup --seed 7", "protocol-bench", "seed"),
+            ("cc-sweep --n 2 --exhaustive --trials 3", "cc-sweep --exhaustive", "trials"),
+            ("cc-sweep --n 2 --exhaustive --trials 100", "cc-sweep --exhaustive", "trials"),
+            ("cc-sweep --n 2 --exhaustive --seed 0", "cc-sweep --exhaustive", "seed"),
+            ("cc-sweep --n 2 --variant sup-sup --exhaustive --seed 5", "cc-sweep --exhaustive",
+             "seed"),
         ],
     )
-    def test_experiment_refuses_a_flag_it_does_not_read(self, argv, flag, capsys):
+    def test_experiment_refuses_a_flag_it_does_not_read(self, argv, name, flag, capsys):
         # the flag is refused even at the value the readers default to
         with pytest.raises(SystemExit) as exc:
             run(["experiment", *argv.split()])
-        name = argv.split()[0]
         assert exc.value.code == f"contractlab: experiment: ValueError: {name} does not take --{flag}"
         assert capsys.readouterr().out == ""
+
+    def test_an_absent_trials_or_seed_reads_as_its_default(self, capsys):
+        for argv in (["cc-sweep", "--n", "2"], ["cc-sweep", "--n", "2", "--trials", "100",
+                                                 "--seed", "0"]):
+            assert run(["experiment", *argv]) == 0
+            summary = json.loads(capsys.readouterr().out)["summary"]
+            assert (summary["seed"], summary["pairs"]) == (0, 100)
+        assert run(["experiment", "cc-sweep", "--n", "2", "--exhaustive"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert (summary["seed"], summary["pairs"]) == (0, 16)
 
     def test_process_exit_status_and_stderr(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -37,9 +37,15 @@ from contractlab.constructions import (
 )
 from contractlab.core import ContractInstance, SetFunctionOracle, best_response, lower_hull
 from contractlab.perturb import epsilon_bound
+from contractlab.reals import exact
 from contractlab.serialize import number_to_str
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
-from contractlab.sparse import approx_best_response, sparseness_ceiling
+from contractlab.sparse import (
+    approx_best_response,
+    sigma_bound_demand,
+    sigma_bound_supply,
+    sparseness_ceiling,
+)
 
 from conftest import brute_submodular, brute_supermodular
 
@@ -141,14 +147,18 @@ class TestDeltaAndZ:
             assert aug.delta < aug.sigma  # carryover cap delta < sigma/(2 n^2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_delta_out_of_range_rejected(self, variant):
-        # the builders of the perturbed base trust their caller's check
+    def test_delta_is_half_the_cap(self, variant):
+        # half of min(delta_bound, sigma / (2 n^2)), rounded down onto the
+        # perturbed base's grid, and kept under one key per variant
         base = build_equal_revenue_supmod_c(4) if variant == "sup-sup" else submod_base(4)
         ones = SpecialSetVector.all_ones(4)
-        for delta in (0, -Fraction(1, 10**6), delta_bound(base, variant).bound, 1):
-            with pytest.raises(ValueError, match="outside"):
-                build_augmented(variant, base, ones, ones, delta=delta)
-        assert not [key for key in base.kept if isinstance(key, tuple)]
+        aug = build_augmented(variant, base, ones, ones)
+        sigma = (sigma_bound_supply if variant == "sup-sup" else sigma_bound_demand)(base).sigma
+        with base.ctx.workprec():
+            half = exact(min(delta_bound(base, variant).bound, sigma / 32) / 2)
+        grid = Fraction(1, 1 << aug.perturbed.meta["grid_bits"])
+        assert half - grid < aug.delta <= half
+        assert [key for key in base.kept if isinstance(key, tuple)] == [("augment", variant)]
 
     def test_odd_n_rejected(self):
         base = build_equal_revenue_submod_f(3, precision_bits=CC_PRECISION_BITS)

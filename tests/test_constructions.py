@@ -21,6 +21,7 @@ from contractlab.constructions import (
     check_gap_bounds,
     default_bits_for,
     default_grid_bits,
+    marginal_margins,
     supmod_c_cost_fractions,
     verify_equal_revenue,
     verify_structure,
@@ -196,8 +197,9 @@ class TestSupmodCBase:
             inst = build_equal_revenue_supmod_c(n)
             assert verify_structure(inst.c, strict=True).ok
             assert brute_supermodular(inst.c.value_table(), n, strict=True)
-            # c(S_1) = 0 = c(empty): strictly monotone it is not
-            assert not verify_structure(inst.c, strict=True, strict_monotone=True).ok
+            # c(S_1) = 0 = c(empty): the least marginal is 0, so strictly
+            # monotone it is not
+            assert marginal_margins(inst.c.scaled()[0], n, None) == (0, None)
 
     def test_rewards_additive_binary(self):
         inst = build_equal_revenue_supmod_c(3)
@@ -230,6 +232,13 @@ class TestVerifyStructure:
         f = SetFunctionOracle(2, table=[0, 2, 1, 0], declared_class="general-monotone")
         assert not verify_structure(f).ok
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unknown_class_refused(self, n):
+        # refused before any comparison, also where no class diff exists
+        f = SetFunctionOracle(n, table=[0, 1, 1, 2][: 1 << n])
+        with pytest.raises(ValueError, match="unknown class 'bogus'"):
+            verify_structure(f, "bogus")
+
     def test_matches_brute_force_on_goldens(self):
         inst = build_equal_revenue_submod_f(4)
         tab = inst.f.value_table()
@@ -258,23 +267,20 @@ def _marginals(tab, n):
 class TestScaledStructureCheck:
     """int/Fraction tables are checked as ints over one common denominator."""
 
-    @given(mixed_pairwise_tables(), st.booleans(), st.booleans())
+    @given(mixed_pairwise_tables(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_verdicts_match_brute_force(self, nt, strict, strict_monotone):
+    def test_verdicts_match_brute_force(self, nt, strict):
         n, tab = nt
         f = SetFunctionOracle(n, table=tab)
-        kw = dict(strict=strict, strict_monotone=strict_monotone)
-        sub = verify_structure(f, "submodular", **kw)
-        sup = verify_structure(f, "supermodular", **kw)
-        add = verify_structure(f, "additive", **kw)
+        sub = verify_structure(f, "submodular", strict)
+        sup = verify_structure(f, "supermodular", strict)
+        add = verify_structure(f, "additive", strict)
         assert (not sub.class_violations) == brute_submodular(tab, n, strict=strict)
         assert (not sup.class_violations) == brute_supermodular(tab, n, strict=strict)
         assert (not add.class_violations) == (
             brute_submodular(tab, n) and brute_supermodular(tab, n)
         )
-        monotone = all(
-            marg > 0 if strict_monotone else marg >= 0 for _, _, marg, _ in _marginals(tab, n)
-        )
+        monotone = all(marg >= 0 for _, _, marg, _ in _marginals(tab, n))
         for rep in (sub, sup, add):
             assert (not rep.monotonicity_violations) == monotone
 
@@ -284,7 +290,7 @@ class TestScaledStructureCheck:
         n, tab = nt
         f = SetFunctionOracle(n, table=tab)
         for cls in ("submodular", "supermodular"):
-            rep = verify_structure(f, cls, strict=True, strict_monotone=True)
+            rep = verify_structure(f, cls, strict=True)
             for m, i, marg in rep.monotonicity_violations:
                 bi = 1 << (i - 1)
                 assert marg == Fraction(tab[m | bi]) - Fraction(tab[m])
@@ -298,26 +304,24 @@ class TestScaledStructureCheck:
 
     @given(
         mixed_pairwise_tables(),
-        st.builds(Fraction, st.integers(1, 20), st.sampled_from([1, 4, 13, 17])),
-        st.sampled_from(["submodular", "supermodular"]),
-        st.booleans(),
+        st.sampled_from(["submodular", "supermodular", "additive"]),
         st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_fraction_tol_matches_unscaled_comparison(
-        self, nt, tol, cls, strict, strict_monotone
-    ):
+    def test_report_matches_unscaled_comparison(self, nt, cls, strict):
         n, tab = nt
-        rep = verify_structure(
-            SetFunctionOracle(n, table=tab), cls, strict, tol, strict_monotone
-        )
+        rep = verify_structure(SetFunctionOracle(n, table=tab), cls, strict)
         mono, klass = [], []
         for m, i, marg, diffs in _marginals(tab, n):
-            if (marg <= tol) if strict_monotone else (marg < -tol):
+            if marg < 0:
                 mono.append((m, i, marg))
             for j, diff in diffs:
-                d = diff if cls == "submodular" else -diff
-                if d <= tol if strict else d < -tol:
+                if cls == "additive":
+                    bad = diff != 0
+                else:
+                    d = diff if cls == "submodular" else -diff
+                    bad = d <= 0 if strict else d < 0
+                if bad:
                     klass.append((m, i, j, diff))
         assert rep.monotonicity_violations == mono[: rep.max_recorded]
         assert rep.class_violations == klass[: rep.max_recorded]
@@ -359,7 +363,7 @@ class TestStructureFastPath:
     would find nothing, so every report is the loop's own."""
 
     @staticmethod
-    def assert_loop_report(oracle, cls, strict, tol, strict_monotone):
+    def assert_loop_report(oracle, cls, strict):
         verdicts = []
         holds = constructions._holds
 
@@ -368,44 +372,36 @@ class TestStructureFastPath:
             return verdicts[-1]
 
         with mock.patch.object(constructions, "_holds", recorded):
-            got = verify_structure(oracle, cls, strict, tol, strict_monotone)
+            got = verify_structure(oracle, cls, strict)
         with mock.patch.object(constructions, "_holds", lambda *args: False):
-            want = verify_structure(oracle, cls, strict, tol, strict_monotone)
+            want = verify_structure(oracle, cls, strict)
         assert got == want
         # the loop runs exactly when there is a violation to record
         assert verdicts == [want.ok]
 
-    @given(
-        class_tables(),
-        st.sampled_from([None, *DECLARED_CLASSES]),
-        st.booleans(),
-        st.booleans(),
-        st.sampled_from([0, 1, Fraction(1, 3), 0.5, mpmath.mpf(0.25), "c"]),
-    )
+    @given(class_tables(), st.sampled_from([None, *DECLARED_CLASSES]), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_report_equals_recording_loop(self, ntc, cls, strict, strict_monotone, tol):
-        n, table, built, c = ntc
-        if tol == "c":  # every class diff sits exactly on the tolerance
-            tol = c
+    def test_report_equals_recording_loop(self, ntc, cls, strict):
+        n, table, built, _ = ntc
         oracle = SetFunctionOracle(n, table=table)
-        self.assert_loop_report(oracle, cls or built, strict, tol, strict_monotone)
+        self.assert_loop_report(oracle, cls or built, strict)
 
     def test_every_edge_equals_recording_loop(self):
         # marginals w or w - c, class diffs all +-c: each comparison of the
-        # fast path meets its tolerance exactly somewhere in this sweep
+        # fast path meets 0 exactly somewhere in this sweep
         for sign, c, w in itertools.product((-1, 0, 1), (0, 1, 2), (0, 1, 2)):
             table = [w * k + sign * c * (k * (k - 1) // 2)
                      for k in (m.bit_count() for m in range(8))]
             oracle = SetFunctionOracle(3, table=table)
-            for args in itertools.product(DECLARED_CLASSES, (False, True), (0, 1, 2, Fraction(1, 2)),
-                                          (False, True)):
+            for args in itertools.product(DECLARED_CLASSES, (False, True)):
                 self.assert_loop_report(oracle, *args)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_index_getters(self, n):
         # itemgetter with one index returns a scalar; the getters must not
         f = SetFunctionOracle(n, table=[0, 1, 1, 3][: 1 << n])
-        assert verify_structure(f, "supermodular", strict=True, strict_monotone=True).ok
+        assert verify_structure(f, "supermodular", strict=True).ok
+        assert marginal_margins(f.table, n, 0) == (1, -1 if n == 2 else None)
         violations = [(0, 1, 2, -1), (0, 2, 1, -1)] if n == 2 else []
         assert verify_structure(f, "additive").class_violations == violations
 
@@ -416,24 +412,26 @@ class TestExactStructureCheckOnRoundedTables:
     @pytest.mark.parametrize("cls", ["submodular", "supermodular"])
     def test_mpf_report_independent_of_ambient_precision(self, cls):
         inst = build_equal_revenue_submod_f(4, precision_bits=192)
-        tol = inst.ctx.maximizer_tolerance  # an mpf tol is converted exactly too
         reports = []
         for prec in (53, 400):
             with mpmath.workprec(prec):
-                reports.append(verify_structure(inst.f, cls, strict=True, tol=tol))
+                reports.append(verify_structure(inst.f, cls, strict=True))
         assert reports[0] == reports[1]
         # the same report as on the table's exact values
         exact_f = SetFunctionOracle(4, table=[exact(v) for v in inst.f.value_table()])
-        assert reports[0] == verify_structure(exact_f, cls, strict=True, tol=exact(tol))
+        assert reports[0] == verify_structure(exact_f, cls, strict=True)
         assert reports[0].ok == (cls == "submodular")
+        assert len(reports[0].class_violations) == (0 if cls == "submodular" else 48)
 
     def test_float_violation_that_subtraction_rounds_away(self):
-        # the exact marginal is -1 - 2^-60, below -tol; in float arithmetic
-        # it rounds to -1.0, which is not
-        f = SetFunctionOracle(1, table=[1.0, -(2.0**-60)])
-        assert f.value_table()[1] - f.value_table()[0] == -1.0
-        rep = verify_structure(f, tol=1.0)
-        assert rep.monotonicity_violations == [(0, 1, Fraction(-(2**60) - 1, 2**60))]
+        # v(1 | {2}) is 2^60 + 257 exactly, but 2^60 + 256 in float
+        # arithmetic, so the float diff at (empty set, 1, 2) is 0.0 where
+        # the exact diff is -1
+        tab = [0.0, 2.0**60 + 256, 255.0, 2.0**60 + 512]
+        assert (tab[1] - tab[0]) - (tab[3] - tab[2]) == 0.0
+        rep = verify_structure(SetFunctionOracle(2, table=tab), "submodular")
+        assert rep.monotonicity_violations == []
+        assert rep.class_violations == [(0, 1, 2, Fraction(-1)), (0, 2, 1, Fraction(-1))]
 
 
 class TestRounded:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
+    marginal_margins,
     verify_structure,
 )
 from contractlab import perturb
@@ -18,7 +19,6 @@ from contractlab.perturb import (
     COST_DISCOUNT,
     REWARD_BONUS,
     BudgetError,
-    _adjacent_submodularity_margin,
     epsilon_bound,
     epsilon_bound_cost,
     epsilon_bound_reward,
@@ -51,10 +51,11 @@ def brute_nested_margin(tab, n, sense):
     return best
 
 
-def loop_margin(tab, n, sense):
-    """The per-(S, i, j) loop the whole-vector margin replaced: the same
-    subtractions, taken one at a time, so the minimum must be bit-identical."""
-    best = None
+def loop_margins(tab, n, sense):
+    """The per-(S, i, j) loop the whole-vector kernel replaced: the same
+    subtractions, taken one at a time, so (least marginal, margin) must be
+    bit-identical; sense 0 takes min(d, -d) of each diff d."""
+    least = best = None
     bits = [1 << i for i in range(n)]
     for m in range(1 << n):
         for i in range(n):
@@ -62,6 +63,8 @@ def loop_margin(tab, n, sense):
             if m & bi:
                 continue
             marg_i = tab[m | bi] - tab[m]
+            if least is None or marg_i < least:
+                least = marg_i
             for j in range(i + 1, n):
                 bj = bits[j]
                 if m & bj:
@@ -71,10 +74,10 @@ def loop_margin(tab, n, sense):
                     marg_i - (tab[m | bj | bi] - tab[m | bj]),
                     marg_j - (tab[m | bi | bj] - tab[m | bi]),
                 ):
-                    d = sense * d
+                    d = min(d, -d) if sense == 0 else d if sense > 0 else -d
                     if best is None or d < best:
                         best = d
-    return best
+    return least, best
 
 
 @st.composite
@@ -102,15 +105,17 @@ class TestWholeVectorMargin:
                 lambda t: (t[0], [int(v * 2310) for v in t[1]], RealContext())
             ),
         ),
-        st.sampled_from([+1, -1]),
+        st.sampled_from([+1, -1, 0]),
     )
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_the_loop(self, tables, sense):
         n, table, ctx = tables
         with ctx.workprec():
-            got = _adjacent_submodularity_margin(table, n, sense)
-            want = loop_margin(table, n, sense)
+            got = marginal_margins(table, n, sense)
+            want = loop_margins(table, n, sense)
+            least_only = marginal_margins(table, n, None)
         assert got == want
+        assert least_only == (want[0], None)
         if len(set(map(type, table))) == 1:
             # on a mixed table an int and an equal Fraction may swap places
             assert repr(got) == repr(want)
