@@ -105,7 +105,7 @@ def _check_structure(inst, report, seed):
 
     ok = True
     for label, oracle in (("f", inst.f), ("c", inst.c)):
-        r = verify_structure(oracle, strict=False)
+        r = verify_structure(oracle)
         report[f"structure_{label}"] = {
             "declared_class": oracle.declared_class,
             "ok": r.ok,
@@ -207,7 +207,7 @@ def _check_cc_invariants(inst, report, seed):
     ok = True
     details = {"variant": variant, "z": number_to_str(aug.z), "delta": number_to_str(aug.delta)}
     for label, oracle in (("f_hat", aug.instance.f), ("c_hat", aug.instance.c)):
-        r = verify_structure(oracle, strict=False)
+        r = verify_structure(oracle)
         details[label] = {"declared_class": oracle.declared_class, "ok": r.ok}
         ok = ok and r.ok
     details["z_positive"] = bool(aug.z > 0)
@@ -365,7 +365,7 @@ def _experiment_protocol_bench(args):
     matches = 0
     max_bits = 0
     br_calls = 0
-    tested = alphas[: args.trials] if args.trials else alphas
+    tested = alphas[: args.trials]  # every alpha when --trials is absent
     for a in tested:
         channel = Channel(width)
         got = augmented_br_protocol(aug, a, channel)
@@ -413,11 +413,11 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"{run} does not take --{flag}")
         if flag == "exhaustive" and args.exhaustive:
             run += " --exhaustive"
-    args.trials = 100 if args.trials is None else args.trials
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.name != "protocol-bench":  # which tests every alpha without --trials
+        args.trials = args.trials or 100
     args.seed = 0 if args.seed is None else args.seed
-    least = 0 if args.name == "protocol-bench" else 1  # protocol-bench's 0 tests every alpha
-    if args.trials < least:
-        raise ValueError(f"--trials must be >= {least}, got {args.trials}")
     result, ok = RUNNERS[args.name](args)
     if args.format == "csv":
         rows = result["rows"] if "rows" in result else [tuple(result), tuple(result.values())]

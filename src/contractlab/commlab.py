@@ -236,9 +236,10 @@ def _round_down(x, kappa) -> Fraction:
     return Fraction(floor(exact(x) * scale), scale)
 
 
-def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> ContractInstance:
-    """c-tilde(S) = c(S) + sign * delta |S|^2, with f-tilde re-solved along
-    the chain so that every S_t pays the principal 1 up to a grid error.
+def build_perturbed_cost(base: ContractInstance, delta, variant: str) -> ContractInstance:
+    """c-tilde(S) = c(S) -+ delta |S|^2, submodular for variant sub-sub and
+    supermodular for sub-sup, with f-tilde re-solved along the chain so
+    that every S_t pays the principal 1 up to a grid error.
 
     Every entry lies on one grid 2^-kappa, so both tables are exact.  delta
     is rounded down onto the grid, which makes c-tilde exact.  With c-tilde
@@ -262,7 +263,7 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
     delta must lie in (0, delta_bound(base, variant).bound); the one
     caller, _augment_parts, takes half of a cap below that bound.
     """
-    variant = "sub-sub" if sign < 0 else "sub-sup"
+    sign, cls = {"sub-sub": (-1, "submodular"), "sub-sup": (+1, "supermodular")}[variant]
     f_max = exact(base.f.value_table()[-1])
     kappa = _grid_bits(variant, base, delta, 2 * f_max)
     scale = 1 << kappa
@@ -278,7 +279,6 @@ def build_perturbed_cost(base: ContractInstance, delta, sign: int = -1) -> Contr
         fs.append((b + isqrt(b * b - 4 * scale * prev)) >> 1)
     if fs[-1] > 2 * f_max * scale:
         raise ConstructionIntegrityError("re-solved rewards left the grid's bound")
-    cls = "submodular" if sign < 0 else "supermodular"
     f = SetFunctionOracle(
         base.n, scaled=(fs, scale, True), declared_class="submodular", name="resolved_reward"
     )
@@ -474,7 +474,7 @@ def _augment_parts(variant, base) -> _AugmentParts:
     if variant == "sup-sup":
         perturbed = build_perturbed_reward(base, delta)
     else:
-        perturbed = build_perturbed_cost(base, delta, sign=-1 if variant == "sub-sub" else +1)
+        perturbed = build_perturbed_cost(base, delta, variant)
     # from here on every number is exact: delta and sigma are rounded
     # down onto the perturbed base's grid
     delta = perturbed.meta["delta"]

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
 from operator import itemgetter, sub
 
-from .core import DECLARED_CLASSES, MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
+from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .core import derived
 from .reals import (
     DEFAULT_BITS,
@@ -194,78 +195,73 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     return inst
 
 
+MAX_RECORDED = 50  # violations of each kind verify_structure records
+
+
 @dataclass
 class StructureReport:
-    monotonicity_violations: list = field(default_factory=list)
-    class_violations: list = field(default_factory=list)
-    max_recorded: int = 50
+    monotonicity_violations: list
+    class_violations: list
 
     @property
     def ok(self) -> bool:
         return not self.monotonicity_violations and not self.class_violations
 
 
-def verify_structure(
-    oracle: SetFunctionOracle, declared_class: str | None = None, strict: bool = False
-) -> StructureReport:
-    """Exhaustive monotonicity and structure-class check.
-
-    Sub/supermodularity is checked on all adjacent marginal pairs
-    v(i | S) vs v(i | S + j), which is equivalent to the full nested-pair
-    quantification.  ``strict`` applies to sub- and supermodularity only:
-    monotonicity is weak, and additivity asks every diff to be 0.
-    Report-only: violations are listed, nothing raised, but an unknown
-    class is refused.  Every comparison is exact, with no tolerance, on the
-    oracle's scaled ints (SetFunctionOracle.scaled), whatever the entries'
-    representation and the ambient mpmath precision.  A recorded marginal
-    or diff is the entries' own difference for int/Fraction tables and its
-    exact Fraction otherwise.
-
-    Fast path: _holds decides on the least marginal and the class margin
-    (marginal_margins).  Only when it finds a violation does the
-    per-(S, i, j) loop run, which records the violations, in its order, up
-    to max_recorded.
-    """
-    cls = declared_class or oracle.declared_class
-    if cls not in DECLARED_CLASSES:
-        raise ValueError(f"unknown class {cls!r}")
-    n = oracle.n
+def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
+    """Exhaustive monotonicity and declared-class check, report-only, exact
+    on the oracle's scaled ints.  One pass over the per-action vectors of
+    marginal_margins: the marginal vector decides monotonicity, the diff
+    vector the class by its _SENSE, and only a failing vector is scanned,
+    for its first MAX_RECORDED violations per run of increasing S.  The
+    report lists the first MAX_RECORDED (S, i, marginal) and (S, i, j, diff)
+    in (S, i, j) order, each value the entries' own difference for
+    int/Fraction tables and its exact Fraction otherwise."""
+    n, sense = oracle.n, _SENSE[oracle.declared_class]
     if n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
     vals, scale, rational = oracle.scaled()
-    report = StructureReport()
-    if _holds(vals, n, cls, strict):
-        return report
-    tab = oracle.value_table()
-    mono, klass, cap = report.monotonicity_violations, report.class_violations, report.max_recorded
-    sense = _SENSE[cls]
-    bits = [1 << i for i in range(n)]
+    # keys that sort in (S, i, j) order (i, j < 16): S << 4 | i for a
+    # marginal, S << 8 | i << 4 | j for a diff
+    mono, klass, half = [], [], 1 << n >> 2  # half: how many S lack both i and j
+    for i, (marg, diffs) in enumerate(_marginal_vectors(vals, n, sense)):
+        if min(marg) < 0:
+            low = (1 << i) - 1  # S is p with a 0 bit put in at i
+            mono += [(p & low | p >> i << i + 1) << 4 | i for p in _first(marg, _BAD[+1])]
+        if diffs is None or _class_margin(diffs, sense) >= 0:
+            continue
+        for b in range(n - 1):
+            j = b + (b >= i)
+            lo, hi = min(i, j), max(i, j)
+            low, mid, ij = (1 << lo) - 1, (1 << hi - 1) - (1 << lo), i << 4 | j
+            # S is k with 0 bits put in at lo and hi
+            klass += [(k & low | (k & mid) << 1 | k >> hi - 1 << hi + 1) << 8 | ij
+                      for k in _first(diffs[b * half:(b + 1) * half], _BAD[sense])]
+    if not mono and not klass:
+        return StructureReport([], [])
+    tab = oracle.value_table() if rational else vals
 
-    for m in range(1 << n):
-        for i in range(n):
-            bi = bits[i]
-            if m & bi:
-                continue
-            marg_i = vals[m | bi] - vals[m]
-            if marg_i < 0 and len(mono) < cap:
-                marg = tab[m | bi] - tab[m] if rational else Fraction(marg_i, scale)
-                mono.append((m, i + 1, marg))
-            if sense is None:
-                continue
-            for j in range(n):
-                bj = bits[j]
-                if j == i or (m & bj):
-                    continue
-                diff = marg_i - (vals[m | bj | bi] - vals[m | bj])  # v(i | S) - v(i | S + j)
-                d = sense * diff
-                bad = (d <= 0 if strict else d < 0) if sense else diff != 0
-                if bad and len(klass) < cap:
-                    if rational:
-                        diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
-                    else:
-                        diff = Fraction(diff, scale)
-                    klass.append((m, i + 1, j + 1, diff))
-    return report
+    def marginal(s, i):  # v(i | S) in the table's own arithmetic, or scaled
+        return tab[s | 1 << i] - tab[s]
+
+    def recorded(v):
+        return v if rational else Fraction(v, scale)
+
+    return StructureReport(
+        [(s, i + 1, recorded(marginal(s, i)))
+         for s, i in (divmod(k, 16) for k in sorted(mono)[:MAX_RECORDED])],
+        [(s, i + 1, j + 1, recorded(marginal(s, i) - marginal(s | 1 << j, i)))
+         for s, i, j in ((k >> 8, k >> 4 & 15, k & 15) for k in sorted(klass)[:MAX_RECORDED])],
+    )
+
+
+# the comparison that makes a marginal (+1) or a diff of each sense a violation
+_BAD = {+1: (0).__gt__, -1: (0).__lt__, 0: (0).__ne__}
+
+
+def _first(vec, bad):
+    """The first MAX_RECORDED positions p with bad(vec[p])."""
+    return islice(compress(count(), map(bad, vec)), MAX_RECORDED)
 
 
 def _tuple_getter(indices):
@@ -300,9 +296,24 @@ def _marginal_getters(n: int) -> tuple:
     return tuple(out)
 
 
+def _marginal_vectors(vals, n, sense):
+    """Per action i: (marg, diffs), its marginal and diff vectors as
+    _marginal_getters orders them; diffs None when sense is None or n = 1."""
+    for up, down, hi, lo in _marginal_getters(n):
+        marg = list(map(sub, up(vals), down(vals)))
+        yield marg, None if sense is None or hi is None else list(map(sub, lo(marg), hi(marg)))
+
+
+def _class_margin(diffs, sense):
+    """The least sense * diff; for sense 0 the least of both, -max |diff|."""
+    if sense:
+        return min(diffs) if sense > 0 else -max(diffs)
+    return min(min(diffs), -max(diffs))
+
+
 def marginal_margins(vals, n, sense):
     """(least, margin) of the set function vals over n actions, in the
-    arithmetic of vals, on whole marginal vectors (_marginal_getters).
+    arithmetic of vals, on whole marginal vectors (_marginal_vectors).
 
     least is the least marginal v(i | S) over every S without i: vals is
     monotone iff it is >= 0.  margin is the least sense * (v(i | S) -
@@ -313,28 +324,15 @@ def marginal_margins(vals, n, sense):
     margin is None when sense is None (monotonicity only) or n = 1.
     """
     leasts, margins = [], []
-    for up, down, hi, lo in _marginal_getters(n):
-        marg = list(map(sub, up(vals), down(vals)))
+    for marg, diffs in _marginal_vectors(vals, n, sense):
         leasts.append(min(marg))
-        if sense is None or hi is None:
-            continue
-        diffs = list(map(sub, lo(marg), hi(marg)))  # v(i | S) - v(i | S + j)
-        if sense >= 0:
-            margins.append(min(diffs))
-        if sense <= 0:
-            margins.append(-max(diffs))
+        if diffs is not None:
+            margins.append(_class_margin(diffs, sense))
     return min(leasts), min(margins, default=None)
 
 
 # the sense of marginal_margins that decides each declared class
 _SENSE = {"submodular": +1, "supermodular": -1, "additive": 0, "general-monotone": None}
-
-
-def _holds(vals, n, cls, strict) -> bool:
-    """True when verify_structure's recording loop would find no violation."""
-    sense = _SENSE[cls]
-    least, margin = marginal_margins(vals, n, sense)
-    return least >= 0 and (margin is None or (margin > 0 if strict and sense else margin >= 0))
 
 
 @dataclass

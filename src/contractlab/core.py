@@ -347,7 +347,9 @@ class LowerHull:
 class ContractInstance:
     """A principal-agent instance (n, f, c) with its precision.  Every
     query breaks ties by TIE_BREAK_RULE, the one rule there is.  kept is
-    the one store of what is derived from the f and c tables (derived)."""
+    the one store of what is derived from the f and c tables (derived).
+    Tables that mix mpf and Fraction entries are refused: mpmath neither
+    compares nor subtracts the two in every order."""
 
     n: int
     f: SetFunctionOracle
@@ -361,6 +363,14 @@ class ContractInstance:
     def __post_init__(self):
         if self.f.n != self.n or self.c.n != self.n:
             raise ValueError("oracle ground sets disagree with instance")
+        kinds = set()
+        for tab in (self.f.table, self.c.table):
+            if isinstance(tab, MpfTable):  # no entry built: they share one type
+                kinds.add(Fraction if tab.rational else mpmath.mpf)
+            else:
+                kinds.update(map(type, tab))
+        if Fraction in kinds and mpmath.mpf in kinds:
+            raise ValueError('the tables mix "m p e" (mpf) and "p/q" (Fraction) entries')
 
     @property
     def precision_bits(self) -> int:

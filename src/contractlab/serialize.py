@@ -154,9 +154,9 @@ def instance_to_dict(inst: ContractInstance) -> dict:
 def instance_from_dict(d: dict) -> ContractInstance:
     """The instance a dict of instance_to_dict's form describes.  Refuses,
     with ValueError, an additive oracle with a negative weight, a cost with
-    c(empty set) != 0, and tables that mix mpf and Fraction entries (mpmath
-    neither compares nor subtracts the two in every order); f(empty set)
-    may be anything (the submodular equal-revenue chain starts at 1)."""
+    c(empty set) != 0, and (ContractInstance) tables that mix mpf and
+    Fraction entries; f(empty set) may be anything (the submodular
+    equal-revenue chain starts at 1)."""
     n = d["n"]
     if d.get("tie_break", TIE_BREAK_RULE) != TIE_BREAK_RULE:
         raise ValueError(f"unsupported tie_break rule {d['tie_break']!r}")
@@ -170,11 +170,6 @@ def instance_from_dict(d: dict) -> ContractInstance:
     )
     if inst.c.table[0] != 0:
         raise ValueError(f"the cost of the empty set must be 0, not {inst.c.table[0]}")
-    kinds = set()
-    for tab in (inst.f.table, inst.c.table):  # an MpfTable's entries share one type
-        kinds.update(map(type, (tab[0],) if isinstance(tab, MpfTable) else tab))
-    if Fraction in kinds and mpmath.mpf in kinds:
-        raise ValueError('the tables mix "m p e" (mpf) and "p/q" (Fraction) entries')
     meta = d.get("meta", {})
     for key in _META_SCALARS:
         if key in meta:

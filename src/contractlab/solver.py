@@ -282,34 +282,23 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
         raise ParameterError("eps must be in (0, 1)")
     from .core import best_response, value
 
-    # each distinct ledger once: the instance and its oracles may share one
-    ledgers = list({id(l): l for l in (inst.ledger, inst.f.ledger, inst.c.ledger)}.values())
-    before = [l.value_queries for l in ledgers]
-    br_before = inst.ledger.best_response_queries
-
-    def val_f(s):
-        return value(inst.f, s)
-
-    def val_c(s):
-        return value(inst.c, s)
-
     with inst.ctx.workprec():
         one = inst.ctx.make(1)
         # step 1: the f-maximal zero-cost set, via a best response at alpha=0
         zero = inst.ctx.make(0)
         s = best_response(inst, zero)
-        probes = [(zero, s, (one - zero) * val_f(s))]
+        probes = [(zero, s, (one - zero) * value(inst.f, s))]
         # step 2: welfare optimum via a best response at alpha=1
         s_opt = best_response(inst, one)
-        opt = val_f(s_opt) - val_c(s_opt)
+        opt = value(inst.f, s_opt) - value(inst.c, s_opt)
         if opt > 0:
             for j in range(1, inst.n + 1):
-                cj = val_c(ActionSet(inst.n, 1 << (j - 1)))
+                cj = value(inst.c, ActionSet(inst.n, 1 << (j - 1)))
                 if not cj > 0:
                     continue
                 for alpha in alpha_bracket(inst, opt, cj, eps):
                     s = best_response(inst, alpha)
-                    probes.append((alpha, s, (one - alpha) * val_f(s)))
+                    probes.append((alpha, s, (one - alpha) * value(inst.f, s)))
         # equal ties: the first probe wins
         utils = [u for _, _, u in probes]
         best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
@@ -318,8 +307,10 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
         alpha=best_alpha,
         aset=best_set,
         principal_utility=best_util,
-        value_queries=sum(l.value_queries - b for l, b in zip(ledgers, before)),
-        best_response_queries=inst.ledger.best_response_queries - br_before,
+        # the queries made: per probe a best response and an f value, for
+        # s_opt a best response and two values, and n singleton costs
+        value_queries=len(probes) + 2 + (inst.n if opt > 0 else 0),
+        best_response_queries=len(probes) + 1,
     )
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
+from contractlab.constructions import marginal_margins, verify_structure
 from contractlab.core import ContractInstance, SetFunctionOracle
 from contractlab.reals import RealContext, exact
 
@@ -97,6 +98,15 @@ def brute_submodular(tab, n, strict=False):
 def brute_supermodular(tab, n, strict=False):
     neg = [-v for v in tab]
     return brute_submodular(neg, n, strict=strict)
+
+
+def strictly_of_class(oracle) -> bool:
+    """verify_structure(oracle).ok with every sub- or supermodularity diff
+    strict: the declared class's margin (marginal_margins) above 0, or None
+    at n = 1, where no pair of actions exists."""
+    sense = {"submodular": +1, "supermodular": -1}[oracle.declared_class]
+    margin = marginal_margins(oracle.scaled()[0], oracle.n, sense)[1]
+    return verify_structure(oracle).ok and (margin is None or margin > 0)
 
 
 # --- instance factories ------------------------------------------------------

@@ -31,6 +31,7 @@ from contractlab.constructions import (
     build_rounded,
     check_gap_bounds,
     default_grid_bits,
+    marginal_margins,
     verify_equal_revenue,
     verify_structure,
 )
@@ -106,11 +107,13 @@ def test_criterion_02_equal_revenue_at_scale():
 @criterion(3, "structure suites at n <= 8", 30.0)
 def test_criterion_03_structure_suites():
     for n in (2, 4, 6, 8):
-        assert verify_structure(build_equal_revenue_submod_f(n).f, strict=True).ok
-        assert verify_structure(build_equal_revenue_supmod_c(n).c, strict=True).ok
-    additive = SetFunctionOracle(6, weights=[1, 2, 3, 5, 8, 13], declared_class="additive")
-    assert verify_structure(additive, declared_class="submodular").ok
-    assert verify_structure(additive, declared_class="supermodular").ok
+        f, c = build_equal_revenue_submod_f(n).f, build_equal_revenue_supmod_c(n).c
+        # strictly of their classes: each class margin is above 0
+        assert verify_structure(f).ok and marginal_margins(f.scaled()[0], n, +1)[1] > 0
+        assert verify_structure(c).ok and marginal_margins(c.scaled()[0], n, -1)[1] > 0
+    for cls in ("submodular", "supermodular"):
+        additive = SetFunctionOracle(6, weights=[1, 2, 3, 5, 8, 13], declared_class=cls)
+        assert verify_structure(additive).ok
 
 
 @criterion(4, "perturbed family unique optima (n=6)", 60.0)

@@ -379,6 +379,12 @@ class TestExperiments:
         rep = json.loads(out.read_text())
         assert rep["matches"] == rep["alphas_tested"]
 
+    def test_protocol_bench_tests_every_alpha_without_trials(self, capsys):
+        # n = 8 has 255 critical values, past the other experiments' 100
+        assert run(["experiment", "protocol-bench", "--n", "8", "--variant", "sup-sup"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["alphas_tested"] == rep["matches"] == 255
+
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             run(["experiment", "astrology", "--n", "4"])
@@ -626,6 +632,18 @@ class TestMalformedInput:
         assert proc.stderr == f"contractlab: cannot load instance: ValueError: {self.MIXED}\n"
         self.assert_refused(data, self.MIXED)
 
+    def test_library_instance_mixing_mpf_and_fraction_refused(self):
+        # the same tables built in the library: optimal_contract ended in a
+        # TypeError traceback (Fraction / mpf) before this refusal
+        f = build_equal_revenue_submod_f(3, precision_bits=128).f
+        c = SetFunctionOracle(3, weights=[Fraction(1, 2), 1, 2], declared_class="additive")
+        with pytest.raises(ValueError) as exc:
+            ContractInstance(n=3, f=f, c=c)
+        assert str(exc.value) == self.MIXED
+        # mpf weights in their place solve
+        mpf_c = SetFunctionOracle(3, weights=[mpmath.mpf(0.5), 1, 2], declared_class="additive")
+        assert optimal_contract(ContractInstance(n=3, f=f, c=mpf_c)).breakpoint_count > 0
+
     def test_one_table_mixing_mpf_and_fraction_refused(self):
         data = self.extended_precision_data()
         data["c"]["values"][5] = "5/1"
@@ -662,6 +680,7 @@ class TestMalformedInput:
             "experiment supply-sim --n 3 --trials 0",
             "experiment value-query --n 3 --trials -2",
             "experiment protocol-bench --n 4 --variant sup-sup --trials -1",
+            "experiment protocol-bench --n 4 --variant sup-sup --trials 0",
         ],
     )
     def test_trials_below_range(self, argv):

@@ -47,7 +47,7 @@ from contractlab.sparse import (
     sparseness_ceiling,
 )
 
-from conftest import brute_submodular, brute_supermodular
+from conftest import brute_submodular, brute_supermodular, strictly_of_class
 
 
 def submod_base(n):
@@ -293,8 +293,8 @@ class TestReduction:
                 assert isinstance(drift, Fraction), (variant, n)
                 assert isinstance(aug.revenue_halfwidth, Fraction), (variant, n)
                 assert drift <= aug.revenue_halfwidth, (variant, n)
-                assert verify_structure(aug.perturbed.f, strict=True).ok, (variant, n)
-                assert verify_structure(aug.perturbed.c, strict=True).ok, (variant, n)
+                assert strictly_of_class(aug.perturbed.f), (variant, n)
+                assert strictly_of_class(aug.perturbed.c), (variant, n)
 
     def test_best_response_projection(self):
         """For every augmented breakpoint alpha, S_alpha minus n+1 lies in the
@@ -340,8 +340,7 @@ class TestExactReduction:
                 assert rational and {type(v) for v in oracle.value_table()} <= {int, Fraction}
             for x in (aug.delta, aug.sigma, aug.z, aug.revenue_halfwidth):
                 assert isinstance(x, Fraction)
-            assert verify_structure(p.f, strict=True).ok
-            assert verify_structure(p.c, strict=True).ok
+            assert strictly_of_class(p.f) and strictly_of_class(p.c)
             assert verify_structure(inst.f).ok and verify_structure(inst.c).ok
             check_reduction(aug)  # strict: raises on a mismatch
         # revenues of the re-solved chain: rounding f~ down lowers them by

@@ -3,14 +3,12 @@
 import itertools
 from fractions import Fraction
 from math import lcm
-from unittest import mock
 
 import hypothesis.strategies as st
 import mpmath
 import pytest
 from hypothesis import given, settings
 
-from contractlab import constructions
 from contractlab.constructions import (
     PrecisionError,
     _alpha_recurrence,
@@ -20,6 +18,7 @@ from contractlab.constructions import (
     chain_gap_bounds,
     check_gap_bounds,
     default_bits_for,
+    MAX_RECORDED,
     default_grid_bits,
     marginal_margins,
     supmod_c_cost_fractions,
@@ -31,7 +30,13 @@ from contractlab.reals import RealContext, exact
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
-from conftest import brute_submodular, brute_supermodular, mixed_pairwise_tables, mixed_rationals
+from conftest import (
+    brute_submodular,
+    brute_supermodular,
+    mixed_pairwise_tables,
+    mixed_rationals,
+    strictly_of_class,
+)
 
 # frozen goldens, derived once from the closed forms and pinned
 GOLDEN_N3_ALPHAS = [0.0, 0.618, 0.747, 0.807, 0.843, 0.867, 0.885, 0.898]
@@ -58,7 +63,7 @@ class TestSubmodFBase:
     def test_reward_is_strictly_submodular(self):
         for n in (2, 3, 4):
             inst = build_equal_revenue_submod_f(n)
-            assert verify_structure(inst.f, strict=True).ok
+            assert strictly_of_class(inst.f)
             assert brute_submodular(inst.f.value_table(), n, strict=True)
 
     def test_costs_are_binary_weights(self):
@@ -195,7 +200,7 @@ class TestSupmodCBase:
     def test_cost_is_strictly_supermodular_weak_monotone(self):
         for n in (2, 3, 4):
             inst = build_equal_revenue_supmod_c(n)
-            assert verify_structure(inst.c, strict=True).ok
+            assert strictly_of_class(inst.c)
             assert brute_supermodular(inst.c.value_table(), n, strict=True)
             # c(S_1) = 0 = c(empty): the least marginal is 0, so strictly
             # monotone it is not
@@ -217,10 +222,9 @@ class TestSupmodCBase:
 
 class TestVerifyStructure:
     def test_additive_passes_both_weak_classes(self):
-        f = SetFunctionOracle(4, weights=[1, 3, 5, 7], declared_class="additive")
-        assert verify_structure(f, declared_class="submodular").ok
-        assert verify_structure(f, declared_class="supermodular").ok
-        assert not verify_structure(f, declared_class="submodular", strict=True).ok
+        for cls in ("submodular", "supermodular"):
+            f = SetFunctionOracle(4, weights=[1, 3, 5, 7], declared_class=cls)
+            assert verify_structure(f).ok and not strictly_of_class(f)
 
     def test_detects_violations(self):
         # f({1,2}) too large: submodularity broken
@@ -234,10 +238,9 @@ class TestVerifyStructure:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unknown_class_refused(self, n):
-        # refused before any comparison, also where no class diff exists
-        f = SetFunctionOracle(n, table=[0, 1, 1, 2][: 1 << n])
-        with pytest.raises(ValueError, match="unknown class 'bogus'"):
-            verify_structure(f, "bogus")
+        # the oracle refuses it, also where no class diff exists
+        with pytest.raises(ValueError, match="unknown declared_class 'bogus'"):
+            SetFunctionOracle(n, table=[0, 1, 1, 2][: 1 << n], declared_class="bogus")
 
     def test_matches_brute_force_on_goldens(self):
         inst = build_equal_revenue_submod_f(4)
@@ -267,30 +270,32 @@ def _marginals(tab, n):
 class TestScaledStructureCheck:
     """int/Fraction tables are checked as ints over one common denominator."""
 
-    @given(mixed_pairwise_tables(), st.booleans())
+    @given(mixed_pairwise_tables())
     @settings(max_examples=150, deadline=None)
-    def test_verdicts_match_brute_force(self, nt, strict):
+    def test_verdicts_match_brute_force(self, nt):
         n, tab = nt
-        f = SetFunctionOracle(n, table=tab)
-        sub = verify_structure(f, "submodular", strict)
-        sup = verify_structure(f, "supermodular", strict)
-        add = verify_structure(f, "additive", strict)
-        assert (not sub.class_violations) == brute_submodular(tab, n, strict=strict)
-        assert (not sup.class_violations) == brute_supermodular(tab, n, strict=strict)
-        assert (not add.class_violations) == (
+        sub, sup, add = (
+            SetFunctionOracle(n, table=tab, declared_class=cls)
+            for cls in ("submodular", "supermodular", "additive")
+        )
+        assert (not verify_structure(sub).class_violations) == brute_submodular(tab, n)
+        assert (not verify_structure(sup).class_violations) == brute_supermodular(tab, n)
+        assert (not verify_structure(add).class_violations) == (
             brute_submodular(tab, n) and brute_supermodular(tab, n)
         )
         monotone = all(marg >= 0 for _, _, marg, _ in _marginals(tab, n))
-        for rep in (sub, sup, add):
-            assert (not rep.monotonicity_violations) == monotone
+        for f in (sub, sup, add):
+            assert (not verify_structure(f).monotonicity_violations) == monotone
+        # strictly: the class margin is above 0
+        for f, brute in ((sub, brute_submodular), (sup, brute_supermodular)):
+            assert strictly_of_class(f) == (monotone and brute(tab, n, strict=True))
 
     @given(mixed_pairwise_tables())
     @settings(max_examples=100, deadline=None)
     def test_recorded_diffs_are_the_entries_own_differences(self, nt):
         n, tab = nt
-        f = SetFunctionOracle(n, table=tab)
-        for cls in ("submodular", "supermodular"):
-            rep = verify_structure(f, cls, strict=True)
+        for cls in ("submodular", "supermodular", "additive"):
+            rep = verify_structure(SetFunctionOracle(n, table=tab, declared_class=cls))
             for m, i, marg in rep.monotonicity_violations:
                 bi = 1 << (i - 1)
                 assert marg == Fraction(tab[m | bi]) - Fraction(tab[m])
@@ -302,15 +307,11 @@ class TestScaledStructureCheck:
                 # computed in the table's arithmetic: an int only from ints
                 assert isinstance(diff, int) == all(isinstance(tab[k], int) for k in four)
 
-    @given(
-        mixed_pairwise_tables(),
-        st.sampled_from(["submodular", "supermodular", "additive"]),
-        st.booleans(),
-    )
+    @given(mixed_pairwise_tables(), st.sampled_from(["submodular", "supermodular", "additive"]))
     @settings(max_examples=150, deadline=None)
-    def test_report_matches_unscaled_comparison(self, nt, cls, strict):
+    def test_report_matches_unscaled_comparison(self, nt, cls):
         n, tab = nt
-        rep = verify_structure(SetFunctionOracle(n, table=tab), cls, strict)
+        rep = verify_structure(SetFunctionOracle(n, table=tab, declared_class=cls))
         mono, klass = [], []
         for m, i, marg, diffs in _marginals(tab, n):
             if marg < 0:
@@ -319,12 +320,11 @@ class TestScaledStructureCheck:
                 if cls == "additive":
                     bad = diff != 0
                 else:
-                    d = diff if cls == "submodular" else -diff
-                    bad = d <= 0 if strict else d < 0
+                    bad = (diff if cls == "submodular" else -diff) < 0
                 if bad:
                     klass.append((m, i, j, diff))
-        assert rep.monotonicity_violations == mono[: rep.max_recorded]
-        assert rep.class_violations == klass[: rep.max_recorded]
+        assert rep.monotonicity_violations == mono[:MAX_RECORDED]
+        assert rep.class_violations == klass[:MAX_RECORDED]
 
 
 @st.composite
@@ -358,52 +358,107 @@ def class_tables(draw):
     return n, table, cls, c
 
 
-class TestStructureFastPath:
-    """The whole-vector check decides alone only when the recording loop
-    would find nothing, so every report is the loop's own."""
+def _loop_report(oracle):
+    """verify_structure's report from a loop over every (S, i, j) in turn,
+    each marginal and diff compared with 0 on the scaled ints and recorded
+    as verify_structure records it, up to MAX_RECORDED of each kind."""
+    n, cls = oracle.n, oracle.declared_class
+    vals, scale, rational = oracle.scaled()
+    tab = oracle.value_table()
+    mono, klass = [], []
+    for m in range(1 << n):
+        for i in range(n):
+            bi = 1 << i
+            if m & bi:
+                continue
+            marg = vals[m | bi] - vals[m]
+            if marg < 0:
+                mono.append((m, i + 1, tab[m | bi] - tab[m] if rational else Fraction(marg, scale)))
+            if cls == "general-monotone":
+                continue
+            for j in range(n):
+                bj = 1 << j
+                if j == i or m & bj:
+                    continue
+                diff = marg - (vals[m | bj | bi] - vals[m | bj])  # v(i | S) - v(i | S + j)
+                bad = {"submodular": diff < 0, "supermodular": diff > 0}.get(cls, diff != 0)
+                if bad:
+                    if rational:
+                        diff = (tab[m | bi] - tab[m]) - (tab[m | bj | bi] - tab[m | bj])
+                    else:
+                        diff = Fraction(diff, scale)
+                    klass.append((m, i + 1, j + 1, diff))
+    return mono[:MAX_RECORDED], klass[:MAX_RECORDED]
+
+
+def _typed(violations):
+    """The violations with each entry's type beside it: Fraction(2) == 2."""
+    return [[(v, type(v)) for v in entry] for entry in violations]
+
+
+class TestStructureReport:
+    """verify_structure scans only a failing vector, for its first
+    violations; the report is the per-(S, i, j) loop's, types included."""
 
     @staticmethod
-    def assert_loop_report(oracle, cls, strict):
-        verdicts = []
-        holds = constructions._holds
+    def assert_loop_report(oracle):
+        rep = verify_structure(oracle)
+        mono, klass = _loop_report(oracle)
+        assert _typed(rep.monotonicity_violations) == _typed(mono)
+        assert _typed(rep.class_violations) == _typed(klass)
 
-        def recorded(*args):
-            verdicts.append(holds(*args))
-            return verdicts[-1]
-
-        with mock.patch.object(constructions, "_holds", recorded):
-            got = verify_structure(oracle, cls, strict)
-        with mock.patch.object(constructions, "_holds", lambda *args: False):
-            want = verify_structure(oracle, cls, strict)
-        assert got == want
-        # the loop runs exactly when there is a violation to record
-        assert verdicts == [want.ok]
-
-    @given(class_tables(), st.sampled_from([None, *DECLARED_CLASSES]), st.booleans())
+    @given(class_tables(), st.sampled_from([None, *DECLARED_CLASSES]))
     @settings(max_examples=400, deadline=None)
-    def test_report_equals_recording_loop(self, ntc, cls, strict):
+    def test_report_equals_the_loop(self, ntc, cls):
         n, table, built, _ = ntc
-        oracle = SetFunctionOracle(n, table=table)
-        self.assert_loop_report(oracle, cls or built, strict)
+        self.assert_loop_report(SetFunctionOracle(n, table=table, declared_class=cls or built))
 
-    def test_every_edge_equals_recording_loop(self):
-        # marginals w or w - c, class diffs all +-c: each comparison of the
-        # fast path meets 0 exactly somewhere in this sweep
+    def test_every_edge_equals_the_loop(self):
+        # marginals w or w - c, class diffs all +-c: each comparison with 0
+        # meets 0 exactly somewhere in this sweep
         for sign, c, w in itertools.product((-1, 0, 1), (0, 1, 2), (0, 1, 2)):
             table = [w * k + sign * c * (k * (k - 1) // 2)
                      for k in (m.bit_count() for m in range(8))]
-            oracle = SetFunctionOracle(3, table=table)
-            for args in itertools.product(DECLARED_CLASSES, (False, True)):
-                self.assert_loop_report(oracle, *args)
+            for cls in DECLARED_CLASSES:
+                self.assert_loop_report(SetFunctionOracle(3, table=table, declared_class=cls))
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mpf"])
+    def test_first_violations_where_every_comparison_fails(self, kind):
+        # v(S) = -10 |S| + C(|S|, 2) / 3 at n = 8: every marginal is below 0
+        # and every diff is -1/3, so each class but supermodular fails at
+        # every (S, i, j), far past MAX_RECORDED in each run of S
+        sizes = [m.bit_count() for m in range(256)]
+        table = [Fraction(-30 * k + k * (k - 1) // 2, 3) for k in sizes]
+        if kind == "int":
+            table = [int(3 * v) for v in table]
+        elif kind == "mpf":
+            table = [RealContext(80).make(v) for v in table]
+        for cls in DECLARED_CLASSES:
+            oracle = SetFunctionOracle(8, table=table, declared_class=cls)
+            rep = verify_structure(oracle)
+            assert len(rep.monotonicity_violations) == MAX_RECORDED
+            weak = cls in ("supermodular", "general-monotone")
+            assert len(rep.class_violations) == (0 if weak else MAX_RECORDED)
+            self.assert_loop_report(oracle)
+
+    def test_first_violations_of_one_action(self):
+        # weights -10 for action 1 and 10 for the rest at n = 8: all 50
+        # recorded violations are action 1's, at its first 50 S
+        oracle = SetFunctionOracle(8, weights=[-10] + [10] * 7, declared_class="additive")
+        rep = verify_structure(oracle)
+        assert rep.monotonicity_violations == [(m, 1, -10) for m in range(0, 100, 2)]
+        assert rep.class_violations == []
+        self.assert_loop_report(oracle)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_index_getters(self, n):
         # itemgetter with one index returns a scalar; the getters must not
-        f = SetFunctionOracle(n, table=[0, 1, 1, 3][: 1 << n])
-        assert verify_structure(f, "supermodular", strict=True).ok
-        assert marginal_margins(f.table, n, 0) == (1, -1 if n == 2 else None)
+        table = [0, 1, 1, 3][: 1 << n]
+        assert strictly_of_class(SetFunctionOracle(n, table=table, declared_class="supermodular"))
+        assert marginal_margins(table, n, 0) == (1, -1 if n == 2 else None)
         violations = [(0, 1, 2, -1), (0, 2, 1, -1)] if n == 2 else []
-        assert verify_structure(f, "additive").class_violations == violations
+        f = SetFunctionOracle(n, table=table, declared_class="additive")
+        assert verify_structure(f).class_violations == violations
 
 
 class TestExactStructureCheckOnRoundedTables:
@@ -412,14 +467,15 @@ class TestExactStructureCheckOnRoundedTables:
     @pytest.mark.parametrize("cls", ["submodular", "supermodular"])
     def test_mpf_report_independent_of_ambient_precision(self, cls):
         inst = build_equal_revenue_submod_f(4, precision_bits=192)
+        f = SetFunctionOracle(4, scaled=inst.f.scaled(), declared_class=cls)
         reports = []
         for prec in (53, 400):
             with mpmath.workprec(prec):
-                reports.append(verify_structure(inst.f, cls, strict=True))
+                reports.append(verify_structure(f))
         assert reports[0] == reports[1]
         # the same report as on the table's exact values
-        exact_f = SetFunctionOracle(4, table=[exact(v) for v in inst.f.value_table()])
-        assert reports[0] == verify_structure(exact_f, cls, strict=True)
+        exact_f = SetFunctionOracle(4, table=[exact(v) for v in f.value_table()], declared_class=cls)
+        assert reports[0] == verify_structure(exact_f)
         assert reports[0].ok == (cls == "submodular")
         assert len(reports[0].class_violations) == (0 if cls == "submodular" else 48)
 
@@ -429,7 +485,7 @@ class TestExactStructureCheckOnRoundedTables:
         # the exact diff is -1
         tab = [0.0, 2.0**60 + 256, 255.0, 2.0**60 + 512]
         assert (tab[1] - tab[0]) - (tab[3] - tab[2]) == 0.0
-        rep = verify_structure(SetFunctionOracle(2, table=tab), "submodular")
+        rep = verify_structure(SetFunctionOracle(2, table=tab, declared_class="submodular"))
         assert rep.monotonicity_violations == []
         assert rep.class_violations == [(0, 1, 2, Fraction(-1)), (0, 2, 1, Fraction(-1))]
 

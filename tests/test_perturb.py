@@ -11,7 +11,6 @@ from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
     marginal_margins,
-    verify_structure,
 )
 from contractlab import perturb
 from contractlab.core import SetFunctionOracle
@@ -30,7 +29,7 @@ from contractlab.reals import RealContext
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
-from conftest import mixed_pairwise_tables
+from conftest import mixed_pairwise_tables, strictly_of_class
 
 
 def brute_nested_margin(tab, n, sense):
@@ -258,7 +257,7 @@ class TestPerturbedInstances:
         base = build_equal_revenue_supmod_c(3)
         eps = epsilon_bound(base).default_epsilon
         fam = make_perturbed(base, 4, eps)
-        assert verify_structure(fam.instance.c, strict=True).ok
+        assert strictly_of_class(fam.instance.c)
 
     def test_k_range_excludes_free_cost_set(self):
         base = build_equal_revenue_supmod_c(3)
