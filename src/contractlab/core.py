@@ -80,7 +80,8 @@ class SetFunctionOracle:
     instrumentation lives in the attached ledger.  Exactly one of
     ``table``, ``weights`` and ``scaled`` must be given:
       table      -- list of 2^n values indexed by subset index, kept as a
-                    tuple,
+                    tuple, or as a rational reals.MpfTable of its ints when
+                    every entry is a Fraction,
       weights    -- per-action values of an additive function (w[i-1] for i),
       scaled     -- (ints, scale, rational): a table built as ints over one
                     scale, kept as they are; the table is their
@@ -124,6 +125,8 @@ class SetFunctionOracle:
             table = MpfTable(ints, scale, rational)
         if not isinstance(table, MpfTable):
             table = tuple(table)
+            if all(type(v) is Fraction for v in table):  # held as its ints; a mix stays a tuple
+                table = MpfTable(*_scaled_ints(table))
         if len(table) != 1 << n:
             raise ValueError("table must list all 2^n subset values")
         self.table = table
@@ -134,24 +137,28 @@ class SetFunctionOracle:
         the benchmark (bench/) reads tables through it."""
         return self.table
 
-    def scaled(self):
-        """(ints, scale, rational): the table as ints over one positive
-        scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
-
-        An MpfTable is its own scaled form, and so is the table of int sums
-        an additive oracle with int weights builds, as long as the table
-        attribute is still that table: a table assembled or loaded in ints
-        is never converted.  Any other table is converted on each call and
-        nothing is kept: a second copy of a wide table would outlive the
-        hull built from it (an n=14 table at 420 bits holds 1.5 MiB of
-        ints).
-        """
+    def held_ints(self):
+        """The table's scaled form (ints, scale, rational) when it is held
+        as ints, else None.  An MpfTable is its own scaled form, and so is
+        the table of int sums an additive oracle with int weights builds,
+        as long as the table attribute is still that table."""
         table = self.table
         if isinstance(table, MpfTable):
             return table.ints, table.scale, table.rational
         if table is self._int_sums:
             return table, 1, True
-        return _scaled_ints(table)
+        return None
+
+    def scaled(self):
+        """(ints, scale, rational): the table as ints over one positive
+        scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
+
+        A table held as ints (held_ints) is never converted.  Any other
+        table is converted on each call and nothing is kept: a second copy
+        of a wide table would outlive the hull built from it (an n=14 table
+        at 420 bits holds 1.5 MiB of ints).
+        """
+        return self.held_ints() or _scaled_ints(self.table)
 
 
 def additive_table(weights) -> list:
@@ -217,20 +224,56 @@ def value(oracle: SetFunctionOracle, s: ActionSet):
     return oracle.table[s.mask]
 
 
-def _scores(kind: str, x, param):
-    """(utility, tie) vectors over all 2^n masks for one argmax query.
+_NOT_FINITE = "prices must be finite, and so must their sum"
 
-    kind "demand": x is the reward oracle, param the prices; f - p, ties to
-    higher f.  "supply": x is the cost oracle, param the prices; p - c, ties
-    to higher c.  Call inside the working precision.
+
+def _scores(kind: str, x, prices, members=None):
+    """(utility, tie, factor) for one argmax query, over every mask or,
+    given members (ActionSets), over those alone, each read by a value
+    query (so charged to x's ledger).
+
+    kind "demand": x is the reward oracle; utility f - p, tie f.  "supply":
+    x is the cost oracle; utility p - c, tie c.  A table held as ints
+    (SetFunctionOracle.held_ints; for members, the values read, as ints
+    over their LCM) is scored exactly: with values V over s_v and the
+    prices' exact ratios over their LCM s_p (a power of two for float and
+    mpf prices), utility is V s_p - P s_v for demand, factor = s_v s_p
+    times its value, and tie is V, all ints.  Any other table (a float
+    tuple, say) is scored in its own arithmetic with factor None; call
+    inside the working precision.
+
+    A NaN or infinite price raises ValueError before any value query; in
+    the table's arithmetic so does a price sum that overflows to infinity,
+    as its total is the one value checked.
     """
-    if len(param) != x.n:
+    if len(prices) != x.n:
         raise ValueError("need one price per action")
-    psum = additive_table(list(param))
-    tab = x.value_table()
+    held = x.held_ints()
+    if held is None:
+        psum = additive_table(list(prices))
+        if psum[-1] * 0 != 0:  # inf * 0 and nan * 0 are nan, in every arithmetic
+            raise ValueError(_NOT_FINITE)
+        vals = x.table
+        if members is not None:
+            psum = [psum[s.mask] for s in members]
+            vals = [value(x, s) for s in members]
+        if kind == "demand":
+            return [v - p for v, p in zip(vals, psum)], vals, None
+        return [p - v for v, p in zip(vals, psum)], vals, None
+    try:
+        p_ints, p_scale, _ = _scaled_ints(prices)
+    except (OverflowError, ValueError):  # a float's or mpf's inf or nan
+        raise ValueError(_NOT_FINITE) from None
+    psum = additive_table(p_ints)
+    vals, v_scale, _ = held
+    if members is not None:
+        psum = [psum[s.mask] for s in members]
+        vals, v_scale, _ = _scaled_ints([value(x, s) for s in members])
     if kind == "demand":
-        return [v - p for v, p in zip(tab, psum)], tab
-    return [p - v for v, p in zip(tab, psum)], tab
+        util = [v * p_scale - p * v_scale for v, p in zip(vals, psum)]
+    else:
+        util = [p * v_scale - v * p_scale for v, p in zip(vals, psum)]
+    return util, vals, v_scale * p_scale
 
 
 def _argmax_with_tie_break(objective, tie_value) -> int:
@@ -251,20 +294,24 @@ def _argmax_with_tie_break(objective, tie_value) -> int:
     return best
 
 
-def demand(f: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
-    """Set maximizing f(S) - p(S); ties to higher f, then lower index."""
+def _argmax_query(kind: str, x: SetFunctionOracle, prices, ctx) -> ActionSet:
     with (ctx or RealContext()).workprec():
-        best = _argmax_with_tie_break(*_scores("demand", f, prices))
-    f.ledger.count("demand_queries", tuple(prices))
-    return ActionSet(f.n, best)
+        util, tie, _ = _scores(kind, x, prices)
+        best = _argmax_with_tie_break(util, tie)
+    x.ledger.count(kind + "_queries")
+    return ActionSet(x.n, best)
+
+
+def demand(f: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
+    """Set maximizing f(S) - p(S); ties to higher f, then lower index.
+    Exact on a table held as ints (see _scores)."""
+    return _argmax_query("demand", f, prices, ctx)
 
 
 def supply(c: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
-    """Set maximizing p(S) - c(S); ties to higher c, then lower index."""
-    with (ctx or RealContext()).workprec():
-        best = _argmax_with_tie_break(*_scores("supply", c, prices))
-    c.ledger.count("supply_queries", tuple(prices))
-    return ActionSet(c.n, best)
+    """Set maximizing p(S) - c(S); ties to higher c, then lower index.
+    Exact on a table held as ints (see _scores)."""
+    return _argmax_query("supply", c, prices, ctx)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ core.derived and so computed again only after a table is replaced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add, sub
 
 from .core import ContractInstance, SetFunctionOracle, derived
 from .constructions import ConstructionIntegrityError, marginal_margins
+from .reals import MpfTable, ratio
 from .solver import chain_alphas
 
 REWARD_BONUS = "reward-bonus"
@@ -138,13 +140,28 @@ _MEMBER = {
 
 
 def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
-    """The family member at k, with k and epsilon already checked."""
+    """The family member at k, with k and epsilon already checked.  Entry k
+    is shifted in the base's working precision.  On a base table held as an
+    MpfTable the member is one too, built from the base's ints with entry k
+    replaced by the shifted entry's exact ratio, when that entry has the
+    table's entry type (as it has for a budget epsilon); else, and on any
+    other table, the member is the table's entries with entry k replaced."""
     side, shift, cls, suffix = _MEMBER[direction]
     old = getattr(base, side)
+    tab = old.table
     with base.ctx.workprec():
-        tab = list(old.value_table())
-        tab[k] = shift(tab[k], epsilon)
-    new = SetFunctionOracle(base.n, table=tab, declared_class=cls, name=f"{old.name}{suffix}")
+        entry = shift(tab[k], epsilon)
+    labels = dict(declared_class=cls, name=f"{old.name}{suffix}")
+    if isinstance(tab, MpfTable) and type(entry) is type(tab[k]):
+        p, q = ratio(entry)
+        scale = math.lcm(tab.scale, q)  # a power of two stays one
+        ints = [v * (scale // tab.scale) for v in tab.ints]
+        ints[k] = p * (scale // q)
+        new = SetFunctionOracle(base.n, scaled=(ints, scale, tab.rational), **labels)
+    else:
+        body = list(tab)
+        body[k] = entry
+        new = SetFunctionOracle(base.n, table=body, **labels)
     oracles = {"f": base.f, "c": base.c, side: new}
     inst = ContractInstance(n=base.n, **oracles, ctx=base.ctx, name=f"{base.name} perturbed(k={k})")
     inst.meta.update(

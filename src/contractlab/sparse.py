@@ -17,8 +17,6 @@ from .core import (
     _alpha_scores,
     _argmax_with_tie_break,
     _scores,
-    additive_table,
-    value,
 )
 from .reals import RealContext, ratio
 from .solver import chain_alphas
@@ -48,12 +46,22 @@ class ApproxArgmaxSet:
 
 
 def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
-    """Every mask whose utility (see core._scores) is within sigma of the max."""
+    """Every mask whose utility (see core._scores) is within sigma of the
+    max; exactly when the scores are ints, as in approx_best_response."""
     with ctx.workprec():
-        util, _ = _scores(kind, x, param)
+        util, _, factor = _scores(kind, x, param)
+        if factor is not None:
+            sigma = _int_slack(sigma, factor)
         cut = max(util) - sigma
         members = [ActionSet(x.n, m) for m, u in enumerate(util) if u >= cut]
     return ApproxArgmaxSet(members)
+
+
+def _int_slack(sigma, factor) -> int:
+    """floor(sigma factor): for int scores u and top, u >= top - sigma factor
+    holds exactly when u >= top - floor(sigma factor)."""
+    a, b = ratio(sigma)
+    return a * factor // b
 
 
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
@@ -70,16 +78,15 @@ def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
     """All S with alpha f(S) - c(S) >= max - sigma, decided exactly.
 
     Every set is scored on the oracles' scaled ints (core._alpha_scores),
-    factor times its utility, and with sigma = a / b the cut is compared
-    as b score >= b max - a factor, in ints, whatever the representation
-    of the tables, alpha and sigma.
+    factor times its utility, and the cut is sigma factor below the max,
+    compared in ints (_int_slack), whatever the representation of the
+    tables, alpha and sigma.
     """
     fs, s_f, _ = inst.f.scaled()
     cs, s_c, _ = inst.c.scaled()
     scores, factor = _alpha_scores(alpha, fs, s_f, cs, s_c)
-    a, b = ratio(sigma)
-    cut = b * max(scores) - a * factor
-    return ApproxArgmaxSet([ActionSet(inst.n, m) for m, u in enumerate(scores) if b * u >= cut])
+    cut = max(scores) - _int_slack(sigma, factor)
+    return ApproxArgmaxSet([ActionSet(inst.n, m) for m, u in enumerate(scores) if u >= cut])
 
 
 @dataclass
@@ -179,21 +186,16 @@ def minimal_ambiguous_census(approx: ApproxArgmaxSet, n: int) -> dict[int, int]:
 
 def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
     """The argmax of the kind's utility on hidden, from value queries on the
-    D^eps(prices) members of base only; ties to the higher hidden value,
-    then the lower index.  Returns (chosen set, value queries used)."""
+    D^eps(prices) members of base only, scored as core._scores scores
+    them; ties to the higher hidden value, then the lower index.  Returns
+    (chosen set, value queries used)."""
     ctx = ctx or RealContext()
     # module-level lookup at call time, so wrappers installed on it apply
     approx = approx_demand if kind == "demand" else approx_supply
-    candidates = approx(base, prices, eps, ctx)
-    members = candidates.members  # increasing mask order
+    members = approx(base, prices, eps, ctx).members  # increasing mask order
     with ctx.workprec():
-        psum = additive_table(list(prices))
-        vals = [value(hidden, s) for s in members]
-        utils = [
-            v - psum[s.mask] if kind == "demand" else psum[s.mask] - v
-            for s, v in zip(members, vals)
-        ]
-        best = members[_argmax_with_tie_break(utils, vals)]
+        utils, ties, _ = _scores(kind, hidden, prices, members)
+        best = members[_argmax_with_tie_break(utils, ties)]
     return best, len(members)
 
 

@@ -52,6 +52,29 @@ def brute_supply(ctab, prices):
     return brute_argmax(util, ctab, size)
 
 
+def brute_exact_utilities(kind, tab, prices):
+    """f(S) - p(S) ("demand") or p(S) - c(S) ("supply") per mask, and the
+    values, all as exact Fractions of the entries and prices."""
+    vals, px = [exact(v) for v in tab], [exact(p) for p in prices]
+    psum = [sum(px[i] for i in range(len(px)) if m >> i & 1) for m in range(len(vals))]
+    sign = 1 if kind == "demand" else -1
+    return [sign * (vals[m] - psum[m]) for m in range(len(vals))], vals
+
+
+def brute_exact_query(kind, tab, prices):
+    """The exact demand or supply answer: max utility, then max value (f for
+    demand, c for supply), then the lowest mask."""
+    util, vals = brute_exact_utilities(kind, tab, prices)
+    return brute_argmax(util, vals, len(vals))
+
+
+def brute_exact_approx(kind, tab, prices, sigma):
+    """Every mask whose exact utility is within exact sigma of the max."""
+    util, _ = brute_exact_utilities(kind, tab, prices)
+    cut = max(util) - exact(sigma)
+    return [m for m, u in enumerate(util) if u >= cut]
+
+
 def brute_breakpoints(ftab, ctab):
     """Independent enumeration: evaluate the best response just above every
     candidate slope and collect the distinct responses in alpha order.

@@ -31,6 +31,7 @@ from contractlab.cli import main
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
+    supmod_c_cost_fractions,
     verify_structure,
 )
 from contractlab import core, reals, solver
@@ -42,6 +43,7 @@ from mpmath import libmp
 from conftest import (
     brute_best_response,
     brute_demand,
+    brute_exact_query,
     brute_supply,
     degenerate_hull_tables,
     instance_from_tables,
@@ -229,6 +231,32 @@ class TestMpfTable:
             assert got == list(fracs) and all(type(v) is Fraction for v in got)
         assert len(tab) == len(list(tab)) == 4
 
+    def test_a_table_of_fractions_is_held_as_its_ints(self):
+        fracs = [Fraction(0), Fraction(1, 3), Fraction(5, 6), Fraction(2)]
+        oracle = SetFunctionOracle(2, table=fracs)
+        tab = oracle.table
+        assert isinstance(tab, reals.MpfTable) and tab.rational
+        assert oracle.held_ints() == ((0, 2, 5, 12), 6, True) == oracle.scaled()
+        for got in (list(tab), [tab[m] for m in range(4)]):
+            assert got == fracs and all(type(v) is Fraction for v in got)
+        # any other table keeps its entries, types included, and is not held
+        for kept in ([0, Fraction(1, 3), Fraction(5, 6), 2], [0.0, Fraction(1, 3), 1.0, 2.0],
+                     [0, 1, 2, 3]):
+            oracle = SetFunctionOracle(2, table=kept)
+            assert type(oracle.table) is tuple and oracle.held_ints() is None
+            assert [(type(v), v) for v in oracle.table] == [(type(v), v) for v in kept]
+        cost = build_equal_revenue_supmod_c(5).c.table
+        assert isinstance(cost, reals.MpfTable) and list(cost) == supmod_c_cost_fractions(5)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_held_fraction_table_saves_as_its_tuple(self, tmp_path, n):
+        inst = build_equal_revenue_supmod_c(n)
+        held, plain = tmp_path / "held.json", tmp_path / "tuple.json"
+        save_instance(inst, str(held))
+        inst.c.table = tuple(inst.c.table)  # the cost as a tuple of its Fractions
+        save_instance(inst, str(plain))
+        assert held.read_bytes() == plain.read_bytes()
+
     def test_loaded_solve_converts_no_entry(self, tmp_path, monkeypatch):
         inst = build_equal_revenue_submod_f(12, precision_bits=360)
         path = tmp_path / "n12.json"
@@ -313,6 +341,32 @@ class TestQueries:
             with pytest.raises(ValueError, match="one price per action"):
                 supply(f, prices)
         assert f.ledger == QueryLedger()
+
+    def test_non_finite_prices_refused_before_any_query(self):
+        nan, inf = math.nan, math.inf
+        float_f = SetFunctionOracle(3, table=[v / 2 for v in range(8)])  # scored in floats
+        held_f = SetFunctionOracle(3, table=[Fraction(v, 2) for v in range(8)])  # in ints
+        bad = ([nan] * 3, [1.0, nan, 0.1], [inf, 0.0, 0.0], [-inf, inf, 1.0],
+               [mpmath.mpf("nan"), 1, 1], [1, mpmath.inf, 1])
+        # finite prices whose float sum overflows: refused where scored in floats
+        overflow = [1e308, 1e308, 0.0]
+        for oracle in (float_f, held_f):
+            for prices in bad + ((overflow,) if oracle is float_f else ()):
+                for query in (demand, supply):
+                    with pytest.raises(ValueError, match="prices must be finite"):
+                        query(oracle, prices)
+            assert oracle.ledger == QueryLedger()
+        # exact ints do not overflow: the top set costs 2e308 and answers
+        assert demand(held_f, overflow).mask == 4 and supply(held_f, overflow).mask == 3
+
+    def test_sub_ulp_supply_winner_is_exact(self):
+        # at prices (1, 1), {1} gains 2/3 and {2} less than an ulp below it:
+        # in floats the two tie and the tie goes to {2}, the higher cost
+        low = Fraction(1, 3)
+        ctab = [Fraction(0), low, low + Fraction(1, 3 << 60), Fraction(2)]
+        c = SetFunctionOracle(2, table=ctab)
+        assert float(1 - ctab[1]) == float(1 - ctab[2])
+        assert supply(c, [1.0, 1.0]).mask == brute_exact_query("supply", ctab, [1, 1]) == 1
 
     def test_best_response_tie_prefers_higher_f(self):
         # two sets with equal utility at alpha = 1/2: {1} (f=2,c=1) and {2} (f=4,c=2)

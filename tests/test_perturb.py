@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from operator import add, sub
 
 import hypothesis.strategies as st
 import pytest
@@ -25,7 +26,7 @@ from contractlab.perturb import (
     make_perturbed,
     valid_k_range,
 )
-from contractlab.reals import RealContext
+from contractlab.reals import MpfTable, RealContext
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
@@ -218,6 +219,40 @@ class TestKeptBudget:
         budget = epsilon_bound(build_equal_revenue_supmod_c(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget.epsilon_max = 1
+
+
+def tuple_member_body(base, direction, k, epsilon):
+    """A member's table as _perturbed built it for every base before a
+    member of an MpfTable base was held as ints: the base's entries, entry
+    k shifted in the working precision."""
+    side, shift = ("f", add) if direction == REWARD_BONUS else ("c", sub)
+    with base.ctx.workprec():
+        tab = list(getattr(base, side).value_table())
+        tab[k] = shift(tab[k], epsilon)
+    return tab
+
+
+def typed(table):
+    return [(type(v), getattr(v, "_mpf_", v)) for v in table]
+
+
+class TestMemberTables:
+    @pytest.mark.parametrize("n, bits", [(n, None) for n in range(3, 9)] + [(6, 192), (8, 360)])
+    def test_members_equal_the_tuple_body(self, n, bits):
+        if bits is None:
+            base, side = build_equal_revenue_supmod_c(n), "c"
+        else:
+            base, side = build_equal_revenue_submod_f(n, precision_bits=bits), "f"
+        direction = perturb._direction(base)
+        for fam in family_iterator(base):
+            member = getattr(fam.instance, side).table
+            assert isinstance(member, MpfTable)
+            assert typed(member) == typed(tuple_member_body(base, direction, fam.k, fam.epsilon))
+        # a float epsilon: an mpf entry stays an mpf, a Fraction one turns float
+        k, eps = 3, float(fam.epsilon) / 3
+        member = getattr(perturb._perturbed(base, direction, k, eps).instance, side).table
+        assert isinstance(member, MpfTable) == (bits is not None)
+        assert typed(member) == typed(tuple_member_body(base, direction, k, eps))
 
 
 class TestPerturbedInstances:

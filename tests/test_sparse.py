@@ -1,8 +1,10 @@
 """Approximate argmax sets, ambiguity structure, and oracle simulation."""
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +14,9 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
 )
 from contractlab.core import (
+    QueryLedger,
     SetFunctionOracle,
+    additive_table,
     demand,
     demand_prices_for_contract,
     supply,
@@ -20,6 +24,7 @@ from contractlab.core import (
 )
 from contractlab.perturb import REWARD_BONUS, epsilon_bound, family_iterator
 from contractlab.reals import exact
+from contractlab.solver import chain_alphas
 from contractlab.sparse import (
     ambiguity_intervals,
     approx_best_response,
@@ -36,11 +41,82 @@ from contractlab.sparse import (
 )
 
 from conftest import (
+    brute_exact_approx,
+    brute_exact_query,
+    brute_exact_utilities,
     instance_from_tables,
     monotone_instance_tables,
     price_vectors,
     real_monotone_instance_tables,
 )
+
+
+@st.composite
+def held_tables(draw, max_n=6):
+    """(n, oracle) whose table is held as ints: a rational MpfTable over any
+    scale, an mpf one over a power of two, or a table of Fractions.  Small
+    values on coarse scales, so utilities often tie."""
+    n = draw(st.integers(1, max_n))
+    ints = draw(st.lists(st.integers(-12, 40), min_size=1 << n, max_size=1 << n))
+    how = draw(st.sampled_from(("rational", "mpf", "fractions")))
+    if how == "rational":
+        scaled = (ints, draw(st.sampled_from((1, 3, 4, 6, 10))), True)
+        return n, SetFunctionOracle(n, scaled=scaled)
+    if how == "mpf":
+        return n, SetFunctionOracle(n, scaled=(ints, 1 << draw(st.integers(0, 4)), False))
+    den = draw(st.sampled_from((1, 2, 3, 8)))
+    return n, SetFunctionOracle(n, table=[Fraction(v, den) for v in ints])
+
+
+@st.composite
+def real_numbers(draw):
+    """A float, Fraction or mpf near a coarse grid point or anywhere in
+    [-1, 10]; a float or mpf is that value rounded to 53 bits."""
+    value = draw(st.one_of(
+        st.integers(-8, 80).map(lambda k: Fraction(k, 8)),
+        st.integers(-3, 30).map(lambda k: Fraction(k, 3)),
+        st.floats(-1, 10).map(Fraction),
+    ))
+    kind = draw(st.sampled_from(("float", "Fraction", "mpf")))
+    if kind == "Fraction":
+        return value
+    return float(value) if kind == "float" else mpmath.mpf(float(value))
+
+
+class TestExactScoring:
+    """Demand, supply and sigma-approximate sets on tables held as ints are
+    the exact argmax and exact cut, whatever the prices' and sigma's types."""
+
+    @given(held_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_equal_the_exact_argmax(self, held, data):
+        n, oracle = held
+        prices = [data.draw(real_numbers()) for _ in range(n)]
+        tab = list(oracle.table)
+        for kind, query, approx in (("demand", demand, approx_demand),
+                                    ("supply", supply, approx_supply)):
+            assert query(oracle, prices).mask == brute_exact_query(kind, tab, prices)
+            util, _ = brute_exact_utilities(kind, tab, prices)
+            sigma = data.draw(st.one_of(
+                real_numbers(),
+                st.integers(0, (1 << n) - 1).map(lambda m: max(util) - util[m]),  # on a set
+            ))
+            want = brute_exact_approx(kind, tab, prices, sigma)
+            assert approx(oracle, prices, sigma).masks() == want
+
+    def test_non_finite_prices_refused_before_any_query(self):
+        for base in (build_equal_revenue_submod_f(3), build_equal_revenue_supmod_c(3)):
+            (fam,) = [m for m in family_iterator(base) if m.k == 5]
+            side = "f" if base.c.weights is not None else "c"
+            simulate = simulate_demand_by_values if side == "f" else simulate_supply_by_values
+            public, hidden = getattr(base, side), getattr(fam.instance, side)
+            for prices in ([math.nan] * 3, [1.0, math.inf, 0.1], [mpmath.mpf("nan"), 1, 1]):
+                for approx in (approx_demand, approx_supply):
+                    with pytest.raises(ValueError, match="prices must be finite"):
+                        approx(public, prices, fam.epsilon)
+                with pytest.raises(ValueError, match="prices must be finite"):
+                    simulate(public, hidden, prices, fam.epsilon)
+            assert public.ledger == hidden.ledger == QueryLedger()
 
 
 class TestApproxArgmax:
@@ -217,6 +293,54 @@ class TestSimulation:
         prices = demand_prices_for_contract(base.c, base.meta["alpha_table"][3])
         _, used = simulate_demand_by_values(base.f, hidden, prices, eps, base.ctx)
         assert hidden.ledger.value_queries == used
+
+
+def rounded_scores(kind, tab, prices, ctx):
+    """The utilities in the table's own arithmetic, as demand and supply
+    scored every table before tables held as ints were scored exactly."""
+    with ctx.workprec():
+        psum = additive_table(list(prices))
+        if kind == "demand":
+            return [v - p for v, p in zip(tab, psum)]
+        return [p - v for v, p in zip(tab, psum)]
+
+
+class TestSimulationRuns:
+    """Every (member, price vector) of a demand-sim or supply-sim run, drawn
+    as cli._experiment_sim draws them: the simulation answers the exact
+    query and reads as many values as when every table was scored in its
+    own arithmetic."""
+
+    @pytest.mark.parametrize("role, n, bits", [
+        ("demand", 4, 53), ("demand", 6, 53), ("demand", 4, 192), ("demand", 6, 192),
+        ("supply", 4, 53), ("supply", 6, 53),
+    ])
+    def test_simulation_is_the_exact_query(self, role, n, bits):
+        if role == "demand":
+            base = build_equal_revenue_submod_f(n, precision_bits=bits)
+            side, simulate, query = "f", simulate_demand_by_values, demand
+            prices_for, partner = demand_prices_for_contract, base.c
+        else:
+            base = build_equal_revenue_supmod_c(n)
+            side, simulate, query = "c", simulate_supply_by_values, supply
+            prices_for, partner = supply_prices_for_contract, base.f
+        public, ctx = getattr(base, side), base.ctx
+        public_tab, rng, counts = tuple(public.table), random.Random(0), {}
+        with ctx.workprec():
+            breakpoint_prices = [prices_for(partner, a) for a in chain_alphas(base) if a > 0]
+        for fam in family_iterator(base):
+            hidden = getattr(fam.instance, side)
+            price_sets = breakpoint_prices + [random_prices(n, rng) for _ in range(2)]
+            for prices in price_sets:
+                got, used = simulate(public, hidden, prices, fam.epsilon, ctx)
+                assert got == query(hidden, prices, ctx)
+                key = tuple(map(exact, prices))
+                if key not in counts:
+                    util = rounded_scores(role, public_tab, prices, ctx)
+                    with ctx.workprec():
+                        cut = max(util) - fam.epsilon
+                    counts[key] = sum(u >= cut for u in util)
+                assert used == counts[key]
 
 
 class TestRandomPrices:
