@@ -64,11 +64,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .solver import enumerate_breakpoints, fptas, optimal_contract
+    from .solver import csv_rows, enumerate_breakpoints, fptas, optimal_contract
 
     inst = _load(args)
     if args.format == "csv":
-        _emit(dump_csv(enumerate_breakpoints(inst, method=args.method).csv_rows()), args.out)
+        _emit(dump_csv(csv_rows(enumerate_breakpoints(inst, method=args.method))), args.out)
         return 0
     sol = optimal_contract(inst)
     report = {

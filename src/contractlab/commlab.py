@@ -39,7 +39,7 @@ from .core import (
     derived,
 )
 from .constructions import ConstructionIntegrityError, marginal_margins
-from .reals import exact
+from .reals import MpfTable, exact
 from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
 
@@ -279,10 +279,9 @@ def build_perturbed_cost(base: ContractInstance, delta, variant: str) -> Contrac
         fs.append((b + isqrt(b * b - 4 * scale * prev)) >> 1)
     if fs[-1] > 2 * f_max * scale:
         raise ConstructionIntegrityError("re-solved rewards left the grid's bound")
-    f = SetFunctionOracle(
-        base.n, scaled=(fs, scale, True), declared_class="submodular", name="resolved_reward"
-    )
-    c = SetFunctionOracle(base.n, scaled=(cs, scale, True), declared_class=cls, name="perturbed_cost")
+    ftab, ctab = MpfTable(fs, scale, True), MpfTable(cs, scale, True)
+    f = SetFunctionOracle(base.n, table=ftab, declared_class="submodular", name="resolved_reward")
+    c = SetFunctionOracle(base.n, table=ctab, declared_class=cls, name="perturbed_cost")
     inst = ContractInstance(n=base.n, f=f, c=c, ctx=base.ctx, name=f"{base.name} c~")
     inst.meta["kind"] = "cc_perturbed_cost"
     inst.meta["delta"] = Fraction(d, scale)
@@ -316,12 +315,9 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     for t in range(1, base.size):
         # floor(c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1))) in grid units
         cs.append(cs[-1] + (fs[t] - scale) * (fs[t] - fs[t - 1]) // fs[t])
-    f = SetFunctionOracle(
-        n, scaled=(fs, scale, True), declared_class="supermodular", name="perturbed_reward"
-    )
-    c = SetFunctionOracle(
-        n, scaled=(cs, scale, True), declared_class="supermodular", name="resolved_cost"
-    )
+    ftab, ctab = MpfTable(fs, scale, True), MpfTable(cs, scale, True)
+    f = SetFunctionOracle(n, table=ftab, declared_class="supermodular", name="perturbed_reward")
+    c = SetFunctionOracle(n, table=ctab, declared_class="supermodular", name="resolved_cost")
     inst = ContractInstance(n=n, f=f, c=c, ctx=base.ctx, name=f"{base.name} f~")
     inst.meta["kind"] = "cc_perturbed_reward"
     inst.meta["delta"] = Fraction(d, scale)
@@ -573,12 +569,9 @@ def build_augmented(
             chat[size + t] = parts.c_half[i]
     f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
     c_cls = "submodular" if variant == "sub-sub" else "supermodular"
-    fhat_o = SetFunctionOracle(
-        n + 1, scaled=(fhat, parts.f_scale, True), declared_class=f_cls, name="augmented_reward"
-    )
-    chat_o = SetFunctionOracle(
-        n + 1, scaled=(chat, parts.c_scale, True), declared_class=c_cls, name="augmented_cost"
-    )
+    ftab, ctab = MpfTable(fhat, parts.f_scale, True), MpfTable(chat, parts.c_scale, True)
+    fhat_o = SetFunctionOracle(n + 1, table=ftab, declared_class=f_cls, name="augmented_reward")
+    chat_o = SetFunctionOracle(n + 1, table=ctab, declared_class=c_cls, name="augmented_cost")
     # exact tables: the default context's tolerance compares with Fractions
     inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
     inst.meta["kind"] = f"cc_augmented_{variant}"

@@ -34,6 +34,7 @@ from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .core import derived
 from .reals import (
     DEFAULT_BITS,
+    MpfTable,
     RealContext,
     add_nearest,
     dyadic_ints,
@@ -142,13 +143,11 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
         alphas.append(alpha)
     if not alphas[-1] < 1:  # exact in either representation
         raise PrecisionError("critical values exceed 1; increase precision")
-    table, scaled = ftab, None
+    table = ftab
     if not ctx.native:
         ints, k = dyadic_ints(*zip(*ftab))
-        table, scaled = None, (ints, 1 << k, False)
-    f = SetFunctionOracle(
-        n, table=table, scaled=scaled, declared_class="submodular", name="equal_revenue_reward"
-    )
+        table = MpfTable(ints, 1 << k, False)
+    f = SetFunctionOracle(n, table=table, declared_class="submodular", name="equal_revenue_reward")
     c = SetFunctionOracle(
         n,
         weights=[1 << (i - 1) for i in range(1, n + 1)],
@@ -161,32 +160,30 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
     return inst
 
 
-def supmod_c_cost_fractions(n: int) -> list[Fraction]:
-    """c_0 = 0, c_t = c_(t-1) + (t-1)/t, as exact rationals."""
-    size = 1 << n
-    ctab = [Fraction(0)]
-    for t in range(1, size):
-        ctab.append(ctab[-1] + Fraction(t - 1, t))
-    return ctab
-
-
 def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     """Equal-revenue instance with additive reward, strictly supermodular cost.
 
     f_i = 2^(i-1) so f(S_t) = t; costs and critical values alpha_t = (t-1)/t
-    are exact rationals end to end.
+    are exact rationals end to end.  The cost c_0 = 0,
+    c_t = c_(t-1) + (t-1)/t is summed as ints over L = lcm(1..2^n - 1),
+    c_t L = c_(t-1) L + (t-1) (L / t), and handed over as their rational
+    reals.MpfTable; L is the least common denominator of the c_t.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError("n out of range")
     size = 1 << n
-    ctab = supmod_c_cost_fractions(n)
+    scale = math.lcm(*range(1, size))
+    ints = [0]
+    for t in range(1, size):
+        ints.append(ints[-1] + (t - 1) * (scale // t))
     f = SetFunctionOracle(
         n,
         weights=[1 << (i - 1) for i in range(1, n + 1)],
         declared_class="additive",
         name="binary_weights_reward",
     )
-    c = SetFunctionOracle(n, table=ctab, declared_class="supermodular", name="equal_revenue_cost")
+    cost = MpfTable(ints, scale, True)
+    c = SetFunctionOracle(n, table=cost, declared_class="supermodular", name="equal_revenue_cost")
     inst = ContractInstance(n=n, f=f, c=c, name=f"equal_revenue_supmod_c(n={n})")
     inst.meta["kind"] = "equal_revenue_supmod_c"
     # S_1's alpha is the int 0, as solver.critical_values reports it

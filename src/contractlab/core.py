@@ -78,15 +78,12 @@ class SetFunctionOracle:
     The oracle always holds its full 2^n table, read-only, so no entry can
     change under a hull or a scaled form built from it.  Query
     instrumentation lives in the attached ledger.  Exactly one of
-    ``table``, ``weights`` and ``scaled`` must be given:
-      table      -- list of 2^n values indexed by subset index, kept as a
-                    tuple, or as a rational reals.MpfTable of its ints when
-                    every entry is a Fraction,
-      weights    -- per-action values of an additive function (w[i-1] for i),
-      scaled     -- (ints, scale, rational): a table built as ints over one
-                    scale, kept as they are; the table is their
-                    reals.MpfTable, of Fractions over any positive scale
-                    when rational, else of mpfs over a power of two.
+    ``table`` and ``weights`` must be given:
+      table      -- a reals.MpfTable, kept as it is (a table built as ints
+                    over one scale), or a list of 2^n values indexed by
+                    subset index, kept as a tuple, or as a rational
+                    MpfTable of its ints when every entry is a Fraction,
+      weights    -- per-action values of an additive function (w[i-1] for i).
     """
 
     def __init__(
@@ -98,14 +95,13 @@ class SetFunctionOracle:
         declared_class: str = "general-monotone",
         name: str = "",
         ledger: QueryLedger | None = None,
-        scaled: tuple | None = None,
     ):
         if not (1 <= n <= MAX_N):
             raise ValueError(f"ground-set size must be in [1, {MAX_N}], got {n}")
         if declared_class not in DECLARED_CLASSES:
             raise ValueError(f"unknown declared_class {declared_class!r}")
-        if (table is None) + (weights is None) + (scaled is None) != 2:
-            raise ValueError("exactly one of table, weights, scaled required")
+        if (table is None) == (weights is None):
+            raise ValueError("exactly one of table, weights required")
         self.n = n
         self.declared_class = declared_class
         self.name = name
@@ -118,11 +114,6 @@ class SetFunctionOracle:
             table = additive_table(self.weights)
             if all(type(w) is int for w in self.weights):
                 table = self._int_sums = tuple(table)  # int sums are their own scaled form
-        elif scaled is not None:
-            ints, scale, rational = scaled
-            if scale < 1 or not rational and scale & (scale - 1):
-                raise ValueError("scaled ints need a positive scale, a power of two for mpfs")
-            table = MpfTable(ints, scale, rational)
         if not isinstance(table, MpfTable):
             table = tuple(table)
             if all(type(v) is Fraction for v in table):  # held as its ints; a mix stays a tuple

@@ -157,7 +157,7 @@ def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> Pertu
         scale = math.lcm(tab.scale, q)  # a power of two stays one
         ints = [v * (scale // tab.scale) for v in tab.ints]
         ints[k] = p * (scale // q)
-        new = SetFunctionOracle(base.n, scaled=(ints, scale, tab.rational), **labels)
+        new = SetFunctionOracle(base.n, table=MpfTable(ints, scale, tab.rational), **labels)
     else:
         body = list(tab)
         body[k] = entry

@@ -209,6 +209,8 @@ class MpfTable:
     __slots__ = ("ints", "scale", "rational", "_entry", "_arg")
 
     def __init__(self, ints, scale: int, rational: bool):
+        if scale < 1 or not rational and scale & (scale - 1):
+            raise ValueError("an MpfTable needs a positive scale, a power of two for mpfs")
         self.ints = tuple(ints)
         self.scale = scale
         self.rational = rational

@@ -44,11 +44,16 @@ def number_to_str(x) -> str:
 
 
 def number_from_str(s: str):
+    """The number number_to_str wrote as s.  A hex float out of float range
+    raises ValueError."""
     if not isinstance(s, str):
         raise TypeError(f"numbers are written as strings, got {s!r}")
     s = s.strip()
     if s.startswith(("0x", "-0x")):
-        return float.fromhex(s)
+        try:
+            return float.fromhex(s)
+        except OverflowError:
+            raise ValueError(f"{s} is out of float range") from None
     if "/" in s:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
@@ -72,12 +77,12 @@ def _mpf_strings(tab: MpfTable) -> list[str]:
     return out
 
 
-def _mpf_scaled(values):
-    """(ints, 2^k, False), SetFunctionOracle's scaled form, of a table whose
-    every entry is an "m p e" string, read as number_from_str reads it, the
-    ints on one power of two (reals.dyadic_ints); None when some entry does
-    not parse so, which leaves the table to number_from_str, entry by
-    entry, to parse or refuse."""
+def _mpf_table(values):
+    """The MpfTable of a table whose every entry is an "m p e" string, read
+    as number_from_str reads it, the ints on one power of two
+    (reals.dyadic_ints); None when some entry does not parse so, which
+    leaves the table to number_from_str, entry by entry, to parse or
+    refuse."""
     mans, exps = [], []
     try:
         for s in values:
@@ -87,7 +92,7 @@ def _mpf_scaled(values):
     except (AttributeError, ValueError):
         return None
     ints, k = dyadic_ints(mans, exps)
-    return ints, 1 << k, False
+    return MpfTable(ints, 1 << k, False)
 
 
 def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
@@ -105,10 +110,18 @@ def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
     return d
 
 
+def _entries(d: dict, key: str) -> list:
+    """d[key], which must be a JSON list."""
+    entries = d[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list, not {type(entries).__name__}")
+    return entries
+
+
 def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
     kind = d["kind"]
     if kind == "additive":
-        weights = [number_from_str(w) for w in d["weights"]]
+        weights = [number_from_str(w) for w in _entries(d, "weights")]
         if any(w < 0 for w in weights):
             raise ValueError("an additive oracle with a negative weight is not monotone")
         return SetFunctionOracle(
@@ -118,13 +131,11 @@ def _oracle_from_dict(n: int, d: dict) -> SetFunctionOracle:
             name=d.get("name", ""),
         )
     if kind == "table":
-        values = d["values"]
-        scaled = _mpf_scaled(values)
-        table = [number_from_str(v) for v in values] if scaled is None else None
+        values = _entries(d, "values")
+        table = _mpf_table(values) or [number_from_str(v) for v in values]
         return SetFunctionOracle(
             n,
             table=table,
-            scaled=scaled,
             declared_class=d.get("declared_class", "general-monotone"),
             name=d.get("name", ""),
         )
@@ -155,9 +166,11 @@ def instance_from_dict(d: dict) -> ContractInstance:
     """The instance a dict of instance_to_dict's form describes.  Refuses,
     with ValueError, an additive oracle with a negative weight, a cost with
     c(empty set) != 0, and (ContractInstance) tables that mix mpf and
-    Fraction entries; f(empty set) may be anything (the submodular
-    equal-revenue chain starts at 1)."""
+    Fraction entries, and an n that is not an int; f(empty set) may be
+    anything (the submodular equal-revenue chain starts at 1)."""
     n = d["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, not {n!r}")
     if d.get("tie_break", TIE_BREAK_RULE) != TIE_BREAK_RULE:
         raise ValueError(f"unsupported tie_break rule {d['tie_break']!r}")
     ctx = RealContext(bits=d.get("precision_bits", 53))

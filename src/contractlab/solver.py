@@ -42,30 +42,15 @@ class Breakpoint:
             return self.alpha * self.f_value - self.c_value
 
 
-@dataclass
-class BreakpointTable:
-    instance: ContractInstance
-    breakpoints: list[Breakpoint] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.breakpoints)
-
-    def __iter__(self):
-        return iter(self.breakpoints)
-
-    def __getitem__(self, i):
-        return self.breakpoints[i]
-
-    def csv_rows(self):
-        """Rows t, alpha, set_mask, f, c, agent_utility, principal_utility;
-        numbers written losslessly, as in the JSON report."""
-        header = ("t", "alpha", "set_mask", "f", "c", "agent_utility", "principal_utility")
-        rows = [header]
-        for b in self.breakpoints:
-            values = (b.alpha, b.f_value, b.c_value, b.agent_utility, b.principal_utility)
-            alpha, f, c, agent, principal = map(number_to_str, values)
-            rows.append((b.position, alpha, b.aset.mask, f, c, agent, principal))
-        return rows
+def csv_rows(breakpoints: list[Breakpoint]) -> list[tuple]:
+    """Rows t, alpha, set_mask, f, c, agent_utility, principal_utility;
+    numbers written losslessly, as in the JSON report."""
+    rows = [("t", "alpha", "set_mask", "f", "c", "agent_utility", "principal_utility")]
+    for b in breakpoints:
+        values = (b.alpha, b.f_value, b.c_value, b.agent_utility, b.principal_utility)
+        alpha, f, c, agent, principal = map(number_to_str, values)
+        rows.append((b.position, alpha, b.aset.mask, f, c, agent, principal))
+    return rows
 
 
 def _make_breakpoint(inst, position, alpha, mask, ftab, ctab) -> Breakpoint:
@@ -98,7 +83,8 @@ def _critical_alpha(hull, j, ftab, ctab):
 def _chain(hull) -> range:
     """The hull edges j whose slopes are critical values, each reaching
     vertices[j + 1]: from the alpha = 0 best response, vertices[index(0)],
-    up to the first slope >= 1, both decided exactly."""
+    up to the first slope >= 1, both decided exactly.  Every slope past
+    index(0) is > 0, so each chain edge has dC > 0 as well as dF > 0."""
     end = hull.index(1)
     if end and hull.nums[end - 1] * hull.f_scale == hull.dens[end - 1] * hull.c_scale:
         end -= 1  # slope exactly 1
@@ -147,9 +133,11 @@ def chain_alphas(inst: ContractInstance) -> list:
     return derived(inst, "chain", _derive_chain)
 
 
-def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> BreakpointTable:
-    """All critical values of the instance, in increasing order, with their
-    sets, f and c values and both utilities, all from the tables' own entries.
+def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> list[Breakpoint]:
+    """All critical values of the instance, in strictly increasing order,
+    with their sets, f and c values and both utilities, all from the tables'
+    own entries.  The order is LowerHull.build's: along _chain the slopes
+    rise strictly and f and c rise with them (dF > 0, dC > 0).
 
     The (alpha, mask) pairs are critical_values(inst): the hull is built once
     per instance in O(n 2^n) and shared with core.best_response.  Each
@@ -164,35 +152,10 @@ def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> Break
     masks = hull.vertices[edges.start : edges.stop + 1]
     fs, cs = ({m: tab[m] for m in masks} for tab in (inst.f.table, inst.c.table))
     with inst.ctx.workprec():
-        bps = [
+        return [
             _make_breakpoint(inst, pos, alpha, mask, fs, cs)
             for pos, (alpha, mask) in enumerate(critical_values(inst, fs, cs))
         ]
-    table = BreakpointTable(inst, bps)
-    _check_table_invariants(table)
-    return table
-
-
-def _check_table_invariants(table: BreakpointTable) -> None:
-    bps = table.breakpoints
-    if not bps:
-        raise AssertionError("breakpoint table cannot be empty")
-    if not bps[0].alpha == 0:
-        raise AssertionError("first breakpoint must have alpha = 0")
-    if len(bps) > table.instance.size:
-        raise AssertionError("more breakpoints than subsets")
-    # a float or mpf table's alphas are rounded quotients, so two critical
-    # values whose exact slopes differ may round to one alpha: the strict
-    # rise of alpha is checked on the hull edges' exact ints instead
-    hull = lower_hull(table.instance)
-    edges = _chain(hull)
-    nums, dens = hull.nums[edges.start : edges.stop], hull.dens[edges.start : edges.stop]
-    rising = all(pn * den < num * pd for pn, pd, num, den in zip(nums, dens, nums[1:], dens[1:]))
-    if not rising or len(nums) + 1 != len(bps):
-        raise AssertionError("alpha, f, c must be strictly increasing along the table")
-    for a, b in zip(bps, bps[1:]):
-        if not (a.f_value < b.f_value and a.c_value < b.c_value):
-            raise AssertionError("alpha, f, c must be strictly increasing along the table")
 
 
 @dataclass
@@ -232,18 +195,12 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
     big_f = hull.f0 + sum(hull.dens[:k])
     best, bn, bd = 0, big_f * s_c, 1
     scores = [(bn, bd)]  # s_f s_c (1 - alpha_t) f(S_t) as a numerator, denominator pair
-    pn, pd = 0, 1  # the previous edge's dC, dF: alpha 0 at t = 0
     for num, den in zip(hull.nums[k:end], hull.dens[k:end]):
-        # c rises with f wherever the slope dC / dF is positive, which
-        # alpha > alpha_0 = 0 makes it
-        if not (pn * den < num * pd and den > 0):
-            raise AssertionError("alpha, f, c must be strictly increasing along the table")
         big_f += den
         sn = (den * s_c - num * s_f) * big_f
         if sn * bd > bn * den:  # equal ties: the smaller alpha wins
             best, bn, bd = len(scores), sn, den
         scores.append((sn, den))
-        pn, pd = num, den
     tp, tq = ratio(inst.ctx.maximizer_tolerance)
     ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq  # the max less s_f s_c tau
     q1 = ln // ld + 1  # sn / sd >= ln / ld on q = floor(ln / ld), see above

@@ -9,7 +9,7 @@ what lets a handful of value queries simulate a demand query.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import (
     ActionSet,
@@ -97,13 +97,13 @@ class SigmaBound:
     sigma: object
 
 
-def _adjacent_pair_min(base, first, gap) -> SigmaBound:
-    """Half the least gap(alpha_l, alpha_(l+1)) over l >= first; a gap of None
-    skips its pair.  ValueError when no pair is left, as on the two-set
-    chain of n = 1."""
+def _adjacent_pair_min(base, gap) -> SigmaBound:
+    """Half the least gap(alpha_l, alpha_(l+1)) over the chain's adjacent
+    pairs; a gap of None skips its pair.  ValueError when no pair is left,
+    as on the two-set chain of n = 1."""
     alphas = chain_alphas(base)
     with base.ctx.workprec():
-        gaps = [gap(alphas[l], alphas[l + 1]) for l in range(first, len(alphas) - 1)]
+        gaps = list(map(gap, alphas, alphas[1:]))
         halves = [g / 2 for g in gaps if g is not None]
         if not halves:
             raise ValueError("no adjacent pair of critical values bounds sigma")
@@ -118,12 +118,12 @@ def sigma_bound_demand(base) -> SigmaBound:
     minimum is realized at an adjacent pair (property-tested against the
     full quadratic scan).  Pairs from a nonpositive alpha_l are skipped.
     """
-    return _adjacent_pair_min(base, 1, lambda lo, hi: 1 / lo - 1 / hi if lo > 0 else None)
+    return _adjacent_pair_min(base, lambda lo, hi: 1 / lo - 1 / hi if lo > 0 else None)
 
 
 def sigma_bound_supply(base) -> SigmaBound:
     """Mirror bound sigma < min over l < h of (alpha_h - alpha_l) / 2."""
-    return _adjacent_pair_min(base, 0, lambda lo, hi: hi - lo)
+    return _adjacent_pair_min(base, lambda lo, hi: hi - lo)
 
 
 @dataclass
@@ -240,18 +240,11 @@ class ExperimentStats:
         )
 
     def as_dict(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "strategy": "scan",
-            "seed": self.seed,
-            "mean_queries": self.mean_queries,
-            "stderr": self.stderr,
-            "exact_expectation": self.exact_expectation,
-            "lower_bound": self.lower_bound,
-            "identified_all": self.identified_all,
-            "ok": self.ok,
-        }
+        """The fields (asdict), with strategy after trials, as the CSV
+        report's columns run, and ok last."""
+        d = asdict(self)
+        n, trials = d.pop("n"), d.pop("trials")
+        return {"n": n, "trials": trials, "strategy": "scan", **d, "ok": self.ok}
 
 
 def value_query_experiment(base, trials: int, seed: int | None = 0) -> ExperimentStats:

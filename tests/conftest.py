@@ -132,6 +132,15 @@ def strictly_of_class(oracle) -> bool:
     return verify_structure(oracle).ok and (margin is None or margin > 0)
 
 
+def supmod_c_cost_fractions(n: int) -> list[Fraction]:
+    """The supermodular equal-revenue cost as exact rationals, by its
+    recurrence: c_0 = 0, c_t = c_(t-1) + (t-1)/t."""
+    ctab = [Fraction(0)]
+    for t in range(1, 1 << n):
+        ctab.append(ctab[-1] + Fraction(t - 1, t))
+    return ctab
+
+
 # --- instance factories ------------------------------------------------------
 
 
@@ -258,6 +267,17 @@ def mixed_pairwise_tables(draw, max_n=4):
                 v = v + q[i, j]
         table.append(v)
     return n, table
+
+
+@st.composite
+def non_monotone_tables(draw, max_n=4):
+    """(n, ftab, ctab) of ints and Fractions drawn entry by entry, negative
+    ones and c(empty) != 0 included: tables no construction makes, which
+    an instance file may still hold."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    size = 1 << n
+    entries = st.lists(mixed_rationals(-6, 6), min_size=size, max_size=size)
+    return n, draw(entries), draw(entries)
 
 
 @st.composite

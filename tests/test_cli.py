@@ -581,6 +581,25 @@ class TestMalformedInput:
         data["c"] = {"kind": "table", "values": values, "declared_class": "additive"}
         self.assert_refused(data, "cost of the empty set must be 0")
 
+    @pytest.mark.parametrize("side, key", [("f", "values"), ("c", "weights")])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_hex_float_out_of_float_range_refused(self, side, key, sign):
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        data[side][key][1] = f"{sign}0x1p+2000"
+        self.assert_refused(data, "out of float range")
+
+    @pytest.mark.parametrize("side, key, text", [("f", "values", "01"), ("c", "weights", "1")])
+    def test_a_string_in_place_of_a_list_refused(self, side, key, text):
+        # read character by character, the string would be a table of n = 1
+        data = json.loads(run_construct("equal_revenue_submod_f", 1))
+        data[side][key] = text
+        self.assert_refused(data, f"{key} must be a list")
+
+    def test_a_bool_n_refused(self):
+        data = json.loads(run_construct("equal_revenue_submod_f", 1))
+        data["n"] = True  # True == 1, so every range and length check passes
+        self.assert_refused(data, "n must be an int")
+
     @staticmethod
     def extended_precision_data() -> dict:
         """The n=3 submodular chain at 192 bits, f as "m p e" strings, and

@@ -21,12 +21,11 @@ from contractlab.constructions import (
     MAX_RECORDED,
     default_grid_bits,
     marginal_margins,
-    supmod_c_cost_fractions,
     verify_equal_revenue,
     verify_structure,
 )
-from contractlab.core import DECLARED_CLASSES, SetFunctionOracle
-from contractlab.reals import RealContext, exact
+from contractlab.core import DECLARED_CLASSES, SetFunctionOracle, _scaled_ints
+from contractlab.reals import MpfTable, RealContext, exact
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
@@ -36,6 +35,7 @@ from conftest import (
     mixed_pairwise_tables,
     mixed_rationals,
     strictly_of_class,
+    supmod_c_cost_fractions,
 )
 
 # frozen goldens, derived once from the closed forms and pinned
@@ -179,12 +179,21 @@ class TestIntRecurrences:
 
 class TestSupmodCBase:
     def test_n2_cost_column(self):
-        assert supmod_c_cost_fractions(2) == [
+        assert list(build_equal_revenue_supmod_c(2).c.table) == [
             Fraction(0),
             Fraction(0),
             Fraction(1, 2),
             Fraction(7, 6),
         ]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cost_ints_are_the_fraction_recurrence(self, n):
+        # summed as ints over lcm(1..2^n - 1): the same ints and scale as
+        # the exact Fractions of the recurrence, over their own LCM
+        ints, scale, rational = _scaled_ints(supmod_c_cost_fractions(n))
+        assert rational and build_equal_revenue_supmod_c(n).c.held_ints() == (
+            tuple(ints), scale, True
+        )
 
     def test_alphas_are_t_minus_1_over_t(self):
         inst = build_equal_revenue_supmod_c(3)
@@ -467,7 +476,7 @@ class TestExactStructureCheckOnRoundedTables:
     @pytest.mark.parametrize("cls", ["submodular", "supermodular"])
     def test_mpf_report_independent_of_ambient_precision(self, cls):
         inst = build_equal_revenue_submod_f(4, precision_bits=192)
-        f = SetFunctionOracle(4, scaled=inst.f.scaled(), declared_class=cls)
+        f = SetFunctionOracle(4, table=MpfTable(*inst.f.scaled()), declared_class=cls)
         reports = []
         for prec in (53, 400):
             with mpmath.workprec(prec):

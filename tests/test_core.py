@@ -31,7 +31,6 @@ from contractlab.cli import main
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
-    supmod_c_cost_fractions,
     verify_structure,
 )
 from contractlab import core, reals, solver
@@ -49,8 +48,10 @@ from conftest import (
     instance_from_tables,
     mixed_monotone_instance_tables,
     monotone_instance_tables,
+    non_monotone_tables,
     price_vectors,
     real_monotone_instance_tables,
+    supmod_c_cost_fractions,
 )
 
 
@@ -196,28 +197,24 @@ class TestMpfTable:
             # on the scale core._scaled_ints gives the same mpfs
             assert (list(ints), scale, False) == core._scaled_ints(tuple(tab))
 
-    def test_scaled_needs_a_positive_scale_a_power_of_two_for_mpfs(self):
+    def test_mpf_table_needs_a_positive_scale_a_power_of_two_for_mpfs(self):
         for scaled in (([1, 2], 3, False), ([1, 2], 0, False), ([1, 2], 0, True), ([1, 2], -3, True)):
-            with pytest.raises(ValueError):
-                SetFunctionOracle(1, scaled=scaled)
-        oracle = SetFunctionOracle(1, scaled=([0, 12], 8, False))
+            with pytest.raises(ValueError, match="positive scale"):
+                reals.MpfTable(*scaled)
+        oracle = SetFunctionOracle(1, table=reals.MpfTable([0, 12], 8, False))
         assert [v._mpf_ for v in oracle.value_table()] == [libmp.fzero, (0, 3, -1, 2)]
-        oracle = SetFunctionOracle(1, scaled=([0, 12], 9, True))
+        oracle = SetFunctionOracle(1, table=reals.MpfTable([0, 12], 9, True))
         assert list(oracle.value_table()) == [0, Fraction(4, 3)]
 
-    def test_exactly_one_of_table_weights_scaled(self):
-        for kwargs in (
-            {"table": [0, 1], "scaled": ([0, 1], 1, True)},
-            {"weights": [1], "scaled": ([0, 1], 1, True)},
-            {"table": [0, 1], "weights": [1]},
-            {},
-        ):
+    def test_exactly_one_of_table_weights(self):
+        held = reals.MpfTable([0, 1], 1, True)
+        for kwargs in ({"table": [0, 1], "weights": [1]}, {"table": held, "weights": [1]}, {}):
             with pytest.raises(ValueError, match="exactly one"):
                 SetFunctionOracle(1, **kwargs)
 
     def test_rational_view_equals_its_fractions(self):
         ints, scale = [0, 3, 5, 12], 6
-        oracle = SetFunctionOracle(2, scaled=(ints, scale, True))
+        oracle = SetFunctionOracle(2, table=reals.MpfTable(ints, scale, True))
         tab = oracle.value_table()
         fracs = tuple(Fraction(v, scale) for v in ints)
         assert isinstance(tab, reals.MpfTable) and tab is oracle.table
@@ -511,7 +508,8 @@ class TestHullBestResponse:
 
 class TestHullFrame:
     """The hull keeps the oracles' scaled frame: raw int differences per
-    edge, the two scales, and the scaled f of its first vertex."""
+    edge, the two scales, and the scaled f of its first vertex.  It is the
+    one place the chain's order is made: the solver checks none of it."""
 
     @given(
         st.one_of(
@@ -519,9 +517,10 @@ class TestHullFrame:
             real_monotone_instance_tables(192),
             mixed_monotone_instance_tables(),
             degenerate_hull_tables(),
+            non_monotone_tables(),
         )
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     def test_edges_are_the_exact_slopes(self, tables):
         n, ftab, ctab = tables
         hull = lower_hull(instance_from_tables(ftab, ctab))
@@ -536,6 +535,10 @@ class TestHullFrame:
             )
             big_f += hull.dens[k]
             assert big_f == fx[b] * s_f  # the cumulative f the solver scores
+        # slopes rise strictly along the hull, and every chain edge has dC > 0
+        nums, dens = hull.nums, hull.dens
+        assert all(p * d < q * e for p, e, q, d in zip(nums, dens, nums[1:], dens[1:]))
+        assert all(nums[j] > 0 for j in solver._chain(hull))
 
     def test_build_takes_no_gcd(self, monkeypatch):
         instances = (

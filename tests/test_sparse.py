@@ -23,7 +23,7 @@ from contractlab.core import (
     supply_prices_for_contract,
 )
 from contractlab.perturb import REWARD_BONUS, epsilon_bound, family_iterator
-from contractlab.reals import exact
+from contractlab.reals import MpfTable, exact
 from contractlab.solver import chain_alphas
 from contractlab.sparse import (
     ambiguity_intervals,
@@ -60,10 +60,10 @@ def held_tables(draw, max_n=6):
     ints = draw(st.lists(st.integers(-12, 40), min_size=1 << n, max_size=1 << n))
     how = draw(st.sampled_from(("rational", "mpf", "fractions")))
     if how == "rational":
-        scaled = (ints, draw(st.sampled_from((1, 3, 4, 6, 10))), True)
-        return n, SetFunctionOracle(n, scaled=scaled)
+        scale = draw(st.sampled_from((1, 3, 4, 6, 10)))
+        return n, SetFunctionOracle(n, table=MpfTable(ints, scale, True))
     if how == "mpf":
-        return n, SetFunctionOracle(n, scaled=(ints, 1 << draw(st.integers(0, 4)), False))
+        return n, SetFunctionOracle(n, table=MpfTable(ints, 1 << draw(st.integers(0, 4)), False))
     den = draw(st.sampled_from((1, 2, 3, 8)))
     return n, SetFunctionOracle(n, table=[Fraction(v, den) for v in ints])
 
@@ -195,8 +195,17 @@ class TestApproxArgmax:
 
 class TestSigmaBounds:
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_demand_adjacent_equals_pairwise_min(self, n):
-        base = build_equal_revenue_submod_f(n)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_equal_revenue_submod_f,
+            lambda n: build_equal_revenue_submod_f(n, precision_bits=192),
+            build_equal_revenue_supmod_c,
+        ],
+    )
+    def test_demand_adjacent_equals_pairwise_min(self, n, build):
+        # the pairwise min over l >= 1: the pair from alpha_0 = 0 has no gap
+        base = build(n)
         alphas = base.meta["alpha_table"]
         got = sigma_bound_demand(base)
         with base.ctx.workprec():
@@ -205,8 +214,8 @@ class TestSigmaBounds:
                 for l in range(1, len(alphas))
                 for h in range(l + 1, len(alphas))
             )
-        assert got.bound == full
-        assert got.sigma == full / 2
+            assert got.bound == full
+            assert got.sigma == full / 2
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_supply_adjacent_equals_pairwise_min(self, n):
