@@ -66,6 +66,8 @@ def cmd_construct(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import csv_rows, enumerate_breakpoints, fptas, optimal_contract
 
+    if args.format == "csv" and args.fptas is not None:  # the rows have no FPTAS column
+        raise ValueError("--format csv does not take --fptas")
     inst = _load(args)
     if args.format == "csv":
         _emit(dump_csv(csv_rows(enumerate_breakpoints(inst, method=args.method))), args.out)

@@ -459,6 +459,56 @@ def best_response(inst: ContractInstance, alpha) -> ActionSet:
     return ActionSet(inst.n, best)
 
 
+def best_response_runs(inst: ContractInstance, alphas) -> list[tuple[int, int]]:
+    """best_response at every alpha of a non-decreasing list, in runs.
+
+    Returns (stop, mask) per run of consecutive alphas with one answer:
+    alphas[start:stop] all get mask, start being the previous run's stop
+    (0 for the first).  Each run's vertex k is found by one LowerHull.index
+    bisection, and its end by galloping over the list against slope k with
+    index's exact test, dC (q s_f) <= (p s_c) dF, so an alpha exactly on
+    the slope starts the next run, at the edge's higher-f end.  With H hull
+    edges that is O(runs (log H + log run length)) exact comparisons, for
+    O(log H) per alpha one by one.  The order is not checked: on a list
+    that decreases somewhere the answers are wrong.  Charges one
+    best-response query per alpha.
+    """
+    hull = derived(inst, "hull", _build_hull)
+    verts, nums, dens = hull.vertices, hull.nums, hull.dens
+    s_f, s_c = hull.f_scale, hull.c_scale
+    total, runs, start = len(alphas), [], 0
+    while start < total:
+        k = hull.index(alphas[start])
+        if k == len(nums):  # past the last slope: one run to the end
+            runs.append((total, verts[k]))
+            break
+        c_side, f_side = nums[k] * s_f, dens[k] * s_c
+
+        def past(i):  # alphas[i] >= slope k
+            p, q = ratio(alphas[i])
+            return c_side * q <= p * f_side
+
+        # alphas[start:lo] are below slope k; stop is in [lo, hi], past(hi) or hi == total
+        lo = hi = start + 1
+        step = 1
+        while hi < total and not past(hi):
+            lo = hi + 1
+            hi = min(hi + step, total)
+            step *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if past(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        runs.append((lo, verts[k]))
+        start = lo
+    count = inst.ledger.count
+    for alpha in alphas:
+        count("best_response_queries", alpha)
+    return runs
+
+
 def demand_prices_for_contract(c: SetFunctionOracle, alpha):
     """Prices p_i = c_i / alpha turning a demand query into a best response."""
     if c.weights is None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ActionSet, ContractInstance, _argmax_with_tie_break, derived, lower_hull
+from .core import ActionSet, ContractInstance, derived, lower_hull
 from .reals import RealContext, ratio
 from .serialize import number_to_str
 
@@ -234,40 +234,56 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
     """(1 - eps)-approximation using only value and best-response oracles.
 
     Geometric grid over each singleton-cost bracket; O(n^2 / eps) queries.
+    Each grid (alpha_bracket, never decreasing) is answered in runs of one
+    best response (core.best_response_runs), and its set's f is read once
+    per run.  A run's utilities (1 - alpha) f(S) do not increase when
+    f(S) >= 0, as alpha does not decrease and rounding is monotone, so only
+    its first probe can win (ties go to the first probe) and only it is
+    scored; every probe is scored when f(S) < 0.  Every probe is still
+    charged a best response and an f value query, one QueryLedger.count
+    each.
     """
     if not (0 < eps < 1):
         raise ParameterError("eps must be in (0, 1)")
-    from .core import best_response, value
+    from .core import best_response, best_response_runs, value
 
     with inst.ctx.workprec():
         one = inst.ctx.make(1)
         # step 1: the f-maximal zero-cost set, via a best response at alpha=0
         zero = inst.ctx.make(0)
         s = best_response(inst, zero)
-        probes = [(zero, s, (one - zero) * value(inst.f, s))]
+        best_alpha, best_mask, best_util = zero, s.mask, (one - zero) * value(inst.f, s)
+        probes = 1
         # step 2: welfare optimum via a best response at alpha=1
         s_opt = best_response(inst, one)
         opt = value(inst.f, s_opt) - value(inst.c, s_opt)
         if opt > 0:
+            ftab, count = inst.f.table, inst.f.ledger.count
             for j in range(1, inst.n + 1):
                 cj = value(inst.c, ActionSet(inst.n, 1 << (j - 1)))
                 if not cj > 0:
                     continue
-                for alpha in alpha_bracket(inst, opt, cj, eps):
-                    s = best_response(inst, alpha)
-                    probes.append((alpha, s, (one - alpha) * value(inst.f, s)))
-        # equal ties: the first probe wins
-        utils = [u for _, _, u in probes]
-        best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
+                grid = alpha_bracket(inst, opt, cj, eps)
+                start = 0
+                for stop, mask in best_response_runs(inst, grid):
+                    fv = ftab[mask]
+                    for _ in range(start, stop):
+                        count("value_queries", mask)
+                    for alpha in grid[start : start + 1 if fv >= 0 else stop]:
+                        util = (one - alpha) * fv
+                        if util > best_util:  # equal ties: the first probe wins
+                            best_alpha, best_mask, best_util = alpha, mask, util
+                    start = stop
+                probes += len(grid)
 
     return FptasResult(
         alpha=best_alpha,
-        aset=best_set,
+        aset=ActionSet(inst.n, best_mask),
         principal_utility=best_util,
         # the queries made: per probe a best response and an f value, for
         # s_opt a best response and two values, and n singleton costs
-        value_queries=len(probes) + 2 + (inst.n if opt > 0 else 0),
-        best_response_queries=len(probes) + 1,
+        value_queries=probes + 2 + (inst.n if opt > 0 else 0),
+        best_response_queries=probes + 1,
     )
 
 

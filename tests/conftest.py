@@ -14,8 +14,16 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from contractlab.constructions import marginal_margins, verify_structure
-from contractlab.core import ContractInstance, SetFunctionOracle
+from contractlab.core import (
+    ActionSet,
+    ContractInstance,
+    SetFunctionOracle,
+    _argmax_with_tie_break,
+    best_response,
+    value,
+)
 from contractlab.reals import RealContext, exact
+from contractlab.solver import FptasResult, ParameterError, alpha_bracket
 
 
 # --- brute-force ground truth ----------------------------------------------
@@ -139,6 +147,38 @@ def supmod_c_cost_fractions(n: int) -> list[Fraction]:
     for t in range(1, 1 << n):
         ctab.append(ctab[-1] + Fraction(t - 1, t))
     return ctab
+
+
+def reference_fptas(inst: ContractInstance, eps) -> FptasResult:
+    """solver.fptas probe by probe, as it was before its grids were answered
+    in runs: a best response, an f value query and a utility per probe, and
+    the first maximal utility wins."""
+    if not (0 < eps < 1):
+        raise ParameterError("eps must be in (0, 1)")
+    with inst.ctx.workprec():
+        one = inst.ctx.make(1)
+        zero = inst.ctx.make(0)
+        s = best_response(inst, zero)
+        probes = [(zero, s, (one - zero) * value(inst.f, s))]
+        s_opt = best_response(inst, one)
+        opt = value(inst.f, s_opt) - value(inst.c, s_opt)
+        if opt > 0:
+            for j in range(1, inst.n + 1):
+                cj = value(inst.c, ActionSet(inst.n, 1 << (j - 1)))
+                if not cj > 0:
+                    continue
+                for alpha in alpha_bracket(inst, opt, cj, eps):
+                    s = best_response(inst, alpha)
+                    probes.append((alpha, s, (one - alpha) * value(inst.f, s)))
+        utils = [u for _, _, u in probes]
+        best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
+    return FptasResult(
+        alpha=best_alpha,
+        aset=best_set,
+        principal_utility=best_util,
+        value_queries=len(probes) + 2 + (inst.n if opt > 0 else 0),
+        best_response_queries=len(probes) + 1,
+    )
 
 
 # --- instance factories ------------------------------------------------------

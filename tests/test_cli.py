@@ -756,6 +756,18 @@ class TestMalformedInput:
         assert exc.value.code == f"contractlab: experiment: ValueError: {name} does not take --{flag}"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("eps", ["0.1", "7"])
+    def test_solve_csv_refuses_fptas(self, tmp_path, eps, capsys):
+        # the CSV rows have no FPTAS column: --fptas is refused, not dropped,
+        # in range or not, and no row is written
+        path, out = tmp_path / "chain.json", tmp_path / "rows.csv"
+        path.write_text(run_construct("equal_revenue_supmod_c", 3))
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--instance", str(path), "--format", "csv", "--fptas", eps,
+                 "--out", str(out)])
+        assert exc.value.code == "contractlab: solve: ValueError: --format csv does not take --fptas"
+        assert capsys.readouterr().out == "" and not out.exists()
+
     def test_an_absent_trials_or_seed_reads_as_its_default(self, capsys):
         for argv in (["cc-sweep", "--n", "2"], ["cc-sweep", "--n", "2", "--trials", "100",
                                                  "--seed", "0"]):

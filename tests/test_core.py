@@ -5,6 +5,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from contractlab.core import (
     SetFunctionOracle,
     additive_table,
     best_response,
+    best_response_runs,
     demand,
     demand_prices_for_contract,
     lower_hull,
@@ -504,6 +506,73 @@ class TestHullBestResponse:
         for oracle in (inst.f, inst.c, additive):
             with pytest.raises(TypeError):
                 oracle.value_table()[1] = 7
+
+
+class TestBestResponseRuns:
+    """best_response_runs answers a non-decreasing list of alphas as
+    best_response answers them one by one, in maximal runs."""
+
+    @staticmethod
+    def expand(runs, total):
+        masks, start = [], 0
+        for stop, mask in runs:
+            assert start < stop <= total  # no empty run
+            masks += [mask] * (stop - start)
+            start = stop
+        assert start == total
+        return masks
+
+    @given(
+        st.one_of(
+            mixed_monotone_instance_tables(max_n=3),
+            real_monotone_instance_tables(53, max_n=3),
+            real_monotone_instance_tables(192, max_n=3),
+            degenerate_hull_tables(max_n=3),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_best_response_alpha_by_alpha(self, tables, data):
+        # every slope of the cloud exactly, just off each side, as a float,
+        # 0 and 1, drawn with repeats and sorted
+        n, ftab, ctab = tables
+        inst = instance_from_tables(ftab, ctab)
+        pool = _query_alphas(ftab, ctab)
+        pool += [float(a) for a in pool] + [1]
+        alphas = sorted(data.draw(st.lists(st.sampled_from(pool), max_size=60)))
+        runs = best_response_runs(inst, alphas)
+        assert inst.ledger.best_response_queries == len(alphas)  # one charge per alpha
+        masks = self.expand(runs, len(alphas))
+        assert masks == [best_response(inst, a).mask for a in alphas]
+        assert [mask for _, mask in runs] == [m for m, _ in groupby(masks)]  # maximal runs
+
+    def test_empty_list(self):
+        inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])
+        assert best_response_runs(inst, []) == []
+        assert inst.ledger.best_response_queries == 0
+
+    def test_long_runs_on_and_off_the_slopes(self):
+        # slopes 1/2 and 2: runs of 0s, of the slope 1/2 exactly (higher-f
+        # end), of 1 and of alphas past the last slope, each galloped over
+        inst = instance_from_tables([0, 2, 4, 5], [0, 1, 2, 4])
+        lists = (
+            [0] * 100 + [Fraction(1, 2)] * 37 + [1] * 5 + [Fraction(2)] * 64 + [3.5] * 9,
+            [Fraction(k, 512) for k in range(1025)],
+            [0.5] * 3,
+            [-1] * 2 + [0] * 300,
+        )
+        for alphas in lists:
+            masks = self.expand(best_response_runs(inst, alphas), len(alphas))
+            assert masks == [best_response(inst, a).mask for a in alphas]
+
+    @pytest.mark.parametrize("bits", [None, 360])
+    def test_fptas_grids_on_the_submodular_chain(self, bits):
+        # hull with 2^n vertices, mpf alphas: the shape the FPTAS asks
+        inst = build_equal_revenue_submod_f(7, precision_bits=bits)
+        for eps in (0.2, 0.01):
+            grid = solver.alpha_bracket(inst, inst.ctx.make(1), inst.ctx.make(1), eps)
+            masks = self.expand(best_response_runs(inst, grid), len(grid))
+            assert masks == [best_response(inst, a).mask for a in grid]
 
 
 class TestHullFrame:

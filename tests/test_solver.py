@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from contractlab import core, reals, solver
-from contractlab.constructions import build_equal_revenue_submod_f
-from contractlab.reals import exact
+from contractlab.constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
+from contractlab.reals import MpfTable, RealContext, exact
+from contractlab.serialize import number_to_str
 from contractlab.solver import (
     ParameterError,
     alpha_bracket,
@@ -25,8 +28,10 @@ from conftest import (
     instance_from_tables,
     mixed_monotone_instance_tables,
     monotone_instance_tables,
+    non_monotone_tables,
     random_monotone_tables,
     real_monotone_instance_tables,
+    reference_fptas,
 )
 
 
@@ -257,6 +262,39 @@ class TestOptimalContract:
         assert row.principal_utility == Fraction(1, 2) * 4
 
 
+@st.composite
+def fptas_tables(draw, kind):
+    """(bits, ftab, ctab) of a kind: "float", "fraction" (held as a
+    rational MpfTable), "mpf" at 120 or 192 bits, each with f shifted down
+    in its own arithmetic by a drawn share of the welfare optimum (so the
+    optimum stays positive and small sets have f < 0), or "mixed": ints
+    and Fractions drawn entry by entry, negative f and c included."""
+    if kind == "mixed":
+        n, ftab, ctab = draw(non_monotone_tables(max_n=4))
+        return 53, ftab, ctab
+    bits = draw(st.sampled_from([120, 192])) if kind == "mpf" else 53
+    if kind == "fraction":
+        n, ftab, ctab = draw(monotone_instance_tables(max_n=5))
+    else:
+        n, ftab, ctab = draw(real_monotone_instance_tables(bits, max_n=5))
+    share = draw(st.sampled_from([0, Fraction(1, 2), Fraction(3, 4), Fraction(15, 16)]))
+    ctx = RealContext(bits)
+    with ctx.workprec():
+        welfare = max(fv - cv for fv, cv in zip(ftab, ctab))
+        if share and welfare > 0:
+            d = welfare * (share if kind == "fraction" else ctx.make(share))
+            ftab = [v - d for v in ftab]
+    return bits, ftab, ctab
+
+
+def fptas_outcome(inst, res):
+    """Everything fptas returns, numbers as their lossless strings with
+    their types, and the three ledgers' counts."""
+    numbers = [(type(x), number_to_str(x)) for x in (res.alpha, res.principal_utility)]
+    ledgers = [asdict(x) for x in (inst.ledger, inst.f.ledger, inst.c.ledger)]
+    return numbers, res.aset, res.value_queries, res.best_response_queries, ledgers
+
+
 class TestFptas:
     @pytest.mark.parametrize("eps", [0.25, 0.1])
     def test_guarantee_on_random_instances(self, eps):
@@ -269,14 +307,64 @@ class TestFptas:
             approx = fptas(inst, eps)
             assert approx.principal_utility >= (1 - eps) * exact.principal_utility
 
-    def test_query_accounting(self):
+    def test_query_accounting(self, monkeypatch):
+        # every query is one QueryLedger.count call, as a wrapper of count
+        # (the benchmark's tracer) sees them
         rng = random.Random(3)
         ftab, ctab = random_monotone_tables(rng, 4)
         inst = instance_from_tables(ftab, ctab)
         inst.ledger.reset()
+        calls = Counter()
+        original = core.QueryLedger.count
+
+        def count(ledger, kind, argument=None):
+            calls[kind] += 1
+            return original(ledger, kind, argument)
+
+        monkeypatch.setattr(core.QueryLedger, "count", count)
         res = fptas(inst, 0.2)
         assert res.best_response_queries == inst.ledger.best_response_queries
-        assert res.value_queries > 0
+        assert res.best_response_queries == calls["best_response_queries"]
+        values = inst.f.ledger.value_queries + inst.c.ledger.value_queries
+        assert res.value_queries == values == calls["value_queries"] > 0
+        assert set(calls) == {"best_response_queries", "value_queries"}
+
+    @pytest.mark.parametrize("kind", ["float", "fraction", "mpf", "mixed"])
+    @given(data=st.data(), eps=st.sampled_from([0.5, 0.2, 0.1, 0.01]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_probe_by_probe_reference(self, kind, data, eps):
+        """Answering the grids in runs changes nothing fptas returns or
+        charges: winner alpha, set and utility (value and type), both
+        counts and every ledger equal conftest.reference_fptas's."""
+        bits, ftab, ctab = data.draw(fptas_tables(kind))
+        ours, ref = (instance_from_tables(ftab, ctab, bits=bits) for _ in range(2))
+        if kind == "fraction":
+            assert isinstance(ours.f.table, MpfTable) and ours.f.table.rational
+        assert fptas_outcome(ours, fptas(ours, eps)) == fptas_outcome(ref, reference_fptas(ref, eps))
+
+    def test_equal_utilities_go_to_the_first_probe(self):
+        # f is 0 everywhere and mask 2 (c = -1) answers every probe: all
+        # utilities are 0, so the alpha = 0 probe wins over the whole grid
+        inst = instance_from_tables([0, 0, 0, 0], [0, 1, -1, 0])
+        res = fptas(inst, 0.2)
+        assert (res.alpha, res.aset.mask, res.principal_utility) == (0, 2, 0)
+        assert res.best_response_queries > 2  # a grid was probed
+        ref = instance_from_tables([0, 0, 0, 0], [0, 1, -1, 0])
+        assert fptas_outcome(inst, res) == fptas_outcome(ref, reference_fptas(ref, 0.2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_equal_revenue_submod_f(8),
+            lambda: build_equal_revenue_submod_f(9, precision_bits=360),
+            lambda: build_equal_revenue_supmod_c(7),
+        ],
+        ids=["submod_f8", "submod_f9_360_bits", "supmod_c7"],
+    )
+    def test_equals_the_reference_on_the_chains(self, build):
+        ours, ref = build(), build()
+        for eps in (0.2, 0.01):
+            assert fptas_outcome(ours, fptas(ours, eps)) == fptas_outcome(ref, reference_fptas(ref, eps))
 
     def test_value_queries_count_each_ledger_once(self):
         """The instance and its oracles may share one ledger (ledger=): each
@@ -314,6 +402,29 @@ class TestFptas:
 
 
 class TestAlphaBracket:
+    @given(
+        st.one_of(
+            monotone_instance_tables(max_n=5).map(lambda t: (53, t)),
+            real_monotone_instance_tables(53, max_n=5).map(lambda t: (53, t)),
+            real_monotone_instance_tables(120, max_n=5).map(lambda t: (120, t)),
+        ),
+        st.sampled_from([0.5, 0.2, 0.1, 0.01]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_grids_never_decrease(self, drawn, eps):
+        # core.best_response_runs, which fptas answers each grid with,
+        # needs every grid in non-decreasing order
+        bits, (n, ftab, ctab) = drawn
+        inst = instance_from_tables(ftab, ctab, bits=bits)
+        s_opt = core.best_response(inst, 1).mask
+        with inst.ctx.workprec():
+            opt = inst.f.table[s_opt] - inst.c.table[s_opt]
+        for j in range(n):
+            cj = inst.c.table[1 << j]
+            if opt > 0 and cj > 0:
+                grid = alpha_bracket(inst, opt, cj, eps)
+                assert all(a <= b for a, b in zip(grid, grid[1:]))
+
     def test_bracket_contains_optimum(self):
         inst = instance_from_tables(GOLDEN_F, GOLDEN_C)
         sol = optimal_contract(inst)
