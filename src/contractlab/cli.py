@@ -257,40 +257,33 @@ def _experiment_value_query(args):
 def _experiment_sim(args, role):
     """Demand (role "demand", reward-bonus family) or supply (role "supply",
     cost-discount family) queries answered by value queries, against the
-    exact query on every hidden family member."""
+    exact query on every hidden family member, at every breakpoint price
+    vector and at --trials random ones per member, drawn member by member
+    in increasing k.  sparse.simulate_family answers them with one scan of
+    the base per price vector."""
     from .constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
-    from .core import demand, demand_prices_for_contract, supply, supply_prices_for_contract
-    from .perturb import family_iterator
-    from .sparse import (
-        random_prices,
-        simulate_demand_by_values,
-        simulate_supply_by_values,
-        sparseness_ceiling,
-    )
+    from .core import demand_prices_for_contract, supply_prices_for_contract
+    from .sparse import random_prices, simulate_family, sparseness_ceiling
 
     if role == "demand":
         base = build_equal_revenue_submod_f(args.n)
-        side, simulate, query = "f", simulate_demand_by_values, demand
         prices_for, partner = demand_prices_for_contract, base.c
     else:
         base = build_equal_revenue_supmod_c(args.n)
-        side, simulate, query = "c", simulate_supply_by_values, supply
         prices_for, partner = supply_prices_for_contract, base.f
-    public = getattr(base, side)
     rng = random.Random(args.seed)
     agree = total = 0
     max_queries = 0
     with base.ctx.workprec():
         breakpoint_prices = [prices_for(partner, a) for a in chain_alphas(base) if a > 0]
-        for fam in family_iterator(base):
-            hidden = getattr(fam.instance, side)
-            price_sets = breakpoint_prices + [random_prices(base.n, rng) for _ in range(args.trials)]
-            for prices in price_sets:
-                got, used = simulate(public, hidden, prices, fam.epsilon, base.ctx)
-                want = query(hidden, prices, base.ctx)
-                total += 1
-                agree += got == want
-                max_queries = max(max_queries, used)
+
+    def own(k):
+        return [random_prices(base.n, rng) for _ in range(args.trials)]
+
+    for _, _, got, used, want in simulate_family(base, breakpoint_prices, own):
+        total += 1
+        agree += got == want
+        max_queries = max(max_queries, used)
     out = {
         "n": args.n,
         "seed": args.seed,

@@ -219,7 +219,7 @@ _NOT_FINITE = "prices must be finite, and so must their sum"
 
 
 def _scores(kind: str, x, prices, members=None):
-    """(utility, tie, factor) for one argmax query, over every mask or,
+    """(utility, tie, factor, psum) for one argmax query, over every mask or,
     given members (ActionSets), over those alone, each read by a value
     query (so charged to x's ledger).
 
@@ -231,7 +231,8 @@ def _scores(kind: str, x, prices, members=None):
     mpf prices), utility is V s_p - P s_v for demand, factor = s_v s_p
     times its value, and tie is V, all ints.  Any other table (a float
     tuple, say) is scored in its own arithmetic with factor None; call
-    inside the working precision.
+    inside the working precision.  psum lists the price sums P the
+    utilities subtract or add, ints over s_p or in the table's arithmetic.
 
     A NaN or infinite price raises ValueError before any value query; in
     the table's arithmetic so does a price sum that overflows to infinity,
@@ -249,8 +250,8 @@ def _scores(kind: str, x, prices, members=None):
             psum = [psum[s.mask] for s in members]
             vals = [value(x, s) for s in members]
         if kind == "demand":
-            return [v - p for v, p in zip(vals, psum)], vals, None
-        return [p - v for v, p in zip(vals, psum)], vals, None
+            return [v - p for v, p in zip(vals, psum)], vals, None, psum
+        return [p - v for v, p in zip(vals, psum)], vals, None, psum
     try:
         p_ints, p_scale, _ = _scaled_ints(prices)
     except (OverflowError, ValueError):  # a float's or mpf's inf or nan
@@ -264,7 +265,7 @@ def _scores(kind: str, x, prices, members=None):
         util = [v * p_scale - p * v_scale for v, p in zip(vals, psum)]
     else:
         util = [p * v_scale - v * p_scale for v, p in zip(vals, psum)]
-    return util, vals, v_scale * p_scale
+    return util, vals, v_scale * p_scale, psum
 
 
 def _argmax_with_tie_break(objective, tie_value) -> int:
@@ -287,7 +288,7 @@ def _argmax_with_tie_break(objective, tie_value) -> int:
 
 def _argmax_query(kind: str, x: SetFunctionOracle, prices, ctx) -> ActionSet:
     with (ctx or RealContext()).workprec():
-        util, tie, _ = _scores(kind, x, prices)
+        util, tie, _, _ = _scores(kind, x, prices)
         best = _argmax_with_tie_break(util, tie)
     x.ledger.count(kind + "_queries")
     return ActionSet(x.n, best)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, sub
 
 from .core import ContractInstance, SetFunctionOracle, derived
@@ -70,10 +71,14 @@ def _chain_tables(base: ContractInstance):
     """f, c and the chain's critical values; each budget term needs two
     chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12.
     The tables come as tuples, an MpfTable's entries built once, since the
-    terms read every entry more than once."""
+    terms read every entry more than once; a rational MpfTable c stays as it
+    is, since its exact terms are taken on its ints (epsilon_bound_cost)."""
     if not 2 <= base.n <= 12:
         raise ValueError(f"exhaustive bound needs 2 <= n <= 12, got n={base.n}")
-    return tuple(base.f.value_table()), tuple(base.c.value_table()), chain_alphas(base)
+    ctab = base.c.value_table()
+    if not (isinstance(ctab, MpfTable) and ctab.rational):
+        ctab = tuple(ctab)
+    return tuple(base.f.value_table()), ctab, chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
@@ -92,12 +97,23 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
 
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
-    """Three-way minimum bounding the cost discount on the supermodular-c base."""
+    """Three-way minimum bounding the cost discount on the supermodular-c base.
+
+    On a rational MpfTable c (ints over one scale) c1 and c2 are the int
+    margin and least int gap, each made a Fraction once: the same values
+    and type as on the table's Fractions, since both terms are linear in
+    the entries and exact.  Float and mpf differences round, so any other
+    table is read entry by entry."""
     ftab, ctab, alphas = _chain_tables(base)
     size = base.size
     with base.ctx.workprec():
-        c1 = marginal_margins(ctab, base.n, -1)[1]
-        c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
+        if isinstance(ctab, MpfTable):
+            ints, scale = ctab.ints, ctab.scale
+            c1 = Fraction(marginal_margins(ints, base.n, -1)[1], scale)
+            c2 = Fraction(min(map(sub, ints[2:], ints[1:-1])), scale)
+        else:
+            c1 = marginal_margins(ctab, base.n, -1)[1]
+            c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
         # alpha_table entry t-1 is the critical value of S_t here
         c3 = min(
             (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
@@ -139,24 +155,38 @@ _MEMBER = {
 }
 
 
-def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
-    """The family member at k, with k and epsilon already checked.  Entry k
-    is shifted in the base's working precision.  On a base table held as an
-    MpfTable the member is one too, built from the base's ints with entry k
-    replaced by the shifted entry's exact ratio, when that entry has the
-    table's entry type (as it has for a budget epsilon); else, and on any
-    other table, the member is the table's entries with entry k replaced."""
-    side, shift, cls, suffix = _MEMBER[direction]
-    old = getattr(base, side)
-    tab = old.table
+def _shifted_entry(base: ContractInstance, direction: str, k: int, epsilon):
+    """Member k's one changed entry: (entry, held).  entry is the base's
+    entry k shifted by epsilon in the base's working precision.  held is
+    (int, scale) of the member's table held as ints, entry k being int /
+    scale, when the base table is an MpfTable and entry has its entry type
+    (as it has for a budget epsilon): the scale is the LCM of the base's
+    and entry's, a power of two staying one.  Else held is None, and the
+    member's table is the base's entries with entry k replaced."""
+    side, shift, _, _ = _MEMBER[direction]
+    tab = getattr(base, side).table
     with base.ctx.workprec():
         entry = shift(tab[k], epsilon)
+    if not (isinstance(tab, MpfTable) and type(entry) is type(tab[k])):
+        return entry, None
+    p, q = ratio(entry)
+    scale = math.lcm(tab.scale, q)
+    return entry, (p * (scale // q), scale)
+
+
+def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
+    """The family member at k, with k and epsilon already checked: the base
+    with its table on the direction's side changed at entry k alone
+    (_shifted_entry), held as ints when that entry is."""
+    side, _, cls, suffix = _MEMBER[direction]
+    old = getattr(base, side)
+    tab = old.table
+    entry, held = _shifted_entry(base, direction, k, epsilon)
     labels = dict(declared_class=cls, name=f"{old.name}{suffix}")
-    if isinstance(tab, MpfTable) and type(entry) is type(tab[k]):
-        p, q = ratio(entry)
-        scale = math.lcm(tab.scale, q)  # a power of two stays one
+    if held is not None:
+        kint, scale = held
         ints = [v * (scale // tab.scale) for v in tab.ints]
-        ints[k] = p * (scale // q)
+        ints[k] = kint
         new = SetFunctionOracle(base.n, table=MpfTable(ints, scale, tab.rational), **labels)
     else:
         body = list(tab)

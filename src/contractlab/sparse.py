@@ -8,6 +8,8 @@ what lets a handful of value queries simulate a demand query.
 
 from __future__ import annotations
 
+import bisect
+import random
 import statistics
 from dataclasses import asdict, dataclass
 
@@ -18,6 +20,7 @@ from .core import (
     _argmax_with_tie_break,
     _scores,
 )
+from .perturb import REWARD_BONUS, _direction, _shifted_entry, epsilon_bound, valid_k_range
 from .reals import RealContext, ratio
 from .solver import chain_alphas
 
@@ -49,12 +52,16 @@ def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
     """Every mask whose utility (see core._scores) is within sigma of the
     max; exactly when the scores are ints, as in approx_best_response."""
     with ctx.workprec():
-        util, _, factor = _scores(kind, x, param)
-        if factor is not None:
-            sigma = _int_slack(sigma, factor)
-        cut = max(util) - sigma
+        util, _, factor, _ = _scores(kind, x, param)
+        cut = _cut(max(util), factor, sigma)
         members = [ActionSet(x.n, m) for m, u in enumerate(util) if u >= cut]
     return ApproxArgmaxSet(members)
+
+
+def _cut(top, factor, sigma):
+    """The least utility in D^sigma when top is the greatest: top - sigma,
+    or on int scores (factor given) top - _int_slack(sigma, factor)."""
+    return top - (sigma if factor is None else _int_slack(sigma, factor))
 
 
 def _int_slack(sigma, factor) -> int:
@@ -194,7 +201,7 @@ def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
     approx = approx_demand if kind == "demand" else approx_supply
     members = approx(base, prices, eps, ctx).members  # increasing mask order
     with ctx.workprec():
-        utils, ties, _ = _scores(kind, hidden, prices, members)
+        utils, ties, _, _ = _scores(kind, hidden, prices, members)
         best = members[_argmax_with_tie_break(utils, ties)]
     return best, len(members)
 
@@ -213,6 +220,107 @@ def simulate_demand_by_values(base_f, hidden_f, prices, eps, ctx=None):
 def simulate_supply_by_values(base_c, hidden_c, prices, eps, ctx=None):
     """Mirror of simulate_demand_by_values for p(S) - c(S) and a discount."""
     return _simulate_by_values("supply", base_c, hidden_c, prices, eps, ctx)
+
+
+class _PriceScan:
+    """One scan of the public table at one price vector: the utilities,
+    values and price sums (core._scores), the cut and size of D^eps(p),
+    and the best mask under the tie rule, with keys (utility, tie, -mask)
+    so that the greatest key is the argmax _argmax_with_tie_break finds."""
+
+    __slots__ = ("prices", "util", "tie", "psum", "p_scale", "cut", "used", "best", "first",
+                 "_second")
+
+    def __init__(self, kind, public, prices, eps, v_scale):
+        util, tie, factor, psum = _scores(kind, public, prices)
+        top = max(util)
+        best = util.index(top)
+        if util.count(top) > 1:  # a tie in utility: the higher value, then the lower mask
+            best = -max((tie[m], -m) for m, u in enumerate(util) if u == top)[1]
+        self.prices, self.util, self.tie, self.psum = prices, util, tie, psum
+        self.p_scale = None if factor is None else factor // v_scale
+        self.cut = cut = _cut(top, factor, eps)
+        self.used = len([u for u in util if u >= cut])
+        self.best, self.first, self._second = best, (top, tie[best], -best), None
+
+    def second(self):
+        """The greatest key over every mask but best (n >= 1 leaves one),
+        built on first use: only the member at best needs it."""
+        if self._second is None:
+            keys = list(zip(self.util, self.tie, range(0, -len(self.util), -1)))
+            del keys[self.best]
+            self._second = max(keys)
+        return self._second
+
+
+def simulate_family(base, shared, own):
+    """Every comparison of a hidden-family simulation run, without building
+    a family member: each member's demand query (reward-bonus base) or
+    supply query (cost-discount base) at each price vector, answered
+    exactly and by value queries on D^eps(p) of the public table.
+
+    Yields (k, prices, got, used, want) per member k, in increasing k
+    (perturb.valid_k_range), and per price vector: got and used are what
+    simulate_*_by_values(public, member, prices, epsilon) returns, with got
+    as a mask, and want is the mask demand or supply gives on the member;
+    epsilon is the budget's default, family_iterator's.  shared lists the
+    price vectors every member meets; own(k) is called once per member, in
+    increasing k after the shared vectors are done, for that member's own.
+
+    A member differs from the public table only at k, its entry shifted as
+    perturb shifts it (_shifted_entry).  So one scan of the public table
+    per price vector (_PriceScan) serves every member that meets it, and a
+    member's two answers follow from k's shifted utility and value, in the
+    member's own frame when the table is held as ints, against the best
+    mask other than k: over every mask for the exact query, over D^eps(p)
+    for the simulation.  The cost is one O(2^n) scan per price vector and
+    O(1) per comparison, where the per-pair queries scan twice per
+    comparison.  ValueError unless the public table and the members are
+    both held as ints or both not.
+    """
+    direction = _direction(base)
+    kind, side = ("demand", "f") if direction == REWARD_BONUS else ("supply", "c")
+    public = getattr(base, side)
+    held = public.held_ints()
+    v_scale = None if held is None else held[1]
+    epsilon = epsilon_bound(base).default_epsilon
+    members = []
+    for k in valid_k_range(base, direction):
+        entry, frame = _shifted_entry(base, direction, k, epsilon)
+        if (frame is None) != (held is None):
+            raise ValueError("the public table and its members must both be held as ints or not")
+        if frame is None:
+            members.append((k, entry, None, 1))
+        else:  # the member's int, scale, and its scale over the public one
+            members.append((k, *frame, frame[1] // v_scale))
+
+    def compare(scan, k, value, m_scale, mult):
+        v, p = value, scan.psum[k]
+        if m_scale is not None:  # scored in the member's frame, values over m_scale
+            v, p = v * scan.p_scale, p * m_scale
+        util = v - p if kind == "demand" else p - v
+        other = scan.first if k != scan.best else scan.second()
+        if mult != 1:
+            other = (other[0] * mult, other[1] * mult, other[2])
+        want = k if (util, value, -k) > other else -other[2]
+        # with k outside D^eps(p) the simulation reads public values only.
+        # Else D^eps(p) holds the best mask other than k, or only k when every
+        # other utility is below the cut, and then k, whose shifted utility is
+        # never below its public one, is the exact answer too
+        got = want if scan.util[k] >= scan.cut else scan.best
+        return k, scan.prices, got, scan.used, want
+
+    # the working precision is entered around each scan, never across a yield
+    for prices in shared:
+        with base.ctx.workprec():
+            scan = _PriceScan(kind, public, prices, epsilon, v_scale)
+            answers = [compare(scan, *member) for member in members]
+        yield from answers
+    for member in members:
+        for prices in own(member[0]):
+            with base.ctx.workprec():
+                answer = compare(_PriceScan(kind, public, prices, epsilon, v_scale), *member)
+            yield answer
 
 
 def random_prices(n: int, rng):
@@ -252,14 +360,21 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
 
     The hidden index k is uniform on [1, 2^n - 1], its bonus the budget's
     default epsilon.  The scan queries sets in fixed increasing order and
-    stops at the first deviation from the base table, so its query count is
-    k's scan position; the exact expectation is 2^(n-1) and the proved floor
-    is 2^(n-2).
+    stops at the first whose hidden value f(S_t) + (epsilon if t == k else
+    0), in the working precision, differs from the base table's entry, so
+    its query count is k's scan position; the exact expectation is 2^(n-1)
+    and the proved floor is 2^(n-2).
+
+    The scan is not rerun per trial.  One O(2^n) pass finds the t where it
+    would stop with no bonus at all, f(S_t) + 0 != f(S_t) (an entry wider
+    than the context rounds when 0 is added); then a trial's count is the
+    first such t below k, else k when f(S_k) + epsilon != f(S_k) (decided
+    once per distinct k), else the first such t above k, else 2^n - 1, the
+    whole scan.  So a run costs O(2^n + trials) after the budget.  ValueError
+    when trials is not an int >= 1, before the budget is computed.
     """
-    import random
-
-    from .perturb import REWARD_BONUS, epsilon_bound
-
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     n = base.n
     size = 1 << n
     budget = epsilon_bound(base)
@@ -271,16 +386,23 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
     counts = []
     identified_all = True
     with base.ctx.workprec():
+        stops = [t for t in range(1, size) if ftab[t] + 0 != ftab[t]]
+
+        def scan(k):
+            """(queries, set found) of the scan for a bonus at k."""
+            if stops and stops[0] < k:
+                return stops[0], stops[0]
+            if ftab[k] + epsilon != ftab[k]:
+                return k, k
+            i = bisect.bisect_right(stops, k)
+            return (stops[i], stops[i]) if i < len(stops) else (size - 1, None)
+
+        scans = {}  # k -> scan(k), a trial's whole outcome
         for _ in range(trials):
             k = rng.randrange(1, size)
-            queries = 0
-            found = None
-            for t in range(1, size):
-                queries += 1
-                hidden_value = ftab[t] + (epsilon if t == k else 0)
-                if hidden_value != ftab[t]:
-                    found = t
-                    break
+            if k not in scans:
+                scans[k] = scan(k)
+            queries, found = scans[k]
             counts.append(queries)
             if found != k:
                 identified_all = False

@@ -9,6 +9,8 @@ they are ground truth for int, Fraction, float and mpf tables alike.
 
 from __future__ import annotations
 
+import random
+import statistics
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -23,7 +25,9 @@ from contractlab.core import (
     value,
 )
 from contractlab.reals import RealContext, exact
-from contractlab.solver import FptasResult, ParameterError, alpha_bracket
+from contractlab.perturb import COST_DISCOUNT, PerturbationBudget, epsilon_bound
+from contractlab.solver import FptasResult, ParameterError, alpha_bracket, chain_alphas
+from contractlab.sparse import ExperimentStats
 
 
 # --- brute-force ground truth ----------------------------------------------
@@ -178,6 +182,59 @@ def reference_fptas(inst: ContractInstance, eps) -> FptasResult:
         principal_utility=best_util,
         value_queries=len(probes) + 2 + (inst.n if opt > 0 else 0),
         best_response_queries=len(probes) + 1,
+    )
+
+
+def reference_cost_budget(base) -> PerturbationBudget:
+    """perturb.epsilon_bound_cost on the tables' entries, as it was before
+    a rational MpfTable cost had its c1 and c2 taken on its ints: every
+    term in the entries' own arithmetic, Fractions for a rational table."""
+    n, size = base.n, base.size
+    ftab, ctab, alphas = tuple(base.f.table), tuple(base.c.table), chain_alphas(base)
+    with base.ctx.workprec():
+        c1 = marginal_margins(ctab, n, -1)[1]
+        c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
+        c3 = min(
+            (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
+            for t in range(2, size)
+        )
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), COST_DISCOUNT)
+
+
+def reference_value_query(base, trials, seed=0) -> ExperimentStats:
+    """sparse.value_query_experiment trial by trial, as it was before the
+    stop positions were found in one pass: each trial scans the sets in
+    increasing order, hidden value f(S_t) + (epsilon if t == k else 0) in
+    the working precision, and stops at the first that differs from f(S_t)."""
+    n, size = base.n, base.size
+    epsilon = epsilon_bound(base).default_epsilon
+    ftab = tuple(base.f.table)
+    rng = random.Random(seed)
+    counts = []
+    identified_all = True
+    with base.ctx.workprec():
+        for _ in range(trials):
+            k = rng.randrange(1, size)
+            queries = 0
+            found = None
+            for t in range(1, size):
+                queries += 1
+                if ftab[t] + (epsilon if t == k else 0) != ftab[t]:
+                    found = t
+                    break
+            counts.append(queries)
+            if found != k:
+                identified_all = False
+    stderr = statistics.stdev(counts) / len(counts) ** 0.5 if len(counts) > 1 else 0.0
+    return ExperimentStats(
+        n=n,
+        trials=trials,
+        seed=seed,
+        mean_queries=statistics.fmean(counts),
+        stderr=stderr,
+        exact_expectation=float(size / 2),
+        lower_bound=float(size // 4),
+        identified_all=identified_all,
     )
 
 

@@ -840,6 +840,11 @@ GOLDEN = {
         0, "c756a669be11a8a40ab1c12f00d0959fa1066a91239c9c0a197c8b4c8258f3ac"),
     "experiment supply-sim --n 3 --trials 5 --seed 2": (
         0, "749b6f58203280124ac8e3abfd04b91adb1755dced529a38ed12705dd90882a2"),
+    # past the tiny D^eps and breakpoint lists of n <= 4
+    "experiment demand-sim --n 6 --trials 3 --seed 2": (
+        0, "af465c6d7f84410cb107d31c7aeceb6e15c1c396c879c92a53a6e249af315dcd"),
+    "experiment supply-sim --n 5 --trials 3 --seed 2": (
+        0, "23af6a96cc0f9f53a7f8836816f94c63531a14a7764d1a8e9acf6baae7814d5a"),
     "experiment cc-sweep --n 4 --variant sub-sub --trials 5 --seed 3": (
         0, "1431374967d2ed2eb02d490943cb2dee8978aa50acae0df3307f5a8e242f94c8"),
     "experiment cc-sweep --n 4 --variant sub-sup --trials 5 --seed 3": (

@@ -30,7 +30,7 @@ from contractlab.reals import MpfTable, RealContext
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
-from conftest import mixed_pairwise_tables, strictly_of_class
+from conftest import mixed_pairwise_tables, reference_cost_budget, strictly_of_class
 
 
 def brute_nested_margin(tab, n, sense):
@@ -144,6 +144,15 @@ class TestBudgets:
         cbase = build_equal_revenue_supmod_c(n)
         ctab = cbase.c.value_table()
         assert epsilon_bound_cost(cbase).components[0] == brute_nested_margin(ctab, n, -1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cost_budget_on_held_ints_equals_the_fraction_formula(self, n):
+        base = build_equal_revenue_supmod_c(n)
+        assert isinstance(base.c.table, MpfTable) and base.c.table.rational
+        got, want = epsilon_bound_cost(base), reference_cost_budget(base)
+        assert got == want
+        assert list(map(type, (got.epsilon_max, *got.components))) == list(
+            map(type, (want.epsilon_max, *want.components)))
 
     def test_dispatch_by_kind(self):
         assert epsilon_bound(build_equal_revenue_submod_f(2)).direction == REWARD_BONUS

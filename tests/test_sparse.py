@@ -1,7 +1,9 @@
 """Approximate argmax sets, ambiguity structure, and oracle simulation."""
 
+import argparse
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -22,8 +24,16 @@ from contractlab.core import (
     supply,
     supply_prices_for_contract,
 )
-from contractlab.perturb import REWARD_BONUS, epsilon_bound, family_iterator
-from contractlab.reals import MpfTable, exact
+from contractlab import cli
+from contractlab.core import ContractInstance, derived
+from contractlab.perturb import (
+    COST_DISCOUNT,
+    REWARD_BONUS,
+    PerturbationBudget,
+    epsilon_bound,
+    family_iterator,
+)
+from contractlab.reals import MpfTable, RealContext, exact
 from contractlab.solver import chain_alphas
 from contractlab.sparse import (
     ambiguity_intervals,
@@ -35,6 +45,7 @@ from contractlab.sparse import (
     sigma_bound_demand,
     sigma_bound_supply,
     simulate_demand_by_values,
+    simulate_family,
     simulate_supply_by_values,
     sparseness_ceiling,
     value_query_experiment,
@@ -48,6 +59,7 @@ from conftest import (
     monotone_instance_tables,
     price_vectors,
     real_monotone_instance_tables,
+    reference_value_query,
 )
 
 
@@ -352,6 +364,154 @@ class TestSimulationRuns:
                 assert used == counts[key]
 
 
+def per_pair_answers(base, shared, own):
+    """simulate_family's comparisons one (member, price vector) at a time,
+    as the demand-sim and supply-sim runs made them before one scan served
+    every member: a simulation and an exact query on each built member."""
+    if base.meta["kind"] == "equal_revenue_submod_f":
+        side, simulate, query = "f", simulate_demand_by_values, demand
+    else:
+        side, simulate, query = "c", simulate_supply_by_values, supply
+    public = getattr(base, side)
+    members = list(family_iterator(base))
+    for fam in members:
+        hidden = getattr(fam.instance, side)
+        for prices in shared:
+            got, used = simulate(public, hidden, prices, fam.epsilon, base.ctx)
+            yield fam.k, prices, got.mask, used, query(hidden, prices, base.ctx).mask
+    for fam in members:
+        hidden = getattr(fam.instance, side)
+        for prices in own(fam.k):
+            got, used = simulate(public, hidden, prices, fam.epsilon, base.ctx)
+            yield fam.k, prices, got.mask, used, query(hidden, prices, base.ctx).mask
+
+
+def drawn_in_member_order(n, count, seed):
+    """own(k) for simulate_family: count random price vectors per member,
+    drawn on the first call for k and kept, so both sides meet the same."""
+    rng, drawn = random.Random(seed), {}
+
+    def own(k):
+        if k not in drawn:
+            drawn[k] = [random_prices(n, rng) for _ in range(count)]
+        return drawn[k]
+
+    return own
+
+
+def planted_base(role, values, weights, epsilon_max):
+    """A base of the role's kind whose table on the perturbed side is values
+    (a table of Fractions is held as ints) and whose partner is additive
+    over weights, with its budget kept at epsilon_max: no chain is needed."""
+    n = len(weights)
+    table = SetFunctionOracle(n, table=values)
+    partner = SetFunctionOracle(n, weights=weights, declared_class="additive")
+    f, c = (table, partner) if role == "demand" else (partner, table)
+    kind = "equal_revenue_submod_f" if role == "demand" else "equal_revenue_supmod_c"
+    base = ContractInstance(n=n, f=f, c=c, meta={"kind": kind})
+    direction = REWARD_BONUS if role == "demand" else COST_DISCOUNT
+    budget = PerturbationBudget(epsilon_max, (epsilon_max,) * 3, direction)
+    derived(base, "budget", lambda _: budget)
+    return base
+
+
+class TestSimulateFamily:
+    """simulate_family answers every (member, price vector) as the per-pair
+    simulation and exact query do."""
+
+    @pytest.mark.parametrize("role, n, bits", [
+        ("demand", 4, 53), ("demand", 6, 53), ("demand", 4, 192), ("demand", 6, 192),
+        ("supply", 4, 53), ("supply", 6, 53),
+    ])
+    def test_equals_the_per_pair_loop(self, role, n, bits):
+        if role == "demand":
+            base = build_equal_revenue_submod_f(n, precision_bits=bits)
+            prices_for, partner = demand_prices_for_contract, base.c
+        else:
+            base = build_equal_revenue_supmod_c(n)
+            prices_for, partner = supply_prices_for_contract, base.f
+        with base.ctx.workprec():
+            shared = [prices_for(partner, a) for a in chain_alphas(base) if a > 0]
+        own = drawn_in_member_order(n, 3, seed=n)
+        got = list(simulate_family(base, shared, own))
+        assert Counter(got) == Counter(per_pair_answers(base, shared, own))
+        # every member meets the price vectors where it is the base's argmax
+        public = base.f if role == "demand" else base.c
+        query = demand if role == "demand" else supply
+        argmaxes = {query(public, prices, base.ctx).mask for prices in shared}
+        assert argmaxes & {k for k, *_ in got}
+
+    # ties at the top, among equal values (lower mask wins) and at the base's
+    # argmax itself: values and prices on a coarse dyadic grid, so float
+    # arithmetic is exact, and one float pair whose utilities round together
+    @pytest.mark.parametrize("role, values, weights, epsilon_max, planted", [
+        ("demand", [0, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1], 0.5,
+         [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 0.5, 2.0), (0.0, 0.0, 0.0)]),
+        ("demand", [0, 2, 2, 3, 2, 3, 3, 3], [1, 2, 3], 1.0,
+         [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 0.0), (0.5, 1.0, 1.0)]),
+        ("supply", [0, 1, 1, 1, 1, 1, 1, 2], [1, 1, 1], 0.5,
+         [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0)]),
+        ("supply", [0.0, 0.75, 0.0, 1.0], [1, 1], 1.0,
+         [(2.0 ** 54, 0.0), (2.0 ** 54, 2.0 ** 54), (1.0, 0.0)]),
+    ])
+    @pytest.mark.parametrize("exact_table", [False, True])
+    def test_planted_ties(self, role, values, weights, epsilon_max, planted, exact_table):
+        if exact_table:  # held as ints; a Fraction epsilon widens the members' scale
+            values = [Fraction(v) for v in values]
+            epsilon_max = Fraction(epsilon_max) * Fraction(2, 3)
+        else:
+            values = [float(v) for v in values]
+        base = planted_base(role, values, weights, epsilon_max)
+        own = drawn_in_member_order(len(weights), 4, seed=1)
+        got = list(simulate_family(base, planted, own))
+        assert Counter(got) == Counter(per_pair_answers(base, planted, own))
+        assert all(g == w for _, _, g, _, w in got)
+
+    @pytest.mark.parametrize("role, values, weights, prices, answers", [
+        # c({1}) = 0.75 and c({1,2}) = 1 at p = (2^54, 0): both utilities
+        # round to 2^54 and the higher c, mask 3, wins.  Its discount to 0.5
+        # leaves its utility at 2^54 and its value below 0.75, so member 3
+        # loses to mask 1, the best mask other than k
+        ("supply", [0.0, 0.75, 0.0, 1.0], [1, 1], (2.0 ** 54, 0.0),
+         [(2, 3, 2, 3), (3, 1, 2, 1)]),
+        # member 1's bonus makes f({1}) = f({2}) = 1.5 at equal prices: equal
+        # utility and value, and the lower mask, k itself, wins
+        ("demand", [0.0, 1.0, 1.5, 2.0], [1, 1], (1.0, 1.0),
+         [(1, 1, 4, 1), (2, 2, 4, 2), (3, 3, 4, 3)]),
+    ])
+    def test_answers_at_a_planted_tie(self, role, values, weights, prices, answers):
+        base = planted_base(role, values, weights, 1.0)
+        got = list(simulate_family(base, [prices], lambda k: []))
+        assert got == [(k, prices, g, u, w) for k, g, u, w in answers]
+        assert got == list(per_pair_answers(base, [prices], lambda k: []))
+
+    def test_mixed_frames_refused(self):
+        base = planted_base("supply", [Fraction(v) for v in (0, 1, 1, 3)], [1, 1], 0.5)
+        with pytest.raises(ValueError, match="held as ints"):
+            next(simulate_family(base, [(1.0, 1.0)], lambda k: []))
+
+    @pytest.mark.parametrize("role, n", [("demand", 4), ("demand", 6), ("supply", 4), ("supply", 6)])
+    def test_run_equals_the_per_pair_run(self, role, n):
+        """The CLI run's comparisons, agreement and max value queries, with
+        its random prices drawn in member order, equal the per-pair loop's."""
+        args = argparse.Namespace(n=n, trials=4, seed=7)
+        out, ok = cli._experiment_sim(args, role)
+        if role == "demand":
+            base = build_equal_revenue_submod_f(n)
+            prices_for, partner = demand_prices_for_contract, base.c
+        else:
+            base = build_equal_revenue_supmod_c(n)
+            prices_for, partner = supply_prices_for_contract, base.f
+        with base.ctx.workprec():
+            shared = [prices_for(partner, a) for a in chain_alphas(base) if a > 0]
+        own = drawn_in_member_order(n, 4, seed=7)
+        answers = list(per_pair_answers(base, shared, own))
+        assert out["comparisons"] == len(answers)
+        assert out["agreement"] == sum(g == w for _, _, g, _, w in answers) / len(answers)
+        assert out["max_value_queries"] == max(u for _, _, _, u, _ in answers)
+        assert ok
+
+
 class TestRandomPrices:
     def test_seeded_determinism(self):
         a = random_prices(5, random.Random(42))
@@ -380,6 +540,38 @@ class TestValueQueryExperiment:
         a = value_query_experiment(base, trials=100, seed=5)
         b = value_query_experiment(base, trials=100, seed=5)
         assert a == b and a.as_dict()["strategy"] == "scan"
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "10", None, True])
+    def test_trials_refused_before_the_budget(self, trials):
+        base = build_equal_revenue_submod_f(4)
+        with pytest.raises(ValueError, match="trials"):
+            value_query_experiment(base, trials=trials)
+        assert "budget" not in base.kept
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_per_trial_scan(self, n):
+        base = build_equal_revenue_submod_f(n)
+        for seed in range(12):
+            trials = 1 + seed * 17
+            assert value_query_experiment(base, trials, seed) == reference_value_query(
+                base, trials, seed)
+
+    def test_equals_the_per_trial_scan_in_extended_precision(self):
+        base = build_equal_revenue_submod_f(11, precision_bits=360)
+        for seed in range(3):
+            got = value_query_experiment(base, 40, seed)
+            assert got == reference_value_query(base, 40, seed) and got.identified_all
+
+    def test_entries_wider_than_the_context_stop_the_scan(self):
+        """Kept budget of a 120-bit base, then a 60-bit context: adding 0
+        rounds f(S_1), so every scan stops at t = 1 and k = 1 alone is found."""
+        base = build_equal_revenue_submod_f(5, precision_bits=120)
+        epsilon_bound(base)
+        base.ctx = RealContext(bits=60)
+        for seed in range(4):
+            got = value_query_experiment(base, 50, seed)
+            assert got == reference_value_query(base, 50, seed)
+            assert got.mean_queries == 1.0 and not got.identified_all
 
     def test_reads_the_kept_reward_budget(self):
         base = build_equal_revenue_submod_f(4)
