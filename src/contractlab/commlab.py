@@ -35,10 +35,10 @@ from .core import (
     ContractInstance,
     SetFunctionOracle,
     _alpha_scores,
-    _argmax_with_tie_break,
+    _argmax,
     derived,
 )
-from .constructions import ConstructionIntegrityError, marginal_margins
+from .constructions import _SENSE, ConstructionIntegrityError, marginal_margins
 from .reals import MpfTable, exact
 from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
@@ -394,16 +394,13 @@ def _margins(oracle, sense):
 
 def _z_components(variant, base, perturbed, delta, sigma):
     """Margins capping z, read off the tables the augmented instance is
-    built on: both perturbed tables, plus the base reward gaps for sup-sup.
-    All exact; zeta is rounded down onto the perturbed base's grid."""
+    built on: both perturbed tables, in their declared classes' senses, plus
+    the base reward gaps for sup-sup.  All exact; zeta is rounded down onto the grid."""
     n = base.n
     comps = {}
-    comps["phi_f_tilde"], comps["psi_f_tilde"] = _margins(
-        perturbed.f, -1 if variant == "sup-sup" else +1
-    )
-    comps["phi_c_tilde"], comps["psi_c_tilde"] = _margins(
-        perturbed.c, +1 if variant == "sub-sub" else -1
-    )
+    f, c = perturbed.f, perturbed.c
+    comps["phi_f_tilde"], comps["psi_f_tilde"] = _margins(f, _SENSE[f.declared_class])
+    comps["phi_c_tilde"], comps["psi_c_tilde"] = _margins(c, _SENSE[c.declared_class])
     comps["zeta"] = _round_down(_zeta(variant, base, delta), perturbed.meta["grid_bits"])
     comps["sigma_half"] = sigma / 2
     if variant == "sup-sup":
@@ -550,7 +547,8 @@ def build_augmented(
     A pair copies those two int lists and overwrites the upper-half int of
     each size-n/2 set its indicator bits hold with a prebuilt one, at most
     2 C(n, n/2) ints, so it does no arithmetic; the augmented oracles are
-    handed the ints alone, and their entries read as Fractions.
+    handed the ints alone (their entries read as Fractions) and the
+    perturbed base's declared classes.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -567,8 +565,7 @@ def build_augmented(
             fhat[size + t] = parts.f_half[i]
         if x_c.packed >> i & 1:
             chat[size + t] = parts.c_half[i]
-    f_cls = "submodular" if variant in ("sub-sub", "sub-sup") else "supermodular"
-    c_cls = "submodular" if variant == "sub-sub" else "supermodular"
+    f_cls, c_cls = parts.perturbed.f.declared_class, parts.perturbed.c.declared_class
     ftab, ctab = MpfTable(fhat, parts.f_scale, True), MpfTable(chat, parts.c_scale, True)
     fhat_o = SetFunctionOracle(n + 1, table=ftab, declared_class=f_cls, name="augmented_reward")
     chat_o = SetFunctionOracle(n + 1, table=ctab, declared_class=c_cls, name="augmented_cost")
@@ -716,8 +713,8 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     stripped of n+1, always lies there.  Bob sends the augmented cost of
     each candidate and of its n+1-extension (2 |candidates| values), as its
     int over the cost table's public scale; Alice, who knows every reward,
-    picks the argmax under the standard tie-break, scored exactly on the
-    scaled ints (core._alpha_scores).
+    picks the argmax under the standard tie-break (core._argmax), scored
+    exactly on the scaled ints (core._alpha_scores).
     """
     from .sparse import approx_best_response
 
@@ -732,5 +729,5 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     costs = channel.send("Bob", [c_ints[m] for m in masks])
     fvals = [f_ints[m] for m in masks]
     utils, _ = _alpha_scores(alpha, fvals, s_f, costs, s_c)
-    best = masks[_argmax_with_tie_break(utils, fvals)]
+    best = masks[_argmax(utils, fvals)]
     return ActionSet(n + 1, best)

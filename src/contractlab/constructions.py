@@ -66,14 +66,9 @@ def default_bits_for(n: int) -> int:
 
 def _alpha_recurrence(ctx: RealContext, steps: int):
     """alpha_0 = 0; alpha_(t+1) = alpha_t + (sqrt(4 a^2 - 8 a + 5) - 1) / 2,
-    each operation rounded at ctx's precision: native floats, or the ints of
-    reals.round_nearest, the mpf mpmath would give bit for bit."""
-    if ctx.native:
-        a, alphas = 0.0, [0.0]
-        for _ in range(steps):
-            a = a + (math.sqrt(4 * a * a - 8 * a + 5) - 1) / 2
-            alphas.append(a)
-        return alphas
+    each operation rounded at ctx's precision on the ints of
+    reals.round_nearest, the mpf mpmath would give bit for bit; at 53 bits
+    these are the values native floats give."""
     prec = ctx.bits
     am, ae = 0, 0
     alphas = [mpf_exact(0, 0)]

@@ -268,28 +268,44 @@ def _scores(kind: str, x, prices, members=None):
     return util, vals, v_scale * p_scale, psum
 
 
-def _argmax_with_tie_break(objective, tie_value) -> int:
-    """Max objective; ties favor larger tie_value, then smaller mask.
-
-    Both arguments are indexable by mask.  Scanning masks in ascending order
-    makes "first seen wins" implement the lower-index rule.
-    """
-    best = 0
-    best_obj = objective[0]
-    best_tie = tie_value[0]
-    for mask in range(1, len(objective)):
-        obj = objective[mask]
-        if obj > best_obj or (obj == best_obj and tie_value[mask] > best_tie):
-            best = mask
-            best_obj = obj
-            best_tie = tie_value[mask]
+def _argmax(util, tie) -> int:
+    """The position of the greatest util, ties to the greatest tie value,
+    then to the lowest position: TIE_BREAK_RULE when positions run in
+    increasing mask order.  util is a list, tie indexable alike; only the
+    positions tied at the top are visited (util.index)."""
+    top = max(util)
+    best = m = util.index(top)
+    ties = util.count(top)
+    if ties > 1:
+        best_tie = tie[best]
+        for _ in range(ties - 1):
+            m = util.index(top, m + 1)
+            if tie[m] > best_tie:
+                best, best_tie = m, tie[m]
     return best
+
+
+def _within(util, factor, sigma) -> list:
+    """D^sigma: every position m with util[m] >= max(util) - sigma, in
+    increasing order.  Given factor, util holds ints, factor times the
+    utilities (_scores, _alpha_scores), and the cut is exact: for ints u
+    and top, u >= top - sigma factor iff u >= top - floor(sigma factor).
+    Else the cut is top - sigma in the utilities' arithmetic.  A NaN,
+    infinite or negative sigma raises ValueError before any comparison."""
+    try:
+        a, b = ratio(sigma)
+    except (OverflowError, ValueError):  # inf and NaN have no exact ratio
+        a = -1
+    if a < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    cut = max(util) - (sigma if factor is None else a * factor // b)
+    return [m for m, u in enumerate(util) if u >= cut]
 
 
 def _argmax_query(kind: str, x: SetFunctionOracle, prices, ctx) -> ActionSet:
     with (ctx or RealContext()).workprec():
         util, tie, _, _ = _scores(kind, x, prices)
-        best = _argmax_with_tie_break(util, tie)
+        best = _argmax(util, tie)
     x.ledger.count(kind + "_queries")
     return ActionSet(x.n, best)
 

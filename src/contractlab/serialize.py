@@ -166,14 +166,16 @@ def instance_from_dict(d: dict) -> ContractInstance:
     """The instance a dict of instance_to_dict's form describes.  Refuses,
     with ValueError, an additive oracle with a negative weight, a cost with
     c(empty set) != 0, and (ContractInstance) tables that mix mpf and
-    Fraction entries, and an n that is not an int; f(empty set) may be
-    anything (the submodular equal-revenue chain starts at 1)."""
-    n = d["n"]
+    Fraction entries, and an n or precision_bits that is not an int; f(empty
+    set) may be anything (the submodular equal-revenue chain starts at 1)."""
+    n, bits = d["n"], d.get("precision_bits", 53)
     if type(n) is not int:
         raise ValueError(f"n must be an int, not {n!r}")
+    if type(bits) is not int:
+        raise ValueError(f"precision_bits must be an int, not {bits!r}")
     if d.get("tie_break", TIE_BREAK_RULE) != TIE_BREAK_RULE:
         raise ValueError(f"unsupported tie_break rule {d['tie_break']!r}")
-    ctx = RealContext(bits=d.get("precision_bits", 53))
+    ctx = RealContext(bits=bits)
     inst = ContractInstance(
         n=n,
         f=_oracle_from_dict(n, d["f"]),

@@ -17,11 +17,12 @@ from .core import (
     ActionSet,
     SetFunctionOracle,
     _alpha_scores,
-    _argmax_with_tie_break,
+    _argmax,
     _scores,
+    _within,
 )
 from .perturb import REWARD_BONUS, _direction, _shifted_entry, epsilon_bound, valid_k_range
-from .reals import RealContext, ratio
+from .reals import RealContext
 from .solver import chain_alphas
 
 
@@ -49,35 +50,23 @@ class ApproxArgmaxSet:
 
 
 def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
-    """Every mask whose utility (see core._scores) is within sigma of the
-    max; exactly when the scores are ints, as in approx_best_response."""
+    """D^sigma of the kind's utility (core._scores) over every mask, cut by
+    core._within: exactly when the table is held as ints, else in its own
+    arithmetic.  ValueError for a NaN, infinite or negative sigma."""
     with ctx.workprec():
         util, _, factor, _ = _scores(kind, x, param)
-        cut = _cut(max(util), factor, sigma)
-        members = [ActionSet(x.n, m) for m, u in enumerate(util) if u >= cut]
+        members = [ActionSet(x.n, m) for m in _within(util, factor, sigma)]
     return ApproxArgmaxSet(members)
 
 
-def _cut(top, factor, sigma):
-    """The least utility in D^sigma when top is the greatest: top - sigma,
-    or on int scores (factor given) top - _int_slack(sigma, factor)."""
-    return top - (sigma if factor is None else _int_slack(sigma, factor))
-
-
-def _int_slack(sigma, factor) -> int:
-    """floor(sigma factor): for int scores u and top, u >= top - sigma factor
-    holds exactly when u >= top - floor(sigma factor)."""
-    a, b = ratio(sigma)
-    return a * factor // b
-
-
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
-    """All S with f(S) - p(S) >= max - sigma, by full enumeration."""
+    """All S with f(S) - p(S) >= max - sigma, by full enumeration, in
+    increasing mask order (see _approx_argmax)."""
     return _approx_argmax("demand", f, prices, sigma, ctx or RealContext())
 
 
 def approx_supply(c: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
-    """All S with p(S) - c(S) >= max - sigma."""
+    """All S with p(S) - c(S) >= max - sigma (see approx_demand)."""
     return _approx_argmax("supply", c, prices, sigma, ctx or RealContext())
 
 
@@ -85,15 +74,14 @@ def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
     """All S with alpha f(S) - c(S) >= max - sigma, decided exactly.
 
     Every set is scored on the oracles' scaled ints (core._alpha_scores),
-    factor times its utility, and the cut is sigma factor below the max,
-    compared in ints (_int_slack), whatever the representation of the
-    tables, alpha and sigma.
+    factor times its utility, and core._within cuts sigma factor below the
+    max in ints, whatever the representation of the tables, alpha and
+    sigma.  ValueError for a NaN, infinite or negative sigma.
     """
     fs, s_f, _ = inst.f.scaled()
     cs, s_c, _ = inst.c.scaled()
     scores, factor = _alpha_scores(alpha, fs, s_f, cs, s_c)
-    cut = max(scores) - _int_slack(sigma, factor)
-    return ApproxArgmaxSet([ActionSet(inst.n, m) for m, u in enumerate(scores) if u >= cut])
+    return ApproxArgmaxSet([ActionSet(inst.n, m) for m in _within(scores, factor, sigma)])
 
 
 @dataclass
@@ -194,15 +182,15 @@ def minimal_ambiguous_census(approx: ApproxArgmaxSet, n: int) -> dict[int, int]:
 def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
     """The argmax of the kind's utility on hidden, from value queries on the
     D^eps(prices) members of base only, scored as core._scores scores
-    them; ties to the higher hidden value, then the lower index.  Returns
-    (chosen set, value queries used)."""
+    them, by core._argmax: ties to the higher hidden value, then the lower
+    index.  Returns (chosen set, value queries used)."""
     ctx = ctx or RealContext()
     # module-level lookup at call time, so wrappers installed on it apply
     approx = approx_demand if kind == "demand" else approx_supply
     members = approx(base, prices, eps, ctx).members  # increasing mask order
     with ctx.workprec():
         utils, ties, _, _ = _scores(kind, hidden, prices, members)
-        best = members[_argmax_with_tie_break(utils, ties)]
+        best = members[_argmax(utils, ties)]
     return best, len(members)
 
 
@@ -223,33 +211,31 @@ def simulate_supply_by_values(base_c, hidden_c, prices, eps, ctx=None):
 
 
 class _PriceScan:
-    """One scan of the public table at one price vector: the utilities,
-    values and price sums (core._scores), the cut and size of D^eps(p),
-    and the best mask under the tie rule, with keys (utility, tie, -mask)
-    so that the greatest key is the argmax _argmax_with_tie_break finds."""
+    """One scan of the public table at one price vector, for simulate_family:
+    the price sums (core._scores) and the prices' scale, the set of
+    D^eps(p)'s masks (core._within), and the keys (utility, tie,
+    -mask) of the argmax (core._argmax) and of the best mask but it, each
+    the greatest key over its masks."""
 
-    __slots__ = ("prices", "util", "tie", "psum", "p_scale", "cut", "used", "best", "first",
-                 "_second")
+    __slots__ = ("prices", "util", "tie", "psum", "p_scale", "within", "best", "first", "_second")
 
     def __init__(self, kind, public, prices, eps, v_scale):
         util, tie, factor, psum = _scores(kind, public, prices)
-        top = max(util)
-        best = util.index(top)
-        if util.count(top) > 1:  # a tie in utility: the higher value, then the lower mask
-            best = -max((tie[m], -m) for m, u in enumerate(util) if u == top)[1]
+        best = _argmax(util, tie)
         self.prices, self.util, self.tie, self.psum = prices, util, tie, psum
         self.p_scale = None if factor is None else factor // v_scale
-        self.cut = cut = _cut(top, factor, eps)
-        self.used = len([u for u in util if u >= cut])
-        self.best, self.first, self._second = best, (top, tie[best], -best), None
+        self.within = set(_within(util, factor, eps))
+        self.best, self.first, self._second = best, (util[best], tie[best], -best), None
 
     def second(self):
-        """The greatest key over every mask but best (n >= 1 leaves one),
-        built on first use: only the member at best needs it."""
+        """The key of the argmax over every mask but best (n >= 1 leaves
+        one), built on first use: only the member at best needs it."""
         if self._second is None:
-            keys = list(zip(self.util, self.tie, range(0, -len(self.util), -1)))
-            del keys[self.best]
-            self._second = max(keys)
+            best, util, tie = self.best, self.util[:], list(self.tie)
+            del util[best], tie[best]
+            m = _argmax(util, tie)
+            m += m >= best
+            self._second = (self.util[m], self.tie[m], -m)
         return self._second
 
 
@@ -307,8 +293,8 @@ def simulate_family(base, shared, own):
         # Else D^eps(p) holds the best mask other than k, or only k when every
         # other utility is below the cut, and then k, whose shifted utility is
         # never below its public one, is the exact answer too
-        got = want if scan.util[k] >= scan.cut else scan.best
-        return k, scan.prices, got, scan.used, want
+        got = want if k in scan.within else scan.best
+        return k, scan.prices, got, len(scan.within), want
 
     # the working precision is entered around each scan, never across a yield
     for prices in shared:

@@ -20,7 +20,6 @@ from contractlab.core import (
     ActionSet,
     ContractInstance,
     SetFunctionOracle,
-    _argmax_with_tie_break,
     best_response,
     value,
 )
@@ -31,6 +30,24 @@ from contractlab.sparse import ExperimentStats
 
 
 # --- brute-force ground truth ----------------------------------------------
+
+
+def reference_argmax(objective, tie_value) -> int:
+    """Max objective; ties favor larger tie_value, then smaller mask.
+
+    Both arguments are indexable by mask.  Scanning masks in ascending order
+    makes "first seen wins" implement the lower-index rule.
+    """
+    best = 0
+    best_obj = objective[0]
+    best_tie = tie_value[0]
+    for mask in range(1, len(objective)):
+        obj = objective[mask]
+        if obj > best_obj or (obj == best_obj and tie_value[mask] > best_tie):
+            best = mask
+            best_obj = obj
+            best_tie = tie_value[mask]
+    return best
 
 
 def brute_argmax(util, tie, size):
@@ -175,7 +192,7 @@ def reference_fptas(inst: ContractInstance, eps) -> FptasResult:
                     s = best_response(inst, alpha)
                     probes.append((alpha, s, (one - alpha) * value(inst.f, s)))
         utils = [u for _, _, u in probes]
-        best_alpha, best_set, best_util = probes[_argmax_with_tie_break(utils, [0] * len(utils))]
+        best_alpha, best_set, best_util = probes[reference_argmax(utils, [0] * len(utils))]
     return FptasResult(
         alpha=best_alpha,
         aset=best_set,

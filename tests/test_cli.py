@@ -546,12 +546,14 @@ class TestMalformedInput:
         assert message.startswith("contractlab: cannot load instance: ") and reason in message
 
     @staticmethod
-    def assert_refused(data: dict, reason: str):
+    def assert_refused(data, reason: str):
         """solve and verify both end with one line naming the reason (a
-        SystemExit with a message: exit status 1, the message on stderr)."""
+        SystemExit with a message: exit status 1, the message on stderr).
+        data is the instance as a dict or as its JSON text."""
+        text = data if isinstance(data, str) else json.dumps(data)
         for command in (["solve"], ["verify", "structure"]):
             with pytest.raises(SystemExit) as exc:
-                run([command[0], "--instance", json.dumps(data), *command[1:]])
+                run([command[0], "--instance", text, *command[1:]])
             message = exc.value.code
             assert isinstance(message, str) and "\n" not in message
             assert message.startswith("contractlab: cannot load instance: ") and reason in message
@@ -599,6 +601,15 @@ class TestMalformedInput:
         data = json.loads(run_construct("equal_revenue_submod_f", 1))
         data["n"] = True  # True == 1, so every range and length check passes
         self.assert_refused(data, "n must be an int")
+
+    # 53.7 read as 53 bits, "64" as 64, and 1e999 (a float inf) ended in an
+    # OverflowError traceback
+    @pytest.mark.parametrize("bits", ["53.7", '"64"', "1e999", "true", "null"])
+    def test_precision_bits_must_be_a_json_int(self, bits):
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        data["precision_bits"] = "@"
+        text = json.dumps(data).replace('"precision_bits": "@"', f'"precision_bits": {bits}')
+        self.assert_refused(text, "precision_bits must be an int")
 
     @staticmethod
     def extended_precision_data() -> dict:

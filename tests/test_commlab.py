@@ -192,6 +192,21 @@ class TestAugmentedStructure:
             assert verify_structure(aug.instance.f).ok
             assert verify_structure(aug.instance.c).ok
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_declared_classes_per_variant(self, variant):
+        # (perturbed f, perturbed c): build_perturbed_cost/_reward decide
+        # them, and z's margins and the augmented oracles read them off
+        classes = {
+            "sub-sub": ("submodular", "submodular"),
+            "sub-sup": ("submodular", "supermodular"),
+            "sup-sup": ("supermodular", "supermodular"),
+        }[variant]
+        base = build_equal_revenue_supmod_c(4) if variant == "sup-sup" else submod_base(4)
+        zero = SpecialSetVector(4, [0] * 6)
+        aug = build_augmented(variant, base, zero, zero)
+        oracles = (aug.perturbed.f, aug.perturbed.c, aug.instance.f, aug.instance.c)
+        assert tuple(o.declared_class for o in oracles) == classes * 2
+
     def test_structure_matches_brute_force(self):
         ones = SpecialSetVector.all_ones(4)
         aug = build_augmented("sub-sub", submod_base(4), ones, ones)

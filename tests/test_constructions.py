@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 
 import hypothesis.strategies as st
 import mpmath
@@ -142,15 +142,19 @@ class TestIntRecurrences:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
     def test_gap_bound_alphas_equal_the_mpf_recurrence(self, n):
-        bits = max(default_bits_for(n), 19 * n + 30)  # n = 1 runs in floats
-        ctx = RealContext(bits)
-        alphas = _alpha_recurrence(ctx, 1 << n)
-        if ctx.native:
-            assert all(type(a) is float for a in alphas)
-            assert alphas == [float(a) for a in mpf_alphas(bits, 1 << n)]
-        else:
-            assert raw(alphas) == raw(mpf_alphas(bits, 1 << n))
+        bits = max(default_bits_for(n), 19 * n + 30)  # n = 1 runs at 53 bits
+        alphas = _alpha_recurrence(RealContext(bits), 1 << n)
+        assert [exact(a) for a in alphas] == [exact(a) for a in mpf_alphas(bits, 1 << n)]
         assert check_gap_bounds(n).violations == chain_gap_bounds(alphas, n).violations
+        assert check_gap_bounds(n).ok
+
+    def test_53_bit_alphas_equal_the_native_float_recurrence(self):
+        a, floats = 0.0, [0.0]
+        for _ in range(1 << 12):
+            a = a + (sqrt(4 * a * a - 8 * a + 5) - 1) / 2
+            floats.append(a)
+        alphas = _alpha_recurrence(RealContext(53), 1 << 12)
+        assert [exact(a) for a in alphas] == [exact(a) for a in floats]
 
     @pytest.mark.parametrize("n, kappa", [(2, None), (3, None), (5, None), (4, 100)])
     def test_rounded_equals_the_mpf_recurrence(self, n, kappa):

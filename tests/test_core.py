@@ -53,6 +53,7 @@ from conftest import (
     non_monotone_tables,
     price_vectors,
     real_monotone_instance_tables,
+    reference_argmax,
     supmod_c_cost_fractions,
 )
 
@@ -295,6 +296,83 @@ class TestMpfTable:
         assert lower_hull(inst).nums == [2 * d for d in rebuilt.nums]
         with pytest.raises(ValueError, match="equal-revenue construction"):
             epsilon_bound(inst)
+
+
+# one value kind per draw, on a quarter grid so that floats and mpfs are exact
+KINDS = {
+    "int": int,
+    "Fraction": lambda v: Fraction(v, 4),
+    "float": lambda v: v / 4,
+    "mpf": lambda v: mpmath.mpf(v) / 4,
+}
+
+
+@st.composite
+def tie_heavy_vectors(draw):
+    """(util, tie) of one kind, drawn from few values, with more positions
+    planted at the greatest utility and at one tie value."""
+    size = draw(st.integers(1, 40))
+    util = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    tie = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    for m in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        util[m] = max(util)
+    planted = draw(st.integers(-2, 2))
+    for m in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        tie[m] = planted
+    make = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    return [make(u) for u in util], [make(t) for t in tie]
+
+
+class TestArgmaxAndCut:
+    """core._argmax, the one argmax, against the plain loop over masks, and
+    core._within, the one sigma cut, against the cut decided in Fractions."""
+
+    @given(tie_heavy_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_argmax_equals_the_loop(self, vectors):
+        util, tie = vectors
+        assert core._argmax(util, tie) == reference_argmax(util, tie)
+
+    def test_argmax_tie_rule(self):
+        # the greatest utility, then the greatest tie value, then the lowest mask
+        assert core._argmax([1, 3, 3, 3, 2], [9, 0, 5, 5, 9]) == 2
+        assert core._argmax([0.5, 0.5], [1, 1]) == 0
+        assert core._argmax([7], [0]) == 0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_within_on_int_scores_equals_the_fraction_cut(self, data):
+        util = data.draw(st.lists(st.integers(-200, 200), min_size=1, max_size=40))
+        factor = data.draw(st.integers(1, 64))
+        top = max(util)
+        sigma = data.draw(st.one_of(
+            # exactly on some position's distance, so that position is the edge
+            st.sampled_from(util).map(lambda u: Fraction(top - u, factor)),
+            st.fractions(min_value=0, max_value=8, max_denominator=64),
+            st.integers(0, 8),
+            st.floats(min_value=0, max_value=8),
+            st.floats(min_value=0, max_value=8).map(mpmath.mpf),
+        ))
+        kind = data.draw(st.sampled_from((Fraction, float, mpmath.mpf)))
+        if kind is not Fraction and isinstance(sigma, Fraction):
+            sigma = kind(sigma.numerator) / sigma.denominator
+        cut = top - exact(sigma) * factor
+        assert core._within(util, factor, sigma) == [m for m, u in enumerate(util) if u >= cut]
+
+    @given(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
+        st.floats(min_value=0, max_value=1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_in_floats_cuts_at_top_minus_sigma(self, util, sigma):
+        cut = max(util) - sigma
+        assert core._within(util, None, sigma) == [m for m, u in enumerate(util) if u >= cut]
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, mpmath.mpf("nan"), -1, -1e-300])
+    @pytest.mark.parametrize("factor", [None, 3])
+    def test_within_refuses_a_bad_sigma(self, sigma, factor):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            core._within([0, 1, 2], factor, sigma)
 
 
 class TestQueries:

@@ -113,6 +113,10 @@ class TestExactScoring:
                 real_numbers(),
                 st.integers(0, (1 << n) - 1).map(lambda m: max(util) - util[m]),  # on a set
             ))
+            if sigma < 0:
+                with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                    approx(oracle, prices, sigma)
+                continue
             want = brute_exact_approx(kind, tab, prices, sigma)
             assert approx(oracle, prices, sigma).masks() == want
 
@@ -197,6 +201,30 @@ class TestApproxArgmax:
             sigma = data.draw(st.sampled_from([0, Fraction(1, 7), 0.25, 1]))
         want = [m for m in range(1 << n) if util[m] >= max(util) - exact(sigma)]
         assert approx_best_response(inst, alpha, sigma).masks() == want
+
+    BAD_SIGMAS = (math.nan, math.inf, -math.inf, mpmath.mpf("nan"), mpmath.mpf("inf"),
+                  -mpmath.mpf("inf"), -1e-300, Fraction(-1, 7), -1, mpmath.mpf(-0.5))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_equal_revenue_submod_f(4),  # float tables
+        lambda: build_equal_revenue_supmod_c(4),  # rational, held as ints
+        lambda: build_equal_revenue_submod_f(4, precision_bits=192),  # mpf, held as ints
+    ])
+    def test_bad_sigma_refused_in_every_representation(self, build):
+        # a float table used to give no set for NaN and every set for inf; a
+        # rational one raised ValueError and OverflowError
+        base = build()
+        prices, alpha = (0.5, 0.25, 0.125, 1.0), Fraction(1, 2)
+        for sigma in self.BAD_SIGMAS:
+            for run in (lambda: approx_demand(base.f, prices, sigma, base.ctx),
+                        lambda: approx_supply(base.c, prices, sigma, base.ctx),
+                        lambda: approx_best_response(base, alpha, sigma)):
+                with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                    run()
+        assert base.f.ledger == base.c.ledger == base.ledger == QueryLedger()
+        for zero in (0, -0.0, mpmath.mpf(0)):
+            within = approx_demand(base.f, prices, zero, base.ctx).masks()
+            assert demand(base.f, prices, base.ctx).mask in within
 
     def test_best_response_window(self):
         base = build_equal_revenue_supmod_c(3)
