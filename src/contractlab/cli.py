@@ -12,13 +12,12 @@ import functools
 import random
 import sys
 
+from .constructions import NAMED_CONSTRUCTIONS, SUBMOD_F, SUPMOD_C, build_named, kind_of
 from .core import ContractInstance
 from .serialize import (
-    NAMED_CONSTRUCTIONS,
     dump_csv,
     dump_json,
     instance_to_dict,
-    build_named,
     load_instance,
     number_to_str,
     save_instance,
@@ -145,8 +144,8 @@ def _check_gap_bounds(inst, report, seed):
     if not _on_chain(inst):
         report["gap_bounds"] = {"ok": False, "reason": "needs an equal-revenue base"}
         return False
-    if inst.meta.get("kind") != "equal_revenue_submod_f":
-        reason = "the square-root recurrence bounds only the equal_revenue_submod_f chain"
+    if kind_of(inst) is not SUBMOD_F:
+        reason = f"the square-root recurrence bounds only the {SUBMOD_F.name} chain"
         report["gap_bounds"] = {"ok": False, "reason": reason}
         return False
     r = chain_gap_bounds(chain_alphas(inst), inst.n)
@@ -202,8 +201,7 @@ def _check_cc_invariants(inst, report, seed):
     if not _on_chain(inst):
         report["cc_invariants"] = {"ok": False, "reason": "needs an equal-revenue base"}
         return False
-    kind = inst.meta.get("kind")
-    variant = "sup-sup" if kind == "equal_revenue_supmod_c" else "sub-sub"
+    variant = kind_of(inst).variants[0]
     ones = SpecialSetVector.all_ones(n)
     aug = build_augmented(variant, inst, ones, ones)
     ok = True
@@ -254,22 +252,21 @@ def _experiment_value_query(args):
     return stats.as_dict(), stats.ok
 
 
-def _experiment_sim(args, role):
-    """Demand (role "demand", reward-bonus family) or supply (role "supply",
-    cost-discount family) queries answered by value queries, against the
-    exact query on every hidden family member, at every breakpoint price
-    vector and at --trials random ones per member, drawn member by member
-    in increasing k.  sparse.simulate_family answers them with one scan of
-    the base per price vector."""
-    from .constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
+def _experiment_sim(args, kind):
+    """The kind's query (demand on the reward-bonus family of
+    equal_revenue_submod_f, supply on the cost-discount family of
+    equal_revenue_supmod_c) answered by value queries, against the exact
+    query on every hidden family member, at every breakpoint price vector
+    and at --trials random ones per member, drawn member by member in
+    increasing k.  sparse.simulate_family answers them with one scan of the
+    base per price vector."""
     from .core import demand_prices_for_contract, supply_prices_for_contract
     from .sparse import random_prices, simulate_family, sparseness_ceiling
 
-    if role == "demand":
-        base = build_equal_revenue_submod_f(args.n)
+    base = build_named(kind.name, {"n": args.n})
+    if kind.query == "demand":  # the prices that make the query a best response
         prices_for, partner = demand_prices_for_contract, base.c
     else:
-        base = build_equal_revenue_supmod_c(args.n)
         prices_for, partner = supply_prices_for_contract, base.f
     rng = random.Random(args.seed)
     agree = total = 0
@@ -382,8 +379,8 @@ def _experiment_protocol_bench(args):
 
 RUNNERS = {
     "value-query": _experiment_value_query,
-    "demand-sim": lambda args: _experiment_sim(args, "demand"),
-    "supply-sim": lambda args: _experiment_sim(args, "supply"),
+    "demand-sim": lambda args: _experiment_sim(args, SUBMOD_F),
+    "supply-sim": lambda args: _experiment_sim(args, SUPMOD_C),
     "cc-sweep": _experiment_cc_sweep,
     "protocol-bench": _experiment_protocol_bench,
 }

@@ -38,7 +38,7 @@ from .core import (
     _argmax,
     derived,
 )
-from .constructions import _SENSE, ConstructionIntegrityError, marginal_margins
+from .constructions import KINDS, _SENSE, ConstructionIntegrityError, kind_of, marginal_margins
 from .reals import MpfTable, exact
 from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
@@ -175,8 +175,8 @@ def delta_bound(base: ContractInstance, variant: str) -> DeltaBudget:
         raise ValueError(f"unknown variant {variant!r}")
     n = base.n
     size = 1 << n
-    ftab = tuple(base.f.value_table())  # an MpfTable's entries built once
-    ctab = tuple(base.c.value_table())
+    ftab = tuple(base.f.table)  # an MpfTable's entries built once
+    ctab = tuple(base.c.table)
     alphas = chain_alphas(base)
     with base.ctx.workprec():
         if variant == "sup-sup":
@@ -264,15 +264,15 @@ def build_perturbed_cost(base: ContractInstance, delta, variant: str) -> Contrac
     caller, _augment_parts, takes half of a cap below that bound.
     """
     sign, cls = {"sub-sub": (-1, "submodular"), "sub-sup": (+1, "supermodular")}[variant]
-    f_max = exact(base.f.value_table()[-1])
+    f_max = exact(base.f.table[-1])
     kappa = _grid_bits(variant, base, delta, 2 * f_max)
     scale = 1 << kappa
     d = floor(exact(delta) * scale)
-    cs = [exact(cv) * scale for cv in base.c.value_table()]
+    cs = [exact(cv) * scale for cv in base.c.table]
     if any(v.denominator != 1 for v in cs):
         raise ConstructionIntegrityError("base costs are not on the perturbation grid")
     cs = [v.numerator + sign * d * _size_sq(m) for m, v in enumerate(cs)]
-    fs = [floor(exact(base.f.value_table()[0]) * scale)]
+    fs = [floor(exact(base.f.table[0]) * scale)]
     for t in range(1, base.size):
         prev = fs[-1]
         b = prev + scale + cs[t] - cs[t - 1]
@@ -307,10 +307,10 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
     caller, _augment_parts, takes half of a cap below that bound.
     """
     n = base.n
-    kappa = _grid_bits("sup-sup", base, delta, base.f.value_table()[-1] + exact(delta) * n * n)
+    kappa = _grid_bits("sup-sup", base, delta, base.f.table[-1] + exact(delta) * n * n)
     scale = 1 << kappa
     d = floor(exact(delta) * scale)
-    fs = [fv * scale + d * _size_sq(m) for m, fv in enumerate(base.f.value_table())]
+    fs = [fv * scale + d * _size_sq(m) for m, fv in enumerate(base.f.table)]
     cs = [0]
     for t in range(1, base.size):
         # floor(c~_(t-1) + (1 - 1/f~_t)(f~_t - f~_(t-1))) in grid units
@@ -405,7 +405,7 @@ def _z_components(variant, base, perturbed, delta, sigma):
     comps["sigma_half"] = sigma / 2
     if variant == "sup-sup":
         # rewards get the extra 1/2 cap
-        ftab = base.f.value_table()
+        ftab = base.f.table
         comps["phi_f"] = min([Fraction(1, 2)] + [ftab[t] - ftab[t - 1] for t in range(1, 1 << n)])
     for k, v in comps.items():
         if not v > 0:
@@ -539,7 +539,9 @@ def build_augmented(
     """Attach action n+1 with indicator-encoded marginals to the perturbed base.
 
     base: submodular-reward equal-revenue instance for sub-sub/sub-sup,
-    additive-reward (supermodular-cost) instance for sup-sup; n must be even.
+    additive-reward (supermodular-cost) instance for sup-sup, as the base's
+    kind lists them (constructions.EqualRevenueKind.variants), else
+    ValueError before anything is kept; n must be even.
     delta is half the least of the variant's delta_bound and
     sigma / (2 n^2).  Everything but the marginals is independent
     of (x_f, x_c) and kept on the base (core.derived; _AugmentParts), both
@@ -552,6 +554,10 @@ def build_augmented(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    kind = kind_of(base)
+    if variant not in kind.variants:
+        need = next(k.name for k in KINDS.values() if variant in k.variants)
+        raise ValueError(f"variant {variant} needs an {need} base, not {kind.name}")
     n = base.n
     if n % 2:
         raise ValueError("augmentation requires even n")
@@ -698,7 +704,7 @@ def full_streaming_protocol(channel: Channel, f_holder, c_holder):
     """Bob ships his whole cost table; Alice solves locally."""
     from .solver import optimal_contract
 
-    ctab = channel.send("Bob", c_holder.c.value_table())
+    ctab = channel.send("Bob", c_holder.c.table)
     c = SetFunctionOracle(f_holder.n, table=ctab, declared_class=c_holder.c.declared_class)
     inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
     sol = optimal_contract(inst)

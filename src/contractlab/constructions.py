@@ -19,16 +19,20 @@ with the closed-form list of its critical values, the values, of the types,
 that critical_values reports, also put in meta["alpha_table"].  A replaced
 table drops both; the chain is then derived from the tables, as on a loaded
 instance.
+
+EqualRevenueKind is the one description of each of the two mirrored
+kinds, read through kind_of by every module that acts on a base.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .core import MAX_N, ContractInstance, SetFunctionOracle, _scaled_ints
 from .core import derived
@@ -150,7 +154,7 @@ def build_equal_revenue_submod_f(n: int, precision_bits: int | None = None) -> C
         name="binary_weights_cost",
     )
     inst = ContractInstance(n=n, f=f, c=c, ctx=ctx, name=f"equal_revenue_submod_f(n={n})")
-    inst.meta["kind"] = "equal_revenue_submod_f"
+    inst.meta["kind"] = SUBMOD_F.name
     inst.meta["alpha_table"] = derived(inst, "chain", lambda _: alphas)
     return inst
 
@@ -180,11 +184,57 @@ def build_equal_revenue_supmod_c(n: int) -> ContractInstance:
     cost = MpfTable(ints, scale, True)
     c = SetFunctionOracle(n, table=cost, declared_class="supermodular", name="equal_revenue_cost")
     inst = ContractInstance(n=n, f=f, c=c, name=f"equal_revenue_supmod_c(n={n})")
-    inst.meta["kind"] = "equal_revenue_supmod_c"
+    inst.meta["kind"] = SUPMOD_C.name
     # S_1's alpha is the int 0, as solver.critical_values reports it
     alphas = [0] + [Fraction(t - 1, t) for t in range(2, size)]
     inst.meta["alpha_table"] = derived(inst, "chain", lambda _: alphas)
     return inst
+
+
+REWARD_BONUS = "reward-bonus"
+COST_DISCOUNT = "cost-discount"
+
+
+@dataclass(frozen=True)
+class EqualRevenueKind:
+    """One equal-revenue kind.  side is the base's combinatorial table, "f"
+    or "c" (the other is additive), and query the query on it ("demand" or
+    "supply").  A hidden-family member shifts that table's entry k by
+    shift(entry, epsilon), the family's direction, keeping the oracle's
+    declared class and adding suffix to its name.  chain_start is the
+    chain's first set: the empty set at alpha = 0 on the submodular-reward
+    base; on the supermodular-cost base S_1 costs 0 as well and pays more,
+    so the chain starts there (and a discount there would make a cost
+    negative).  variants are the commlab reductions built on the base."""
+
+    name: str
+    side: str
+    query: str
+    chain_start: int
+    direction: str
+    shift: Callable
+    suffix: str
+    variants: tuple
+
+
+SUBMOD_F = EqualRevenueKind(
+    name="equal_revenue_submod_f", side="f", query="demand", chain_start=0,
+    direction=REWARD_BONUS, shift=add, suffix="+bonus", variants=("sub-sub", "sub-sup"),
+)
+SUPMOD_C = EqualRevenueKind(
+    name="equal_revenue_supmod_c", side="c", query="supply", chain_start=1,
+    direction=COST_DISCOUNT, shift=sub, suffix="-discount", variants=("sup-sup",),
+)
+KINDS = {kind.name: kind for kind in (SUBMOD_F, SUPMOD_C)}
+
+
+def kind_of(inst: ContractInstance) -> EqualRevenueKind:
+    """The equal-revenue kind meta["kind"] names; ValueError for any other
+    instance."""
+    kind = KINDS.get(inst.meta.get("kind"))
+    if kind is None:
+        raise ValueError("base is not a recognized equal-revenue construction")
+    return kind
 
 
 MAX_RECORDED = 50  # violations of each kind verify_structure records
@@ -231,7 +281,7 @@ def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
                       for k in _first(diffs[b * half:(b + 1) * half], _BAD[sense])]
     if not mono and not klass:
         return StructureReport([], [])
-    tab = oracle.value_table() if rational else vals
+    tab = oracle.table if rational else vals
 
     def marginal(s, i):  # v(i | S) in the table's own arithmetic, or scaled
         return tab[s | 1 << i] - tab[s]
@@ -465,3 +515,24 @@ def chain_gap_bounds(alphas, n: int) -> GapBoundReport:
             ]
         violations += [(t, name) for name, holds in bounds if not holds]
     return GapBoundReport(violations)
+
+
+# each named construction: its builder at n and the parameters it takes
+# besides n
+NAMED_CONSTRUCTIONS = {
+    SUBMOD_F.name: (build_equal_revenue_submod_f, ("precision_bits",)),
+    SUPMOD_C.name: (build_equal_revenue_supmod_c, ()),
+    "rounded": (lambda n, grid_bits=None: build_rounded(n, grid_bits).instance, ("grid_bits",)),
+}
+
+
+def build_named(name: str, params: dict) -> ContractInstance:
+    """The named construction at params["n"] and the other parameters it
+    takes; a parameter it does not take raises ValueError."""
+    if name not in NAMED_CONSTRUCTIONS:
+        raise ValueError(f"unknown named construction {name!r}")
+    build, takes = NAMED_CONSTRUCTIONS[name]
+    extra = sorted(set(params) - {"n", *takes})
+    if extra:
+        raise ValueError(f"{name} does not take {', '.join(extra)}")
+    return build(**params)

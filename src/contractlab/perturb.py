@@ -3,9 +3,12 @@
 Starting from an equal-revenue base, adding a bonus epsilon to f(S_k) (or
 discounting c(S_k)) breaks the revenue tie so the breakpoint incentivizing
 S_k becomes the unique optimal contract, while every other breakpoint stays
-exactly where it was.  The admissible epsilon is the minimum of three
-structural margins of the base instance: epsilon_bound, kept on the base by
-core.derived and so computed again only after a table is replaced.
+exactly where it was.  Which table a family shifts, and how, is the base's
+kind's (constructions.kind_of): the combinatorial side, f on the
+submodular-reward base and c on the supermodular-cost one.  The admissible
+epsilon is the minimum of three structural margins of the base instance:
+epsilon_bound, kept on the base by core.derived and so computed again only
+after a table is replaced.
 """
 
 from __future__ import annotations
@@ -13,31 +16,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from .core import ContractInstance, SetFunctionOracle, derived
-from .constructions import ConstructionIntegrityError, marginal_margins
+from .constructions import (
+    COST_DISCOUNT,
+    REWARD_BONUS,
+    ConstructionIntegrityError,
+    EqualRevenueKind,
+    kind_of,
+    marginal_margins,
+)
 from .reals import MpfTable, ratio
 from .solver import chain_alphas
-
-REWARD_BONUS = "reward-bonus"
-COST_DISCOUNT = "cost-discount"
-
-_DIRECTION_FOR_KIND = {
-    "equal_revenue_submod_f": REWARD_BONUS,
-    "equal_revenue_supmod_c": COST_DISCOUNT,
-}
 
 
 class BudgetError(ValueError):
     pass
-
-
-def _direction(base: ContractInstance) -> str:
-    direction = _DIRECTION_FOR_KIND.get(base.meta.get("kind"))
-    if direction is None:
-        raise ValueError("base is not a recognized equal-revenue construction")
-    return direction
 
 
 @dataclass(frozen=True)
@@ -75,10 +70,10 @@ def _chain_tables(base: ContractInstance):
     is, since its exact terms are taken on its ints (epsilon_bound_cost)."""
     if not 2 <= base.n <= 12:
         raise ValueError(f"exhaustive bound needs 2 <= n <= 12, got n={base.n}")
-    ctab = base.c.value_table()
+    ctab = base.c.table
     if not (isinstance(ctab, MpfTable) and ctab.rational):
         ctab = tuple(ctab)
-    return tuple(base.f.value_table()), ctab, chain_alphas(base)
+    return tuple(base.f.table), ctab, chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
@@ -123,7 +118,7 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
 
 
 def _budget(base: ContractInstance) -> PerturbationBudget:
-    reward = _direction(base) == REWARD_BONUS
+    reward = kind_of(base).direction == REWARD_BONUS
     return epsilon_bound_reward(base) if reward else epsilon_bound_cost(base)
 
 
@@ -140,33 +135,24 @@ class PerturbedInstance:
     instance: ContractInstance
 
 
-def valid_k_range(base: ContractInstance, direction: str) -> range:
-    """Cost discounts skip k=1: c(S_1) = 0 there, and a discount would
-    break nonnegativity."""
-    lo = 2 if direction == COST_DISCOUNT else 1
-    return range(lo, base.size)
+def valid_k_range(base: ContractInstance) -> range:
+    """Every set of the base's chain but the first (the kind's chain_start),
+    in increasing k."""
+    return range(kind_of(base).chain_start + 1, base.size)
 
 
-# per direction: the perturbed side, how epsilon enters its entry at k, the
-# declared class and the name suffix of the perturbed oracle
-_MEMBER = {
-    REWARD_BONUS: ("f", add, "submodular", "+bonus"),
-    COST_DISCOUNT: ("c", sub, "supermodular", "-discount"),
-}
-
-
-def _shifted_entry(base: ContractInstance, direction: str, k: int, epsilon):
+def _shifted_entry(base: ContractInstance, kind: EqualRevenueKind, k: int, epsilon):
     """Member k's one changed entry: (entry, held).  entry is the base's
-    entry k shifted by epsilon in the base's working precision.  held is
-    (int, scale) of the member's table held as ints, entry k being int /
-    scale, when the base table is an MpfTable and entry has its entry type
-    (as it has for a budget epsilon): the scale is the LCM of the base's
-    and entry's, a power of two staying one.  Else held is None, and the
-    member's table is the base's entries with entry k replaced."""
-    side, shift, _, _ = _MEMBER[direction]
-    tab = getattr(base, side).table
+    entry k on the kind's side, shifted by epsilon in the base's working
+    precision.  held is (int, scale) of the member's table held as ints,
+    entry k being int / scale, when the base table is an MpfTable and entry
+    has its entry type (as it has for a budget epsilon): the scale is the
+    LCM of the base's and entry's, a power of two staying one.  Else held is
+    None, and the member's table is the base's entries with entry k
+    replaced."""
+    tab = getattr(base, kind.side).table
     with base.ctx.workprec():
-        entry = shift(tab[k], epsilon)
+        entry = kind.shift(tab[k], epsilon)
     if not (isinstance(tab, MpfTable) and type(entry) is type(tab[k])):
         return entry, None
     p, q = ratio(entry)
@@ -174,15 +160,17 @@ def _shifted_entry(base: ContractInstance, direction: str, k: int, epsilon):
     return entry, (p * (scale // q), scale)
 
 
-def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> PerturbedInstance:
+def _perturbed(
+    base: ContractInstance, kind: EqualRevenueKind, k: int, epsilon
+) -> PerturbedInstance:
     """The family member at k, with k and epsilon already checked: the base
-    with its table on the direction's side changed at entry k alone
-    (_shifted_entry), held as ints when that entry is."""
-    side, _, cls, suffix = _MEMBER[direction]
-    old = getattr(base, side)
+    with its table on the kind's side changed at entry k alone
+    (_shifted_entry), held as ints when that entry is, under the same
+    declared class."""
+    old = getattr(base, kind.side)
     tab = old.table
-    entry, held = _shifted_entry(base, direction, k, epsilon)
-    labels = dict(declared_class=cls, name=f"{old.name}{suffix}")
+    entry, held = _shifted_entry(base, kind, k, epsilon)
+    labels = dict(declared_class=old.declared_class, name=f"{old.name}{kind.suffix}")
     if held is not None:
         kint, scale = held
         ints = [v * (scale // tab.scale) for v in tab.ints]
@@ -192,10 +180,10 @@ def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> Pertu
         body = list(tab)
         body[k] = entry
         new = SetFunctionOracle(base.n, table=body, **labels)
-    oracles = {"f": base.f, "c": base.c, side: new}
+    oracles = {"f": base.f, "c": base.c, kind.side: new}
     inst = ContractInstance(n=base.n, **oracles, ctx=base.ctx, name=f"{base.name} perturbed(k={k})")
     inst.meta.update(
-        kind="perturbed", base_kind=base.meta.get("kind"), k=k, epsilon=epsilon, direction=direction
+        kind="perturbed", base_kind=kind.name, k=k, epsilon=epsilon, direction=kind.direction
     )
     return PerturbedInstance(k=k, epsilon=epsilon, instance=inst)
 
@@ -203,20 +191,20 @@ def _perturbed(base: ContractInstance, direction: str, k: int, epsilon) -> Pertu
 def make_perturbed(base: ContractInstance, k: int, epsilon) -> PerturbedInstance:
     """Bonus f(S_k) += eps (submod-f base) or discount c(S_k) -= eps
     (supmod-c base)."""
-    direction = _direction(base)
-    if k not in valid_k_range(base, direction):
-        raise BudgetError(f"k={k} outside valid range for {direction}")
+    kind = kind_of(base)
+    if k not in valid_k_range(base):
+        raise BudgetError(f"k={k} outside valid range for {kind.direction}")
     budget = epsilon_bound(base)
     if not (0 < epsilon < budget.epsilon_max):
         raise BudgetError(f"epsilon {epsilon} outside (0, {budget.epsilon_max})")
-    return _perturbed(base, direction, k, epsilon)
+    return _perturbed(base, kind, k, epsilon)
 
 
 def family_iterator(base: ContractInstance):
     """All single-set perturbations of the base, in increasing k, at the
     budget's default epsilon (epsilon_bound).
     """
-    direction = _direction(base)
+    kind = kind_of(base)
     epsilon = epsilon_bound(base).default_epsilon
-    for k in valid_k_range(base, direction):
-        yield _perturbed(base, direction, k, epsilon)
+    for k in valid_k_range(base):
+        yield _perturbed(base, kind, k, epsilon)

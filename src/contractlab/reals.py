@@ -34,6 +34,9 @@ import mpmath
 
 DEFAULT_BITS = 53
 MIN_BITS = 24
+# far above the constructions' 720 bits at n = 24; maximizer_tolerance
+# builds an int of half the context's width
+MAX_BITS = 1 << 16
 
 
 def ratio(x) -> tuple[int, int]:
@@ -65,6 +68,8 @@ class RealContext:
         bits = int(bits)
         if bits < MIN_BITS:
             raise ValueError(f"precision_bits must be >= {MIN_BITS}, got {bits}")
+        if bits > MAX_BITS:
+            raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {bits}")
         self.bits = bits
 
     @property

@@ -2,12 +2,10 @@
 
 Numbers are serialized losslessly: floats as C99 hex, multiprecision reals
 as mantissa*2^exponent ("m p e", odd m), rationals as p/q.  An instance file
-always carries its full f and c tables (or additive weights); build_named
-maps the CLI's construction names to the constructors in the constructions
-module.  A table whose every entry is an "m p e" string is loaded as ints
-over one power of two and handed to its oracle in that form (a
-reals.MpfTable), and an MpfTable is written from its ints, so no mpf is
-built for either.
+always carries its full f and c tables (or additive weights).  A table
+whose every entry is an "m p e" string is loaded as ints over one power of
+two and handed to its oracle in that form (a reals.MpfTable), and an
+MpfTable is written from its ints, so no mpf is built for either.
 """
 
 from __future__ import annotations
@@ -19,14 +17,6 @@ import mpmath
 
 from .core import TIE_BREAK_RULE, ContractInstance, SetFunctionOracle
 from .reals import MpfTable, RealContext, dyadic_ints, mpf_exact
-
-# each named construction and the parameters it takes besides n
-NAMED_CONSTRUCTIONS = {
-    "equal_revenue_submod_f": ("precision_bits",),
-    "equal_revenue_supmod_c": (),
-    "rounded": ("grid_bits",),
-}
-
 
 def number_to_str(x) -> str:
     if isinstance(x, bool):
@@ -101,7 +91,7 @@ def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
         d["kind"] = "additive"
         d["weights"] = [number_to_str(w) for w in oracle.weights]
     else:
-        tab = oracle.value_table()
+        tab = oracle.table
         d["kind"] = "table"
         if isinstance(tab, MpfTable) and not tab.rational:
             d["values"] = _mpf_strings(tab)
@@ -191,25 +181,6 @@ def instance_from_dict(d: dict) -> ContractInstance:
             v = meta[key]
             inst.meta[key] = number_from_str(v) if key == "epsilon" else v
     return inst
-
-
-def build_named(name: str, params: dict) -> ContractInstance:
-    """The named construction at params["n"] and the other parameters it
-    takes; a parameter it does not take raises ValueError."""
-    from . import constructions
-
-    if name not in NAMED_CONSTRUCTIONS:
-        raise ValueError(f"unknown named construction {name!r}")
-    extra = sorted(set(params) - {"n", *NAMED_CONSTRUCTIONS[name]})
-    if extra:
-        raise ValueError(f"{name} does not take {', '.join(extra)}")
-    if name == "equal_revenue_submod_f":
-        return constructions.build_equal_revenue_submod_f(
-            params["n"], precision_bits=params.get("precision_bits")
-        )
-    if name == "equal_revenue_supmod_c":
-        return constructions.build_equal_revenue_supmod_c(params["n"])
-    return constructions.build_rounded(params["n"], grid_bits=params.get("grid_bits")).instance
 
 
 def save_instance(inst: ContractInstance, path: str) -> None:

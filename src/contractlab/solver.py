@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .constructions import kind_of
 from .core import ActionSet, ContractInstance, derived, lower_hull
 from .reals import RealContext, ratio
 from .serialize import number_to_str
@@ -109,28 +110,22 @@ def critical_values(inst: ContractInstance, ftab=None, ctab=None) -> list[tuple]
     return pairs
 
 
-# first set of each equal-revenue chain: the empty set at alpha = 0 on the
-# submodular-reward base; on the supermodular-cost base S_1 costs 0 as well
-# and pays more, so the chain starts there
-_CHAIN_START = {"equal_revenue_submod_f": 0, "equal_revenue_supmod_c": 1}
-
-
-def _derive_chain(inst: ContractInstance) -> list:
+def _derive_chain(inst: ContractInstance, start: int) -> list:
     """The tables' critical values if their sets are exactly the chain
-    start..2^n - 1 of the instance's equal-revenue kind, else ValueError."""
-    start = _CHAIN_START.get(inst.meta.get("kind"))
-    if start is not None:
-        pairs = critical_values(inst)
-        if [m for _, m in pairs] == list(range(start, inst.size)):
-            return [a for a, _ in pairs]
-    raise ValueError("base must be an equal-revenue construction")
+    start..2^n - 1, else ValueError."""
+    pairs = critical_values(inst)
+    if [m for _, m in pairs] != list(range(start, inst.size)):
+        raise ValueError("base must be an equal-revenue construction")
+    return [a for a, _ in pairs]
 
 
 def chain_alphas(inst: ContractInstance) -> list:
-    """The critical values of the construction's chain, kept by core.derived:
-    the constructions seed it with their closed-form list; otherwise, and
-    again after a table is replaced, it is _derive_chain's."""
-    return derived(inst, "chain", _derive_chain)
+    """The critical values of the chain of the instance's equal-revenue kind
+    (constructions.kind_of), kept by core.derived: the constructions seed it
+    with their closed-form list; otherwise, and again after a table is
+    replaced, it is _derive_chain's from the kind's chain_start."""
+    start = kind_of(inst).chain_start
+    return derived(inst, "chain", lambda _: _derive_chain(inst, start))
 
 
 def enumerate_breakpoints(inst: ContractInstance, method: str = "hull") -> list[Breakpoint]:

@@ -3,7 +3,10 @@
 D^sigma(p) collects every set within sigma of the maximal quasi-linear
 utility f(S) - p(S).  For the equal-revenue reward function and small enough
 sigma, this collection stays O(n^2)-sized at every price vector, which is
-what lets a handful of value queries simulate a demand query.
+what lets a handful of value queries simulate a demand query; the mirror
+collection for p(S) - c(S) does the same for a supply query on the
+supermodular cost.  Which query a hidden family answers, on which table, is
+its base's kind's (constructions.kind_of).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .core import (
     _scores,
     _within,
 )
-from .perturb import REWARD_BONUS, _direction, _shifted_entry, epsilon_bound, valid_k_range
+from .constructions import REWARD_BONUS, kind_of
+from .perturb import _shifted_entry, epsilon_bound, valid_k_range
 from .reals import RealContext
 from .solver import chain_alphas
 
@@ -264,15 +268,14 @@ def simulate_family(base, shared, own):
     comparison.  ValueError unless the public table and the members are
     both held as ints or both not.
     """
-    direction = _direction(base)
-    kind, side = ("demand", "f") if direction == REWARD_BONUS else ("supply", "c")
-    public = getattr(base, side)
+    kind = kind_of(base)
+    query, public = kind.query, getattr(base, kind.side)
     held = public.held_ints()
     v_scale = None if held is None else held[1]
     epsilon = epsilon_bound(base).default_epsilon
     members = []
-    for k in valid_k_range(base, direction):
-        entry, frame = _shifted_entry(base, direction, k, epsilon)
+    for k in valid_k_range(base):
+        entry, frame = _shifted_entry(base, kind, k, epsilon)
         if (frame is None) != (held is None):
             raise ValueError("the public table and its members must both be held as ints or not")
         if frame is None:
@@ -284,7 +287,7 @@ def simulate_family(base, shared, own):
         v, p = value, scan.psum[k]
         if m_scale is not None:  # scored in the member's frame, values over m_scale
             v, p = v * scan.p_scale, p * m_scale
-        util = v - p if kind == "demand" else p - v
+        util = v - p if query == "demand" else p - v
         other = scan.first if k != scan.best else scan.second()
         if mult != 1:
             other = (other[0] * mult, other[1] * mult, other[2])
@@ -299,13 +302,13 @@ def simulate_family(base, shared, own):
     # the working precision is entered around each scan, never across a yield
     for prices in shared:
         with base.ctx.workprec():
-            scan = _PriceScan(kind, public, prices, epsilon, v_scale)
+            scan = _PriceScan(query, public, prices, epsilon, v_scale)
             answers = [compare(scan, *member) for member in members]
         yield from answers
     for member in members:
         for prices in own(member[0]):
             with base.ctx.workprec():
-                answer = compare(_PriceScan(kind, public, prices, epsilon, v_scale), *member)
+                answer = compare(_PriceScan(query, public, prices, epsilon, v_scale), *member)
             yield answer
 
 
@@ -356,18 +359,18 @@ def value_query_experiment(base, trials: int, seed: int | None = 0) -> Experimen
     than the context rounds when 0 is added); then a trial's count is the
     first such t below k, else k when f(S_k) + epsilon != f(S_k) (decided
     once per distinct k), else the first such t above k, else 2^n - 1, the
-    whole scan.  So a run costs O(2^n + trials) after the budget.  ValueError
-    when trials is not an int >= 1, before the budget is computed.
+    whole scan.  So a run costs O(2^n + trials) after the budget.  ValueError,
+    before the budget is computed, when trials is not an int >= 1 or the
+    base is not a reward-bonus base (constructions.kind_of).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if kind_of(base).direction != REWARD_BONUS:
+        raise ValueError("value-query experiment needs a reward-bonus base")
     n = base.n
     size = 1 << n
-    budget = epsilon_bound(base)
-    if budget.direction != REWARD_BONUS:
-        raise ValueError("value-query experiment needs a reward-bonus base")
-    epsilon = budget.default_epsilon
-    ftab = tuple(base.f.value_table())  # an MpfTable's entries built once
+    epsilon = epsilon_bound(base).default_epsilon
+    ftab = tuple(base.f.table)  # an MpfTable's entries built once
     rng = random.Random(seed)
     counts = []
     identified_all = True

@@ -18,7 +18,7 @@ from contractlab import solver
 from contractlab.cli import build_parser, main
 from contractlab.core import ContractInstance, SetFunctionOracle
 from contractlab.core import _scaled_ints
-from contractlab.reals import MpfTable
+from contractlab.reals import MAX_BITS, MpfTable
 from contractlab.serialize import (
     _oracle_from_dict,
     _oracle_to_dict,
@@ -611,6 +611,14 @@ class TestMalformedInput:
         text = json.dumps(data).replace('"precision_bits": "@"', f'"precision_bits": {bits}')
         self.assert_refused(text, "precision_bits must be an int")
 
+    def test_precision_bits_beyond_max_refused(self):
+        # loaded, 10^11 bits built a ~5.8 GiB int for solve's tolerance
+        data = json.loads(run_construct("equal_revenue_submod_f", 3))
+        data["precision_bits"] = 10**11
+        with pytest.raises(ValueError, match=f"^precision_bits must be <= {MAX_BITS}, got 10"):
+            instance_from_dict(data)
+        self.assert_refused(data, f"precision_bits must be <= {MAX_BITS}, got {10**11}")
+
     @staticmethod
     def extended_precision_data() -> dict:
         """The n=3 submodular chain at 192 bits, f as "m p e" strings, and
@@ -725,6 +733,8 @@ class TestMalformedInput:
         [
             ("equal_revenue_submod_f --n 3 --precision-bits 0", "precision_bits must be >= 24, got 0"),
             ("equal_revenue_submod_f --n 3 --precision-bits 10", "precision_bits must be >= 24, got 10"),
+            ("equal_revenue_submod_f --n 3 --precision-bits 65537",
+             "precision_bits must be <= 65536, got 65537"),
             ("rounded --n 2 --grid-bits 0", "grid exponent must be >= 56"),
             ("equal_revenue_supmod_c --n 3 --precision-bits 300",
              "equal_revenue_supmod_c does not take precision_bits"),
@@ -845,6 +855,14 @@ GOLDEN = {
     "verify --instance instance:equal_revenue_submod_f:4 structure equal-revenue gap-bounds "
     "sparse-demand cc-invariants": (
         0, "3bf40bc17e4ece1ad2503a0cddc75e655b0a830dbd38b99f9f40c9031b40f789"),
+    # the sup-sup cc-invariants branch, and gap-bounds refusing the
+    # supermodular-cost chain
+    "verify --instance instance:equal_revenue_supmod_c:4 structure equal-revenue gap-bounds "
+    "sparse-demand cc-invariants": (
+        1, "3188503d9d24225724ec38284fb9ca3e03666c548042cff78a0ef93c828b1bb0"),
+    # each check's reason for an instance of no equal-revenue kind
+    "verify --instance instance:rounded:4 gap-bounds sparse-demand cc-invariants": (
+        1, "a95b157848347ef78664b1293cd6f50c450b110c174c83eebac9b5b7acce16bb"),
     "experiment value-query --n 6 --trials 200 --seed 1": (
         0, "639ea1492f177ef81e0084f3174987612cf0d26283e8cf04d8b60a814c63c7fc"),
     "experiment demand-sim --n 4 --trials 5 --seed 2": (

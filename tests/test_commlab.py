@@ -170,6 +170,23 @@ class TestDeltaAndZ:
         with pytest.raises(ValueError):
             build_augmented("sub-mod", submod_base(4), None, None)
 
+    # these ended deep in the parts' arithmetic: an IndexError for a sub-*
+    # variant on the supermodular-cost base, a TypeError (Fraction / mpf)
+    # for sup-sup on the submodular-reward one
+    @pytest.mark.parametrize("variant, build, need, got", [
+        ("sub-sub", lambda: build_equal_revenue_supmod_c(4),
+         "equal_revenue_submod_f", "equal_revenue_supmod_c"),
+        ("sub-sup", lambda: build_equal_revenue_supmod_c(4),
+         "equal_revenue_submod_f", "equal_revenue_supmod_c"),
+        ("sup-sup", lambda: submod_base(4), "equal_revenue_supmod_c", "equal_revenue_submod_f"),
+    ])
+    def test_base_of_the_wrong_kind_refused(self, variant, build, need, got):
+        base = build()
+        ones = SpecialSetVector.all_ones(4)
+        with pytest.raises(ValueError, match=f"^variant {variant} needs an {need} base, not {got}$"):
+            build_augmented(variant, base, ones, ones)
+        assert ("augment", variant) not in base.kept
+
 
 class TestAugmentedStructure:
     @pytest.mark.parametrize(

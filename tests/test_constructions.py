@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
+from contractlab import commlab, perturb, sparse
 from contractlab.constructions import (
     PrecisionError,
     _alpha_recurrence,
@@ -530,6 +531,38 @@ class TestRounded:
         assert default_grid_bits(1) == 38
         assert default_grid_bits(10) == 200
         assert default_grid_bits(20) == 400
+
+
+def kindless_submod_f():
+    base = build_equal_revenue_submod_f(4)
+    del base.meta["kind"]  # its closed-form chain stays kept
+    return base
+
+
+ONES4 = commlab.SpecialSetVector.all_ones(4)
+
+
+class TestNoKnownKind:
+    """Every entry point that acts on an equal-revenue base refuses any other
+    instance with kind_of's one message, a kept chain notwithstanding."""
+
+    ENTRY_POINTS = {
+        "chain_alphas": chain_alphas,
+        "epsilon_bound": perturb.epsilon_bound,
+        "make_perturbed": lambda base: perturb.make_perturbed(base, 1, Fraction(1, 10**9)),
+        "family_iterator": lambda base: next(perturb.family_iterator(base)),
+        "simulate_family": lambda base: next(sparse.simulate_family(base, [], lambda k: [])),
+        "value_query_experiment": lambda base: sparse.value_query_experiment(base, 1),
+        "build_augmented": lambda base: commlab.build_augmented("sub-sub", base, ONES4, ONES4),
+    }
+    BASES = {"rounded": lambda: build_rounded(4).instance, "kindless": kindless_submod_f}
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_refused_with_one_message(self, entry, base):
+        message = "^base is not a recognized equal-revenue construction$"
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](self.BASES[base]())
 
 
 class TestGapBounds:

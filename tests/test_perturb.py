@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from contractlab.constructions import (
     build_equal_revenue_submod_f,
     build_equal_revenue_supmod_c,
+    kind_of,
     marginal_margins,
 )
 from contractlab import perturb
@@ -252,14 +253,14 @@ class TestMemberTables:
             base, side = build_equal_revenue_supmod_c(n), "c"
         else:
             base, side = build_equal_revenue_submod_f(n, precision_bits=bits), "f"
-        direction = perturb._direction(base)
+        direction = kind_of(base).direction
         for fam in family_iterator(base):
             member = getattr(fam.instance, side).table
             assert isinstance(member, MpfTable)
             assert typed(member) == typed(tuple_member_body(base, direction, fam.k, fam.epsilon))
         # a float epsilon: an mpf entry stays an mpf, a Fraction one turns float
         k, eps = 3, float(fam.epsilon) / 3
-        member = getattr(perturb._perturbed(base, direction, k, eps).instance, side).table
+        member = getattr(perturb._perturbed(base, kind_of(base), k, eps).instance, side).table
         assert isinstance(member, MpfTable) == (bits is not None)
         assert typed(member) == typed(tuple_member_body(base, direction, k, eps))
 
@@ -305,13 +306,13 @@ class TestPerturbedInstances:
 
     def test_k_range_excludes_free_cost_set(self):
         base = build_equal_revenue_supmod_c(3)
-        assert valid_k_range(base, COST_DISCOUNT) == range(2, 8)
+        assert valid_k_range(base) == range(2, 8)
         with pytest.raises(BudgetError):
             make_perturbed(base, 1, epsilon_bound(base).default_epsilon)
 
     def test_reward_k_range_full(self):
         base = build_equal_revenue_submod_f(3)
-        assert valid_k_range(base, REWARD_BONUS) == range(1, 8)
+        assert valid_k_range(base) == range(1, 8)
 
     def test_epsilon_outside_budget_rejected(self):
         base = build_equal_revenue_supmod_c(3)

@@ -523,7 +523,7 @@ class TestSimulateFamily:
         """The CLI run's comparisons, agreement and max value queries, with
         its random prices drawn in member order, equal the per-pair loop's."""
         args = argparse.Namespace(n=n, trials=4, seed=7)
-        out, ok = cli._experiment_sim(args, role)
+        out, ok = cli.RUNNERS[f"{role}-sim"](args)
         if role == "demand":
             base = build_equal_revenue_submod_f(n)
             prices_for, partner = demand_prices_for_contract, base.c
@@ -605,5 +605,7 @@ class TestValueQueryExperiment:
         base = build_equal_revenue_submod_f(4)
         value_query_experiment(base, trials=10, seed=0)
         assert base.kept["budget"].direction == REWARD_BONUS
+        cost = build_equal_revenue_supmod_c(3)
         with pytest.raises(ValueError, match="reward-bonus base"):
-            value_query_experiment(build_equal_revenue_supmod_c(3), trials=10)
+            value_query_experiment(cost, trials=10)
+        assert "budget" not in cost.kept  # refused before the budget is computed
