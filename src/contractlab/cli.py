@@ -13,6 +13,7 @@ import random
 import sys
 
 from .constructions import NAMED_CONSTRUCTIONS, SUBMOD_F, SUPMOD_C, build_named, kind_of
+from .constructions import variant_kind
 from .core import ContractInstance
 from .serialize import (
     dump_csv,
@@ -294,13 +295,13 @@ def _experiment_sim(args, kind):
 
 
 def _cc_base(variant, n):
-    from .constructions import build_equal_revenue_submod_f, build_equal_revenue_supmod_c
-
-    if variant == "sup-sup":
-        return build_equal_revenue_supmod_c(n)
+    """The base of the variant's kind (constructions.variant_kind), at
+    CC_PRECISION_BITS where the construction takes a precision."""
     from .commlab import CC_PRECISION_BITS
 
-    return build_equal_revenue_submod_f(n, precision_bits=CC_PRECISION_BITS)
+    name = variant_kind(variant).name
+    bits = "precision_bits" in NAMED_CONSTRUCTIONS[name][1]
+    return build_named(name, {"n": n, **({"precision_bits": CC_PRECISION_BITS} if bits else {})})
 
 
 def _experiment_cc_sweep(args):

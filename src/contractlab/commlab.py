@@ -38,7 +38,8 @@ from .core import (
     _argmax,
     derived,
 )
-from .constructions import KINDS, _SENSE, ConstructionIntegrityError, kind_of, marginal_margins
+from .constructions import _SENSE, ConstructionIntegrityError, kind_of, marginal_margins
+from .constructions import variant_kind
 from .reals import MpfTable, exact
 from .solver import chain_alphas
 from .sparse import sigma_bound_demand, sigma_bound_supply
@@ -552,12 +553,9 @@ def build_augmented(
     handed the ints alone (their entries read as Fractions) and the
     perturbed base's declared classes.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    kind = kind_of(base)
-    if variant not in kind.variants:
-        need = next(k.name for k in KINDS.values() if variant in k.variants)
-        raise ValueError(f"variant {variant} needs an {need} base, not {kind.name}")
+    need, kind = variant_kind(variant), kind_of(base)
+    if kind is not need:
+        raise ValueError(f"variant {variant} needs an {need.name} base, not {kind.name}")
     n = base.n
     if n % 2:
         raise ValueError("augmentation requires even n")

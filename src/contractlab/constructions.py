@@ -228,6 +228,15 @@ SUPMOD_C = EqualRevenueKind(
 KINDS = {kind.name: kind for kind in (SUBMOD_F, SUPMOD_C)}
 
 
+def variant_kind(variant: str) -> EqualRevenueKind:
+    """The kind whose variants list variant: the base commlab builds that
+    reduction on.  ValueError for an unknown variant."""
+    for kind in KINDS.values():
+        if variant in kind.variants:
+            return kind
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def kind_of(inst: ContractInstance) -> EqualRevenueKind:
     """The equal-revenue kind meta["kind"] names; ValueError for any other
     instance."""

@@ -3,6 +3,11 @@
 An action set over ground set [n] = {1, ..., n} is identified with the
 integer t = sum of 2^(i-1) over actions i in the set, which is exactly the
 bitmask with bit i-1 set.  Mask and index are therefore one and the same int.
+
+Every oracle holds its table's exact form, ints over one scale, and every
+demand, supply and D^sigma query is answered exactly on it by one scorer: a
+float pass keeps the sets a proven rounding bound puts near the top
+(_near_top), and ints decide among them (_scores).
 """
 
 from __future__ import annotations
@@ -75,14 +80,14 @@ DECLARED_CLASSES = ("additive", "submodular", "supermodular", "general-monotone"
 class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
-    The oracle always holds its full 2^n table, read-only, so no entry can
-    change under a hull or a scaled form built from it.  Query
-    instrumentation lives in the attached ledger.  Exactly one of
-    ``table`` and ``weights`` must be given:
-      table      -- a reals.MpfTable, kept as it is (a table built as ints
-                    over one scale), or a list of 2^n values indexed by
-                    subset index, kept as a tuple, or as a rational
-                    MpfTable of its ints when every entry is a Fraction,
+    The oracle holds its full 2^n table, read-only, and the table's exact
+    form (scaled), built whenever the table is set, so no entry can change
+    under a hull or a score built from them.  Query instrumentation lives
+    in the attached ledger.  Exactly one of ``table`` and ``weights``:
+      table      -- a reals.MpfTable, kept as it is (its own exact form), or
+                    a list of 2^n values indexed by subset index, kept as a
+                    tuple, or as the rational MpfTable of its ints when
+                    every entry is a Fraction,
       weights    -- per-action values of an additive function (w[i-1] for i).
     """
 
@@ -107,49 +112,92 @@ class SetFunctionOracle:
         self.name = name
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.weights = list(weights) if weights is not None else None
-        self._int_sums = None
         if weights is not None:
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per action")
-            table = additive_table(self.weights)
+            table = tuple(additive_table(self.weights))
             if all(type(w) is int for w in self.weights):
-                table = self._int_sums = tuple(table)  # int sums are their own scaled form
-        if not isinstance(table, MpfTable):
-            table = tuple(table)
-            if all(type(v) is Fraction for v in table):  # held as its ints; a mix stays a tuple
-                table = MpfTable(*_scaled_ints(table))
-        if len(table) != 1 << n:
-            raise ValueError("table must list all 2^n subset values")
+                self._hold(table, (table, 1, True))  # int sums are their own form
+                return
         self.table = table
+
+    @property
+    def table(self):
+        """The full 2^n table; setting it builds its exact form once."""
+        return self._table
+
+    @table.setter
+    def table(self, table):
+        if isinstance(table, MpfTable):
+            self._hold(table, (table.ints, table.scale, table.rational))
+            return
+        table = tuple(table)
+        ints, scale, rational = _scaled_ints(table)
+        if all(type(v) is Fraction for v in table):  # held as its ints; a mix stays a tuple
+            table = MpfTable(ints, scale, True)
+            ints = table.ints
+        self._hold(table, (tuple(ints), scale, rational))
+
+    def _hold(self, table, form):
+        if len(table) != 1 << self.n:
+            raise ValueError("table must list all 2^n subset values")
+        self._table, self._form, self._view = table, form, None
 
     def value_table(self):
         """Full 2^n table: a tuple, or an MpfTable (see the class docstring).
         The same object as the table attribute, kept as a method because
         the benchmark (bench/) reads tables through it."""
-        return self.table
-
-    def held_ints(self):
-        """The table's scaled form (ints, scale, rational) when it is held
-        as ints, else None.  An MpfTable is its own scaled form, and so is
-        the table of int sums an additive oracle with int weights builds,
-        as long as the table attribute is still that table."""
-        table = self.table
-        if isinstance(table, MpfTable):
-            return table.ints, table.scale, table.rational
-        if table is self._int_sums:
-            return table, 1, True
-        return None
+        return self._table
 
     def scaled(self):
-        """(ints, scale, rational): the table as ints over one positive
-        scale, ints[m] == table[m] * scale exactly (see _scaled_ints).
+        """(ints, scale, rational): the table's exact form, ints[m] ==
+        table[m] * scale (see _scaled_ints), built when the table was set;
+        an MpfTable's own ints, not copied."""
+        return self._form
 
-        A table held as ints (held_ints) is never converted.  Any other
-        table is converted on each call and nothing is kept: a second copy
-        of a wide table would outlive the hull built from it (an n=14 table
-        at 420 bits holds 1.5 MiB of ints).
-        """
-        return self.held_ints() or _scaled_ints(self.table)
+    def float_view(self):
+        """(view, top): view[m] the float nearest entry m, top the greatest
+        |view[m]|, built on first use.  A table of floats is its own view;
+        any other divides its ints by its scale, rounding once.  An entry
+        out of float range leaves the view empty and top infinite."""
+        if self._view is None:
+            table = self._table
+            if type(table) is tuple and all(type(v) is float for v in table):
+                view = table
+            else:
+                ints, scale, _ = self._form
+                try:
+                    view = [v / scale for v in ints]
+                except OverflowError:
+                    view = []
+            self._view = view, max(map(abs, view), default=math.inf)
+        return self._view
+
+    def with_entry(self, k: int, entry, held: tuple[int, int], name: str) -> "SetFunctionOracle":
+        """A new oracle (own ledger, same declared class): this table with
+        entry k replaced by entry, which is held = (int, scale) exactly, scale
+        a multiple of this table's.  Its exact form is this one's ints over
+        that scale with int k replaced, so no other entry is converted.  An
+        MpfTable stays one when entry has its entries' type, else a tuple."""
+        kint, scale = held
+        ints, own_scale, rational = self._form
+        mult = scale // own_scale
+        ints = [v * mult for v in ints] if mult != 1 else list(ints)
+        ints[k] = kint
+        rational = rational and type(entry) in _RATIONAL
+        table = self._table
+        if isinstance(table, MpfTable) and type(entry) is type(table[k]):
+            table = MpfTable(ints, scale, rational)
+            ints = table.ints
+        else:
+            body = list(table)
+            body[k] = entry
+            table = tuple(body)
+        new = SetFunctionOracle.__new__(SetFunctionOracle)
+        new.n, new.declared_class, new.name = self.n, self.declared_class, name
+        new.ledger, new.weights = QueryLedger(), None
+        new._hold(table, (tuple(ints), scale, rational))
+        return new
 
 
 def additive_table(weights) -> list:
@@ -192,6 +240,10 @@ def _scaled_ints(tab):
         ratios = [ratio(v) for v in tab]
     else:
         ratios = [v.as_integer_ratio() for v in tab]
+    if Fraction not in kinds:  # every denominator a power of two: the LCM is the greatest
+        scale = max([q for _, q in ratios])
+        k = scale.bit_length()
+        return [p << k - q.bit_length() for p, q in ratios], scale, False
     dens = {q for _, q in ratios}
     scale = math.lcm(*dens)
     mult = {q: scale // q for q in dens}
@@ -212,60 +264,110 @@ def value(oracle: SetFunctionOracle, s: ActionSet):
     if s.n != oracle.n:
         raise ValueError("action set over a different ground set")
     oracle.ledger.count("value_queries", s.mask)
-    return oracle.table[s.mask]
+    return oracle._table[s.mask]
 
 
-_NOT_FINITE = "prices must be finite, and so must their sum"
+_FLOAT_REACH = 2.0**1000  # beyond it a price sum or a utility could overflow
+_UNDERFLOW = 2.0**-1060  # above the few dozen underflows of 2^-1074 a pass can make
 
 
-def _scores(kind: str, x, prices, members=None):
-    """(utility, tie, factor, psum) for one argmax query, over every mask or,
-    given members (ActionSets), over those alone, each read by a value
-    query (so charged to x's ledger).
+def _sigma_ratio(sigma) -> tuple[int, int]:
+    """sigma's exact ratio (a, b); ValueError for a NaN, infinite or
+    negative sigma."""
+    try:
+        a, b = ratio(sigma)
+    except (OverflowError, ValueError):  # inf and NaN have no exact ratio
+        a = -1
+    if a < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return a, b
 
-    kind "demand": x is the reward oracle; utility f - p, tie f.  "supply":
-    x is the cost oracle; utility p - c, tie c.  A table held as ints
-    (SetFunctionOracle.held_ints; for members, the values read, as ints
-    over their LCM) is scored exactly: with values V over s_v and the
-    prices' exact ratios over their LCM s_p (a power of two for float and
-    mpf prices), utility is V s_p - P s_v for demand, factor = s_v s_p
-    times its value, and tie is V, all ints.  Any other table (a float
-    tuple, say) is scored in its own arithmetic with factor None; call
-    inside the working precision.  psum lists the price sums P the
-    utilities subtract or add, ints over s_p or in the table's arithmetic.
 
-    A NaN or infinite price raises ValueError before any value query; in
-    the table's arithmetic so does a price sum that overflows to infinity,
-    as its total is the one value checked.
+def _price_sums(p_ints, masks, size: int) -> list:
+    """The sum of p_ints[i] over the bits i of each mask, read off the
+    whole table (additive_table) when the masks are many."""
+    if len(masks) * len(p_ints) >= size:
+        table = additive_table(p_ints)
+        return [table[m] for m in masks]
+    return [sum(p for i, p in enumerate(p_ints) if m >> i & 1) for m in masks]
+
+
+def _near_top(kind: str, x: SetFunctionOracle, prices, sigma=0):
+    """The masks whose float utility is within reach of the float top less
+    sigma, in increasing order: a superset of D^sigma, and so of the argmax
+    (sigma = 0).  Every mask (a range) when a price, the view or sigma
+    leaves float range, a NaN or infinite price among them (_scores then
+    refuses it).  ValueError first for a wrong number of prices and a NaN,
+    infinite or negative sigma.
+
+    The bound.  The pass scores the float view F (float_view) against the
+    prices rounded to floats q_i, summed as additive_table sums them, Q.
+    With u = 2^-53 every float step rounds to nearest, off by at most u
+    times its result (a conversion that underflows by 2^-1074 more; sums
+    and differences that underflow are exact).  So for demand (supply
+    alike) w_m = F_m - Q_m is off the exact u_m = v_m - P_m by at most
+    u |v_m| (the view; 0 on a float table) + u sum |p_i| (the prices) +
+    (n - 1) u sum |q_i| (the additions of Q_m) + u |F_m - Q_m|: by
+    E = (n + 1) u (S + V) to first order, S = sum |p_i|, V = max |v_m|.
+    A set of D^sigma has u_m >= u* - sigma, and the float top has
+    w_t <= u_t + E <= u* + E, so w_m >= u_m - E >= w_t - sigma - 2E.  The
+    pass keeps every m with w_m >= (w_t - sigma) - B in floats, where
+      B = (n + 4) 2^-52 (S + V + sigma) + 2^-1060.
+    B exceeds 2E = 2 (n + 1) u (S + V) by 6 u (S + V) + 2 (n + 4) u sigma,
+    which covers the roundings of sigma and of the cut (2 u (S + V) +
+    3 u sigma to first order), of S, V and B, and every second-order term
+    (n^2 u^2 (S + V), n <= 24); 2^-1060 covers the underflows.  Float
+    range, S + V + sigma <= 2^1000, keeps every step finite.
     """
     if len(prices) != x.n:
         raise ValueError("need one price per action")
-    held = x.held_ints()
-    if held is None:
-        psum = additive_table(list(prices))
-        if psum[-1] * 0 != 0:  # inf * 0 and nan * 0 are nan, in every arithmetic
-            raise ValueError(_NOT_FINITE)
-        vals = x.table
-        if members is not None:
-            psum = [psum[s.mask] for s in members]
-            vals = [value(x, s) for s in members]
-        if kind == "demand":
-            return [v - p for v, p in zip(vals, psum)], vals, None, psum
-        return [p - v for v, p in zip(vals, psum)], vals, None, psum
+    a, b = _sigma_ratio(sigma)
+    view, top = x.float_view()
+    try:
+        prices = list(map(float, prices))
+        sig = a / b
+    except OverflowError:
+        return range(1 << x.n)
+    total = sum(map(abs, prices)) + top + sig
+    if not total <= _FLOAT_REACH:
+        return range(1 << x.n)
+    psum = additive_table(prices)
+    if kind == "demand":
+        w = [v - p for v, p in zip(view, psum)]
+    else:
+        w = [p - v for v, p in zip(view, psum)]
+    cut = max(w) - sig - ((x.n + 4) * 2.0**-52 * total + _UNDERFLOW)
+    return [m for m, u in enumerate(w) if u >= cut]
+
+
+def _scores(kind: str, x: SetFunctionOracle, prices, masks):
+    """(util, tie, factor, p_ints) at masks: the one exact scorer of demand
+    and supply queries, over the masks the float pass keeps (_near_top) or
+    the members a simulation reads.
+
+    kind "demand": x is the reward oracle; utility f - p, tie f.  "supply":
+    x is the cost oracle; utility p - c, tie c.  With x's exact form, ints
+    V over s_v (SetFunctionOracle.scaled), and the prices' exact ratios
+    p_ints over their LCM s_p (a power of two for float and mpf prices),
+    util[j] = V s_p - P s_v at masks[j] for demand, factor = s_v s_p times
+    its utility, and tie[j] = V, all ints, whatever the table's
+    representation.  A NaN or infinite price raises ValueError, as does a
+    wrong number of prices.
+    """
+    if len(prices) != x.n:
+        raise ValueError("need one price per action")
     try:
         p_ints, p_scale, _ = _scaled_ints(prices)
     except (OverflowError, ValueError):  # a float's or mpf's inf or nan
-        raise ValueError(_NOT_FINITE) from None
-    psum = additive_table(p_ints)
-    vals, v_scale, _ = held
-    if members is not None:
-        psum = [psum[s.mask] for s in members]
-        vals, v_scale, _ = _scaled_ints([value(x, s) for s in members])
+        raise ValueError("prices must be finite") from None
+    ints, v_scale, _ = x.scaled()
+    vals = [ints[m] for m in masks]
+    psum = _price_sums(p_ints, masks, len(ints))
     if kind == "demand":
         util = [v * p_scale - p * v_scale for v, p in zip(vals, psum)]
     else:
         util = [p * v_scale - v * p_scale for v, p in zip(vals, psum)]
-    return util, vals, v_scale * p_scale, psum
+    return util, vals, v_scale * p_scale, p_ints
 
 
 def _argmax(util, tie) -> int:
@@ -287,39 +389,34 @@ def _argmax(util, tie) -> int:
 
 def _within(util, factor, sigma) -> list:
     """D^sigma: every position m with util[m] >= max(util) - sigma, in
-    increasing order.  Given factor, util holds ints, factor times the
-    utilities (_scores, _alpha_scores), and the cut is exact: for ints u
-    and top, u >= top - sigma factor iff u >= top - floor(sigma factor).
-    Else the cut is top - sigma in the utilities' arithmetic.  A NaN,
-    infinite or negative sigma raises ValueError before any comparison."""
-    try:
-        a, b = ratio(sigma)
-    except (OverflowError, ValueError):  # inf and NaN have no exact ratio
-        a = -1
-    if a < 0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    cut = max(util) - (sigma if factor is None else a * factor // b)
+    increasing order, for ints util, factor times the utilities (_scores,
+    _alpha_scores).  The cut is exact: for ints u and top, u >= top - sigma
+    factor iff u >= top - floor(sigma factor).  A NaN, infinite or negative
+    sigma raises ValueError before any comparison."""
+    a, b = _sigma_ratio(sigma)
+    cut = max(util) - a * factor // b
     return [m for m, u in enumerate(util) if u >= cut]
 
 
-def _argmax_query(kind: str, x: SetFunctionOracle, prices, ctx) -> ActionSet:
-    with (ctx or RealContext()).workprec():
-        util, tie, _, _ = _scores(kind, x, prices)
-        best = _argmax(util, tie)
+def _argmax_query(kind: str, x: SetFunctionOracle, prices) -> ActionSet:
+    """The exact argmax: the one mask the float pass keeps, else the argmax
+    of _scores over the masks it keeps."""
+    masks = _near_top(kind, x, prices)
+    best = masks[0] if len(masks) == 1 else masks[_argmax(*_scores(kind, x, prices, masks)[:2])]
     x.ledger.count(kind + "_queries")
     return ActionSet(x.n, best)
 
 
 def demand(f: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
     """Set maximizing f(S) - p(S); ties to higher f, then lower index.
-    Exact on a table held as ints (see _scores)."""
-    return _argmax_query("demand", f, prices, ctx)
+    Exact in every representation (_scores); ctx changes no answer."""
+    return _argmax_query("demand", f, prices)
 
 
 def supply(c: SetFunctionOracle, prices, ctx: RealContext | None = None) -> ActionSet:
     """Set maximizing p(S) - c(S); ties to higher c, then lower index.
-    Exact on a table held as ints (see _scores)."""
-    return _argmax_query("supply", c, prices, ctx)
+    Exact in every representation (_scores); ctx changes no answer."""
+    return _argmax_query("supply", c, prices)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ discounting c(S_k)) breaks the revenue tie so the breakpoint incentivizing
 S_k becomes the unique optimal contract, while every other breakpoint stays
 exactly where it was.  Which table a family shifts, and how, is the base's
 kind's (constructions.kind_of): the combinatorial side, f on the
-submodular-reward base and c on the supermodular-cost one.  The admissible
+submodular-reward base and c on the supermodular-cost one.  A member's
+exact form is the base's ints with entry k replaced.  The admissible
 epsilon is the minimum of three structural margins of the base instance:
 epsilon_bound, kept on the base by core.derived and so computed again only
 after a table is replaced.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .core import ContractInstance, SetFunctionOracle, derived
+from .core import ContractInstance, derived
 from .constructions import (
     COST_DISCOUNT,
     REWARD_BONUS,
@@ -27,7 +28,7 @@ from .constructions import (
     kind_of,
     marginal_margins,
 )
-from .reals import MpfTable, ratio
+from .reals import ratio
 from .solver import chain_alphas
 
 
@@ -49,7 +50,6 @@ class PerturbationBudget:
 
     epsilon_max: object
     components: tuple
-    direction: str
 
     def __post_init__(self):
         if not self.epsilon_max > 0:
@@ -63,23 +63,19 @@ class PerturbationBudget:
 
 
 def _chain_tables(base: ContractInstance):
-    """f, c and the chain's critical values; each budget term needs two
-    chain gaps, so n >= 2, and the margin scan is exhaustive, so n <= 12.
-    The tables come as tuples, an MpfTable's entries built once, since the
-    terms read every entry more than once; a rational MpfTable c stays as it
-    is, since its exact terms are taken on its ints (epsilon_bound_cost)."""
+    """f as a tuple (an MpfTable's entries built once, since the terms read
+    every entry more than once) and the chain's critical values; each
+    budget term needs two chain gaps, so n >= 2, and the margin scan is
+    exhaustive, so n <= 12."""
     if not 2 <= base.n <= 12:
         raise ValueError(f"exhaustive bound needs 2 <= n <= 12, got n={base.n}")
-    ctab = base.c.table
-    if not (isinstance(ctab, MpfTable) and ctab.rational):
-        ctab = tuple(ctab)
-    return tuple(base.f.table), ctab, chain_alphas(base)
+    return tuple(base.f.table), chain_alphas(base)
 
 
 def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
     """Three-way minimum bounding the reward bonus on the submodular-f base."""
-    ftab, ctab, alphas = _chain_tables(base)
-    size = base.size
+    ftab, alphas = _chain_tables(base)
+    ctab, size = tuple(base.c.table), base.size
     with base.ctx.workprec():
         c1 = marginal_margins(ftab, base.n, +1)[1]
         # alpha_table entry t is the critical value of S_t (alpha_0 = 0)
@@ -88,25 +84,26 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
             for t in range(2, size)
         )
         c3 = min(ftab[t] - ftab[t - 1] for t in range(1, size))
-    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), REWARD_BONUS)
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3))
 
 
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
     """Three-way minimum bounding the cost discount on the supermodular-c base.
 
-    On a rational MpfTable c (ints over one scale) c1 and c2 are the int
-    margin and least int gap, each made a Fraction once: the same values
-    and type as on the table's Fractions, since both terms are linear in
-    the entries and exact.  Float and mpf differences round, so any other
-    table is read entry by entry."""
-    ftab, ctab, alphas = _chain_tables(base)
+    On a rational c (int and Fraction entries) c1 and c2 are the margin and
+    least gap of its exact form's ints, each made a Fraction once: the
+    values the entries give, since both terms are linear in the entries
+    and exact.  Float and mpf differences round, so any other table is read
+    entry by entry."""
+    ftab, alphas = _chain_tables(base)
+    ints, scale, rational = base.c.scaled()
     size = base.size
     with base.ctx.workprec():
-        if isinstance(ctab, MpfTable):
-            ints, scale = ctab.ints, ctab.scale
+        if rational:
             c1 = Fraction(marginal_margins(ints, base.n, -1)[1], scale)
             c2 = Fraction(min(map(sub, ints[2:], ints[1:-1])), scale)
         else:
+            ctab = tuple(base.c.table)
             c1 = marginal_margins(ctab, base.n, -1)[1]
             c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
         # alpha_table entry t-1 is the critical value of S_t here
@@ -114,7 +111,7 @@ def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
             (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
             for t in range(2, size)
         )
-    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), COST_DISCOUNT)
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3))
 
 
 def _budget(base: ContractInstance) -> PerturbationBudget:
@@ -142,21 +139,16 @@ def valid_k_range(base: ContractInstance) -> range:
 
 
 def _shifted_entry(base: ContractInstance, kind: EqualRevenueKind, k: int, epsilon):
-    """Member k's one changed entry: (entry, held).  entry is the base's
-    entry k on the kind's side, shifted by epsilon in the base's working
-    precision.  held is (int, scale) of the member's table held as ints,
-    entry k being int / scale, when the base table is an MpfTable and entry
-    has its entry type (as it has for a budget epsilon): the scale is the
-    LCM of the base's and entry's, a power of two staying one.  Else held is
-    None, and the member's table is the base's entries with entry k
-    replaced."""
-    tab = getattr(base, kind.side).table
+    """Member k's one changed entry: (entry, (int, scale)).  entry is the
+    base's entry k on the kind's side, shifted by epsilon in the base's
+    working precision, and int / scale is its exact value, scale the LCM of
+    the base table's scale and entry's denominator (a power of two stays
+    one)."""
+    old = getattr(base, kind.side)
     with base.ctx.workprec():
-        entry = kind.shift(tab[k], epsilon)
-    if not (isinstance(tab, MpfTable) and type(entry) is type(tab[k])):
-        return entry, None
+        entry = kind.shift(old.table[k], epsilon)
     p, q = ratio(entry)
-    scale = math.lcm(tab.scale, q)
+    scale = math.lcm(old.scaled()[1], q)
     return entry, (p * (scale // q), scale)
 
 
@@ -164,22 +156,11 @@ def _perturbed(
     base: ContractInstance, kind: EqualRevenueKind, k: int, epsilon
 ) -> PerturbedInstance:
     """The family member at k, with k and epsilon already checked: the base
-    with its table on the kind's side changed at entry k alone
-    (_shifted_entry), held as ints when that entry is, under the same
-    declared class."""
+    with its oracle on the kind's side changed at entry k alone
+    (_shifted_entry, SetFunctionOracle.with_entry), under the same declared
+    class."""
     old = getattr(base, kind.side)
-    tab = old.table
-    entry, held = _shifted_entry(base, kind, k, epsilon)
-    labels = dict(declared_class=old.declared_class, name=f"{old.name}{kind.suffix}")
-    if held is not None:
-        kint, scale = held
-        ints = [v * (scale // tab.scale) for v in tab.ints]
-        ints[k] = kint
-        new = SetFunctionOracle(base.n, table=MpfTable(ints, scale, tab.rational), **labels)
-    else:
-        body = list(tab)
-        body[k] = entry
-        new = SetFunctionOracle(base.n, table=body, **labels)
+    new = old.with_entry(k, *_shifted_entry(base, kind, k, epsilon), f"{old.name}{kind.suffix}")
     oracles = {"f": base.f, "c": base.c, kind.side: new}
     inst = ContractInstance(n=base.n, **oracles, ctx=base.ctx, name=f"{base.name} perturbed(k={k})")
     inst.meta.update(

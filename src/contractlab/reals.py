@@ -34,9 +34,10 @@ import mpmath
 
 DEFAULT_BITS = 53
 MIN_BITS = 24
-# far above the constructions' 720 bits at n = 24; maximizer_tolerance
-# builds an int of half the context's width
-MAX_BITS = 1 << 16
+# far above the constructions' 720 bits at n = 24, and within what an
+# instance file can carry: its decimal ints (about 2,470 digits at 8,192
+# bits) stay under Python's 4,300-digit limit on int-string conversion
+MAX_BITS = 1 << 13
 
 
 def ratio(x) -> tuple[int, int]:

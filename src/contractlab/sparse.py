@@ -6,7 +6,8 @@ sigma, this collection stays O(n^2)-sized at every price vector, which is
 what lets a handful of value queries simulate a demand query; the mirror
 collection for p(S) - c(S) does the same for a supply query on the
 supermodular cost.  Which query a hidden family answers, on which table, is
-its base's kind's (constructions.kind_of).
+its base's kind's (constructions.kind_of).  Every set, simulation and family
+answer here is exact in every table representation (core._scores).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from .core import (
     SetFunctionOracle,
     _alpha_scores,
     _argmax,
+    _near_top,
+    _price_sums,
     _scores,
     _within,
 )
 from .constructions import REWARD_BONUS, kind_of
 from .perturb import _shifted_entry, epsilon_bound, valid_k_range
-from .reals import RealContext
 from .solver import chain_alphas
 
 
@@ -53,25 +55,27 @@ class ApproxArgmaxSet:
         return [m.mask for m in self.members]
 
 
-def _approx_argmax(kind, x, param, sigma, ctx) -> ApproxArgmaxSet:
-    """D^sigma of the kind's utility (core._scores) over every mask, cut by
-    core._within: exactly when the table is held as ints, else in its own
-    arithmetic.  ValueError for a NaN, infinite or negative sigma."""
-    with ctx.workprec():
-        util, _, factor, _ = _scores(kind, x, param)
-        members = [ActionSet(x.n, m) for m in _within(util, factor, sigma)]
-    return ApproxArgmaxSet(members)
+def _approx_argmax(kind, x, prices, sigma) -> ApproxArgmaxSet:
+    """D^sigma of the kind's utility, decided exactly: the masks the float
+    pass keeps (core._near_top), scored by core._scores and cut by
+    core._within when there is more than one.  ValueError for a NaN,
+    infinite or negative sigma."""
+    masks = _near_top(kind, x, prices, sigma)
+    if len(masks) > 1:
+        util, _, factor, _ = _scores(kind, x, prices, masks)
+        masks = [masks[j] for j in _within(util, factor, sigma)]
+    return ApproxArgmaxSet([ActionSet(x.n, m) for m in masks])
 
 
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
-    """All S with f(S) - p(S) >= max - sigma, by full enumeration, in
-    increasing mask order (see _approx_argmax)."""
-    return _approx_argmax("demand", f, prices, sigma, ctx or RealContext())
+    """All S with f(S) - p(S) >= max - sigma, in increasing mask order,
+    decided exactly (see _approx_argmax); ctx changes no answer."""
+    return _approx_argmax("demand", f, prices, sigma)
 
 
 def approx_supply(c: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
     """All S with p(S) - c(S) >= max - sigma (see approx_demand)."""
-    return _approx_argmax("supply", c, prices, sigma, ctx or RealContext())
+    return _approx_argmax("supply", c, prices, sigma)
 
 
 def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
@@ -185,17 +189,23 @@ def minimal_ambiguous_census(approx: ApproxArgmaxSet, n: int) -> dict[int, int]:
 
 def _simulate_by_values(kind, base, hidden, prices, eps, ctx):
     """The argmax of the kind's utility on hidden, from value queries on the
-    D^eps(prices) members of base only, scored as core._scores scores
-    them, by core._argmax: ties to the higher hidden value, then the lower
-    index.  Returns (chosen set, value queries used)."""
-    ctx = ctx or RealContext()
+    D^eps(prices) members of base only: each member is charged to hidden's
+    ledger as a value query and, when there is more than one, scored on
+    hidden's exact form (core._scores), core._argmax breaking ties to the
+    higher hidden value, then the lower index.  Returns (chosen set, value
+    queries used)."""
+    if hidden.n != base.n:
+        raise ValueError("the hidden and public oracles have different ground sets")
     # module-level lookup at call time, so wrappers installed on it apply
     approx = approx_demand if kind == "demand" else approx_supply
-    members = approx(base, prices, eps, ctx).members  # increasing mask order
-    with ctx.workprec():
-        utils, ties, _, _ = _scores(kind, hidden, prices, members)
-        best = members[_argmax(utils, ties)]
-    return best, len(members)
+    members = approx(base, prices, eps, ctx).masks()  # increasing mask order
+    best = members[0]
+    if len(members) > 1:
+        best = members[_argmax(*_scores(kind, hidden, prices, members)[:2])]
+    count = hidden.ledger.count
+    for m in members:
+        count("value_queries", m)
+    return ActionSet(base.n, best), len(members)
 
 
 def simulate_demand_by_values(base_f, hidden_f, prices, eps, ctx=None):
@@ -214,35 +224,6 @@ def simulate_supply_by_values(base_c, hidden_c, prices, eps, ctx=None):
     return _simulate_by_values("supply", base_c, hidden_c, prices, eps, ctx)
 
 
-class _PriceScan:
-    """One scan of the public table at one price vector, for simulate_family:
-    the price sums (core._scores) and the prices' scale, the set of
-    D^eps(p)'s masks (core._within), and the keys (utility, tie,
-    -mask) of the argmax (core._argmax) and of the best mask but it, each
-    the greatest key over its masks."""
-
-    __slots__ = ("prices", "util", "tie", "psum", "p_scale", "within", "best", "first", "_second")
-
-    def __init__(self, kind, public, prices, eps, v_scale):
-        util, tie, factor, psum = _scores(kind, public, prices)
-        best = _argmax(util, tie)
-        self.prices, self.util, self.tie, self.psum = prices, util, tie, psum
-        self.p_scale = None if factor is None else factor // v_scale
-        self.within = set(_within(util, factor, eps))
-        self.best, self.first, self._second = best, (util[best], tie[best], -best), None
-
-    def second(self):
-        """The key of the argmax over every mask but best (n >= 1 leaves
-        one), built on first use: only the member at best needs it."""
-        if self._second is None:
-            best, util, tie = self.best, self.util[:], list(self.tie)
-            del util[best], tie[best]
-            m = _argmax(util, tie)
-            m += m >= best
-            self._second = (self.util[m], self.tie[m], -m)
-        return self._second
-
-
 def simulate_family(base, shared, own):
     """Every comparison of a hidden-family simulation run, without building
     a family member: each member's demand query (reward-bonus base) or
@@ -257,59 +238,45 @@ def simulate_family(base, shared, own):
     price vectors every member meets; own(k) is called once per member, in
     increasing k after the shared vectors are done, for that member's own.
 
-    A member differs from the public table only at k, its entry shifted as
-    perturb shifts it (_shifted_entry).  So one scan of the public table
-    per price vector (_PriceScan) serves every member that meets it, and a
-    member's two answers follow from k's shifted utility and value, in the
-    member's own frame when the table is held as ints, against the best
-    mask other than k: over every mask for the exact query, over D^eps(p)
-    for the simulation.  The cost is one O(2^n) scan per price vector and
-    O(1) per comparison, where the per-pair queries scan twice per
-    comparison.  ValueError unless the public table and the members are
-    both held as ints or both not.
+    A member is the public table's ints with entry k replaced
+    (perturb._shifted_entry), over mult times the public scale.  So one
+    exact scan of the public table per price vector (core._near_top and
+    core._scores: its argmax b, b's key and D^eps(p)) serves every member.
+    Member b wins: its shifted key is at least b's, which beats every other.
+    Any other member k wins when its shifted key beats b's, scaled by mult.
+    The simulation answers b unless k is in D^eps(p), where it answers as
+    the exact query.  The cost is one float pass per price vector and O(1)
+    int work per comparison (O(n) on a member's own price vector).
     """
     kind = kind_of(base)
     query, public = kind.query, getattr(base, kind.side)
-    held = public.held_ints()
-    v_scale = None if held is None else held[1]
+    v_scale = public.scaled()[1]
     epsilon = epsilon_bound(base).default_epsilon
     members = []
     for k in valid_k_range(base):
-        entry, frame = _shifted_entry(base, kind, k, epsilon)
-        if (frame is None) != (held is None):
-            raise ValueError("the public table and its members must both be held as ints or not")
-        if frame is None:
-            members.append((k, entry, None, 1))
-        else:  # the member's int, scale, and its scale over the public one
-            members.append((k, *frame, frame[1] // v_scale))
+        _, (kint, scale) = _shifted_entry(base, kind, k, epsilon)
+        members.append((k, kint, scale, scale // v_scale))
 
-    def compare(scan, k, value, m_scale, mult):
-        v, p = value, scan.psum[k]
-        if m_scale is not None:  # scored in the member's frame, values over m_scale
-            v, p = v * scan.p_scale, p * m_scale
-        util = v - p if query == "demand" else p - v
-        other = scan.first if k != scan.best else scan.second()
-        if mult != 1:
-            other = (other[0] * mult, other[1] * mult, other[2])
-        want = k if (util, value, -k) > other else -other[2]
-        # with k outside D^eps(p) the simulation reads public values only.
-        # Else D^eps(p) holds the best mask other than k, or only k when every
-        # other utility is below the cut, and then k, whose shifted utility is
-        # never below its public one, is the exact answer too
-        got = want if k in scan.within else scan.best
-        return k, scan.prices, got, len(scan.within), want
+    def answers(prices, chosen):
+        masks = _near_top(query, public, prices, epsilon)
+        util, tie, factor, p_ints = _scores(query, public, prices, masks)
+        i = _argmax(util, tie)
+        best, within = masks[i], {masks[j] for j in _within(util, factor, epsilon)}
+        top, top_tie, p_scale, used = util[i], tie[i], factor // v_scale, len(within)
+        ks = [k for k, *_ in chosen]
+        for (k, kint, scale, mult), p in zip(chosen, _price_sums(p_ints, ks, 1 << base.n)):
+            want = k
+            if k != best:
+                u = kint * p_scale - p * scale if query == "demand" else p * scale - kint * p_scale
+                if (u, kint, -k) < (top * mult, top_tie * mult, -best):
+                    want = best
+            yield k, prices, want if k in within else best, used, want
 
-    # the working precision is entered around each scan, never across a yield
     for prices in shared:
-        with base.ctx.workprec():
-            scan = _PriceScan(query, public, prices, epsilon, v_scale)
-            answers = [compare(scan, *member) for member in members]
-        yield from answers
+        yield from answers(prices, members)
     for member in members:
         for prices in own(member[0]):
-            with base.ctx.workprec():
-                answer = compare(_PriceScan(query, public, prices, epsilon, v_scale), *member)
-            yield answer
+            yield from answers(prices, (member,))
 
 
 def random_prices(n: int, rng):

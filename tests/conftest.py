@@ -24,7 +24,7 @@ from contractlab.core import (
     value,
 )
 from contractlab.reals import RealContext, exact
-from contractlab.perturb import COST_DISCOUNT, PerturbationBudget, epsilon_bound
+from contractlab.perturb import PerturbationBudget, epsilon_bound
 from contractlab.solver import FptasResult, ParameterError, alpha_bracket, chain_alphas
 from contractlab.sparse import ExperimentStats
 
@@ -62,23 +62,6 @@ def brute_best_response(ftab, ctab, alpha):
     fx, cx, ax = [exact(v) for v in ftab], [exact(v) for v in ctab], exact(alpha)
     util = [ax * fx[m] - cx[m] for m in range(size)]
     return brute_argmax(util, fx, size)
-
-
-def brute_demand(ftab, prices):
-    n = len(prices)
-    size = 1 << n
-    psum = [sum(prices[i] for i in range(n) if m >> i & 1) for m in range(size)]
-    util = [ftab[m] - psum[m] for m in range(size)]
-    return brute_argmax(util, ftab, size)
-
-
-def brute_supply(ctab, prices):
-    n = len(prices)
-    size = 1 << n
-    psum = [sum(prices[i] for i in range(n) if m >> i & 1) for m in range(size)]
-    util = [psum[m] - ctab[m] for m in range(size)]
-    # ties favor the higher cost (mirror of higher f), then lowest mask
-    return brute_argmax(util, ctab, size)
 
 
 def brute_exact_utilities(kind, tab, prices):
@@ -215,7 +198,7 @@ def reference_cost_budget(base) -> PerturbationBudget:
             (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
             for t in range(2, size)
         )
-    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3), COST_DISCOUNT)
+    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3))
 
 
 def reference_value_query(base, trials, seed=0) -> ExperimentStats:

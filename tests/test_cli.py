@@ -733,8 +733,11 @@ class TestMalformedInput:
         [
             ("equal_revenue_submod_f --n 3 --precision-bits 0", "precision_bits must be >= 24, got 0"),
             ("equal_revenue_submod_f --n 3 --precision-bits 10", "precision_bits must be >= 24, got 10"),
-            ("equal_revenue_submod_f --n 3 --precision-bits 65537",
-             "precision_bits must be <= 65536, got 65537"),
+            ("equal_revenue_submod_f --n 3 --precision-bits 8193",
+             "precision_bits must be <= 8192, got 8193"),
+            # wider than the JSON format's decimal ints can carry
+            ("equal_revenue_submod_f --n 3 --precision-bits 16000",
+             "precision_bits must be <= 8192, got 16000"),
             ("rounded --n 2 --grid-bits 0", "grid exponent must be >= 56"),
             ("equal_revenue_supmod_c --n 3 --precision-bits 300",
              "equal_revenue_supmod_c does not take precision_bits"),

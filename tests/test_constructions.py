@@ -196,7 +196,7 @@ class TestSupmodCBase:
         # summed as ints over lcm(1..2^n - 1): the same ints and scale as
         # the exact Fractions of the recurrence, over their own LCM
         ints, scale, rational = _scaled_ints(supmod_c_cost_fractions(n))
-        assert rational and build_equal_revenue_supmod_c(n).c.held_ints() == (
+        assert rational and build_equal_revenue_supmod_c(n).c.scaled() == (
             tuple(ints), scale, True
         )
 

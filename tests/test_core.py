@@ -43,9 +43,7 @@ from mpmath import libmp
 
 from conftest import (
     brute_best_response,
-    brute_demand,
     brute_exact_query,
-    brute_supply,
     degenerate_hull_tables,
     instance_from_tables,
     mixed_monotone_instance_tables,
@@ -236,14 +234,17 @@ class TestMpfTable:
         oracle = SetFunctionOracle(2, table=fracs)
         tab = oracle.table
         assert isinstance(tab, reals.MpfTable) and tab.rational
-        assert oracle.held_ints() == ((0, 2, 5, 12), 6, True) == oracle.scaled()
+        assert oracle.scaled() == ((0, 2, 5, 12), 6, True) and oracle.scaled()[0] is tab.ints
         for got in (list(tab), [tab[m] for m in range(4)]):
             assert got == fracs and all(type(v) is Fraction for v in got)
-        # any other table keeps its entries, types included, and is not held
+        # any other table keeps its entries, types included, beside its exact
+        # form, built once when the table is set
         for kept in ([0, Fraction(1, 3), Fraction(5, 6), 2], [0.0, Fraction(1, 3), 1.0, 2.0],
                      [0, 1, 2, 3]):
             oracle = SetFunctionOracle(2, table=kept)
-            assert type(oracle.table) is tuple and oracle.held_ints() is None
+            assert type(oracle.table) is tuple and oracle.scaled() is oracle.scaled()
+            ints, scale, rational = core._scaled_ints(kept)
+            assert oracle.scaled() == (tuple(ints), scale, rational)
             assert [(type(v), v) for v in oracle.table] == [(type(v), v) for v in kept]
         cost = build_equal_revenue_supmod_c(5).c.table
         assert isinstance(cost, reals.MpfTable) and list(cost) == supmod_c_cost_fractions(5)
@@ -359,17 +360,8 @@ class TestArgmaxAndCut:
         cut = top - exact(sigma) * factor
         assert core._within(util, factor, sigma) == [m for m, u in enumerate(util) if u >= cut]
 
-    @given(
-        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
-        st.floats(min_value=0, max_value=1e3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_within_in_floats_cuts_at_top_minus_sigma(self, util, sigma):
-        cut = max(util) - sigma
-        assert core._within(util, None, sigma) == [m for m, u in enumerate(util) if u >= cut]
-
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, mpmath.mpf("nan"), -1, -1e-300])
-    @pytest.mark.parametrize("factor", [None, 3])
+    @pytest.mark.parametrize("factor", [1, 3])
     def test_within_refuses_a_bad_sigma(self, sigma, factor):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             core._within([0, 1, 2], factor, sigma)
@@ -383,7 +375,7 @@ class TestQueries:
         prices = data.draw(price_vectors(n))
         f = SetFunctionOracle(n, table=ftab)
         got = demand(f, prices)
-        assert got.mask == brute_demand(ftab, prices)
+        assert got.mask == brute_exact_query("demand", ftab, prices)
         assert f.ledger.demand_queries == 1
 
     @given(monotone_instance_tables(), st.data())
@@ -393,7 +385,7 @@ class TestQueries:
         prices = data.draw(price_vectors(n))
         c = SetFunctionOracle(n, table=ctab)
         got = supply(c, prices)
-        assert got.mask == brute_supply(ctab, prices)
+        assert got.mask == brute_exact_query("supply", ctab, prices)
         assert c.ledger.supply_queries == 1
 
     @given(monotone_instance_tables(), st.integers(0, 31))
@@ -421,20 +413,22 @@ class TestQueries:
 
     def test_non_finite_prices_refused_before_any_query(self):
         nan, inf = math.nan, math.inf
-        float_f = SetFunctionOracle(3, table=[v / 2 for v in range(8)])  # scored in floats
-        held_f = SetFunctionOracle(3, table=[Fraction(v, 2) for v in range(8)])  # in ints
+        float_f = SetFunctionOracle(3, table=[v / 2 for v in range(8)])
+        held_f = SetFunctionOracle(3, table=[Fraction(v, 2) for v in range(8)])
         bad = ([nan] * 3, [1.0, nan, 0.1], [inf, 0.0, 0.0], [-inf, inf, 1.0],
                [mpmath.mpf("nan"), 1, 1], [1, mpmath.inf, 1])
-        # finite prices whose float sum overflows: refused where scored in floats
-        overflow = [1e308, 1e308, 0.0]
         for oracle in (float_f, held_f):
-            for prices in bad + ((overflow,) if oracle is float_f else ()):
+            for prices in bad:
                 for query in (demand, supply):
                     with pytest.raises(ValueError, match="prices must be finite"):
                         query(oracle, prices)
             assert oracle.ledger == QueryLedger()
-        # exact ints do not overflow: the top set costs 2e308 and answers
-        assert demand(held_f, overflow).mask == 4 and supply(held_f, overflow).mask == 3
+            # finite prices whose float sum overflows are answered exactly in
+            # every representation: the top set costs 2e308
+            overflow = [1e308, 1e308, 0.0]
+            for kind, query in (("demand", demand), ("supply", supply)):
+                want = brute_exact_query(kind, list(oracle.table), overflow)
+                assert query(oracle, overflow).mask == want == {"demand": 4, "supply": 3}[kind]
 
     def test_sub_ulp_supply_winner_is_exact(self):
         # at prices (1, 1), {1} gains 2/3 and {2} less than an ulp below it:

@@ -125,17 +125,19 @@ class TestWholeVectorMargin:
 class TestBudgets:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reward_budget_positive(self, n):
-        b = epsilon_bound_reward(build_equal_revenue_submod_f(n))
+        base = build_equal_revenue_submod_f(n)
+        b = epsilon_bound_reward(base)
         assert b.epsilon_max > 0
-        assert b.direction == REWARD_BONUS
+        assert kind_of(base).direction == REWARD_BONUS
         assert b.epsilon_max == min(b.components)
         assert b.default_epsilon * 2 == b.epsilon_max
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cost_budget_positive(self, n):
-        b = epsilon_bound_cost(build_equal_revenue_supmod_c(n))
+        base = build_equal_revenue_supmod_c(n)
+        b = epsilon_bound_cost(base)
         assert b.epsilon_max > 0
-        assert b.direction == COST_DISCOUNT
+        assert kind_of(base).direction == COST_DISCOUNT
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjacent_margin_equals_nested_minimum(self, n):
@@ -156,8 +158,9 @@ class TestBudgets:
             map(type, (want.epsilon_max, *want.components)))
 
     def test_dispatch_by_kind(self):
-        assert epsilon_bound(build_equal_revenue_submod_f(2)).direction == REWARD_BONUS
-        assert epsilon_bound(build_equal_revenue_supmod_c(2)).direction == COST_DISCOUNT
+        for base, budget in ((build_equal_revenue_submod_f(2), epsilon_bound_reward),
+                             (build_equal_revenue_supmod_c(2), epsilon_bound_cost)):
+            assert epsilon_bound(base) == budget(base)
 
     def test_unrecognized_base_rejected(self):
         inst = build_equal_revenue_submod_f(2)

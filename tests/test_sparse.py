@@ -27,10 +27,9 @@ from contractlab.core import (
 from contractlab import cli
 from contractlab.core import ContractInstance, derived
 from contractlab.perturb import (
-    COST_DISCOUNT,
-    REWARD_BONUS,
     PerturbationBudget,
     epsilon_bound,
+    epsilon_bound_reward,
     family_iterator,
 )
 from contractlab.reals import MpfTable, RealContext, exact
@@ -437,8 +436,7 @@ def planted_base(role, values, weights, epsilon_max):
     f, c = (table, partner) if role == "demand" else (partner, table)
     kind = "equal_revenue_submod_f" if role == "demand" else "equal_revenue_supmod_c"
     base = ContractInstance(n=n, f=f, c=c, meta={"kind": kind})
-    direction = REWARD_BONUS if role == "demand" else COST_DISCOUNT
-    budget = PerturbationBudget(epsilon_max, (epsilon_max,) * 3, direction)
+    budget = PerturbationBudget(epsilon_max, (epsilon_max,) * 3)
     derived(base, "budget", lambda _: budget)
     return base
 
@@ -497,11 +495,11 @@ class TestSimulateFamily:
 
     @pytest.mark.parametrize("role, values, weights, prices, answers", [
         # c({1}) = 0.75 and c({1,2}) = 1 at p = (2^54, 0): both utilities
-        # round to 2^54 and the higher c, mask 3, wins.  Its discount to 0.5
-        # leaves its utility at 2^54 and its value below 0.75, so member 3
-        # loses to mask 1, the best mask other than k
+        # round to 2^54 in floats, yet exactly {1} is ahead by 1/4 and wins.
+        # Member 3's discount to 0.5 puts it 1/4 ahead of {1}, inside
+        # D^eps(p) = {1, 3}, so the simulation finds it too
         ("supply", [0.0, 0.75, 0.0, 1.0], [1, 1], (2.0 ** 54, 0.0),
-         [(2, 3, 2, 3), (3, 1, 2, 1)]),
+         [(2, 1, 2, 1), (3, 3, 2, 3)]),
         # member 1's bonus makes f({1}) = f({2}) = 1.5 at equal prices: equal
         # utility and value, and the lower mask, k itself, wins
         ("demand", [0.0, 1.0, 1.5, 2.0], [1, 1], (1.0, 1.0),
@@ -513,10 +511,15 @@ class TestSimulateFamily:
         assert got == [(k, prices, g, u, w) for k, g, u, w in answers]
         assert got == list(per_pair_answers(base, [prices], lambda k: []))
 
-    def test_mixed_frames_refused(self):
+    def test_float_entries_in_a_held_table(self):
+        # a float epsilon turns a Fraction entry float: the member's table is
+        # a tuple, its exact form still the held ints with entry k replaced
         base = planted_base("supply", [Fraction(v) for v in (0, 1, 1, 3)], [1, 1], 0.5)
-        with pytest.raises(ValueError, match="held as ints"):
-            next(simulate_family(base, [(1.0, 1.0)], lambda k: []))
+        shared = [(1.0, 1.0), (2.0, 0.5), (0.25, 3.0)]
+        own = drawn_in_member_order(2, 3, seed=2)
+        got = list(simulate_family(base, shared, own))
+        assert Counter(got) == Counter(per_pair_answers(base, shared, own))
+        assert {type(fam.instance.c.table) for fam in family_iterator(base)} == {tuple}
 
     @pytest.mark.parametrize("role, n", [("demand", 4), ("demand", 6), ("supply", 4), ("supply", 6)])
     def test_run_equals_the_per_pair_run(self, role, n):
@@ -538,6 +541,97 @@ class TestSimulateFamily:
         assert out["agreement"] == sum(g == w for _, _, g, _, w in answers) / len(answers)
         assert out["max_value_queries"] == max(u for _, _, _, u, _ in answers)
         assert ok
+
+
+# the wide scale of a supermodular cost: ints over lcm(1, ..., 1023), 1,478 bits
+SUPMOD_C_SCALE = build_equal_revenue_supmod_c(10).c.scaled()[1]
+
+
+def represented(how, values):
+    """The exact values in one table representation: floats, mpfs held as
+    ints over 2^190, or rationals held as ints over their LCM or over the
+    supermodular cost's wide scale."""
+    if how == "float":
+        return [float(v) for v in values]
+    if how == "rational":
+        return list(values)
+    scale = 1 << 190 if how == "mpf192" else SUPMOD_C_SCALE
+    return MpfTable([round(Fraction(v) * scale) for v in values], scale, how != "mpf192")
+
+
+@st.composite
+def near_tie_tables(draw, max_n=4):
+    """(role, n, values, prices, ulp): a table in one of four
+    representations with sets planted within a few ulps of the exact top
+    utility f - p ("demand" role) or p - c ("supply"), ulp being the float
+    spacing at the magnitude of the prices and values; some planted ties
+    are exact."""
+    role = draw(st.sampled_from(("demand", "supply")))
+    how = draw(st.sampled_from(("float", "mpf192", "rational", "supmod_c")))
+    n = draw(st.integers(1, max_n))
+    size, den = 1 << n, draw(st.sampled_from((1, 3, 16)))
+    ints = draw(st.lists(st.integers(0, 320), min_size=size, max_size=size))
+    values = [exact(v) for v in SetFunctionOracle(
+        n, table=represented(how, [Fraction(v, den) for v in ints])).table]
+    prices = [draw(real_numbers().filter(lambda p: p > 0)) for _ in range(n)]
+    util, _ = brute_exact_utilities(role, values, prices)
+    psum = [sum(exact(prices[i]) for i in range(n) if m >> i & 1) for m in range(size)]
+    ulp = Fraction(math.ulp(float(sum(map(exact, prices)) + max(values))))
+    for m in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)):
+        u = max(util) + draw(st.integers(-3, 3)) * ulp
+        values[m] = psum[m] + u if role == "demand" else psum[m] - u
+    return role, n, represented(how, values), prices, ulp
+
+
+def simulation_spec(kind, public_tab, hidden_tab, prices, eps):
+    """(mask, value queries) of simulate_*_by_values, from the exact
+    utilities: the hidden argmax over the exact D^eps(prices) of the public
+    table, ties to the higher hidden value, then the lower mask."""
+    members = brute_exact_approx(kind, public_tab, prices, eps)
+    util, vals = brute_exact_utilities(kind, hidden_tab, prices)
+    return max(members, key=lambda m: (util[m], vals[m], -m)), len(members)
+
+
+class TestExactInEveryRepresentation:
+    """Every demand, supply, D^sigma and simulated answer is the exact one
+    on float, 192-bit mpf, rational and wide rational tables, at planted
+    ties within a few float ulps of the top."""
+
+    @given(near_tie_tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_answers_are_exact(self, drawn, data):
+        role, n, values, prices, ulp = drawn
+        oracle = SetFunctionOracle(n, table=values)
+        tab = list(oracle.table)
+        for kind, query, approx in (("demand", demand, approx_demand),
+                                    ("supply", supply, approx_supply)):
+            assert query(oracle, prices).mask == brute_exact_query(kind, tab, prices)
+            util, _ = brute_exact_utilities(kind, tab, prices)
+            sigma = data.draw(st.one_of(
+                st.integers(0, 4).map(lambda j: j * ulp),
+                st.integers(0, (1 << n) - 1).map(lambda m: max(util) - util[m]),  # on a set
+            ))
+            sigma = data.draw(st.sampled_from((sigma, float(sigma))))
+            assert approx(oracle, prices, sigma).masks() == brute_exact_approx(
+                kind, tab, prices, sigma)
+        # a family on the table: exact per-pair simulations and simulate_family
+        eps_max = data.draw(st.sampled_from((4 * ulp, 64 * ulp, Fraction(1, 2))))
+        if not oracle.scaled()[2]:  # a float or mpf table takes a float epsilon
+            eps_max = float(eps_max)
+        base = planted_base(role, values, [1] * n, eps_max)
+        side = "f" if role == "demand" else "c"
+        simulate = simulate_demand_by_values if role == "demand" else simulate_supply_by_values
+        public = getattr(base, side)
+        members = {fam.k: list(getattr(fam.instance, side).table) for fam in family_iterator(base)}
+        eps = epsilon_bound(base).default_epsilon
+        for fam in family_iterator(base):
+            got, used = simulate(public, getattr(fam.instance, side), prices, fam.epsilon)
+            assert (got.mask, used) == simulation_spec(role, tab, members[fam.k], prices, eps)
+        answers = list(simulate_family(base, [prices], lambda k: [prices]))
+        assert len(answers) == 2 * len(members)
+        for k, _, got, used, want in answers:
+            assert want == brute_exact_query(role, members[k], prices)
+            assert (got, used) == simulation_spec(role, tab, members[k], prices, eps)
 
 
 class TestRandomPrices:
@@ -604,7 +698,7 @@ class TestValueQueryExperiment:
     def test_reads_the_kept_reward_budget(self):
         base = build_equal_revenue_submod_f(4)
         value_query_experiment(base, trials=10, seed=0)
-        assert base.kept["budget"].direction == REWARD_BONUS
+        assert base.kept["budget"] == epsilon_bound_reward(base)
         cost = build_equal_revenue_supmod_c(3)
         with pytest.raises(ValueError, match="reward-bonus base"):
             value_query_experiment(cost, trials=10)
