@@ -26,7 +26,7 @@ entries read as Fractions).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, floor, isqrt, lcm
 
@@ -414,36 +414,6 @@ def _z_components(variant, base, perturbed, delta, sigma):
     return comps
 
 
-@dataclass
-class _AugmentParts:
-    """build_augmented's indicator-independent part for one (base,
-    variant): the perturbed base, its critical values, z, and the all-zero
-    pair's augmented tables, which a pair copies and changes at its
-    size-n/2 sets only.
-
-    f_ints and c_ints are that pair's f-hat and c-hat as ints on f_scale
-    and c_scale, the only form they are held in.  f_scale is the perturbed
-    f scale combined with z/4's denominator; c_scale also takes in the
-    denominators of z/2, alpha~_1 z/8 and every alpha~_t z/4 (one shared
-    scale would make the f ints as long as the c ints).  f_half[i] is the
-    int of f-hat at t + 2^n with marginal z/4 for the i-th size-n/2 set t,
-    taken when x_f holds t; c_half[i] is the same for c-hat, with marginal
-    alpha~_t z/4, taken when x_c holds t."""
-
-    sigma: Fraction
-    delta: Fraction
-    perturbed: ContractInstance
-    alpha_tilde: dict
-    z_components: dict
-    z: Fraction
-    f_scale: int
-    c_scale: int
-    f_ints: tuple
-    c_ints: tuple
-    f_half: tuple
-    c_half: tuple
-
-
 def _lifted(oracle, scale, marginals, half):
     """The oracle's scaled ints brought onto scale and lifted to n+1
     actions, entry m + 2^n being entry m plus the int marginals[m], as
@@ -455,7 +425,21 @@ def _lifted(oracle, scale, marginals, half):
     return low + upper, tuple(low[t] + w for t, w in half)
 
 
-def _augment_parts(variant, base) -> _AugmentParts:
+def _augment_parts(variant, base) -> tuple:
+    """(template, f_half, c_half): build_augmented's indicator-independent
+    part for one (base, variant).  template is the all-zero pair's
+    AugmentedCCInstance, with its perturbed base, critical values, z and
+    augmented tables, and no base (None), so nothing kept on the base
+    refers back to it; a pair copies its two tables' ints and changes them
+    at its size-n/2 sets only.
+
+    The augmented f and c are held as ints on f_scale and c_scale alone.
+    f_scale is the perturbed f scale combined with z/4's denominator;
+    c_scale also takes in the denominators of z/2, alpha~_1 z/8 and every
+    alpha~_t z/4 (one shared scale would make the f ints as long as the c
+    ints).  f_half[i] is the int of f-hat at t + 2^n with marginal z/4 for
+    the i-th size-n/2 set t, taken when x_f holds t; c_half[i] is the same
+    for c-hat, with marginal alpha~_t z/4, taken when x_c holds t."""
     n = base.n
     if variant == "sup-sup":
         sigma = sigma_bound_supply(base).sigma
@@ -491,20 +475,27 @@ def _augment_parts(variant, base) -> _AugmentParts:
     c_ints, c_half = _lifted(
         perturbed.c, c_scale, [c_plus[k] for k in c_keys], [(t, c_plus[t]) for t in half]
     )
-    return _AugmentParts(
-        sigma=sigma,
-        delta=delta,
-        perturbed=perturbed,
-        alpha_tilde=atil,
-        z_components=comps,
-        z=z,
-        f_scale=f_scale,
-        c_scale=c_scale,
-        f_ints=f_ints,
-        c_ints=c_ints,
-        f_half=f_half,
-        c_half=c_half,
+    zeros = SpecialSetVector.all_zeros(n)
+    inst = _augmented_instance(variant, perturbed, f_ints, f_scale, c_ints, c_scale)
+    template = AugmentedCCInstance(
+        variant=variant, base=None, perturbed=perturbed, delta=delta, z=z, z_components=comps,
+        sigma=sigma, x_f=zeros, x_c=zeros, instance=inst, alpha_tilde=atil
     )
+    return template, f_half, c_half
+
+
+def _augmented_instance(variant, perturbed, fhat, f_scale, chat, c_scale) -> ContractInstance:
+    """The augmented instance: f-hat and c-hat as their ints alone (entries
+    read as Fractions), in the perturbed base's declared classes."""
+    n = perturbed.n
+    f_cls, c_cls = perturbed.f.declared_class, perturbed.c.declared_class
+    ftab, ctab = MpfTable(fhat, f_scale, True), MpfTable(chat, c_scale, True)
+    fhat_o = SetFunctionOracle(n + 1, table=ftab, declared_class=f_cls, name="augmented_reward")
+    chat_o = SetFunctionOracle(n + 1, table=ctab, declared_class=c_cls, name="augmented_cost")
+    # exact tables: the default context's tolerance compares with Fractions
+    inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
+    inst.meta["kind"] = f"cc_augmented_{variant}"
+    return inst
 
 
 @functools.cache
@@ -544,14 +535,12 @@ def build_augmented(
     kind lists them (constructions.EqualRevenueKind.variants), else
     ValueError before anything is kept; n must be even.
     delta is half the least of the variant's delta_bound and
-    sigma / (2 n^2).  Everything but the marginals is independent
-    of (x_f, x_c) and kept on the base (core.derived; _AugmentParts), both
-    augmented tables of the all-zero pair included, as ints on kept scales.
-    A pair copies those two int lists and overwrites the upper-half int of
-    each size-n/2 set its indicator bits hold with a prebuilt one, at most
-    2 C(n, n/2) ints, so it does no arithmetic; the augmented oracles are
-    handed the ints alone (their entries read as Fractions) and the
-    perturbed base's declared classes.
+    sigma / (2 n^2).  Everything independent of (x_f, x_c) is kept on the
+    base (core.derived; _augment_parts), the all-zero pair's instance
+    included.  A pair copies that template's two int tables, overwrites
+    the upper-half int of each size-n/2 set its indicator bits hold with a
+    prebuilt one (at most 2 C(n, n/2) ints, no arithmetic), and is the
+    template with its own base, vectors and instance.
     """
     need, kind = variant_kind(variant), kind_of(base)
     if kind is not need:
@@ -561,34 +550,20 @@ def build_augmented(
         raise ValueError("augmentation requires even n")
     if x_f.n != n or x_c.n != n:
         raise ValueError("indicator vectors over wrong ground set")
-    parts = derived(base, ("augment", variant), lambda b: _augment_parts(variant, b))
-    fhat, chat = list(parts.f_ints), list(parts.c_ints)
+    template, f_half, c_half = derived(
+        base, ("augment", variant), lambda b: _augment_parts(variant, b)
+    )
+    f_ints, f_scale, _ = template.instance.f.scaled()
+    c_ints, c_scale, _ = template.instance.c.scaled()
+    fhat, chat = list(f_ints), list(c_ints)
     size = 1 << n
     for i, t in enumerate(_half_sets(n)[0]):
         if x_f.packed >> i & 1:
-            fhat[size + t] = parts.f_half[i]
+            fhat[size + t] = f_half[i]
         if x_c.packed >> i & 1:
-            chat[size + t] = parts.c_half[i]
-    f_cls, c_cls = parts.perturbed.f.declared_class, parts.perturbed.c.declared_class
-    ftab, ctab = MpfTable(fhat, parts.f_scale, True), MpfTable(chat, parts.c_scale, True)
-    fhat_o = SetFunctionOracle(n + 1, table=ftab, declared_class=f_cls, name="augmented_reward")
-    chat_o = SetFunctionOracle(n + 1, table=ctab, declared_class=c_cls, name="augmented_cost")
-    # exact tables: the default context's tolerance compares with Fractions
-    inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
-    inst.meta["kind"] = f"cc_augmented_{variant}"
-    return AugmentedCCInstance(
-        variant=variant,
-        base=base,
-        perturbed=parts.perturbed,
-        delta=parts.delta,
-        z=parts.z,
-        z_components=parts.z_components,
-        sigma=parts.sigma,
-        x_f=x_f,
-        x_c=x_c,
-        instance=inst,
-        alpha_tilde=parts.alpha_tilde,
-    )
+            chat[size + t] = c_half[i]
+    inst = _augmented_instance(variant, template.perturbed, fhat, f_scale, chat, c_scale)
+    return replace(template, base=base, x_f=x_f, x_c=x_c, instance=inst)
 
 
 @dataclass
@@ -725,9 +700,9 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     n = aug.base.n
     channel.charge_br_call()
     cand = approx_best_response(aug.perturbed, alpha, aug.sigma / 2)
-    masks = sorted(s.mask for s in cand.members)
+    masks = cand.masks()
     # increasing mask order, so the lower-index tie-break is best_response's
-    masks += [m | 1 << n for m in masks]
+    masks = masks + [m | 1 << n for m in masks]
     f_ints, s_f, _ = aug.instance.f.scaled()
     c_ints, s_c, _ = aug.instance.c.scaled()
     costs = channel.send("Bob", [c_ints[m] for m in masks])

@@ -81,13 +81,14 @@ class SetFunctionOracle:
     """A value-queryable set function with a declared structure class.
 
     The oracle holds its full 2^n table, read-only, and the table's exact
-    form (scaled), built whenever the table is set, so no entry can change
+    form (scaled), dropped whenever the table is set, so no entry can change
     under a hull or a score built from them.  Query instrumentation lives
     in the attached ledger.  Exactly one of ``table`` and ``weights``:
       table      -- a reals.MpfTable, kept as it is (its own exact form), or
                     a list of 2^n values indexed by subset index, kept as a
-                    tuple, or as the rational MpfTable of its ints when
-                    every entry is a Fraction,
+                    tuple (its exact form built on first use), or as the
+                    rational MpfTable of its ints when every entry is a
+                    Fraction; an infinite or NaN entry raises ValueError,
       weights    -- per-action values of an additive function (w[i-1] for i).
     """
 
@@ -123,7 +124,7 @@ class SetFunctionOracle:
 
     @property
     def table(self):
-        """The full 2^n table; setting it builds its exact form once."""
+        """The full 2^n table; setting it drops its exact form and view."""
         return self._table
 
     @table.setter
@@ -132,11 +133,17 @@ class SetFunctionOracle:
             self._hold(table, (table.ints, table.scale, table.rational))
             return
         table = tuple(table)
-        ints, scale, rational = _scaled_ints(table)
-        if all(type(v) is Fraction for v in table):  # held as its ints; a mix stays a tuple
-            table = MpfTable(ints, scale, True)
-            ints = table.ints
-        self._hold(table, (tuple(ints), scale, rational))
+        kinds = set(map(type, table))
+        if kinds == {Fraction}:  # held as its ints; a mix stays a tuple
+            self.table = MpfTable(*_scaled_ints(table))
+            return
+        if kinds == {float}:
+            finite = all(map(math.isfinite, table))
+        else:  # v - v is NaN for an infinite or NaN float or mpf, else 0
+            finite = kinds <= _RATIONAL or all(v - v == 0 for v in table)
+        if not finite:
+            raise ValueError("table entries must be finite")
+        self._hold(table, None)
 
     def _hold(self, table, form):
         if len(table) != 1 << self.n:
@@ -151,21 +158,26 @@ class SetFunctionOracle:
 
     def scaled(self):
         """(ints, scale, rational): the table's exact form, ints[m] ==
-        table[m] * scale (see _scaled_ints), built when the table was set;
-        an MpfTable's own ints, not copied."""
+        table[m] * scale (see _scaled_ints), built on first use and kept
+        until the table is set again; an MpfTable's own ints, not copied."""
+        if self._form is None:
+            ints, scale, rational = _scaled_ints(self._table)
+            self._form = tuple(ints), scale, rational
         return self._form
 
     def float_view(self):
-        """(view, top): view[m] the float nearest entry m, top the greatest
-        |view[m]|, built on first use.  A table of floats is its own view;
-        any other divides its ints by its scale, rounding once.  An entry
-        out of float range leaves the view empty and top infinite."""
+        """(view, top): view[m] the float nearest entry m and top at least
+        the greatest |view[m]| (a family member's is its base's top or its
+        own entry, see with_entry), built on first use.  A table of floats
+        is its own view; any other divides its ints by its scale, rounding
+        once.  An entry out of float range leaves the view empty and top
+        infinite."""
         if self._view is None:
             table = self._table
             if type(table) is tuple and all(type(v) is float for v in table):
                 view = table
             else:
-                ints, scale, _ = self._form
+                ints, scale, _ = self.scaled()
                 try:
                     view = [v / scale for v in ints]
                 except OverflowError:
@@ -178,9 +190,12 @@ class SetFunctionOracle:
         entry k replaced by entry, which is held = (int, scale) exactly, scale
         a multiple of this table's.  Its exact form is this one's ints over
         that scale with int k replaced, so no other entry is converted.  An
-        MpfTable stays one when entry has its entries' type, else a tuple."""
+        MpfTable stays one when entry has its entries' type, else a tuple.
+        When this oracle's float view is built, the new one gets it with
+        entry k replaced (the new table itself when both are float tuples),
+        and top the greater of this top and |entry k|."""
         kint, scale = held
-        ints, own_scale, rational = self._form
+        ints, own_scale, rational = self.scaled()
         mult = scale // own_scale
         ints = [v * mult for v in ints] if mult != 1 else list(ints)
         ints[k] = kint
@@ -197,6 +212,17 @@ class SetFunctionOracle:
         new.n, new.declared_class, new.name = self.n, self.declared_class, name
         new.ledger, new.weights = QueryLedger(), None
         new._hold(table, (tuple(ints), scale, rational))
+        if self._view is not None:
+            view, top = self._view
+            if view is self._table and type(entry) is float:
+                view = table
+            elif view:
+                view = list(view)
+                try:
+                    view[k] = kint / scale
+                except OverflowError:
+                    view = []
+            new._view = view, max(top, abs(view[k])) if view else math.inf
         return new
 
 
@@ -308,7 +334,8 @@ def _near_top(kind: str, x: SetFunctionOracle, prices, sigma=0):
     alike) w_m = F_m - Q_m is off the exact u_m = v_m - P_m by at most
     u |v_m| (the view; 0 on a float table) + u sum |p_i| (the prices) +
     (n - 1) u sum |q_i| (the additions of Q_m) + u |F_m - Q_m|: by
-    E = (n + 1) u (S + V) to first order, S = sum |p_i|, V = max |v_m|.
+    E = (n + 1) u (S + V) to first order, S = sum |p_i|, V the view's top,
+    at least max |F_m| (float_view); a larger V only keeps more masks.
     A set of D^sigma has u_m >= u* - sigma, and the float top has
     w_t <= u_t + E <= u* + E, so w_m >= u_m - E >= w_t - sigma - 2E.  The
     pass keeps every m with w_m >= (w_t - sigma) - B in floats, where

@@ -28,7 +28,7 @@ from .constructions import (
     kind_of,
     marginal_margins,
 )
-from .reals import ratio
+from .reals import exact, ratio
 from .solver import chain_alphas
 
 
@@ -90,28 +90,22 @@ def epsilon_bound_reward(base: ContractInstance) -> PerturbationBudget:
 def epsilon_bound_cost(base: ContractInstance) -> PerturbationBudget:
     """Three-way minimum bounding the cost discount on the supermodular-c base.
 
-    On a rational c (int and Fraction entries) c1 and c2 are the margin and
-    least gap of its exact form's ints, each made a Fraction once: the
-    values the entries give, since both terms are linear in the entries
-    and exact.  Float and mpf differences round, so any other table is read
-    entry by entry."""
+    c1 and c2 are the margin and least gap of c's exact form's ints, each
+    made a Fraction once: both terms are linear in the entries, so these
+    are their exact values in every representation (a float or mpf table's
+    entry differences would round).  The least of the three is taken by
+    exact value, since mpmath does not compare an mpf c3 with a Fraction."""
     ftab, alphas = _chain_tables(base)
-    ints, scale, rational = base.c.scaled()
-    size = base.size
+    ints, scale, _ = base.c.scaled()
+    c1 = Fraction(marginal_margins(ints, base.n, -1)[1], scale)
+    c2 = Fraction(min(map(sub, ints[2:], ints[1:-1])), scale)
     with base.ctx.workprec():
-        if rational:
-            c1 = Fraction(marginal_margins(ints, base.n, -1)[1], scale)
-            c2 = Fraction(min(map(sub, ints[2:], ints[1:-1])), scale)
-        else:
-            ctab = tuple(base.c.table)
-            c1 = marginal_margins(ctab, base.n, -1)[1]
-            c2 = min(ctab[t] - ctab[t - 1] for t in range(2, size))
         # alpha_table entry t-1 is the critical value of S_t here
         c3 = min(
             (alphas[t - 1] - alphas[t - 2]) * (ftab[t] - ftab[t - 1])
-            for t in range(2, size)
+            for t in range(2, base.size)
         )
-    return PerturbationBudget(min(c1, c2, c3), (c1, c2, c3))
+    return PerturbationBudget(min((c1, c2, c3), key=exact), (c1, c2, c3))
 
 
 def _budget(base: ContractInstance) -> PerturbationBudget:

@@ -43,16 +43,16 @@ def sparseness_ceiling(n: int) -> int:
 
 @dataclass
 class ApproxArgmaxSet:
-    members: list[ActionSet]
+    """D^sigma as the masks of its members, in increasing order."""
+
+    mask_list: list[int]
 
     def __len__(self):
-        return len(self.members)
+        return len(self.mask_list)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def masks(self):
-        return [m.mask for m in self.members]
+    def masks(self) -> list[int]:
+        """The members' masks, in increasing order; the list itself."""
+        return self.mask_list
 
 
 def _approx_argmax(kind, x, prices, sigma) -> ApproxArgmaxSet:
@@ -64,7 +64,7 @@ def _approx_argmax(kind, x, prices, sigma) -> ApproxArgmaxSet:
     if len(masks) > 1:
         util, _, factor, _ = _scores(kind, x, prices, masks)
         masks = [masks[j] for j in _within(util, factor, sigma)]
-    return ApproxArgmaxSet([ActionSet(x.n, m) for m in masks])
+    return ApproxArgmaxSet(masks)
 
 
 def approx_demand(f: SetFunctionOracle, prices, sigma, ctx=None) -> ApproxArgmaxSet:
@@ -89,7 +89,7 @@ def approx_best_response(inst, alpha, sigma) -> ApproxArgmaxSet:
     fs, s_f, _ = inst.f.scaled()
     cs, s_c, _ = inst.c.scaled()
     scores, factor = _alpha_scores(alpha, fs, s_f, cs, s_c)
-    return ApproxArgmaxSet([ActionSet(inst.n, m) for m in _within(scores, factor, sigma)])
+    return ApproxArgmaxSet(_within(scores, factor, sigma))
 
 
 @dataclass
@@ -142,7 +142,7 @@ def ambiguity_intervals(approx: ApproxArgmaxSet, n: int) -> list[AmbiguityInterv
     members above r_i exclude i, members below l_i include i.
     """
     intervals = []
-    masks = [m.mask for m in approx.members]
+    masks = approx.masks()
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
         containing = [t for t in masks if t & bit]
@@ -172,8 +172,7 @@ def minimal_ambiguous_census(approx: ApproxArgmaxSet, n: int) -> dict[int, int]:
     """
     intervals = ambiguity_intervals(approx, n)
     census = {i: 0 for i in range(1, n + 2)}
-    for m in approx.members:
-        t = m.mask
+    for t in approx.masks():
         star = n + 1
         for iv in intervals:
             if iv.l <= t <= iv.r:

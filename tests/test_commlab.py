@@ -8,8 +8,10 @@ disjoint pairs leave n+1 out, intersecting pairs bring it in.
 """
 
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -649,6 +651,46 @@ class TestAugmentCache:
         )
         assert got == kept_values(fresh, variant)
         assert "alpha_table" not in base.meta
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kept_parts_are_freed_with_their_base(self, variant):
+        # the kept template holds no base, so no cycle runs through the
+        # store: reference counting alone frees the base
+        gc.disable()
+        try:
+            base = TestScaledForms.base(variant, 4)
+            ones = SpecialSetVector.all_ones(4)
+            aug = build_augmented(variant, base, ones, ones)
+            assert ("augment", variant) in base.kept
+            gone = weakref.ref(base)
+            del base, aug
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pairs_are_the_kept_template_but_at_their_half_sets(self, variant, n):
+        base = TestScaledForms.base(variant, n)
+        zeros = SpecialSetVector.all_zeros(n)
+        aug = build_augmented(variant, base, zeros, zeros)
+        template, f_half, c_half = base.kept[("augment", variant)]
+        assert template.base is None and template.x_f.packed == template.x_c.packed == 0
+        assert len(f_half) == len(c_half) == len(zeros)
+        for name in ("variant", "perturbed", "delta", "z", "z_components", "sigma", "alpha_tilde"):
+            assert getattr(aug, name) is getattr(template, name), name
+        kept = (template.instance.f, template.instance.c)
+        assert [o.scaled() for o in (aug.instance.f, aug.instance.c)] == [o.scaled() for o in kept]
+        rng, size = random.Random(n + 2), 1 << n
+        for _ in range(4):
+            x_f, x_c = SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng)
+            aug = build_augmented(variant, base, x_f, x_c)
+            assert aug.base is base and (aug.x_f, aug.x_c) == (x_f, x_c)
+            for got, want, x in ((aug.instance.f, kept[0], x_f), (aug.instance.c, kept[1], x_c)):
+                a, b = got.scaled()[0], want.scaled()[0]
+                assert len(a) == len(b) == 2 * size
+                assert {m for m in range(2 * size) if a[m] != b[m]} == {
+                    t + size for t in x.masks if t in x}
 
     def test_dropped_bases_never_share_cache_entries(self):
         # a collected base's id is often reused by the next base built, at

@@ -143,6 +143,61 @@ class TestOracle:
         with pytest.raises(ValueError):
             SetFunctionOracle(2)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, mpmath.inf, mpmath.nan])
+    def test_a_non_finite_entry_is_refused_when_set(self, bad):
+        for table in ([0.0, bad, 1.0, 2.0], [0, bad, Fraction(1, 3), 2], [bad] * 4):
+            with pytest.raises(ValueError, match="finite"):
+                SetFunctionOracle(2, table=table)
+            oracle = SetFunctionOracle(2, table=[0.0, 1.0, 1.0, 2.0])
+            with pytest.raises(ValueError, match="finite"):
+                oracle.table = table
+        # a finite mpf beyond float range is a valid entry
+        big = mpmath.mpf(2) ** 2000
+        assert SetFunctionOracle(1, table=[0, big]).scaled() == ((0, 1 << 2000), 1, False)
+
+    def test_a_tuple_table_is_converted_on_first_use(self, monkeypatch):
+        calls = []
+        original = core._scaled_ints
+
+        def counted(tab):
+            calls.append(len(tab))
+            return original(tab)
+
+        monkeypatch.setattr(core, "_scaled_ints", counted)
+        oracle = SetFunctionOracle(2, table=[0.0, 0.5, 0.25, 1.0])
+        assert calls == []
+        form = oracle.scaled()
+        assert form == ((0, 2, 1, 4), 4, False) and oracle.scaled() is form and calls == [4]
+        oracle.table = [0.0, 0.5, 0.75, 1.0]
+        assert oracle.scaled() == ((0, 2, 3, 4), 4, False) and calls == [4, 4]
+
+    @pytest.mark.parametrize("how", ["float", "mpf192", "rational"])
+    def test_a_member_inherits_its_base_view(self, how):
+        n = 4
+        # (m^2 + 1) / 3, rounded to a float, to 192 bits, and exact
+        vals = [m * m + 1 for m in range(1 << n)]
+        if how == "float":
+            table = [v / 3 for v in vals]
+        elif how == "mpf192":
+            table = reals.MpfTable([(v << 192) // 3 for v in vals], 1 << 192, False)
+        else:
+            table = reals.MpfTable(vals, 3, True)
+        base = SetFunctionOracle(n, table=table)
+        k, ints, scale = 5, *base.scaled()[:2]
+        unbuilt = base.with_entry(k, base.table[k], (ints[k], scale), "member")
+        assert unbuilt._view is None  # built on its own first use
+        base_view, base_top = base.float_view()
+        for kint in (ints[k] + scale // 2, 1 << 40):
+            entry = reals.MpfTable([kint], scale, how == "rational")[0]
+            if how == "float":
+                entry = kint / scale
+            member = base.with_entry(k, entry, (kint, scale), "member")
+            view, top = member._view
+            fresh = SetFunctionOracle(n, table=member.table).float_view()
+            assert list(view) == list(fresh[0]) and top == max(base_top, abs(view[k]))
+            assert top >= fresh[1] and (view is member.table) == (how == "float")
+        assert base.float_view() == (base_view, base_top)
+
     def test_value_counts_queries(self):
         f = SetFunctionOracle(3, table=list(range(8)))
         assert f.ledger.value_queries == 0

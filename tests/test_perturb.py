@@ -5,6 +5,7 @@ from fractions import Fraction
 from operator import add, sub
 
 import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given, settings
 
@@ -27,7 +28,7 @@ from contractlab.perturb import (
     make_perturbed,
     valid_k_range,
 )
-from contractlab.reals import MpfTable, RealContext
+from contractlab.reals import MpfTable, RealContext, exact
 from contractlab.serialize import instance_from_dict, instance_to_dict
 from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
 
@@ -156,6 +157,29 @@ class TestBudgets:
         assert got == want
         assert list(map(type, (got.epsilon_max, *got.components))) == list(
             map(type, (want.epsilon_max, *want.components)))
+
+    @pytest.mark.parametrize("how", ["float", "mpf"])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_cost_budget_on_a_float_cost_is_exact(self, n, how):
+        # the supmod_c cost as floats (or 192-bit mpfs) keeps its chain; c1
+        # and c2 are the exact margin and least gap of those entries, not
+        # rounded differences, and the least term is found by exact value
+        base = build_equal_revenue_supmod_c(n)
+        if how == "float":
+            base.c.table = tuple(float(v) for v in base.c.table)
+        else:
+            base.ctx = RealContext(192)
+            with base.ctx.workprec():
+                base.c.table = tuple(mpmath.mpf(v.numerator) / v.denominator for v in base.c.table)
+        exact_c = [exact(v) for v in base.c.table]
+        got = epsilon_bound_cost(base)
+        assert got.components[:2] == (
+            brute_nested_margin(exact_c, n, -1),
+            min(b - a for a, b in zip(exact_c[1:], exact_c[2:])),
+        )
+        assert type(got.components[2]) is {"float": float, "mpf": mpmath.mpf}[how]
+        assert exact(got.epsilon_max) == min(map(exact, got.components))
+        assert len(list(family_iterator(base))) == len(valid_k_range(base))
 
     def test_dispatch_by_kind(self):
         for base, budget in ((build_equal_revenue_submod_f(2), epsilon_bound_reward),
