@@ -26,7 +26,7 @@ entries read as Fractions).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, isqrt, lcm
 
@@ -37,6 +37,7 @@ from .core import (
     _alpha_scores,
     _argmax,
     derived,
+    lower_hull,
 )
 from .constructions import _SENSE, ConstructionIntegrityError, kind_of, marginal_margins
 from .constructions import variant_kind
@@ -66,6 +67,13 @@ def _half_sets(n: int) -> tuple:
     over n."""
     masks = tuple(m for m in range(1 << n) if m.bit_count() == n // 2)
     return masks, {m: i for i, m in enumerate(masks)}
+
+
+@functools.cache
+def _upper_half(n: int) -> tuple:
+    """t + 2^n for each size-n/2 set t, in _half_sets order: the positions
+    of an augmented table that the indicator bits set."""
+    return tuple(t + (1 << n) for t in _half_sets(n)[0])
 
 
 class SpecialSetVector:
@@ -430,8 +438,8 @@ def _augment_parts(variant, base) -> tuple:
     part for one (base, variant).  template is the all-zero pair's
     AugmentedCCInstance, with its perturbed base, critical values, z and
     augmented tables, and no base (None), so nothing kept on the base
-    refers back to it; a pair copies its two tables' ints and changes them
-    at its size-n/2 sets only.
+    refers back to it; a pair's oracles are its two oracles with the ints
+    at the size-n/2 sets replaced (build_augmented).
 
     The augmented f and c are held as ints on f_scale and c_scale alone.
     f_scale is the perturbed f scale combined with z/4's denominator;
@@ -476,7 +484,12 @@ def _augment_parts(variant, base) -> tuple:
         perturbed.c, c_scale, [c_plus[k] for k in c_keys], [(t, c_plus[t]) for t in half]
     )
     zeros = SpecialSetVector.all_zeros(n)
-    inst = _augmented_instance(variant, perturbed, f_ints, f_scale, c_ints, c_scale)
+    f_cls, c_cls = perturbed.f.declared_class, perturbed.c.declared_class
+    fhat = SetFunctionOracle(n + 1, table=MpfTable(f_ints, f_scale, True),
+                             declared_class=f_cls, name="augmented_reward")
+    chat = SetFunctionOracle(n + 1, table=MpfTable(c_ints, c_scale, True),
+                             declared_class=c_cls, name="augmented_cost")
+    inst = _augmented_instance(variant, n, fhat, chat)
     template = AugmentedCCInstance(
         variant=variant, base=None, perturbed=perturbed, delta=delta, z=z, z_components=comps,
         sigma=sigma, x_f=zeros, x_c=zeros, instance=inst, alpha_tilde=atil
@@ -484,18 +497,18 @@ def _augment_parts(variant, base) -> tuple:
     return template, f_half, c_half
 
 
-def _augmented_instance(variant, perturbed, fhat, f_scale, chat, c_scale) -> ContractInstance:
-    """The augmented instance: f-hat and c-hat as their ints alone (entries
-    read as Fractions), in the perturbed base's declared classes."""
-    n = perturbed.n
-    f_cls, c_cls = perturbed.f.declared_class, perturbed.c.declared_class
-    ftab, ctab = MpfTable(fhat, f_scale, True), MpfTable(chat, c_scale, True)
-    fhat_o = SetFunctionOracle(n + 1, table=ftab, declared_class=f_cls, name="augmented_reward")
-    chat_o = SetFunctionOracle(n + 1, table=ctab, declared_class=c_cls, name="augmented_cost")
+def _augmented_instance(variant, n, fhat, chat) -> ContractInstance:
+    """The augmented instance over n + 1 actions of the oracles f-hat and
+    c-hat, each held as its ints alone (entries read as Fractions)."""
     # exact tables: the default context's tolerance compares with Fractions
-    inst = ContractInstance(n=n + 1, f=fhat_o, c=chat_o, name=f"augmented {variant} (n={n})")
+    inst = ContractInstance(n=n + 1, f=fhat, c=chat, name=f"augmented {variant} (n={n})")
     inst.meta["kind"] = f"cc_augmented_{variant}"
     return inst
+
+
+def _parts(variant, base) -> tuple:
+    """(template, f_half, c_half) of _augment_parts, kept on the base."""
+    return derived(base, ("augment", variant), lambda b: _augment_parts(variant, b))
 
 
 @functools.cache
@@ -537,10 +550,14 @@ def build_augmented(
     delta is half the least of the variant's delta_bound and
     sigma / (2 n^2).  Everything independent of (x_f, x_c) is kept on the
     base (core.derived; _augment_parts), the all-zero pair's instance
-    included.  A pair copies that template's two int tables, overwrites
-    the upper-half int of each size-n/2 set its indicator bits hold with a
-    prebuilt one (at most 2 C(n, n/2) ints, no arithmetic), and is the
-    template with its own base, vectors and instance.
+    included.  A pair's two oracles are that template's, made anew with
+    the upper-half int of every size-n/2 set replaced
+    (SetFunctionOracle.with_entries at _upper_half): a prebuilt one where
+    the indicator bits hold the set, the template's own int object where
+    they do not (no arithmetic).  So each records the template's oracle as
+    its origin, and verify_structure and check_reduction check it against
+    the template.  The pair is a copy of the template with its own base,
+    vectors and instance.
     """
     need, kind = variant_kind(variant), kind_of(base)
     if kind is not need:
@@ -550,20 +567,18 @@ def build_augmented(
         raise ValueError("augmentation requires even n")
     if x_f.n != n or x_c.n != n:
         raise ValueError("indicator vectors over wrong ground set")
-    template, f_half, c_half = derived(
-        base, ("augment", variant), lambda b: _augment_parts(variant, b)
-    )
-    f_ints, f_scale, _ = template.instance.f.scaled()
-    c_ints, c_scale, _ = template.instance.c.scaled()
-    fhat, chat = list(f_ints), list(c_ints)
-    size = 1 << n
-    for i, t in enumerate(_half_sets(n)[0]):
-        if x_f.packed >> i & 1:
-            fhat[size + t] = f_half[i]
-        if x_c.packed >> i & 1:
-            chat[size + t] = c_half[i]
-    inst = _augmented_instance(variant, template.perturbed, fhat, f_scale, chat, c_scale)
-    return replace(template, base=base, x_f=x_f, x_c=x_c, instance=inst)
+    template, f_half, c_half = _parts(variant, base)
+    ks = _upper_half(n)
+    fhat, chat = template.instance.f, template.instance.c
+    oracles = []
+    for oracle, half, bits in ((fhat, f_half, x_f.packed), (chat, c_half, x_c.packed)):
+        ints, scale, _ = oracle.scaled()
+        picks = [half[i] if bits >> i & 1 else ints[k] for i, k in enumerate(ks)]
+        oracles.append(oracle.with_entries(ks, picks, scale, oracle.name))
+    aug = object.__new__(AugmentedCCInstance)
+    aug.__dict__.update(template.__dict__, base=base, x_f=x_f, x_c=x_c,
+                        instance=_augmented_instance(variant, n, *oracles))
+    return aug
 
 
 @dataclass
@@ -580,9 +595,17 @@ class ReductionReport:
 
 
 def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionReport:
-    """Solve the augmented instance; (n+1 in S*) must equal (x_f meets x_c)."""
+    """Solve the augmented instance; (n+1 in S*) must equal (x_f meets x_c).
+
+    The instance's hull is kept on it (core.derived) from the template's
+    kept hull, repaired at the pair's moved points (core.LowerHull.repair,
+    which builds it afresh when it cannot confirm them), so a later
+    core.best_response on the instance reads the same hull."""
     from .solver import optimal_contract
 
+    tmpl = _parts(aug.variant, aug.base)[0].instance
+    derived(aug.instance, "hull",
+            lambda inst: lower_hull(tmpl).repair(tmpl.f, tmpl.c, inst.f, inst.c))
     sol = optimal_contract(aug.instance)
     augmenting = (aug.base.n + 1) in sol.set_star
     expected = aug.x_f.intersects(aug.x_c)

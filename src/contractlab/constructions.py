@@ -260,17 +260,38 @@ class StructureReport:
 
 
 def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
-    """Exhaustive monotonicity and declared-class check, report-only, exact
-    on the oracle's scaled ints.  One pass over the per-action vectors of
+    """Monotonicity and declared-class check of every marginal and 2-face,
+    report-only, exact on the oracle's scaled ints.
+
+    An oracle made from a parent (SetFunctionOracle.with_entries) is checked
+    locally when it can be: the oracle's ints equal the parent's but at the
+    recorded positions (moved_from: one scale, and the parent's own int
+    object everywhere else), and the parent's verdict, kept on the parent
+    and built on first use, is ok.  Then only the marginals and 2-faces
+    that read a recorded position can differ from the parent's, and an
+    empty report says each of them holds (_holds_locally).  In every other
+    case, a failed local check included, the full pass runs (_report), so
+    the report is the same either way.
+
+    The full pass goes once over the per-action vectors of
     marginal_margins: the marginal vector decides monotonicity, the diff
     vector the class by its _SENSE, and only a failing vector is scanned,
     for its first MAX_RECORDED violations per run of increasing S.  The
     report lists the first MAX_RECORDED (S, i, marginal) and (S, i, j, diff)
     in (S, i, j) order, each value the entries' own difference for
     int/Fraction tables and its exact Fraction otherwise."""
-    n, sense = oracle.n, _SENSE[oracle.declared_class]
-    if n > 12:
+    sense = _SENSE[oracle.declared_class]
+    if oracle.n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
+    return _report(oracle, sense)
+
+
+def _report(oracle, sense) -> StructureReport:
+    """verify_structure's report, past its checks of the oracle's n and
+    class."""
+    if oracle.origin is not None and _holds_locally(oracle, sense):
+        return StructureReport([], [])
+    n = oracle.n
     vals, scale, rational = oracle.scaled()
     # keys that sort in (S, i, j) order (i, j < 16): S << 4 | i for a
     # marginal, S << 8 | i << 4 | j for a diff
@@ -304,6 +325,61 @@ def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
         [(s, i + 1, j + 1, recorded(marginal(s, i) - marginal(s | 1 << j, i)))
          for s, i, j in ((k >> 8, k >> 4 & 15, k & 15) for k in sorted(klass)[:MAX_RECORDED])],
     )
+
+
+def _holds_locally(oracle, sense) -> bool:
+    """Whether oracle, made from a parent, is confirmed to hold its class:
+    oracle.moved_from(parent) confirms the recorded positions, the parent
+    has the declared class and a kept ok verdict (its _report on first use,
+    kept as parent.verdict until its table is set), and
+    every marginal and 2-face that reads a recorded position holds
+    (_local_getters); False otherwise, for the full pass to decide."""
+    parent, ks = oracle.origin
+    cls = oracle.declared_class
+    if parent.declared_class != cls or oracle.moved_from(parent) is None:
+        return False
+    if parent.verdict is None or parent.verdict[0] != cls:
+        parent.verdict = cls, _report(parent, sense).ok
+    if not parent.verdict[1]:
+        return False
+    if not ks:
+        return True
+    vals = oracle.scaled()[0]
+    up, down, lo, hi = _local_getters(oracle.n, ks)
+    marg = list(map(sub, up(vals), down(vals)))
+    if min(marg) < 0:
+        return False
+    return sense is None or lo is None or _class_margin(list(map(sub, lo(marg), hi(marg))), sense) >= 0
+
+
+@functools.lru_cache(maxsize=64)
+def _local_getters(n: int, ks: tuple) -> tuple:
+    """(up, down, lo, hi) for the marginals and 2-faces of a set function
+    over n actions that read a position of ks, each face once.  up(vals)
+    and down(vals) give v(S + i) and v(S) of every marginal v(i | S) with S
+    or S + i in ks, and of the far i-edge of each face; lo and hi index that
+    marginal vector at v(i | S) and v(i | S + j) for every face S, S + i,
+    S + j, S + i + j (i < j) with a corner in ks, so that lo - hi is its
+    diff, as _marginal_getters orders a diff.  None for lo and hi when
+    n = 1."""
+    margs = {}  # (S, i) -> its place in the marginal vector
+    for p in ks:
+        for i in range(n):
+            margs.setdefault((p & ~(1 << i), i), len(margs))
+    faces = {}
+    for p in ks:
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = p & ~(1 << i | 1 << j)
+                if (s, i, j) not in faces:
+                    near = margs.setdefault((s, i), len(margs))
+                    faces[s, i, j] = near, margs.setdefault((s | 1 << j, i), len(margs))
+    up = _tuple_getter([s | 1 << i for s, i in margs])
+    down = _tuple_getter([s for s, _ in margs])
+    if not faces:
+        return up, down, None, None
+    return (up, down, _tuple_getter([a for a, _ in faces.values()]),
+            _tuple_getter([b for _, b in faces.values()]))
 
 
 # the comparison that makes a marginal (+1) or a diff of each sense a violation

@@ -13,9 +13,11 @@ float pass keeps the sets a proven rounding bound puts near the top
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from itertools import compress, count
+from operator import is_not, sub
 
 import mpmath
 
@@ -82,8 +84,11 @@ class SetFunctionOracle:
 
     The oracle holds its full 2^n table, read-only, and the table's exact
     form (scaled), dropped whenever the table is set, so no entry can change
-    under a hull or a score built from them.  Query instrumentation lives
-    in the attached ledger.  Exactly one of ``table`` and ``weights``:
+    under a hull or a score built from them.  So are origin, (parent, ks)
+    for an oracle made by parent.with_entries at positions ks, and verdict,
+    a structure verdict constructions.verify_structure keeps on a parent.
+    Query instrumentation lives in the attached ledger.  Exactly one of
+    ``table`` and ``weights``:
       table      -- a reals.MpfTable, kept as it is (its own exact form), or
                     a list of 2^n values indexed by subset index, kept as a
                     tuple (its exact form built on first use), or as the
@@ -135,7 +140,7 @@ class SetFunctionOracle:
         table = tuple(table)
         kinds = set(map(type, table))
         if kinds == {Fraction}:  # held as its ints; a mix stays a tuple
-            self.table = MpfTable(*_scaled_ints(table))
+            self.table = MpfTable(*_scaled_ints(table, kinds))
             return
         if kinds == {float}:
             finite = all(map(math.isfinite, table))
@@ -143,12 +148,16 @@ class SetFunctionOracle:
             finite = kinds <= _RATIONAL or all(v - v == 0 for v in table)
         if not finite:
             raise ValueError("table entries must be finite")
-        self._hold(table, None)
+        self._hold(table, kinds)  # scaled() converts on first use, reading kinds
 
     def _hold(self, table, form):
+        """Hold table with form, its exact form or the set of its entries'
+        types to build it from; whatever was kept for the old table (float
+        view, origin, verdict) is dropped."""
         if len(table) != 1 << self.n:
             raise ValueError("table must list all 2^n subset values")
         self._table, self._form, self._view = table, form, None
+        self.origin = self.verdict = None
 
     def value_table(self):
         """Full 2^n table: a tuple, or an MpfTable (see the class docstring).
@@ -160,18 +169,19 @@ class SetFunctionOracle:
         """(ints, scale, rational): the table's exact form, ints[m] ==
         table[m] * scale (see _scaled_ints), built on first use and kept
         until the table is set again; an MpfTable's own ints, not copied."""
-        if self._form is None:
-            ints, scale, rational = _scaled_ints(self._table)
-            self._form = tuple(ints), scale, rational
-        return self._form
+        form = self._form
+        if type(form) is not tuple:  # the entry types the table setter found
+            ints, scale, rational = _scaled_ints(self._table, form)
+            form = self._form = tuple(ints), scale, rational
+        return form
 
     def float_view(self):
         """(view, top): view[m] the float nearest entry m and top at least
         the greatest |view[m]| (a family member's is its base's top or its
-        own entry, see with_entry), built on first use.  A table of floats
-        is its own view; any other divides its ints by its scale, rounding
-        once.  An entry out of float range leaves the view empty and top
-        infinite."""
+        own entry's, see with_entries), built on first use.  A table of
+        floats is its own view; any other divides its ints by its scale,
+        rounding once.  An entry out of float range leaves the view empty
+        and top infinite."""
         if self._view is None:
             table = self._table
             if type(table) is tuple and all(type(v) is float for v in table):
@@ -185,45 +195,81 @@ class SetFunctionOracle:
             self._view = view, max(map(abs, view), default=math.inf)
         return self._view
 
-    def with_entry(self, k: int, entry, held: tuple[int, int], name: str) -> "SetFunctionOracle":
+    def with_entries(self, ks, kints, scale: int, name: str, entries=None) -> "SetFunctionOracle":
         """A new oracle (own ledger, same declared class): this table with
-        entry k replaced by entry, which is held = (int, scale) exactly, scale
-        a multiple of this table's.  Its exact form is this one's ints over
-        that scale with int k replaced, so no other entry is converted.  An
-        MpfTable stays one when entry has its entries' type, else a tuple.
-        When this oracle's float view is built, the new one gets it with
-        entry k replaced (the new table itself when both are float tuples),
-        and top the greater of this top and |entry k|."""
-        kint, scale = held
+        entry ks[i] replaced by the value held exactly as kints[i] / scale,
+        scale a multiple of this table's, the positions ks distinct.  Its
+        exact form is this one's ints over that scale with those ints
+        replaced, so no other entry is converted.  entries are the new
+        entries themselves; None, for an MpfTable, reads them off the ints as
+        its own entries.  An MpfTable stays one when the new entries have its
+        entries' type, else it becomes a tuple.  The new oracle records its
+        origin, (this oracle, ks) (moved_from), until its table is set.
+        When this oracle's float view is built, the new one gets it with the
+        entries replaced (the new table itself when both are float tuples),
+        and top the greatest of this top and the new entries' |view|."""
         ints, own_scale, rational = self.scaled()
-        mult = scale // own_scale
-        ints = [v * mult for v in ints] if mult != 1 else list(ints)
-        ints[k] = kint
-        rational = rational and type(entry) in _RATIONAL
+        if scale == own_scale:
+            ints = list(ints)
+        else:
+            mult = scale // own_scale
+            ints = [v * mult for v in ints]
+        for i, k in enumerate(ks):
+            ints[k] = kints[i]
         table = self._table
-        if isinstance(table, MpfTable) and type(entry) is type(table[k]):
+        if entries is None:
+            if type(table) is not MpfTable:
+                raise ValueError("a tuple table needs its new entries")
+            kinds, same = None, True
+        else:
+            kinds = {*map(type, entries)}
+            rational = rational and kinds <= _RATIONAL
+            same = type(table) is MpfTable and kinds <= {Fraction if table.rational else mpmath.mpf}
+        if same:
             table = MpfTable(ints, scale, rational)
             ints = table.ints
         else:
             body = list(table)
-            body[k] = entry
+            for i, k in enumerate(ks):
+                body[k] = entries[i]
             table = tuple(body)
         new = SetFunctionOracle.__new__(SetFunctionOracle)
         new.n, new.declared_class, new.name = self.n, self.declared_class, name
         new.ledger, new.weights = QueryLedger(), None
         new._hold(table, (tuple(ints), scale, rational))
+        new.origin = self, tuple(ks)
         if self._view is not None:
             view, top = self._view
-            if view is self._table and type(entry) is float:
+            if view is self._table and kinds == _FLOATS:
                 view = table
             elif view:
                 view = list(view)
                 try:
-                    view[k] = kint / scale
+                    for i, k in enumerate(ks):
+                        view[k] = kints[i] / scale
                 except OverflowError:
                     view = []
-            new._view = view, max(top, abs(view[k])) if view else math.inf
+            for k in ks if view else ():
+                top = max(top, abs(view[k]))
+            new._view = view, top if view else math.inf
         return new
+
+    def moved_from(self, parent: "SetFunctionOracle"):
+        """The positions at which this oracle's exact form may differ from
+        parent's, when that is confirmed on the ints: () for parent itself;
+        the recorded positions when this oracle was made from parent
+        (with_entries), its scale is parent's, and every int at any other
+        position is parent's own int object; else None."""
+        if self is parent:
+            return ()
+        if self.origin is None or self.origin[0] is not parent:
+            return None
+        ints, scale, _ = self.scaled()
+        own, own_scale, _ = parent.scaled()
+        if scale != own_scale:
+            return None
+        ks = self.origin[1]
+        return ks if set(compress(count(), map(is_not, ints, own))).issubset(ks) else None
 
 
 def additive_table(weights) -> list:
@@ -245,21 +291,24 @@ def additive_table(weights) -> list:
 
 _INTS = frozenset((int, bool))
 _RATIONAL = _INTS | {Fraction}
+_FLOATS = frozenset((float,))
 
 
-def _scaled_ints(tab):
+def _scaled_ints(tab, kinds=None):
     """(ints, scale, rational) with ints[m] == tab[m] * scale exactly.
 
-    Entries may be ints, Fractions, floats and mpfs, mixed.  Each entry's
-    exact ratio (as_integer_ratio, or an mpf's mantissa over its power of
-    two) goes over the LCM of the denominators, a power of two for float
-    and mpf tables, so no Fraction is built.  rational says every entry is
+    Entries may be ints, Fractions, floats and mpfs, mixed; kinds is the
+    set of their types when the caller has it, else it is found here.
+    Each entry's exact ratio (as_integer_ratio, or an mpf's mantissa over
+    its power of two) goes over the LCM of the denominators, a power of two
+    for float and mpf tables, so no Fraction is built.  rational says every entry is
     an int or a Fraction.  Scaling by a positive constant keeps every order,
     equality and sign of differences and their products, and int arithmetic
     is exact where float and mpf arithmetic round, and far cheaper than
     Fraction arithmetic.
     """
-    kinds = set(map(type, tab))
+    if kinds is None:
+        kinds = set(map(type, tab))
     if kinds <= _INTS:
         return list(tab), 1, True
     if any(issubclass(k, mpmath.mpf) for k in kinds):
@@ -494,6 +543,11 @@ class LowerHull:
                 else:
                     break
             hull.append(p)
+        return cls._of(hull, s_f, s_c, f_rational and c_rational)
+
+    @classmethod
+    def _of(cls, hull, s_f, s_c, rational) -> "LowerHull":
+        """The hull of the (f, c, mask) vertices hull, in increasing f."""
         fv, cv, masks = zip(*hull)
         return cls(
             vertices=list(masks),
@@ -502,8 +556,36 @@ class LowerHull:
             f_scale=s_f,
             c_scale=s_c,
             f0=fv[0],
-            rational=f_rational and c_rational,
+            rational=rational,
         )
+
+    def repair(self, parent_f: SetFunctionOracle, parent_c: SetFunctionOracle,
+               f: SetFunctionOracle, c: SetFunctionOracle) -> "LowerHull":
+        """The hull of f and c, build's bit for bit, from this hull, which
+        must be the hull of parent_f and parent_c, when f and c were made
+        from them (SetFunctionOracle.moved_from confirms where they may
+        differ, on the ints): the points at the moved positions are put
+        into this hull's vertices one by one (_insert), a point whose f and
+        c ints are the parents' own objects skipped, as it is under the
+        hull already.  Every vertex stays where it was unless a moved
+        point lowers the hull there, so no other point is read.
+        build(f, c) instead when a moved position is a vertex of this hull
+        (its point may leave the hull and expose one it hid), when the
+        positions are not confirmed, or when a scale is not this hull's."""
+        f_moved, c_moved = f.moved_from(parent_f), c.moved_from(parent_c)
+        fs, s_f, f_rational = f.scaled()
+        cs, s_c, c_rational = c.scaled()
+        if f_moved is None or c_moved is None or (s_f, s_c) != (self.f_scale, self.c_scale):
+            return LowerHull.build(f, c)
+        moved = set(f_moved).union(c_moved)
+        if not moved.isdisjoint(self.vertices):
+            return LowerHull.build(f, c)
+        own_f, own_c = parent_f.scaled()[0], parent_c.scaled()[0]
+        hull = [(fs[m], cs[m], m) for m in self.vertices]
+        for m in moved:
+            if fs[m] is not own_f[m] or cs[m] is not own_c[m]:
+                _insert(hull, (fs[m], cs[m], m))
+        return LowerHull._of(hull, s_f, s_c, f_rational and c_rational)
 
     def index(self, alpha) -> int:
         """Number of slopes <= alpha: the position of the best response at
@@ -520,6 +602,36 @@ class LowerHull:
             else:
                 hi = mid
         return lo
+
+
+def _on_or_above(a, b, m) -> bool:
+    """Whether point b is on or above segment a-m, for (f, c, ...) points
+    in increasing f: LowerHull.build's pop test, exactly."""
+    return (b[0] - a[0]) * (m[1] - a[1]) <= (m[0] - a[0]) * (b[1] - a[1])
+
+
+def _insert(hull, q) -> None:
+    """Put point q = (f, c, mask) into hull, a list of (f, c, mask) vertices
+    as LowerHull.build makes them, so that it is build's hull of those
+    vertices and q: bisection on (f, c, mask) finds q's place.  Of two
+    points with one f the lesser (c, mask) stays; a q on or above the chord
+    of its neighbours drops; else it goes in, and its neighbours pop on
+    each side while they are on or above the chord past them, as in
+    build."""
+    k = bisect_left(hull, q)
+    if k and hull[k - 1][0] == q[0]:
+        return  # a vertex of the same f and lesser (c, mask)
+    if k < len(hull) and hull[k][0] == q[0]:
+        hull[k] = q  # q has the lesser (c, mask)
+    elif 0 < k < len(hull) and _on_or_above(hull[k - 1], q, hull[k]):
+        return
+    else:
+        hull.insert(k, q)
+    while k >= 2 and _on_or_above(hull[k - 2], hull[k - 1], q):
+        del hull[k - 1]
+        k -= 1
+    while k + 2 < len(hull) and _on_or_above(q, hull[k + 1], hull[k + 2]):
+        del hull[k + 1]
 
 
 @dataclass

@@ -133,7 +133,7 @@ def valid_k_range(base: ContractInstance) -> range:
 
 
 def _shifted_entry(base: ContractInstance, kind: EqualRevenueKind, k: int, epsilon):
-    """Member k's one changed entry: (entry, (int, scale)).  entry is the
+    """Member k's one changed entry: (entry, int, scale).  entry is the
     base's entry k on the kind's side, shifted by epsilon in the base's
     working precision, and int / scale is its exact value, scale the LCM of
     the base table's scale and entry's denominator (a power of two stays
@@ -143,7 +143,7 @@ def _shifted_entry(base: ContractInstance, kind: EqualRevenueKind, k: int, epsil
         entry = kind.shift(old.table[k], epsilon)
     p, q = ratio(entry)
     scale = math.lcm(old.scaled()[1], q)
-    return entry, (p * (scale // q), scale)
+    return entry, p * (scale // q), scale
 
 
 def _perturbed(
@@ -151,10 +151,11 @@ def _perturbed(
 ) -> PerturbedInstance:
     """The family member at k, with k and epsilon already checked: the base
     with its oracle on the kind's side changed at entry k alone
-    (_shifted_entry, SetFunctionOracle.with_entry), under the same declared
-    class."""
+    (_shifted_entry, SetFunctionOracle.with_entries), under the same
+    declared class."""
     old = getattr(base, kind.side)
-    new = old.with_entry(k, *_shifted_entry(base, kind, k, epsilon), f"{old.name}{kind.suffix}")
+    entry, kint, scale = _shifted_entry(base, kind, k, epsilon)
+    new = old.with_entries((k,), (kint,), scale, f"{old.name}{kind.suffix}", (entry,))
     oracles = {"f": base.f, "c": base.c, kind.side: new}
     inst = ContractInstance(n=base.n, **oracles, ctx=base.ctx, name=f"{base.name} perturbed(k={k})")
     inst.meta.update(

@@ -253,7 +253,7 @@ def simulate_family(base, shared, own):
     epsilon = epsilon_bound(base).default_epsilon
     members = []
     for k in valid_k_range(base):
-        _, (kint, scale) = _shifted_entry(base, kind, k, epsilon)
+        _, kint, scale = _shifted_entry(base, kind, k, epsilon)
         members.append((k, kint, scale, scale // v_scale))
 
     def answers(prices, chosen):

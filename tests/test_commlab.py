@@ -534,9 +534,9 @@ class TestScaledForms:
         calls = []
         original = core._scaled_ints
 
-        def counted(tab):
+        def counted(tab, *kinds):
             calls.append(len(tab))
-            return original(tab)
+            return original(tab, *kinds)
 
         monkeypatch.setattr(core, "_scaled_ints", counted)
         for _ in range(3):
@@ -701,6 +701,62 @@ class TestAugmentCache:
             aug = build_augmented("sub-sub", base, ones, ones)
             assert aug.perturbed.ctx == base.ctx, k
             del base, aug  # freed now, by reference count
+
+
+class TestPairLocalChecks:
+    """A pair's oracles record the template's as their origin; the
+    template's verdicts are kept on it from the first pair's check on, and
+    check_reduction keeps the template's hull repaired on the pair."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pairs_check_against_the_template(self, variant, n, monkeypatch):
+        base = TestScaledForms.base(variant, n)
+        rng, ones = random.Random(n + 3), SpecialSetVector.all_ones(n)
+        zeros = SpecialSetVector.all_zeros(n)
+        pairs = [(ones, ones), (zeros, zeros), (ones, zeros), (zeros, ones)]
+        pairs += [(SpecialSetVector.random(n, rng), SpecialSetVector.random(n, rng))
+                  for _ in range(12)]
+        build_augmented(variant, base, ones, ones)
+        template = base.kept[("augment", variant)][0]
+        tf, tc = template.instance.f, template.instance.c
+        assert tf.verdict is None and tc.verdict is None  # none built with the parts
+        assert "hull" not in template.instance.kept
+        builds = []
+        original = core.LowerHull.build.__func__
+
+        def counted(cls, *oracles):
+            builds.append(oracles)
+            return original(cls, *oracles)
+
+        monkeypatch.setattr(core.LowerHull, "build", classmethod(counted))
+        for x_f, x_c in pairs:
+            aug = build_augmented(variant, base, x_f, x_c)
+            f, c = aug.instance.f, aug.instance.c
+            ks = tuple(t + (1 << n) for t in x_f.masks)
+            assert f.origin == (tf, ks) and c.origin == (tc, ks)
+            assert f.moved_from(tf) == ks and c.moved_from(tc) == ks
+            assert verify_structure(f).ok and verify_structure(c).ok
+            rep = check_reduction(aug)
+            hull = aug.instance.kept["hull"]
+            assert hull == original(core.LowerHull, f, c)
+            assert best_response(aug.instance, rep.alpha_star).mask == rep.set_star.mask
+            assert aug.instance.kept["hull"] is hull
+        assert tf.verdict == (tf.declared_class, True) and tc.verdict == (tc.declared_class, True)
+        assert len(builds) == 1 and builds[0] == (tf, tc)  # the template's hull alone
+
+    def test_a_pair_made_after_the_base_changed_builds_its_hull(self, monkeypatch):
+        # the base's tables set anew drop the kept parts: an old pair's
+        # origin is not the new template's, so its hull is built afresh
+        base = submod_base(4)
+        ones = SpecialSetVector.all_ones(4)
+        old = build_augmented("sub-sub", base, ones, ones)
+        base.f = times(base.f, 1, base.ctx)
+        rep = check_reduction(old)
+        template = base.kept[("augment", "sub-sub")][0]
+        assert old.instance.f.moved_from(template.instance.f) is None
+        assert old.instance.kept["hull"] == core.LowerHull.build(old.instance.f, old.instance.c)
+        assert rep.ok
 
 
 class TestReductionDigest:

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from contractlab import commlab, perturb, sparse
+from contractlab import commlab, constructions, perturb, sparse
 from contractlab.constructions import (
     PrecisionError,
     _alpha_recurrence,
@@ -473,6 +473,132 @@ class TestStructureReport:
         violations = [(0, 1, 2, -1), (0, 2, 1, -1)] if n == 2 else []
         f = SetFunctionOracle(n, table=table, declared_class="additive")
         assert verify_structure(f).class_violations == violations
+
+
+@st.composite
+def moved_class_tables(draw):
+    """(parent, child): a class_tables oracle held as its exact ints, and a
+    child (with_entries) with up to four positions moved by whole units
+    and by the least step of the scale, or left alone.  A whole unit often
+    breaks the class at the moved position; class_tables' own moved entry,
+    when it has one, breaks it at the parent's, mostly away from them."""
+    n, table, cls, _ = draw(class_tables())
+    ints, scale, rational = SetFunctionOracle(n, table=table).scaled()
+    parent = SetFunctionOracle(n, table=MpfTable(ints, scale, rational), declared_class=cls)
+    ks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4, unique=True))
+    kints = [ints[k] + draw(st.integers(-2, 2)) * scale + draw(st.integers(-1, 1)) for k in ks]
+    return parent, parent.with_entries(ks, kints, scale, "moved")
+
+
+def _full_passes(monkeypatch):
+    """A list that gets one entry per full verify_structure pass."""
+    calls = []
+    original = constructions._marginal_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(constructions, "_marginal_vectors", counted)
+    return calls
+
+
+class TestLocalStructureCheck:
+    """A child oracle is checked at its moved positions against its
+    parent's kept verdict; the report is the full pass's either way."""
+
+    @given(moved_class_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_report_equals_the_full_pass(self, pair):
+        parent, child = pair
+        cls = child.declared_class
+        full = SetFunctionOracle(child.n, table=child.table, declared_class=cls)
+        assert full.origin is None
+        rep = verify_structure(child)
+        assert _typed(rep.monotonicity_violations) == _typed(verify_structure(full).monotonicity_violations)
+        assert _typed(rep.class_violations) == _typed(verify_structure(full).class_violations)
+        TestStructureReport.assert_loop_report(child)
+        assert parent.verdict == (cls, verify_structure(parent).ok)
+
+    @staticmethod
+    def pair(moves=((5, 1),), scale=1 << 80):
+        """A strictly submodular parent over n = 3 (weights 4, C(|S|, 2)
+        subtracted) as ints over scale, and its child with entry m raised
+        by d units for each (m, d) of moves."""
+        table = [(4 * k - k * (k - 1) // 2) * scale for k in (m.bit_count() for m in range(8))]
+        parent = SetFunctionOracle(3, table=MpfTable(table, scale, True),
+                                   declared_class="submodular")
+        ks = tuple(m for m, _ in moves)
+        return parent, parent.with_entries(ks, [table[m] + d * scale for m, d in moves], scale, "c")
+
+    def test_a_warm_parent_takes_no_full_pass(self, monkeypatch):
+        parent, child = self.pair()
+        assert verify_structure(parent).ok and parent.verdict is None
+        calls = _full_passes(monkeypatch)
+        assert verify_structure(child).ok and len(calls) == 1  # the parent's, on first use
+        assert parent.verdict == ("submodular", True)
+        assert verify_structure(self.pair()[1]).ok  # another parent: its own first pass
+        calls.clear()
+        for m, d in ((0, 0), (7, 1), (3, -1)):
+            other = parent.with_entries((m,), (parent.scaled()[0][m] + d,), parent.scaled()[1], "c")
+            assert verify_structure(other).ok
+        assert calls == []
+
+    def test_a_violation_at_a_moved_position_runs_the_full_pass(self, monkeypatch):
+        parent, child = self.pair(((7, 3),))  # f(all) up by 3: not submodular
+        verify_structure(self.pair()[1])
+        verify_structure(parent.with_entries((), (), parent.scaled()[1], "same"))
+        calls = _full_passes(monkeypatch)
+        rep = verify_structure(child)
+        assert not rep.ok and len(calls) == 1
+        TestStructureReport.assert_loop_report(child)
+
+    def test_a_parent_not_ok_runs_the_full_pass(self, monkeypatch):
+        parent, _ = self.pair()
+        ints, scale, _ = parent.scaled()
+        broken = parent.with_entries((7,), (ints[7] + 3 * scale,), scale, "broken")
+        child = broken.with_entries((1,), (ints[1] + 1,), scale, "child")
+        calls = _full_passes(monkeypatch)
+        assert not verify_structure(child).ok
+        assert broken.verdict == ("submodular", False)
+        # broken's verdict reads its own parent's first (a full pass), fails
+        # its local check (a full pass); then the child's full pass
+        assert len(calls) == 3
+        calls.clear()
+        assert not verify_structure(child).ok and len(calls) == 1
+
+    def test_another_scale_runs_the_full_pass(self, monkeypatch):
+        parent, _ = self.pair()
+        ints, scale, _ = parent.scaled()
+        child = parent.with_entries((5,), (2 * ints[5] + 1,), 2 * scale, "doubled")
+        calls = _full_passes(monkeypatch)
+        assert verify_structure(child).ok and child.moved_from(parent) is None
+        assert len(calls) == 1 and parent.verdict is None  # the child's full pass alone
+
+    def test_an_int_not_the_parents_own_runs_the_full_pass(self, monkeypatch):
+        parent, child = self.pair()
+        ints, scale, _ = parent.scaled()
+        parent.table = MpfTable([v + (1 << 90) - (1 << 90) for v in ints], scale, True)
+        assert parent.verdict is None and child.origin[0] is parent
+        calls = _full_passes(monkeypatch)
+        assert verify_structure(child).ok and child.moved_from(parent) is None
+        assert len(calls) == 1 and parent.verdict is None
+
+    def test_a_set_table_drops_origin_form_and_verdict(self):
+        parent, child = self.pair()
+        verify_structure(child)
+        assert parent.verdict is not None and child.origin is not None
+        parent.table = parent.table
+        child.table = child.table
+        assert parent.verdict is None and child.origin is None
+
+    def test_another_class_is_checked_afresh(self):
+        parent, child = self.pair(((7, 3),))  # submodular breaks, supermodular does not hold
+        verify_structure(child)
+        child.declared_class = "general-monotone"
+        assert verify_structure(child).ok  # no kept verdict read across classes
+        parent.declared_class = "general-monotone"
+        assert verify_structure(child).ok and parent.verdict == ("general-monotone", True)
 
 
 class TestExactStructureCheckOnRoundedTables:

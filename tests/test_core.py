@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import groupby
+from unittest import mock
 
 import mpmath
 import pytest
@@ -159,9 +160,9 @@ class TestOracle:
         calls = []
         original = core._scaled_ints
 
-        def counted(tab):
+        def counted(tab, *kinds):
             calls.append(len(tab))
-            return original(tab)
+            return original(tab, *kinds)
 
         monkeypatch.setattr(core, "_scaled_ints", counted)
         oracle = SetFunctionOracle(2, table=[0.0, 0.5, 0.25, 1.0])
@@ -184,14 +185,14 @@ class TestOracle:
             table = reals.MpfTable(vals, 3, True)
         base = SetFunctionOracle(n, table=table)
         k, ints, scale = 5, *base.scaled()[:2]
-        unbuilt = base.with_entry(k, base.table[k], (ints[k], scale), "member")
+        unbuilt = base.with_entries((k,), (ints[k],), scale, "member", (base.table[k],))
         assert unbuilt._view is None  # built on its own first use
         base_view, base_top = base.float_view()
         for kint in (ints[k] + scale // 2, 1 << 40):
             entry = reals.MpfTable([kint], scale, how == "rational")[0]
             if how == "float":
                 entry = kint / scale
-            member = base.with_entry(k, entry, (kint, scale), "member")
+            member = base.with_entries((k,), (kint,), scale, "member", (entry,))
             view, top = member._view
             fresh = SetFunctionOracle(n, table=member.table).float_view()
             assert list(view) == list(fresh[0]) and top == max(base_top, abs(view[k]))
@@ -753,6 +754,144 @@ class TestHullFrame:
         for inst in instances:
             LowerHull.build(inst.f, inst.c)
         assert calls == []
+
+
+@st.composite
+def moved_clouds(draw, max_n=4):
+    """(n, fs, cs, moves): a cloud's f and c as ints over one scale, drawn
+    monotone or with degenerate_hull_tables' planted duplicate and collinear
+    points, and moves, each a (mask, f int, c int) that puts a point up or
+    down, onto another point or onto the midpoint of two others, or
+    leaves it; one to four distinct masks, vertices of the cloud's hull
+    among them or not."""
+    n, ftab, ctab = draw(st.one_of(monotone_instance_tables(max_n), degenerate_hull_tables(max_n)))
+    size = 1 << n
+    fs, cs = ([2 * v for v in core._scaled_ints(tab)[0]] for tab in (ftab, ctab))  # even
+    masks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
+    moves = []
+    for m in masks:
+        how = draw(st.sampled_from(("up", "down", "copy", "midpoint", "same")))
+        a, b = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        df, dc = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        if how == "up":
+            moves.append((m, fs[m] + df, cs[m] + dc))
+        elif how == "down":
+            moves.append((m, fs[m] - df, cs[m] - dc))
+        elif how == "copy":
+            moves.append((m, fs[a], cs[a]))
+        elif how == "midpoint":
+            moves.append((m, (fs[a] + fs[b]) // 2, (cs[a] + cs[b]) // 2))
+        else:
+            moves.append((m, fs[m], cs[m]))
+    return n, fs, cs, moves
+
+
+def _cloud(n, fs, cs, moves, scale=2):
+    """(parent f, parent c, f, c): oracles of the ints fs and cs over scale
+    and their children with the moves made (with_entries, every move's
+    position recorded on both), an unmoved int left the parent's own."""
+    parents = [SetFunctionOracle(n, table=reals.MpfTable(v, scale, True)) for v in (fs, cs)]
+    ks = tuple(m for m, _, _ in moves)
+    children = []
+    for side, parent in enumerate(parents):
+        own = parent.scaled()[0]
+        kints = [v[side] if v[side] != own[m] else own[m] for m, *v in moves]
+        children.append(parent.with_entries(ks, kints, parent.scaled()[1], "moved"))
+    return (*parents, *children)
+
+
+_WIDE = 1 << 80
+
+
+class TestHullRepair:
+    """LowerHull.repair puts a child's moved points into its parent's hull;
+    the result is LowerHull.build's on the child, field for field, and
+    build itself runs only where the repair cannot confirm its input."""
+
+    @given(moved_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_build(self, cloud):
+        n, fs, cs, moves = cloud
+        pf, pc, f, c = _cloud(n, fs, cs, moves)
+        hull = LowerHull.build(pf, pc)
+        want = LowerHull.build(f, c)
+        vertex_moved = not set(hull.vertices).isdisjoint(m for m, _, _ in moves)
+        with mock.patch.object(LowerHull, "build", wraps=LowerHull.build) as build:
+            got = hull.repair(pf, pc, f, c)
+        assert got == want
+        assert build.call_count == vertex_moved  # build only when a vertex moved
+
+    def test_moves_onto_and_off_the_hull(self):
+        # hull 0 -> 1 -> 7 over n = 3: (0, 0), (4, 0), (9, 99); 4, 5 and 6
+        # are above it.  Each goes under the hull, onto an edge, onto
+        # vertex 1's point (a higher mask: it drops), onto vertex 7's (a
+        # lower mask: it takes the vertex's place), past the last vertex,
+        # or further up
+        fs = [0, 4, 0, 4, 2, 2, 9, 9]
+        cs = [0, 0, 4, 4, 3, 3, 100, 99]
+        for point in ((2, -1), (2, 0), (4, 0), (9, 99), (10, 99), (2, 50), (9, -5)):
+            for m in (4, 5, 6):
+                pf, pc, f, c = _cloud(3, fs, cs, [(m, *point)], scale=1)
+                hull = LowerHull.build(pf, pc)
+                assert hull.vertices == [0, 1, 7]
+                assert hull.repair(pf, pc, f, c) == LowerHull.build(f, c), (point, m)
+
+    @staticmethod
+    def fallback(monkeypatch, pf, pc, f, c):
+        """Whether hull.repair builds afresh, and its answer equals build's."""
+        hull = LowerHull.build(pf, pc)
+        calls = []
+        original = LowerHull.build.__func__
+
+        def counted(cls, *oracles):
+            calls.append(oracles)
+            return original(cls, *oracles)
+
+        monkeypatch.setattr(LowerHull, "build", classmethod(counted))
+        got = hull.repair(pf, pc, f, c)
+        monkeypatch.undo()
+        assert got == LowerHull.build(f, c)
+        return bool(calls)
+
+    # ints over B wide enough to be objects of their own: mask 4, (5, 20),
+    # is far above the hull, MOVE puts it below at (5, 2)
+    B = _WIDE
+    FS = [v * _WIDE for v in (0, 2, 3, 4, 5, 6, 7, 8)]
+    CS = [v * _WIDE for v in (0, 1, 3, 6, 20, 9, 12, 16)]
+    MOVE = [(4, 5 * _WIDE, 2 * _WIDE)]
+
+    def test_repairs_without_a_build(self, monkeypatch):
+        pf, pc, f, c = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
+        assert 4 not in LowerHull.build(pf, pc).vertices
+        assert not self.fallback(monkeypatch, pf, pc, f, c)
+        assert 4 in LowerHull.build(f, c).vertices
+
+    def test_a_moved_vertex_builds(self, monkeypatch):
+        pf, pc, f, c = _cloud(3, self.FS, self.CS, [(0, self.B, 0)], scale=self.B)
+        assert 0 in LowerHull.build(pf, pc).vertices
+        assert self.fallback(monkeypatch, pf, pc, f, c)
+
+    def test_another_scale_builds(self, monkeypatch):
+        pf, pc, _, c = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
+        ints, scale, _ = pf.scaled()
+        f = pf.with_entries((4,), (ints[4] * 2,), scale * 2, "doubled")  # same values
+        assert f.moved_from(pf) is None
+        assert self.fallback(monkeypatch, pf, pc, f, c)
+
+    def test_an_int_not_the_parents_own_builds(self, monkeypatch):
+        # the parent's table is set anew to equal ints after the child was
+        # made: the child's unmoved ints are no longer the parent's objects
+        pf, pc, f, c = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
+        ints, scale, _ = pf.scaled()
+        pf.table = reals.MpfTable([v + (1 << 90) - (1 << 90) for v in ints], scale, True)
+        assert f.origin[0] is pf and f.moved_from(pf) is None
+        assert self.fallback(monkeypatch, pf, pc, f, c)
+
+    def test_an_oracle_of_another_parent_builds(self, monkeypatch):
+        pf, pc, f, c = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
+        other = SetFunctionOracle(3, table=pf.table)
+        assert other.moved_from(pf) is None and f.moved_from(pf) == (4,)
+        assert self.fallback(monkeypatch, pf, pc, other, c)
 
 
 class TestExactValues:

@@ -634,6 +634,40 @@ class TestExactInEveryRepresentation:
             assert (got, used) == simulation_spec(role, tab, members[k], prices, eps)
 
 
+    @pytest.mark.parametrize("kind", ["demand", "supply"])
+    def test_every_price_sum_rounding_one_way(self, kind):
+        # n = 16: the last price 1 (-1 for demand) and the others x =
+        # 2^-53 + 2^-70 of its sign.  additive_table adds the full set's
+        # prices from the last down, and each partial sum, of magnitude just
+        # above 1, rounds away from 0 by 2^-53 - 2^-70, nearly half an ulp:
+        # its float sum is off by 15 of those, the float top is the full set
+        # T, and W = {16}, whose entry is 15 x + 2^-90, is better by 2^-90
+        # exactly.  W's float utility is 14 * 2^-53 below T's, a third of
+        # _near_top's bound B: a bound 3.08 times smaller drops W (the cut
+        # itself rounds onto the floats' 2^-52 grid near 1).
+        n = 16
+        u, x = 2.0**-53, 2.0**-53 + 2.0**-70
+        sign = -1 if kind == "demand" else 1
+        prices = [sign * x] * (n - 1) + [float(sign)]
+        entry = (n - 1) * x + 2.0**-90
+        assert entry - (n - 1) * x == 2.0**-90  # the entry is exact
+        table = [0.0] * (1 << n)
+        w, full = 1 << (n - 1), (1 << n) - 1
+        table[w] = -sign * entry
+        oracle = SetFunctionOracle(n, table=table)
+        psum = additive_table(prices)
+        assert psum[full] == sign * (1 + 2 * (n - 1) * u)  # every step rounded one way
+        pairs = zip(table, psum)
+        floats = [v - p for v, p in pairs] if kind == "demand" else [p - v for v, p in pairs]
+        assert max(floats) == floats[full] and floats[full] - floats[w] == 14 * u
+        bound = (n + 4) * 2.0**-52 * (sum(map(abs, prices)) + entry)
+        assert 0.34 < 14 * u / bound < 0.35
+        query, approx = (demand, approx_demand) if kind == "demand" else (supply, approx_supply)
+        assert query(oracle, prices).mask == w
+        assert approx(oracle, prices, 0).masks() == [w]
+        assert approx(oracle, prices, 2.0**-90).masks() == [w, full]
+
+
 class TestRandomPrices:
     def test_seeded_determinism(self):
         a = random_prices(5, random.Random(42))
