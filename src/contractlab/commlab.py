@@ -600,21 +600,22 @@ def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionR
     The instance's hull is kept on it (core.derived) from the template's
     kept hull, repaired at the pair's moved points (core.LowerHull.repair,
     which builds it afresh when it cannot confirm them), so a later
-    core.best_response on the instance reads the same hull."""
-    from .solver import optimal_contract
+    core.best_response on the instance reads the same hull.  Only the
+    optimum's winner is read (solver.best_contract)."""
+    from .solver import best_contract
 
     tmpl = _parts(aug.variant, aug.base)[0].instance
     derived(aug.instance, "hull",
             lambda inst: lower_hull(tmpl).repair(tmpl.f, tmpl.c, inst.f, inst.c))
-    sol = optimal_contract(aug.instance)
-    augmenting = (aug.base.n + 1) in sol.set_star
+    alpha_star, set_star = best_contract(aug.instance)
+    augmenting = (aug.base.n + 1) in set_star
     expected = aug.x_f.intersects(aug.x_c)
     report = ReductionReport(
         variant=aug.variant,
         augmenting=augmenting,
         expected=expected,
-        set_star=sol.set_star,
-        alpha_star=sol.alpha_star,
+        set_star=set_star,
+        alpha_star=alpha_star,
     )
     if strict and not report.ok:
         raise ReductionFailureError(
@@ -698,13 +699,11 @@ class Channel:
 
 def full_streaming_protocol(channel: Channel, f_holder, c_holder):
     """Bob ships his whole cost table; Alice solves locally."""
-    from .solver import optimal_contract
+    from .solver import best_contract
 
     ctab = channel.send("Bob", c_holder.c.table)
     c = SetFunctionOracle(f_holder.n, table=ctab, declared_class=c_holder.c.declared_class)
-    inst = ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx)
-    sol = optimal_contract(inst)
-    return sol.alpha_star, sol.set_star
+    return best_contract(ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx))
 
 
 def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> ActionSet:

@@ -85,8 +85,10 @@ class SetFunctionOracle:
     The oracle holds its full 2^n table, read-only, and the table's exact
     form (scaled), dropped whenever the table is set, so no entry can change
     under a hull or a score built from them.  So are origin, (parent, ks)
-    for an oracle made by parent.with_entries at positions ks, and verdict,
-    a structure verdict constructions.verify_structure keeps on a parent.
+    for an oracle made by parent.with_entries at positions ks, confirmed,
+    the parent's exact form the last moved_from pass confirmed ks against
+    (None if it failed), and verdict, a structure verdict
+    constructions.verify_structure keeps on a parent.
     Query instrumentation lives in the attached ledger.  Exactly one of
     ``table`` and ``weights``:
       table      -- a reals.MpfTable, kept as it is (its own exact form), or
@@ -153,11 +155,11 @@ class SetFunctionOracle:
     def _hold(self, table, form):
         """Hold table with form, its exact form or the set of its entries'
         types to build it from; whatever was kept for the old table (float
-        view, origin, verdict) is dropped."""
+        view, origin, confirmation, verdict) is dropped."""
         if len(table) != 1 << self.n:
             raise ValueError("table must list all 2^n subset values")
         self._table, self._form, self._view = table, form, None
-        self.origin = self.verdict = None
+        self.origin = self.confirmed = self.verdict = None
 
     def value_table(self):
         """Full 2^n table: a tuple, or an MpfTable (see the class docstring).
@@ -259,17 +261,23 @@ class SetFunctionOracle:
         parent's, when that is confirmed on the ints: () for parent itself;
         the recorded positions when this oracle was made from parent
         (with_entries), its scale is parent's, and every int at any other
-        position is parent's own int object; else None."""
+        position is parent's own int object; else None.  One pass over the
+        ints confirms it; the parent's exact form it was confirmed against
+        is kept (confirmed), so a later call against that same form object
+        makes no pass, while one against a form built anew for a table set
+        on parent does."""
         if self is parent:
             return ()
         if self.origin is None or self.origin[0] is not parent:
             return None
+        form, ks = parent.scaled(), self.origin[1]
+        if self.confirmed is form:
+            return ks
         ints, scale, _ = self.scaled()
-        own, own_scale, _ = parent.scaled()
-        if scale != own_scale:
-            return None
-        ks = self.origin[1]
-        return ks if set(compress(count(), map(is_not, ints, own))).issubset(ks) else None
+        own, own_scale, _ = form
+        ok = scale == own_scale and set(compress(count(), map(is_not, ints, own))).issubset(ks)
+        self.confirmed = form if ok else None
+        return ks if ok else None
 
 
 def additive_table(weights) -> list:

@@ -86,17 +86,27 @@ def _mpf_table(values):
 
 
 def _oracle_to_dict(oracle: SetFunctionOracle) -> dict:
+    """The oracle as a dict of strings.  A number with an int of more than
+    4,300 decimal digits, the most Python converts to or from a string by
+    default, cannot be written, as it could not be read back: ValueError
+    naming that limit, raised from the conversion's own."""
     d = {"declared_class": oracle.declared_class, "name": oracle.name}
-    if oracle.weights is not None:
-        d["kind"] = "additive"
-        d["weights"] = [number_to_str(w) for w in oracle.weights]
-    else:
-        tab = oracle.table
-        d["kind"] = "table"
-        if isinstance(tab, MpfTable) and not tab.rational:
-            d["values"] = _mpf_strings(tab)
+    try:
+        if oracle.weights is not None:
+            d["kind"] = "additive"
+            d["weights"] = [number_to_str(w) for w in oracle.weights]
         else:
-            d["values"] = [number_to_str(v) for v in tab]
+            tab = oracle.table
+            d["kind"] = "table"
+            if isinstance(tab, MpfTable) and not tab.rational:
+                d["values"] = _mpf_strings(tab)
+            else:
+                d["values"] = [number_to_str(v) for v in tab]
+    except ValueError as exc:  # only an int-to-string conversion raises it
+        raise ValueError(
+            f"oracle {oracle.name!r} has a number with more than 4,300 decimal digits, "
+            "the instance file format's limit"
+        ) from exc
     return d
 
 
@@ -184,8 +194,11 @@ def instance_from_dict(d: dict) -> ContractInstance:
 
 
 def save_instance(inst: ContractInstance, path: str) -> None:
+    """Write inst to path; an instance the format cannot hold raises
+    ValueError before the file is opened."""
+    d = instance_to_dict(inst)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
+        json.dump(d, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -162,28 +162,20 @@ class ContractSolution:
     breakpoint_count: int
 
 
-def optimal_contract(inst: ContractInstance) -> ContractSolution:
-    """max (1 - alpha) * f(S_alpha) over the critical values, decided exactly
-    on the instance's lower hull, in its scaled frame (core.LowerHull).
+def _chain_argmax(inst: ContractInstance, hull):
+    """(t, alpha, mask, scores): the winning critical value's position t on
+    the chain (_chain), its exact alpha (_critical_alpha, in the instance's
+    own arithmetic) and set, and every position's score, decided on hull,
+    the instance's lower hull, in its scaled frame (core.LowerHull).
 
-    The walk is critical_values' (_chain).  Critical value t, reached over
-    an edge with scaled-int differences dC, dF, has alpha_t =
-    dC s_f / (dF s_c), and its set's scaled f is F_t = f0 plus the dF of
-    every edge before it.  So s_f s_c times its principal utility is
-    exactly (dF s_c - dC s_f) F_t / dF, an int pair over one edge's f
-    width, and these pairs are compared by cross-multiplication in every
-    representation.  Canonical answer is the smallest maximizing alpha;
-    co_optimal lists every position within tau = 2^(-precision_bits/2) of
-    the max, tau scaled by s_f s_c and also compared exactly: against the
-    floor q of the scaled max less tau, a score of q + 1 or more is within
-    and one below q is not, so only a score between the two is
-    cross-multiplied with the threshold's full fraction.  Only the
-    winner's row is built (_make_breakpoint), so its alpha and utility are
-    those enumerate_breakpoints reports for it, in the instance's own
-    arithmetic.
+    Critical value t, reached over an edge with scaled-int differences dC,
+    dF, has alpha_t = dC s_f / (dF s_c), and its set's scaled f is F_t = f0
+    plus the dF of every edge before it.  So s_f s_c times its principal
+    utility is exactly (dF s_c - dC s_f) F_t / dF, the int pair scores[t]
+    over one edge's f width, and these pairs are compared by
+    cross-multiplication in every representation.  The smallest maximizing
+    alpha wins.  Call inside the working precision.
     """
-    hull = lower_hull(inst)
-    verts, ftab, ctab = hull.vertices, inst.f.table, inst.c.table
     s_f, s_c = hull.f_scale, hull.c_scale
     edges = _chain(hull)
     k, end = edges.start, edges.stop
@@ -196,6 +188,40 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         if sn * bd > bn * den:  # equal ties: the smaller alpha wins
             best, bn, bd = len(scores), sn, den
         scores.append((sn, den))
+    alpha = _critical_alpha(hull, k + best - 1, inst.f.table, inst.c.table) if best else 0
+    return best, alpha, hull.vertices[k + best], scores
+
+
+def best_contract(inst: ContractInstance) -> tuple:
+    """(alpha_star, set_star) of optimal_contract, the winner alone: no
+    co-optimal pass and no row, so no table entry is read but the ends of
+    the winner's hull edge (by _critical_alpha, on a non-rational hull)."""
+    hull = lower_hull(inst)
+    with inst.ctx.workprec():
+        _, alpha, mask, _ = _chain_argmax(inst, hull)
+    return alpha, ActionSet(inst.n, mask)
+
+
+def optimal_contract(inst: ContractInstance) -> ContractSolution:
+    """max (1 - alpha) * f(S_alpha) over the critical values, decided exactly
+    on the instance's lower hull (_chain_argmax), with the report around
+    the winner.
+
+    co_optimal lists every position within tau = 2^(-precision_bits/2) of
+    the max, tau scaled by s_f s_c and compared exactly with the scores:
+    against the floor q of the scaled max less tau, a score of q + 1 or
+    more is within and one below q is not, so only a score between the two
+    is cross-multiplied with the threshold's full fraction.  Only the
+    winner's row is built (_make_breakpoint), so its alpha and utility are
+    those enumerate_breakpoints reports for it, in the instance's own
+    arithmetic.
+    """
+    hull = lower_hull(inst)
+    with inst.ctx.workprec():
+        best, alpha, mask, scores = _chain_argmax(inst, hull)
+        row = _make_breakpoint(inst, best, alpha, mask, inst.f.table, inst.c.table)
+    s_f, s_c = hull.f_scale, hull.c_scale
+    bn, bd = scores[best]
     tp, tq = ratio(inst.ctx.maximizer_tolerance)
     ln, ld = bn * tq - tp * s_f * s_c * bd, bd * tq  # the max less s_f s_c tau
     q1 = ln // ld + 1  # sn / sd >= ln / ld on q = floor(ln / ld), see above
@@ -204,9 +230,6 @@ def optimal_contract(inst: ContractInstance) -> ContractSolution:
         for t, (sn, sd) in enumerate(scores)
         if sn >= (hi := q1 * sd) or (sn >= hi - sd and sn * ld >= ln * sd)
     ]
-    with inst.ctx.workprec():
-        alpha = _critical_alpha(hull, k + best - 1, ftab, ctab) if best else 0
-        row = _make_breakpoint(inst, best, alpha, verts[k + best], ftab, ctab)
     return ContractSolution(
         alpha_star=row.alpha,
         set_star=row.aset,

@@ -122,6 +122,25 @@ class TestSerialization:
             v._mpf_ for v in inst.f.value_table()
         ]
 
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mpf", "weight"])
+    def test_an_int_past_the_format_limit_names_it(self, kind, tmp_path):
+        # Python converts at most 4,300 decimal digits between int and str;
+        # a table holding a wider int is refused before the file is opened
+        big = 10**4400 + 1  # odd, so an mpf keeps it as its mantissa
+        if kind == "weight":
+            f = SetFunctionOracle(1, weights=[big], name="wide")
+        elif kind == "mpf":
+            f = SetFunctionOracle(1, table=MpfTable([0, big], 1, False), name="wide")
+        else:
+            f = SetFunctionOracle(1, table=[0, big if kind == "int" else Fraction(1, big)],
+                                  name="wide")
+        inst = ContractInstance(n=1, f=f, c=SetFunctionOracle(1, table=[0, 1]))
+        path = tmp_path / "wide.json"
+        with pytest.raises(ValueError, match="'wide'.*4,300 decimal digits") as info:
+            save_instance(inst, str(path))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert not path.exists()
+
     def test_instance_round_trip_preserves_solution(self):
         for inst in (build_equal_revenue_submod_f(3), build_equal_revenue_supmod_c(3)):
             back = instance_from_dict(json.loads(dump_json(instance_to_dict(inst))))

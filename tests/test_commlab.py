@@ -14,7 +14,9 @@ import random
 import weakref
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from contractlab import core
 from contractlab.commlab import (
@@ -41,7 +43,7 @@ from contractlab.core import ContractInstance, SetFunctionOracle, best_response,
 from contractlab.perturb import epsilon_bound
 from contractlab.reals import exact
 from contractlab.serialize import number_to_str
-from contractlab.solver import chain_alphas, enumerate_breakpoints, optimal_contract
+from contractlab.solver import best_contract, chain_alphas, enumerate_breakpoints, optimal_contract
 from contractlab.sparse import (
     approx_best_response,
     sigma_bound_demand,
@@ -745,6 +747,29 @@ class TestPairLocalChecks:
         assert tf.verdict == (tf.declared_class, True) and tc.verdict == (tc.declared_class, True)
         assert len(builds) == 1 and builds[0] == (tf, tc)  # the template's hull alone
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_one_identity_pass_per_pair_oracle(self, variant, n, monkeypatch):
+        # the structure checks confirm each oracle against the template's
+        # form; the hull repair then reads the kept confirmation
+        base = TestScaledForms.base(variant, n)
+        rng = random.Random(n)
+        build_augmented(variant, base, SpecialSetVector.all_ones(n), SpecialSetVector.all_ones(n))
+        passes = []
+
+        def counted(a, b):
+            passes.append(1)
+            return a is not b
+
+        monkeypatch.setattr(core, "is_not", counted)
+        for _ in range(3):
+            aug = build_augmented(variant, base, SpecialSetVector.random(n, rng),
+                                  SpecialSetVector.random(n, rng))
+            del passes[:]
+            assert verify_structure(aug.instance.f).ok and verify_structure(aug.instance.c).ok
+            assert check_reduction(aug).ok
+            assert len(passes) == 2 * aug.instance.size  # one pass of each table
+
     def test_a_pair_made_after_the_base_changed_builds_its_hull(self, monkeypatch):
         # the base's tables set anew drop the kept parts: an old pair's
         # origin is not the new template's, so its hull is built afresh
@@ -756,6 +781,54 @@ class TestPairLocalChecks:
         template = base.kept[("augment", "sub-sub")][0]
         assert old.instance.f.moved_from(template.instance.f) is None
         assert old.instance.kept["hull"] == core.LowerHull.build(old.instance.f, old.instance.c)
+        assert rep.ok
+
+
+@st.composite
+def reduction_pairs(draw):
+    """(variant, n, x_f, x_c) at n = 4 or 6, each vector all ones, all
+    zeros, a singleton or random bits."""
+    variant, n = draw(st.sampled_from(VARIANTS)), draw(st.sampled_from([4, 6]))
+    ones = SpecialSetVector.all_ones(n)
+
+    def vector():
+        how = draw(st.sampled_from(["ones", "zeros", "singleton", "bits"]))
+        if how == "ones":
+            return ones
+        if how == "zeros":
+            return SpecialSetVector.all_zeros(n)
+        if how == "singleton":
+            return SpecialSetVector.singleton(n, draw(st.sampled_from(ones.masks)))
+        return SpecialSetVector.from_int(n, draw(st.integers(0, (1 << len(ones)) - 1)))
+
+    return variant, n, vector(), vector()
+
+
+class TestWinnerOnly:
+    """check_reduction reads the optimum's winner alone (best_contract):
+    its alpha_star and set_star are optimal_contract's, in value and in
+    type, on the repaired hull and on a hull built afresh."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        """Each variant's base at each n, built on first use: a base keeps
+        its reduction parts, so the examples share them."""
+        return {}
+
+    @given(reduction_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_optimal_contracts_winner(self, bases, pair):
+        variant, n, x_f, x_c = pair
+        if (variant, n) not in bases:
+            bases[variant, n] = TestScaledForms.base(variant, n)
+        base = bases[variant, n]
+        aug = build_augmented(variant, base, x_f, x_c)
+        rep = check_reduction(aug, strict=False)
+        sol = optimal_contract(aug.instance)
+        alpha, aset = best_contract(build_augmented(variant, base, x_f, x_c).instance)
+        for a, s in ((rep.alpha_star, rep.set_star), (alpha, aset)):
+            assert (a, s) == (sol.alpha_star, sol.set_star)
+            assert type(a) is type(sol.alpha_star) and type(s) is type(sol.set_star)
         assert rep.ok
 
 

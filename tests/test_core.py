@@ -894,6 +894,59 @@ class TestHullRepair:
         assert self.fallback(monkeypatch, pf, pc, other, c)
 
 
+class TestKeptConfirmation:
+    """moved_from keeps on the child the parent's exact form it confirmed
+    against: one identity pass per (child, parent form)."""
+
+    FS, CS, MOVE, B = TestHullRepair.FS, TestHullRepair.CS, TestHullRepair.MOVE, _WIDE
+
+    @staticmethod
+    def passes(monkeypatch) -> list:
+        """One entry per comparison the identity pass makes from now on."""
+        seen = []
+
+        def counted(a, b):
+            seen.append(a)
+            return a is not b
+
+        monkeypatch.setattr(core, "is_not", counted)
+        return seen
+
+    def child(self):
+        pf, _, f, _ = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
+        return pf, f
+
+    def test_a_second_call_makes_no_pass(self, monkeypatch):
+        pf, f = self.child()
+        seen = self.passes(monkeypatch)
+        assert f.confirmed is None
+        assert f.moved_from(pf) == (4,) and len(seen) == 8
+        assert f.confirmed is pf.scaled()
+        assert f.moved_from(pf) == (4,) and len(seen) == 8
+
+    def test_setting_the_childs_table_drops_it(self, monkeypatch):
+        pf, f = self.child()
+        assert f.moved_from(pf) == (4,)
+        f.table = f.table
+        assert f.confirmed is None and f.origin is None
+        seen = self.passes(monkeypatch)
+        assert f.moved_from(pf) is None and not seen
+
+    def test_a_parent_set_anew_gets_a_fresh_pass(self, monkeypatch):
+        pf, f = self.child()
+        assert f.moved_from(pf) == (4,)
+        seen = self.passes(monkeypatch)
+        ints, scale, _ = pf.scaled()
+        pf.table = reals.MpfTable(ints, scale, True)  # the same int objects, a new form
+        assert f.moved_from(pf) == (4,) and len(seen) == 8
+        assert f.confirmed is pf.scaled()
+        # equal ints that are not the objects the child holds
+        pf.table = reals.MpfTable([v + (1 << 90) - (1 << 90) for v in ints], scale, True)
+        assert f.moved_from(pf) is None and len(seen) == 16
+        assert f.confirmed is None
+        assert f.moved_from(pf) is None and len(seen) == 24  # a failure is not kept
+
+
 class TestExactValues:
     @pytest.mark.parametrize("value, want", [(-1.5, (-3, 2)), (-12, (-12, 1)), (0.25, (1, 4))])
     def test_negative_mpf_keeps_its_sign(self, value, want):

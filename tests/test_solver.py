@@ -17,6 +17,7 @@ from contractlab.serialize import number_to_str
 from contractlab.solver import (
     ParameterError,
     alpha_bracket,
+    best_contract,
     enumerate_breakpoints,
     fptas,
     optimal_contract,
@@ -293,6 +294,27 @@ def fptas_outcome(inst, res):
     numbers = [(type(x), number_to_str(x)) for x in (res.alpha, res.principal_utility)]
     ledgers = [asdict(x) for x in (inst.ledger, inst.f.ledger, inst.c.ledger)]
     return numbers, res.aset, res.value_queries, res.best_response_queries, ledgers
+
+
+class TestBestContract:
+    """best_contract is optimal_contract's winner alone: the same alpha_star
+    and set_star, in value and in type, from the one chain argmax."""
+
+    @given(st.sampled_from(["float", "mpf80", "mpf192", "fraction", "mixed"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_optimal_contracts_winner(self, kind, data):
+        bits = {"mpf80": 80, "mpf192": 192}.get(kind, 53)
+        if kind == "fraction":
+            n, ftab, ctab = data.draw(monotone_instance_tables(max_n=6))
+        elif kind == "mixed":
+            n, ftab, ctab = data.draw(mixed_monotone_instance_tables(max_n=6))
+        else:
+            n, ftab, ctab = data.draw(real_monotone_instance_tables(bits, max_n=6))
+        # each on an instance of its own, so neither reads the other's hull
+        alpha, aset = best_contract(instance_from_tables(ftab, ctab, bits))
+        sol = optimal_contract(instance_from_tables(ftab, ctab, bits))
+        assert (alpha, aset) == (sol.alpha_star, sol.set_star)
+        assert type(alpha) is type(sol.alpha_star) and type(aset) is type(sol.set_star)
 
 
 class TestFptas:
