@@ -599,9 +599,9 @@ def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionR
 
     The instance's hull is kept on it (core.derived) from the template's
     kept hull, repaired at the pair's moved points (core.LowerHull.repair,
-    which builds it afresh when it cannot confirm them), so a later
-    core.best_response on the instance reads the same hull.  Only the
-    optimum's winner is read (solver.best_contract)."""
+    which builds it afresh when the pair's origins do not give them), so a
+    later core.best_response on the instance reads the same hull.  Only
+    the optimum's winner is read (solver.best_contract)."""
     from .solver import best_contract
 
     tmpl = _parts(aug.variant, aug.base)[0].instance

@@ -264,14 +264,13 @@ def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
     report-only, exact on the oracle's scaled ints.
 
     An oracle made from a parent (SetFunctionOracle.with_entries) is checked
-    locally when it can be: the oracle's ints equal the parent's but at the
-    recorded positions (moved_from: one scale, and the parent's own int
-    object everywhere else), and the parent's verdict, kept on the parent
-    and built on first use, is ok.  Then only the marginals and 2-faces
-    that read a recorded position can differ from the parent's, and an
-    empty report says each of them holds (_holds_locally).  In every other
-    case, a failed local check included, the full pass runs (_report), so
-    the report is the same either way.
+    locally when it can be: its origin records its ints as the parent's
+    own but at the recorded positions (moved_from), and the parent's
+    verdict, kept on the parent and built on first use, is ok.  Then only
+    the marginals and 2-faces that read a recorded position can differ
+    from the parent's, and an empty report says each of them holds
+    (_holds_locally).  In every other case, a failed local check included,
+    the full pass runs (_report), so the report is the same either way.
 
     The full pass goes once over the per-action vectors of
     marginal_margins: the marginal vector decides monotonicity, the diff
@@ -328,13 +327,13 @@ def _report(oracle, sense) -> StructureReport:
 
 
 def _holds_locally(oracle, sense) -> bool:
-    """Whether oracle, made from a parent, is confirmed to hold its class:
-    oracle.moved_from(parent) confirms the recorded positions, the parent
+    """Whether oracle, made from a parent, is shown to hold its class:
+    oracle.moved_from(parent) gives the recorded positions, the parent
     has the declared class and a kept ok verdict (its _report on first use,
     kept as parent.verdict until its table is set), and
     every marginal and 2-face that reads a recorded position holds
     (_local_getters); False otherwise, for the full pass to decide."""
-    parent, ks = oracle.origin
+    parent, _, ks = oracle.origin
     cls = oracle.declared_class
     if parent.declared_class != cls or oracle.moved_from(parent) is None:
         return False

@@ -16,8 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
-from operator import is_not, sub
+from operator import sub
 
 import mpmath
 
@@ -84,10 +83,9 @@ class SetFunctionOracle:
 
     The oracle holds its full 2^n table, read-only, and the table's exact
     form (scaled), dropped whenever the table is set, so no entry can change
-    under a hull or a score built from them.  So are origin, (parent, ks)
-    for an oracle made by parent.with_entries at positions ks, confirmed,
-    the parent's exact form the last moved_from pass confirmed ks against
-    (None if it failed), and verdict, a structure verdict
+    under a hull or a score built from them.  So are origin, (parent,
+    parent's exact form, ks) for an oracle made by parent.with_entries at
+    positions ks on parent's scale, and verdict, a structure verdict
     constructions.verify_structure keeps on a parent.
     Query instrumentation lives in the attached ledger.  Exactly one of
     ``table`` and ``weights``:
@@ -155,11 +153,11 @@ class SetFunctionOracle:
     def _hold(self, table, form):
         """Hold table with form, its exact form or the set of its entries'
         types to build it from; whatever was kept for the old table (float
-        view, origin, confirmation, verdict) is dropped."""
+        view, origin, verdict) is dropped."""
         if len(table) != 1 << self.n:
             raise ValueError("table must list all 2^n subset values")
         self._table, self._form, self._view = table, form, None
-        self.origin = self.confirmed = self.verdict = None
+        self.origin = self.verdict = None
 
     def value_table(self):
         """Full 2^n table: a tuple, or an MpfTable (see the class docstring).
@@ -200,22 +198,30 @@ class SetFunctionOracle:
     def with_entries(self, ks, kints, scale: int, name: str, entries=None) -> "SetFunctionOracle":
         """A new oracle (own ledger, same declared class): this table with
         entry ks[i] replaced by the value held exactly as kints[i] / scale,
-        scale a multiple of this table's, the positions ks distinct.  Its
-        exact form is this one's ints over that scale with those ints
-        replaced, so no other entry is converted.  entries are the new
-        entries themselves; None, for an MpfTable, reads them off the ints as
-        its own entries.  An MpfTable stays one when the new entries have its
-        entries' type, else it becomes a tuple.  The new oracle records its
-        origin, (this oracle, ks) (moved_from), until its table is set.
+        scale a positive multiple of this table's, the positions ks distinct
+        and in [0, 2^n), one int per position, else ValueError.  Its exact
+        form is this one's ints over that scale with those ints replaced, so
+        no other entry is converted.  entries are the new entries themselves,
+        each kints[i] / scale exactly, else ValueError; None, for an MpfTable,
+        reads them off the ints as its own entries.  An MpfTable stays one
+        when the new entries have its entries' type, else it becomes a tuple.
+        On this table's scale the new oracle records its origin, (this
+        oracle, this exact form, ks) (moved_from), until its table is set;
+        on a finer one its origin is None.
         When this oracle's float view is built, the new one gets it with the
         entries replaced (the new table itself when both are float tuples),
         and top the greatest of this top and the new entries' |view|."""
-        ints, own_scale, rational = self.scaled()
-        if scale == own_scale:
-            ints = list(ints)
-        else:
-            mult = scale // own_scale
-            ints = [v * mult for v in ints]
+        ints, own_scale, rational = form = self.scaled()
+        ks = tuple(ks)
+        if scale < 1 or scale % own_scale:
+            raise ValueError(f"scale {scale} is not a positive multiple of the table's {own_scale}")
+        if len(kints) != len(ks) or not all(0 <= k < len(ints) for k in ks):
+            raise ValueError(f"with_entries needs one int per position, each in [0, {len(ints)})")
+        if entries is not None and (len(entries) != len(ks) or any(
+                p * scale != kint * q for (p, q), kint in zip(map(ratio, entries), kints))):
+            raise ValueError("with_entries needs one entry per position, its int over scale")
+        mult = scale // own_scale
+        ints = list(ints) if mult == 1 else [v * mult for v in ints]
         for i, k in enumerate(ks):
             ints[k] = kints[i]
         table = self._table
@@ -239,7 +245,7 @@ class SetFunctionOracle:
         new.n, new.declared_class, new.name = self.n, self.declared_class, name
         new.ledger, new.weights = QueryLedger(), None
         new._hold(table, (tuple(ints), scale, rational))
-        new.origin = self, tuple(ks)
+        new.origin = (self, form, ks) if mult == 1 else None
         if self._view is not None:
             view, top = self._view
             if view is self._table and kinds == _FLOATS:
@@ -258,26 +264,15 @@ class SetFunctionOracle:
 
     def moved_from(self, parent: "SetFunctionOracle"):
         """The positions at which this oracle's exact form may differ from
-        parent's, when that is confirmed on the ints: () for parent itself;
-        the recorded positions when this oracle was made from parent
-        (with_entries), its scale is parent's, and every int at any other
-        position is parent's own int object; else None.  One pass over the
-        ints confirms it; the parent's exact form it was confirmed against
-        is kept (confirmed), so a later call against that same form object
-        makes no pass, while one against a form built anew for a table set
-        on parent does."""
+        parent's: () for parent itself; the recorded positions when this
+        oracle was made from parent (with_entries, on parent's scale) and
+        parent's exact form is still the one recorded, so every other int
+        is parent's own object (both forms are immutable, and setting a
+        table drops its form); else None.  No int is read."""
         if self is parent:
             return ()
-        if self.origin is None or self.origin[0] is not parent:
-            return None
-        form, ks = parent.scaled(), self.origin[1]
-        if self.confirmed is form:
-            return ks
-        ints, scale, _ = self.scaled()
-        own, own_scale, _ = form
-        ok = scale == own_scale and set(compress(count(), map(is_not, ints, own))).issubset(ks)
-        self.confirmed = form if ok else None
-        return ks if ok else None
+        origin = self.origin
+        return origin[2] if origin and origin[0] is parent and origin[1] is parent._form else None
 
 
 def additive_table(weights) -> list:
@@ -571,15 +566,15 @@ class LowerHull:
                f: SetFunctionOracle, c: SetFunctionOracle) -> "LowerHull":
         """The hull of f and c, build's bit for bit, from this hull, which
         must be the hull of parent_f and parent_c, when f and c were made
-        from them (SetFunctionOracle.moved_from confirms where they may
-        differ, on the ints): the points at the moved positions are put
-        into this hull's vertices one by one (_insert), a point whose f and
-        c ints are the parents' own objects skipped, as it is under the
-        hull already.  Every vertex stays where it was unless a moved
-        point lowers the hull there, so no other point is read.
-        build(f, c) instead when a moved position is a vertex of this hull
-        (its point may leave the hull and expose one it hid), when the
-        positions are not confirmed, or when a scale is not this hull's."""
+        from them (SetFunctionOracle.moved_from, off their origin records,
+        gives where they may differ): the points at the moved positions are
+        put into this hull's vertices one by one (_insert), a point whose f
+        and c ints are the parents' own objects skipped, as it is under the
+        hull already.  Every vertex stays where it was unless a moved point
+        lowers the hull there, so no other point is read.  build(f, c)
+        instead when a moved position is a vertex of this hull (its point
+        may leave the hull and expose one it hid), when moved_from gives
+        None, or when a scale is not this hull's."""
         f_moved, c_moved = f.moved_from(parent_f), c.moved_from(parent_c)
         fs, s_f, f_rational = f.scaled()
         cs, s_c, c_rational = c.scaled()

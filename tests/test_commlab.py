@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from contractlab import core
+from contractlab import constructions, core
 from contractlab.commlab import (
     CC_PRECISION_BITS,
     VARIANTS,
@@ -41,7 +41,7 @@ from contractlab.constructions import (
 )
 from contractlab.core import ContractInstance, SetFunctionOracle, best_response, lower_hull
 from contractlab.perturb import epsilon_bound
-from contractlab.reals import exact
+from contractlab.reals import MpfTable, exact
 from contractlab.serialize import number_to_str
 from contractlab.solver import best_contract, chain_alphas, enumerate_breakpoints, optimal_contract
 from contractlab.sparse import (
@@ -736,7 +736,9 @@ class TestPairLocalChecks:
             aug = build_augmented(variant, base, x_f, x_c)
             f, c = aug.instance.f, aug.instance.c
             ks = tuple(t + (1 << n) for t in x_f.masks)
-            assert f.origin == (tf, ks) and c.origin == (tc, ks)
+            for oracle, parent in ((f, tf), (c, tc)):
+                assert oracle.origin[0] is parent and oracle.origin[1] is parent.scaled()
+                assert oracle.origin[2] == ks
             assert f.moved_from(tf) == ks and c.moved_from(tc) == ks
             assert verify_structure(f).ok and verify_structure(c).ok
             rep = check_reduction(aug)
@@ -749,26 +751,40 @@ class TestPairLocalChecks:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n", [4, 6])
-    def test_one_identity_pass_per_pair_oracle(self, variant, n, monkeypatch):
-        # the structure checks confirm each oracle against the template's
-        # form; the hull repair then reads the kept confirmation
+    def test_a_template_set_anew_sends_pairs_to_the_full_pass(self, variant, n, monkeypatch):
+        # the template's tables set anew with the same int objects: a
+        # pair's origin names a form the template no longer holds, so its
+        # structure checks take the full pass and its hull is built
         base = TestScaledForms.base(variant, n)
         rng = random.Random(n)
         build_augmented(variant, base, SpecialSetVector.all_ones(n), SpecialSetVector.all_ones(n))
-        passes = []
+        template = base.kept[("augment", variant)][0]
+        tf, tc = template.instance.f, template.instance.c
+        aug = build_augmented(variant, base, SpecialSetVector.random(n, rng),
+                              SpecialSetVector.random(n, rng))
+        f, c = aug.instance.f, aug.instance.c
+        for parent in (tf, tc):
+            ints = parent.scaled()[0]
+            parent.table = MpfTable(*parent.scaled())
+            assert parent.scaled()[0] is ints
+        assert f.moved_from(tf) is None and c.moved_from(tc) is None
+        passes, builds = [], []
+        vectors, build = constructions._marginal_vectors, core.LowerHull.build.__func__
 
-        def counted(a, b):
-            passes.append(1)
-            return a is not b
+        def passed(*args):
+            passes.append(args)
+            return vectors(*args)
 
-        monkeypatch.setattr(core, "is_not", counted)
-        for _ in range(3):
-            aug = build_augmented(variant, base, SpecialSetVector.random(n, rng),
-                                  SpecialSetVector.random(n, rng))
-            del passes[:]
-            assert verify_structure(aug.instance.f).ok and verify_structure(aug.instance.c).ok
-            assert check_reduction(aug).ok
-            assert len(passes) == 2 * aug.instance.size  # one pass of each table
+        def built(cls, *oracles):
+            builds.append(oracles)
+            return build(cls, *oracles)
+
+        monkeypatch.setattr(constructions, "_marginal_vectors", passed)
+        monkeypatch.setattr(core.LowerHull, "build", classmethod(built))
+        assert verify_structure(f).ok and verify_structure(c).ok
+        assert len(passes) == 2  # one full pass per pair oracle, no template verdict read
+        assert check_reduction(aug).ok
+        assert builds == [(tf, tc), (f, c)]  # the template's hull anew, then the pair's
 
     def test_a_pair_made_after_the_base_changed_builds_its_hull(self, monkeypatch):
         # the base's tables set anew drop the kept parts: an old pair's

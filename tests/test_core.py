@@ -36,7 +36,7 @@ from contractlab.constructions import (
     build_equal_revenue_supmod_c,
     verify_structure,
 )
-from contractlab import core, reals, solver
+from contractlab import constructions, core, reals, solver
 from contractlab.perturb import epsilon_bound
 from contractlab.serialize import load_instance, save_instance
 from contractlab.reals import RealContext, exact
@@ -894,57 +894,139 @@ class TestHullRepair:
         assert self.fallback(monkeypatch, pf, pc, other, c)
 
 
-class TestKeptConfirmation:
-    """moved_from keeps on the child the parent's exact form it confirmed
-    against: one identity pass per (child, parent form)."""
+class TestOriginRecord:
+    """with_entries records a child's origin, (parent, the parent's exact
+    form, ks), on the parent's scale alone; moved_from reads that record
+    and no int, and a parent table set since sends the child to the full
+    structure pass and the hull build."""
 
     FS, CS, MOVE, B = TestHullRepair.FS, TestHullRepair.CS, TestHullRepair.MOVE, _WIDE
 
-    @staticmethod
-    def passes(monkeypatch) -> list:
-        """One entry per comparison the identity pass makes from now on."""
-        seen = []
+    def cloud(self):
+        return _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
 
-        def counted(a, b):
-            seen.append(a)
-            return a is not b
+    def test_a_child_records_its_parent_and_form(self):
+        pf, pc, f, c = self.cloud()
+        for parent, child in ((pf, f), (pc, c)):
+            assert child.origin[0] is parent and child.origin[1] is parent.scaled()
+            assert child.origin[2] == (4,) and child.moved_from(parent) == (4,)
+            assert parent.moved_from(parent) == ()
+        assert f.moved_from(pc) is None and pf.moved_from(f) is None
 
-        monkeypatch.setattr(core, "is_not", counted)
-        return seen
+    def test_moved_from_reads_no_int(self, monkeypatch):
+        pf, _, f, _ = self.cloud()
+        f._form = None  # no ints of the child's left to read
 
-    def child(self):
-        pf, _, f, _ = _cloud(3, self.FS, self.CS, self.MOVE, scale=self.B)
-        return pf, f
+        def refused(oracle):
+            raise AssertionError("an exact form was read")
 
-    def test_a_second_call_makes_no_pass(self, monkeypatch):
-        pf, f = self.child()
-        seen = self.passes(monkeypatch)
-        assert f.confirmed is None
-        assert f.moved_from(pf) == (4,) and len(seen) == 8
-        assert f.confirmed is pf.scaled()
-        assert f.moved_from(pf) == (4,) and len(seen) == 8
-
-    def test_setting_the_childs_table_drops_it(self, monkeypatch):
-        pf, f = self.child()
+        monkeypatch.setattr(SetFunctionOracle, "scaled", refused)
         assert f.moved_from(pf) == (4,)
-        f.table = f.table
-        assert f.confirmed is None and f.origin is None
-        seen = self.passes(monkeypatch)
-        assert f.moved_from(pf) is None and not seen
 
-    def test_a_parent_set_anew_gets_a_fresh_pass(self, monkeypatch):
-        pf, f = self.child()
-        assert f.moved_from(pf) == (4,)
-        seen = self.passes(monkeypatch)
+    @pytest.mark.parametrize("same_objects", [True, False])
+    def test_a_parent_set_anew_builds_and_runs_the_full_pass(self, monkeypatch, same_objects):
+        pf, pc, f, c = self.cloud()
         ints, scale, _ = pf.scaled()
-        pf.table = reals.MpfTable(ints, scale, True)  # the same int objects, a new form
-        assert f.moved_from(pf) == (4,) and len(seen) == 8
-        assert f.confirmed is pf.scaled()
-        # equal ints that are not the objects the child holds
-        pf.table = reals.MpfTable([v + (1 << 90) - (1 << 90) for v in ints], scale, True)
-        assert f.moved_from(pf) is None and len(seen) == 16
-        assert f.confirmed is None
-        assert f.moved_from(pf) is None and len(seen) == 24  # a failure is not kept
+        if not same_objects:  # equal ints that are not the objects the child holds
+            ints = [v + (1 << 90) - (1 << 90) for v in ints]
+        pf.table = reals.MpfTable(ints, scale, True)
+        assert (pf.scaled()[0] is f.origin[1][0]) == same_objects
+        assert f.origin[0] is pf and f.moved_from(pf) is None
+        assert TestHullRepair.fallback(monkeypatch, pf, pc, f, c)
+        want = verify_structure(SetFunctionOracle(3, table=f.table))
+        passes = []
+        original = constructions._marginal_vectors
+
+        def counted(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constructions, "_marginal_vectors", counted)
+        assert verify_structure(f) == want and len(passes) == 1 and pf.verdict is None
+
+    def test_a_rescaled_child_has_no_origin(self):
+        pf, _, _, _ = self.cloud()
+        ints, scale, _ = pf.scaled()
+        f = pf.with_entries((4,), (ints[4] * 2 + 1,), scale * 2, "finer")
+        assert f.origin is None and f.moved_from(pf) is None
+        assert pf.with_entries((4,), (ints[4] + 1,), scale, "same").moved_from(pf) == (4,)
+
+    def test_setting_the_childs_table_drops_it(self):
+        pf, _, f, _ = self.cloud()
+        f.table = f.table
+        assert f.origin is None and f.moved_from(pf) is None
+
+
+@st.composite
+def entry_children(draw):
+    """(parent, child): a float-tuple, mpf MpfTable or rational MpfTable
+    parent over n = 1..4, and its with_entries child at 0..4 positions,
+    each new entry one of the parent's, on the parent's scale, or that
+    entry halved, on twice the least scale that holds the parent's entries
+    and the new ones."""
+    n = draw(st.integers(1, 4))
+    how = draw(st.sampled_from(["float", "mpf", "rational"]))
+    nums = draw(st.lists(st.integers(-(1 << 60), 1 << 60), min_size=1 << n, max_size=1 << n))
+    if how == "float":
+        table = [v / 3 for v in nums]
+    elif how == "mpf":
+        with mpmath.workprec(96):
+            table = reals.MpfTable(*core._scaled_ints([mpmath.mpf(v) / 3 for v in nums]))
+    else:
+        table = [Fraction(v, draw(st.integers(1, 12))) for v in nums]
+    parent = SetFunctionOracle(n, table=table)
+    own = parent.scaled()[1]
+    ks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4, unique=True))
+    finer = draw(st.booleans())
+    entries = [parent.table[draw(st.integers(0, (1 << n) - 1))] for _ in ks]
+    if finer:
+        entries = [e / 2 for e in entries]
+    ratios = [reals.ratio(e) for e in entries]
+    scale = math.lcm(own, *(q for _, q in ratios)) * (2 if finer else 1)
+    kints = [p * (scale // q) for p, q in ratios]
+    if how != "float" and draw(st.booleans()):
+        entries = None  # read off the ints
+    return parent, parent.with_entries(ks, kints, scale, "child", entries)
+
+
+class TestWithEntries:
+    """A with_entries child's exact form is its own table's, and input that
+    would break that or the origin record is refused."""
+
+    @given(entry_children())
+    @settings(max_examples=300, deadline=None)
+    def test_the_form_is_the_tables_own(self, pair):
+        parent, child = pair
+        ints, scale, rational = core._scaled_ints(child.table)
+        got, got_scale, got_rational = child.scaled()
+        assert got_scale % scale == 0 and got_rational == rational
+        assert list(got) == [v * (got_scale // scale) for v in ints]
+        on_parents_scale = got_scale == parent.scaled()[1]
+        assert (child.moved_from(parent) is None) == (child.origin is None) == (not on_parents_scale)
+
+    def test_a_scale_not_a_positive_multiple_is_refused(self):
+        parent = SetFunctionOracle(1, table=[Fraction(1, 4), Fraction(1, 2)])
+        for scale in (6, 2, 0, -4):
+            with pytest.raises(ValueError, match="multiple"):
+                parent.with_entries((1,), (3,), scale, "c")
+        assert parent.with_entries((1,), (3,), 8, "c").table == (Fraction(1, 4), Fraction(3, 8))
+
+    def test_ints_not_one_per_position_or_a_position_outside_is_refused(self):
+        parent = SetFunctionOracle(2, table=[0.0, 0.25, 0.5, 0.75])
+        for ks, kints, entries in (((1,), (1, 2), (0.25, 0.5)), ((1, 2), (1,), (0.25,)),
+                                   ((1,), (1,), (0.25, 0.5))):
+            with pytest.raises(ValueError, match="per position"):
+                parent.with_entries(ks, kints, 4, "c", entries)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=r"per position, each in \[0, 4\)"):
+                parent.with_entries((k,), (1,), 4, "c", (0.25,))
+
+    def test_an_entry_not_its_int_over_scale_is_refused(self):
+        parent = SetFunctionOracle(1, table=[0.0, 0.75])
+        with pytest.raises(ValueError, match="its int over scale"):
+            parent.with_entries((1,), (1,), 4, "g", (0.5,))
+        child = parent.with_entries((1,), (2,), 4, "g", (0.5,))
+        assert child.table == (0.0, 0.5) and child.scaled() == ((0, 2), 4, False)
 
 
 class TestExactValues:
