@@ -42,8 +42,8 @@ from .core import (
 from .constructions import _SENSE, ConstructionIntegrityError, kind_of, marginal_margins
 from .constructions import variant_kind
 from .reals import MpfTable, exact
-from .solver import chain_alphas
-from .sparse import sigma_bound_demand, sigma_bound_supply
+from .solver import best_contract, chain_alphas, critical_values
+from .sparse import approx_best_response, sigma_bound_demand, sigma_bound_supply
 
 VARIANTS = ("sub-sub", "sub-sup", "sup-sup")
 
@@ -336,8 +336,6 @@ def build_perturbed_reward(base: ContractInstance, delta) -> ContractInstance:
 
 def _alpha_tilde_by_mask(perturbed: ContractInstance):
     """Critical value of each nonempty chain set in the perturbed instance."""
-    from .solver import critical_values
-
     out = {mask: alpha for alpha, mask in critical_values(perturbed)}
     size = perturbed.size
     missing = [t for t in range(1, size) if t not in out]
@@ -602,8 +600,6 @@ def check_reduction(aug: AugmentedCCInstance, strict: bool = True) -> ReductionR
     which builds it afresh when the pair's origins do not give them), so a
     later core.best_response on the instance reads the same hull.  Only
     the optimum's winner is read (solver.best_contract)."""
-    from .solver import best_contract
-
     tmpl = _parts(aug.variant, aug.base)[0].instance
     derived(aug.instance, "hull",
             lambda inst: lower_hull(tmpl).repair(tmpl.f, tmpl.c, inst.f, inst.c))
@@ -699,8 +695,6 @@ class Channel:
 
 def full_streaming_protocol(channel: Channel, f_holder, c_holder):
     """Bob ships his whole cost table; Alice solves locally."""
-    from .solver import best_contract
-
     ctab = channel.send("Bob", c_holder.c.table)
     c = SetFunctionOracle(f_holder.n, table=ctab, declared_class=c_holder.c.declared_class)
     return best_contract(ContractInstance(n=f_holder.n, f=f_holder.f, c=c, ctx=f_holder.ctx))
@@ -717,8 +711,6 @@ def augmented_br_protocol(aug: AugmentedCCInstance, alpha, channel: Channel) -> 
     picks the argmax under the standard tie-break (core._argmax), scored
     exactly on the scaled ints (core._alpha_scores).
     """
-    from .sparse import approx_best_response
-
     n = aug.base.n
     channel.charge_br_call()
     cand = approx_best_response(aug.perturbed, alpha, aug.sigma / 2)

@@ -272,13 +272,13 @@ def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
     (_holds_locally).  In every other case, a failed local check included,
     the full pass runs (_report), so the report is the same either way.
 
-    The full pass goes once over the per-action vectors of
-    marginal_margins: the marginal vector decides monotonicity, the diff
-    vector the class by its _SENSE, and only a failing vector is scanned,
-    for its first MAX_RECORDED violations per run of increasing S.  The
-    report lists the first MAX_RECORDED (S, i, marginal) and (S, i, j, diff)
-    in (S, i, j) order, each value the entries' own difference for
-    int/Fraction tables and its exact Fraction otherwise."""
+    The full pass takes the whole table's marginal and diff vectors once
+    (_marginal_vectors, ordered by S, then i, then j): the marginal vector
+    decides monotonicity, the diff vector the class by its _SENSE, and only
+    a failing vector is scanned, for its first MAX_RECORDED violations.
+    The report lists them as (S, i, marginal) and (S, i, j, diff), each
+    value the entries' own difference for int/Fraction tables and its
+    exact Fraction otherwise."""
     sense = _SENSE[oracle.declared_class]
     if oracle.n > 12:
         raise ValueError("exhaustive structure check limited to n <= 12")
@@ -287,29 +287,23 @@ def verify_structure(oracle: SetFunctionOracle) -> StructureReport:
 
 def _report(oracle, sense) -> StructureReport:
     """verify_structure's report, past its checks of the oracle's n and
-    class."""
+    class: the first MAX_RECORDED violations of each whole-table vector,
+    read in its own order, their (S, i[, j]) looked up in _keys only when
+    one fails."""
     if oracle.origin is not None and _holds_locally(oracle, sense):
         return StructureReport([], [])
     n = oracle.n
     vals, scale, rational = oracle.scaled()
-    # keys that sort in (S, i, j) order (i, j < 16): S << 4 | i for a
-    # marginal, S << 8 | i << 4 | j for a diff
-    mono, klass, half = [], [], 1 << n >> 2  # half: how many S lack both i and j
-    for i, (marg, diffs) in enumerate(_marginal_vectors(vals, n, sense)):
-        if min(marg) < 0:
-            low = (1 << i) - 1  # S is p with a 0 bit put in at i
-            mono += [(p & low | p >> i << i + 1) << 4 | i for p in _first(marg, _BAD[+1])]
-        if diffs is None or _class_margin(diffs, sense) >= 0:
-            continue
-        for b in range(n - 1):
-            j = b + (b >= i)
-            lo, hi = min(i, j), max(i, j)
-            low, mid, ij = (1 << lo) - 1, (1 << hi - 1) - (1 << lo), i << 4 | j
-            # S is k with 0 bits put in at lo and hi
-            klass += [(k & low | (k & mid) << 1 | k >> hi - 1 << hi + 1) << 8 | ij
-                      for k in _first(diffs[b * half:(b + 1) * half], _BAD[sense])]
+    marg, diffs = _marginal_vectors(vals, n, sense)
+    mono = [] if min(marg) >= 0 else list(_first(marg, _BAD[+1]))
+    klass = []
+    if diffs is not None and _class_margin(diffs, sense) < 0:
+        klass = list(_first(diffs, _BAD[sense]))
     if not mono and not klass:
         return StructureReport([], [])
+    margs, faces = _keys(n)
+    mono, wanted = [margs[p] for p in mono], set(klass)
+    klass = [key for p, key in enumerate(faces) if p in wanted]
     tab = oracle.table if rational else vals
 
     def marginal(s, i):  # v(i | S) in the table's own arithmetic, or scaled
@@ -319,10 +313,9 @@ def _report(oracle, sense) -> StructureReport:
         return v if rational else Fraction(v, scale)
 
     return StructureReport(
-        [(s, i + 1, recorded(marginal(s, i)))
-         for s, i in (divmod(k, 16) for k in sorted(mono)[:MAX_RECORDED])],
+        [(s, i + 1, recorded(marginal(s, i))) for s, i in mono],
         [(s, i + 1, j + 1, recorded(marginal(s, i) - marginal(s | 1 << j, i)))
-         for s, i, j in ((k >> 8, k >> 4 & 15, k & 15) for k in sorted(klass)[:MAX_RECORDED])],
+         for s, i, j in klass],
     )
 
 
@@ -332,7 +325,8 @@ def _holds_locally(oracle, sense) -> bool:
     has the declared class and a kept ok verdict (its _report on first use,
     kept as parent.verdict until its table is set), and
     every marginal and 2-face that reads a recorded position holds
-    (_local_getters); False otherwise, for the full pass to decide."""
+    (_index at those positions); False otherwise, for the full pass to
+    decide."""
     parent, _, ks = oracle.origin
     cls = oracle.declared_class
     if parent.declared_class != cls or oracle.moved_from(parent) is None:
@@ -343,42 +337,63 @@ def _holds_locally(oracle, sense) -> bool:
         return False
     if not ks:
         return True
-    vals = oracle.scaled()[0]
-    up, down, lo, hi = _local_getters(oracle.n, ks)
-    marg = list(map(sub, up(vals), down(vals)))
-    if min(marg) < 0:
-        return False
-    return sense is None or lo is None or _class_margin(list(map(sub, lo(marg), hi(marg))), sense) >= 0
+    marg, diffs = _vectors(_index(oracle.n, ks), oracle.scaled()[0], sense)
+    return min(marg) >= 0 and (diffs is None or _class_margin(diffs, sense) >= 0)
+
+
+def _keys(n: int, ks: tuple | None = None) -> tuple:
+    """(margs, faces): the (S, i) of marginals v(i | S), a list, and the
+    (S, i, j) of 2-faces S, S + i, S + j, S + i + j, an iterable, of a set
+    function over n actions, each in sorted order.  For the whole table
+    (ks None), every marginal and every face in both orders of i and j,
+    since the two differences of a face round apart in float or mpf
+    arithmetic (marginal_margins); its faces are generated, never held.
+    At positions ks, every marginal and every face that reads one, each
+    face once (i < j, one order decides on exact ints), with the marginals
+    of both its i-edges."""
+    if ks is None:
+        margs = [(s, i) for s in range(1 << n) for i in range(n) if not s >> i & 1]
+        return margs, ((s, i, j) for s, i in margs for j in range(n) if j != i and not s >> j & 1)
+    faces = sorted({(p & ~(1 << i | 1 << j), i, j)
+                    for p in ks for i in range(n) for j in range(i + 1, n)})
+    margs = {(p & ~(1 << i), i) for p in ks for i in range(n)}
+    margs.update(edge for s, i, j in faces for edge in ((s, i), (s | 1 << j, i)))
+    return sorted(margs), faces
 
 
 @functools.lru_cache(maxsize=64)
-def _local_getters(n: int, ks: tuple) -> tuple:
-    """(up, down, lo, hi) for the marginals and 2-faces of a set function
-    over n actions that read a position of ks, each face once.  up(vals)
-    and down(vals) give v(S + i) and v(S) of every marginal v(i | S) with S
-    or S + i in ks, and of the far i-edge of each face; lo and hi index that
-    marginal vector at v(i | S) and v(i | S + j) for every face S, S + i,
-    S + j, S + i + j (i < j) with a corner in ks, so that lo - hi is its
-    diff, as _marginal_getters orders a diff.  None for lo and hi when
-    n = 1."""
-    margs = {}  # (S, i) -> its place in the marginal vector
-    for p in ks:
-        for i in range(n):
-            margs.setdefault((p & ~(1 << i), i), len(margs))
-    faces = {}
-    for p in ks:
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = p & ~(1 << i | 1 << j)
-                if (s, i, j) not in faces:
-                    near = margs.setdefault((s, i), len(margs))
-                    faces[s, i, j] = near, margs.setdefault((s | 1 << j, i), len(margs))
+def _index(n: int, ks: tuple | None = None) -> tuple:
+    """(up, down, near, far) over _keys(n, ks), getters alone (the keys
+    are built again only for a failing report).  up(vals) and down(vals)
+    give v(S + i) and v(S) of each marginal, so that their difference is
+    the marginal vector; near and far index that vector at v(i | S) and
+    v(i | S + j) of each face, so that near - far is its diff vector.
+    None for near and far when there is no face (n = 1)."""
+    margs, faces = _keys(n, ks)
+    place = {key: p for p, key in enumerate(margs)}
+    near, far = [], []
+    for s, i, j in faces:
+        near.append(place[s, i])
+        far.append(place[s | 1 << j, i])
     up = _tuple_getter([s | 1 << i for s, i in margs])
     down = _tuple_getter([s for s, _ in margs])
-    if not faces:
+    if not near:
         return up, down, None, None
-    return (up, down, _tuple_getter([a for a, _ in faces.values()]),
-            _tuple_getter([b for _, b in faces.values()]))
+    return up, down, _tuple_getter(near), _tuple_getter(far)
+
+
+def _vectors(index, vals, sense):
+    """(marg, diffs) of vals over an _index: its marginal and diff vectors,
+    diffs None when sense is None or the index has no face."""
+    up, down, near, far = index
+    marg = list(map(sub, up(vals), down(vals)))
+    return marg, None if sense is None or near is None else list(map(sub, near(marg), far(marg)))
+
+
+def _marginal_vectors(vals, n, sense):
+    """The whole table's (marg, diffs) (_vectors over _index(n)): the one
+    full pass of verify_structure and marginal_margins."""
+    return _vectors(_index(n), vals, sense)
 
 
 # the comparison that makes a marginal (+1) or a diff of each sense a violation
@@ -398,38 +413,6 @@ def _tuple_getter(indices):
     return itemgetter(*indices)
 
 
-@functools.cache
-def _marginal_getters(n: int) -> tuple:
-    """Per action i: (up, down, hi, lo).  up(vals) and down(vals) give
-    v(S + i) and v(S) over every S without i, in increasing order, so that
-    their difference is i's marginal vector; hi and lo index that vector at
-    S + j and S over every S without i and j, for every other j in turn.
-    None for hi and lo when n = 1."""
-    out = []
-    for i in range(n):
-        bi = 1 << i
-        rest = [m for m in range(1 << n) if not m & bi]
-        pos = {m: p for p, m in enumerate(rest)}
-        pairs = [(pos[m], pos[m | 1 << j]) for j in range(n) if j != i
-                 for m in rest if not m >> j & 1]
-        up = _tuple_getter([m | bi for m in rest])
-        down = _tuple_getter(rest)
-        if not pairs:
-            out.append((up, down, None, None))
-            continue
-        out.append((up, down, _tuple_getter([h for _, h in pairs]),
-                    _tuple_getter([lo for lo, _ in pairs])))
-    return tuple(out)
-
-
-def _marginal_vectors(vals, n, sense):
-    """Per action i: (marg, diffs), its marginal and diff vectors as
-    _marginal_getters orders them; diffs None when sense is None or n = 1."""
-    for up, down, hi, lo in _marginal_getters(n):
-        marg = list(map(sub, up(vals), down(vals)))
-        yield marg, None if sense is None or hi is None else list(map(sub, lo(marg), hi(marg)))
-
-
 def _class_margin(diffs, sense):
     """The least sense * diff; for sense 0 the least of both, -max |diff|."""
     if sense:
@@ -439,7 +422,8 @@ def _class_margin(diffs, sense):
 
 def marginal_margins(vals, n, sense):
     """(least, margin) of the set function vals over n actions, in the
-    arithmetic of vals, on whole marginal vectors (_marginal_vectors).
+    arithmetic of vals, on the whole table's marginal and diff vectors
+    (_marginal_vectors).
 
     least is the least marginal v(i | S) over every S without i: vals is
     monotone iff it is >= 0.  margin is the least sense * (v(i | S) -
@@ -449,12 +433,8 @@ def marginal_margins(vals, n, sense):
     suffice: any nested marginal difference telescopes into adjacent steps.
     margin is None when sense is None (monotonicity only) or n = 1.
     """
-    leasts, margins = [], []
-    for marg, diffs in _marginal_vectors(vals, n, sense):
-        leasts.append(min(marg))
-        if diffs is not None:
-            margins.append(_class_margin(diffs, sense))
-    return min(leasts), min(margins, default=None)
+    marg, diffs = _marginal_vectors(vals, n, sense)
+    return min(marg), None if diffs is None else _class_margin(diffs, sense)
 
 
 # the sense of marginal_margins that decides each declared class

@@ -217,6 +217,8 @@ class SetFunctionOracle:
             raise ValueError(f"scale {scale} is not a positive multiple of the table's {own_scale}")
         if len(kints) != len(ks) or not all(0 <= k < len(ints) for k in ks):
             raise ValueError(f"with_entries needs one int per position, each in [0, {len(ints)})")
+        if len(set(ks)) != len(ks):
+            raise ValueError("with_entries needs distinct positions")
         if entries is not None and (len(entries) != len(ks) or any(
                 p * scale != kint * q for (p, q), kint in zip(map(ratio, entries), kints))):
             raise ValueError("with_entries needs one entry per position, its int over scale")

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constructions import kind_of
-from .core import ActionSet, ContractInstance, derived, lower_hull
+from .core import ActionSet, ContractInstance, best_response, best_response_runs, derived
+from .core import lower_hull, value
 from .reals import RealContext, ratio
 from .serialize import number_to_str
 
@@ -263,8 +264,6 @@ def fptas(inst: ContractInstance, eps) -> FptasResult:
     """
     if not (0 < eps < 1):
         raise ParameterError("eps must be in (0, 1)")
-    from .core import best_response, best_response_runs, value
-
     with inst.ctx.workprec():
         one = inst.ctx.make(1)
         # step 1: the f-maximal zero-cost set, via a best response at alpha=0

@@ -474,6 +474,26 @@ class TestStructureReport:
         f = SetFunctionOracle(n, table=table, declared_class="additive")
         assert verify_structure(f).class_violations == violations
 
+    def test_keys_are_listed_only_for_a_failing_report(self, monkeypatch):
+        # the cached index holds getters alone: once it is built, a passing
+        # pass lists no (S, i[, j]) keys and a failing one lists them once
+        n = 6
+        ok = SetFunctionOracle(n, weights=[1] * n, declared_class="submodular")
+        bad = SetFunctionOracle(n, weights=[-1] + [1] * (n - 1), declared_class="submodular")
+        assert verify_structure(ok).ok
+        assert all(map(callable, constructions._index(n)))
+        listed = []
+        original = constructions._keys
+
+        def counted(*args):
+            listed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constructions, "_keys", counted)
+        assert verify_structure(ok).ok and marginal_margins(ok.scaled()[0], n, +1) == (1, 0)
+        assert listed == []
+        assert not verify_structure(bad).ok and listed == [(n,)]
+
 
 @st.composite
 def moved_class_tables(draw):

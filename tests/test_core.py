@@ -1021,6 +1021,12 @@ class TestWithEntries:
             with pytest.raises(ValueError, match=r"per position, each in \[0, 4\)"):
                 parent.with_entries((k,), (1,), 4, "c", (0.25,))
 
+    def test_repeated_positions_are_refused(self):
+        parent = SetFunctionOracle(2, table=reals.MpfTable([0, 1, 2, 3], 1, True))
+        for ks in ((1, 1), (0, 2, 0)):
+            with pytest.raises(ValueError, match="distinct positions"):
+                parent.with_entries(ks, (5, 7, 9)[:len(ks)], 1, "x")
+
     def test_an_entry_not_its_int_over_scale_is_refused(self):
         parent = SetFunctionOracle(1, table=[0.0, 0.75])
         with pytest.raises(ValueError, match="its int over scale"):
